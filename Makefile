@@ -12,7 +12,7 @@ vet:
 
 # vet-cb runs the project's own analyzers (internal/analysis, driven by
 # cmd/cbvet) through the go vet harness: determinism, msgfree, hotpath,
-# obsreadonly, statecov (snapshot/digest coverage), waivers (directive
+# obsreadonly, statecov (digest coverage), waivers (directive
 # hygiene). See README "Static analysis".
 vet-cb:
 	$(GO) build -o bin/cbvet ./cmd/cbvet
@@ -42,8 +42,8 @@ bench-snapshot:
 
 # bench-gate diffs BENCH_pr.json against the committed BENCH_baseline.json:
 # allocs/op exact, ns/op within a generous machine-speed tolerance, plus
-# same-machine ratios (wheel >= 2x heap on spin-wave; warm sweep within
-# 1.10x of cold). Regenerate the baseline with
+# same-machine ratios (wheel >= 2x heap on spin-wave; checkpoint
+# recording within 2.5x of a plain run). Regenerate the baseline with
 # `go run ./cmd/benchsnap -o BENCH_baseline.json` when perf changes are
 # intentional, and say so in the PR.
 bench-gate: bench-snapshot

@@ -483,28 +483,3 @@ func BenchmarkExtensionIdleEnergy(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSnapshotForkSweep measures the warm-start payoff on the
-// Figure-21 grid: each iteration runs the reduced sweep cold (build every
-// machine from scratch) or warm (fork each cell's machine from the
-// zero-state snapshot pool). The warm/cold ns/op ratio is the number the
-// bench gate pins; the results themselves are byte-identical either way
-// (TestWarmStartSweepIdentity).
-func BenchmarkSnapshotForkSweep(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"radiosity", "fft", "dedup"}
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"cold", false}, {"warm", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			oo := o
-			oo.WarmStart = mode.warm
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunSuite(experiments.StandardSetups(), workload.StyleScalable, oo); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -25,12 +25,10 @@ func writeSnapshot(t *testing.T, dir, name string, s snapshot) string {
 // diff failures under test are not drowned out by missing-ratio noise.
 func ratioPairs() map[string]benchPerf {
 	return map[string]benchPerf{
-		"spin_wave_wheel":    {NsPerOp: 100},
-		"spin_wave_heap":     {NsPerOp: 300},
-		"snapshot_fork_cold": {NsPerOp: 1e6},
-		"snapshot_fork_warm": {NsPerOp: 0.9e6},
-		"replay_record_off":  {NsPerOp: 1e6},
-		"replay_record_on":   {NsPerOp: 1.8e6},
+		"spin_wave_wheel":   {NsPerOp: 100},
+		"spin_wave_heap":    {NsPerOp: 300},
+		"replay_record_off": {NsPerOp: 1e6},
+		"replay_record_on":  {NsPerOp: 1.8e6},
 	}
 }
 

@@ -154,25 +154,6 @@ func run(out string, cores int, benches []string) error {
 		}
 	}))
 
-	// Snapshot fork: wall clock for the reduced Figure-21 grid, cold
-	// (every cell builds its machine from scratch) versus warm (cells
-	// fork from the zero-state snapshot pool). Min-of-2 damps scheduler
-	// noise; the warm trio's first run also fills the pool, so the min
-	// reflects steady-state forking.
-	sweep := experiments.Options{Cores: cores, Benchmarks: []string{"radiosity", "fft", "dedup"}}
-	coldWall, err := sweepWall(sweep)
-	if err != nil {
-		return err
-	}
-	warm := sweep
-	warm.WarmStart = true
-	warmWall, err := sweepWall(warm)
-	if err != nil {
-		return err
-	}
-	snap.Benchmarks["snapshot_fork_cold"] = benchPerf{NsPerOp: float64(coldWall.Nanoseconds()), Iterations: 3}
-	snap.Benchmarks["snapshot_fork_warm"] = benchPerf{NsPerOp: float64(warmWall.Nanoseconds()), Iterations: 3}
-
 	// Sim rate: a reference sweep under CB-One, folded through the same
 	// SimRate estimator cbsimd exports as cbsimd_sim_cycles_per_wall_second.
 	setup, err := experiments.SetupByName("CB-One")
@@ -279,21 +260,6 @@ func spinWave(b *testing.B, k *sim.Kernel) {
 	for i := 0; i < b.N; i++ {
 		k.Step()
 	}
-}
-
-// sweepWall times one full reduced Figure-21 sweep, min of three runs.
-func sweepWall(o experiments.Options) (time.Duration, error) {
-	best := time.Duration(0)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		if _, err := experiments.RunSuite(experiments.StandardSetups(), workload.StyleScalable, o); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
 }
 
 func record(r testing.BenchmarkResult) benchPerf {

@@ -226,8 +226,8 @@ func run(c cli) error {
 		if to == 0 || to > rec.End() {
 			to = rec.End()
 		}
-		fmt.Fprintf(os.Stderr, "recorded %s/%s: cycles [0,%d), %d digest marks (K=%d), %d deferred checkpoints\n",
-			p.Name, setup.Name, rec.End(), len(rec.Marks()), rec.Interval(), rec.Deferred())
+		fmt.Fprintf(os.Stderr, "recorded %s/%s: cycles [0,%d), %d digest marks (K=%d)\n",
+			p.Name, setup.Name, rec.End(), len(rec.Marks()), rec.Interval())
 		s, err = rec.Replay(from, to, sinks...)
 		if err != nil {
 			return err

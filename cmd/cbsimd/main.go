@@ -69,6 +69,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -111,6 +112,18 @@ func main() {
 	advertise := flag.String("advertise", "", "URL peers should use to reach this member (reported in /v1/cluster/status)")
 	replicas := flag.Int("replicas", 2, "copies of each cached result across the cluster, owner included")
 	flag.Parse()
+
+	// A fresh cell builds its machine from scratch (7.2 MB at 16 cores)
+	// against a small live heap, so the default GC target collects every
+	// few cells. Measured on the service-mix benchmark (2-vCPU VM, 10
+	// paired runs) against the default target plus a warm-start pool of
+	// ~100 MB of idle machines: GOGC=400 kept wall time and fresh-cell
+	// latency level (median ratios 0.94 and 0.95) and cut peak RSS from
+	// 319 to 205 MB; GOGC=200 used 118 MB but ran ~5% slower. An
+	// explicit GOGC wins.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(400)
+	}
 
 	logger := log.New(os.Stderr, "cbsimd: ", log.LstdFlags|log.Lmsgprefix)
 

@@ -78,8 +78,8 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 // fault-schedule tests (any seeded drop/delay/dup/partition schedule
 // must reproduce the fault-free baseline byte for byte). chaos is in: its fault
 // decisions execute inside the machine and must replay bit-identically
-// from the seeded RNG (which is also snapshot/restored). digest and
-// replay are in: a state digest or a checkpointed re-execution that
+// from the seeded RNG. digest and replay are in: a state digest or a
+// checkpointed re-execution that
 // depends on wall clocks, map order, or goroutine interleaving would
 // make recordings unverifiable and bisection verdicts unsound. trace is
 // in: replayed windows promise byte-identical rendered traces, so sink

@@ -1,29 +1,24 @@
 // Package statecov defines the cbvet analyzer that keeps the simulator's
-// state manifests complete.
+// state manifest complete.
 //
-// The machine's three state-movement surfaces — Snapshot/Restore (via
-// per-component State/SetState), and Digest/ComponentDigests — are
+// The machine's state digests — Digest/ComponentDigests — are
 // hand-written manifests: each lists a struct's fields one by one. A
-// field added to a component but forgotten in a manifest is the worst
-// kind of bug in this repository: snapshots restore a machine that is
-// almost the one captured (warm-start sweeps silently diverge from cold
-// runs), and digests go blind to the field (replay verification and
-// bisection verdicts stop covering it). Nothing crashes; results are
-// just quietly wrong.
+// field added to a component but forgotten in its digest is the worst
+// kind of bug in this repository: digests go blind to the field, so
+// replay verification and bisection verdicts stop covering it. Nothing
+// crashes; results are just quietly wrong.
 //
 // statecov closes the loop: in every simulator-core package, for every
-// struct that participates in a state surface, every field the package
-// mutates must be referenced by the struct's snapshot-side methods
-// (State/SetState/Snapshot/Restore) and by its digest-side methods
-// (Digest/ComponentDigests) — transitively through package-local calls —
-// or carry an explicit waiver:
+// struct with a digest surface, every field the package mutates must be
+// referenced by the struct's digest-side methods (Digest /
+// ComponentDigests) — transitively through package-local calls — or
+// carry an explicit waiver:
 //
 //	//cbvet:ephemeral <why this field is not machine state>
 //
 // Exemptions that need no waiver: fields never mutated outside
 // constructors (structural wiring), func-typed fields (closures cannot
-// be snapshotted and are re-wired on restore by contract), and
-// mutations inside the state surfaces themselves (restore plumbing).
+// be folded), and mutations inside the digest surface itself.
 package statecov
 
 import (
@@ -35,27 +30,23 @@ import (
 	"repro/internal/analysis"
 )
 
-// Analyzer flags mutated struct fields missing from snapshot or digest
-// manifests in simulator-core packages.
+// Analyzer flags mutated struct fields missing from digest manifests in
+// simulator-core packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "statecov",
-	Doc: `require mutated sim-core struct fields in snapshot and digest manifests
+	Doc: `require mutated sim-core struct fields in digest manifests
 
-For each struct in a simulator-core package that has snapshot-side
-methods (State, SetState, Snapshot, Restore) or digest-side methods
-(Digest, ComponentDigests), every field mutated outside constructors
-must be referenced — transitively through package-local calls — by each
-side the struct participates in, or carry a justified
-//cbvet:ephemeral waiver on its declaration. Func-typed fields are
-exempt (closures are re-wired on restore by contract).`,
+For each struct in a simulator-core package that has digest-side
+methods (Digest, ComponentDigests), every field mutated outside
+constructors must be referenced by them — transitively through
+package-local calls — or carry a justified //cbvet:ephemeral waiver on
+its declaration. Func-typed fields are exempt (closures cannot be
+folded).`,
 	Run: run,
 }
 
-// Side names and their root method sets.
-var (
-	snapshotRoots = map[string]bool{"State": true, "SetState": true, "Snapshot": true, "Restore": true}
-	digestRoots   = map[string]bool{"Digest": true, "ComponentDigests": true}
-)
+// digestRoots names the digest-side root methods.
+var digestRoots = map[string]bool{"Digest": true, "ComponentDigests": true}
 
 // structInfo is one package-local struct under analysis.
 type structInfo struct {
@@ -64,8 +55,8 @@ type structInfo struct {
 	// comments and diagnostic anchoring).
 	fieldDecl map[*types.Var]*ast.Field
 	order     []*types.Var
-	// snapRoots / digRoots are the struct's side root methods.
-	snapRoots, digRoots []*types.Func
+	// roots are the struct's digest-side root methods.
+	roots []*types.Func
 }
 
 // mutation records one field write outside constructors.
@@ -129,26 +120,19 @@ func run(pass *analysis.Pass) error {
 		structs[name] = si
 	}
 
-	// Attach side root methods to their structs.
+	// Attach digest root methods to their structs.
 	for fn := range funcs {
 		recv := receiverStruct(fn)
-		if recv == nil {
+		if recv == nil || !digestRoots[fn.Name()] {
 			continue
 		}
-		si := structs[recv]
-		if si == nil {
-			continue
-		}
-		switch {
-		case snapshotRoots[fn.Name()]:
-			si.snapRoots = append(si.snapRoots, fn)
-		case digestRoots[fn.Name()]:
-			si.digRoots = append(si.digRoots, fn)
+		if si := structs[recv]; si != nil {
+			si.roots = append(si.roots, fn)
 		}
 	}
 
 	// Per-function field references and package-local callees, for the
-	// closure walks.
+	// closure walk.
 	refs := map[*types.Func]map[*types.Var]bool{}
 	callees := map[*types.Func][]*types.Func{}
 	for fn, fd := range funcs {
@@ -175,10 +159,15 @@ func run(pass *analysis.Pass) error {
 		callees[fn] = cs
 	}
 
-	closure := func(roots []*types.Func) map[*types.Var]bool {
-		covered := map[*types.Var]bool{}
+	// Per struct, the closure of its digest surface: the functions it
+	// reaches (whose mutations are fold plumbing, not simulation
+	// mutation) and the fields they reference.
+	surfaceFns := map[*types.TypeName]map[*types.Func]bool{}
+	covered := map[*types.TypeName]map[*types.Var]bool{}
+	for name, si := range structs {
 		seen := map[*types.Func]bool{}
-		stack := append([]*types.Func(nil), roots...)
+		cov := map[*types.Var]bool{}
+		stack := append([]*types.Func(nil), si.roots...)
 		for len(stack) > 0 {
 			fn := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -187,30 +176,12 @@ func run(pass *analysis.Pass) error {
 			}
 			seen[fn] = true
 			for v := range refs[fn] {
-				covered[v] = true
+				cov[v] = true
 			}
-			stack = append(stack, callees[fn]...)
-		}
-		return covered
-	}
-
-	// Functions whose mutations are exempt per struct: constructors
-	// returning the struct, and the closure of the struct's own state
-	// surfaces (restore/fold plumbing is not simulation mutation).
-	surfaceFns := map[*types.TypeName]map[*types.Func]bool{}
-	for name, si := range structs {
-		seen := map[*types.Func]bool{}
-		stack := append(append([]*types.Func(nil), si.snapRoots...), si.digRoots...)
-		for len(stack) > 0 {
-			fn := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[fn] {
-				continue
-			}
-			seen[fn] = true
 			stack = append(stack, callees[fn]...)
 		}
 		surfaceFns[name] = seen
+		covered[name] = cov
 	}
 
 	// Collect mutations: every assignment or ++/-- whose left-hand
@@ -245,7 +216,7 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 
-	// Report uncovered mutated fields per struct and side.
+	// Report uncovered mutated fields per struct.
 	names := make([]*types.TypeName, 0, len(structs))
 	for name := range structs {
 		names = append(names, name)
@@ -253,11 +224,9 @@ func run(pass *analysis.Pass) error {
 	sort.Slice(names, func(i, j int) bool { return names[i].Name() < names[j].Name() })
 	for _, name := range names {
 		si := structs[name]
-		if len(si.snapRoots) == 0 && len(si.digRoots) == 0 {
+		if len(si.roots) == 0 {
 			continue
 		}
-		snapCov := closure(si.snapRoots)
-		digCov := closure(si.digRoots)
 		for _, v := range si.order {
 			m, isMut := mutated[v]
 			if !isMut {
@@ -271,15 +240,10 @@ func run(pass *analysis.Pass) error {
 			if _, isFunc := v.Type().Underlying().(*types.Signature); isFunc {
 				continue
 			}
-			if len(si.snapRoots) > 0 && !snapCov[v] {
-				pass.Reportf(decl.Pos(),
-					"field %s.%s is mutated (in %s) but never captured by the snapshot side (%s): add it to the state manifest or waive it with //cbvet:ephemeral <why>",
-					name.Name(), v.Name(), m.in, methodNames(si.snapRoots))
-			}
-			if len(si.digRoots) > 0 && !digCov[v] {
+			if !covered[name][v] {
 				pass.Reportf(decl.Pos(),
 					"field %s.%s is mutated (in %s) but never folded by the digest side (%s): replay verification is blind to it; fold it or waive it with //cbvet:ephemeral <why>",
-					name.Name(), v.Name(), m.in, methodNames(si.digRoots))
+					name.Name(), v.Name(), m.in, methodNames(si.roots))
 			}
 		}
 	}
@@ -365,7 +329,8 @@ func chainFields(pass *analysis.Pass, expr ast.Expr) []*types.Var {
 	}
 }
 
-// methodNames renders a root set as "State/SetState" for diagnostics.
+// methodNames renders a root set as "ComponentDigests/Digest" for
+// diagnostics.
 func methodNames(fns []*types.Func) string {
 	names := make([]string, len(fns))
 	for i, fn := range fns {

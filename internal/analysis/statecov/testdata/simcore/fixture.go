@@ -1,6 +1,6 @@
-// Package fixture exercises the statecov analyzer: structs with
-// snapshot and digest manifests, planted uncovered fields, a waived
-// ephemeral field, and the exemption classes.
+// Package fixture exercises the statecov analyzer: structs with digest
+// manifests, planted uncovered fields, a waived ephemeral field, and the
+// exemption classes.
 package fixture
 
 // hash stands in for digest.Hash.
@@ -8,22 +8,21 @@ type hash struct{ sum uint64 }
 
 func (h *hash) U64(v uint64) { h.sum ^= v }
 
-// Widget participates in both state surfaces.
+// Widget has a digest surface.
 type Widget struct {
 	count uint64
-	// fuel is captured by State/SetState but missing from Digest.
+	// fuel and lost are missing from Digest.
 	fuel uint64 // want "field Widget\\.fuel is mutated \\(in Step\\) but never folded by the digest side \\(Digest\\)"
-	// lost is missing from both manifests.
-	lost uint64 // want "never captured by the snapshot side \\(SetState/State\\)" "never folded by the digest side \\(Digest\\)"
+	lost uint64 // want "field Widget\\.lost is mutated \\(in Step\\) but never folded by the digest side \\(Digest\\)"
 	// scratch is rebuilt from the pending event at the start of every
-	// step; it is never live at a snapshot or digest point.
-	//cbvet:ephemeral rebuilt from the pending event each step, never live at quiescence
+	// step; it is never live at a digest point.
+	//cbvet:ephemeral rebuilt from the pending event each step, never live at a digest point
 	scratch uint64
-	// hook is func-typed: closures are re-wired on restore by contract.
+	// hook is func-typed: closures cannot be folded.
 	hook func()
 	// wired is assigned only by the constructor: structural, exempt.
 	wired int
-	// stats is covered on both sides via the nested manifests.
+	// stats is covered via the nested manifest.
 	stats WidgetStats
 }
 
@@ -44,32 +43,14 @@ func (w *Widget) Step() {
 	w.stats.Hits++
 }
 
-// WidgetState is the snapshot manifest.
-type WidgetState struct {
-	Count, Fuel uint64
-	Stats       WidgetStats
-}
-
-// State captures the widget.
-func (w *Widget) State() WidgetState {
-	return WidgetState{Count: w.count, Fuel: w.fuel, Stats: w.stats}
-}
-
-// SetState restores the widget; its writes are plumbing, not mutation.
-func (w *Widget) SetState(st WidgetState) {
-	w.count = st.Count
-	w.fuel = st.Fuel
-	w.stats = st.Stats
-}
-
 // Digest folds the widget — forgetting fuel and lost.
 func (w *Widget) Digest(h *hash) {
 	h.U64(w.count)
 	w.stats.Digest(h)
 }
 
-// WidgetStats has only a digest side (it is snapshotted wholesale as a
-// field of WidgetState, like the real per-component Stats structs).
+// WidgetStats has its own digest side, like the real per-component
+// Stats structs.
 type WidgetStats struct {
 	Hits uint64
 	// Misses is bumped but never folded.
@@ -86,12 +67,15 @@ func (s *WidgetStats) bump() {
 	s.Misses++
 }
 
-// plain has no state surface at all: statecov does not apply.
+// plain has no digest surface: statecov does not apply, even to a
+// State method, which is no longer a manifest.
 type plain struct {
 	n int
 }
 
 func (p *plain) poke() { p.n++ }
+
+func (p *plain) State() int { return 0 }
 
 // helperCovered proves coverage is transitive through package-local
 // calls: the field is folded by a helper the root calls.

@@ -32,13 +32,13 @@ type Array[P any] struct {
 	tick    uint64
 
 	// occ[s] is the set's valid-way bitmask (bit w = way w holds a valid
-	// line). It exists for the scans — Digest, State, CountValid — which
-	// would otherwise touch every way of every set: an LLC bank keeps
-	// 4096 mostly-invalid line slots, and a replay digest scans every
-	// bank of the machine each mark. The mask lets those skip empty sets
-	// without pulling the line backing into cache. Maintained by
-	// Allocate/Invalidate/SetState and re-synced by ForEach (whose
-	// visitor may clear Valid).
+	// line). It exists for the scans — Digest, CountValid — which would
+	// otherwise touch every way of every set: an LLC bank keeps 4096
+	// mostly-invalid line slots, and a replay digest scans every bank of
+	// the machine each mark. The mask lets those skip empty sets without
+	// pulling the line backing into cache. Maintained by
+	// Allocate/Invalidate and re-synced by ForEach (whose visitor may
+	// clear Valid).
 	occ []uint64
 
 	// Accesses counts Lookup calls; Hits counts those that hit.

@@ -151,13 +151,13 @@ type Directory struct {
 	// policy and evict select the wake and eviction ablation variants;
 	// both are configuration fixed at machine wiring, never changed
 	// once simulation starts.
-	//cbvet:ephemeral configuration fixed at wiring time, re-applied by machine construction on restore
+	//cbvet:ephemeral configuration fixed at wiring time, never changed mid-run
 	policy WakePolicy
-	//cbvet:ephemeral configuration fixed at wiring time, re-applied by machine construction on restore
+	//cbvet:ephemeral configuration fixed at wiring time, never changed mid-run
 	evict EvictPolicy
 	// lineGranular tags entries by cache line instead of word
 	// (ablation: the paper argues for word granularity, Section 2.2).
-	//cbvet:ephemeral configuration fixed at wiring time, re-applied by machine construction on restore
+	//cbvet:ephemeral configuration fixed at wiring time, never changed mid-run
 	lineGranular bool
 	tick         uint64
 	stats        Stats

@@ -68,10 +68,9 @@ type Core struct {
 	cfg  Config
 
 	// prog is the loaded program: immutable input, not evolving state.
-	// The snapshot side carries it so a restored core can resume, but
-	// the digest deliberately skips it — hashing the program text would
+	// The digest deliberately skips it — hashing the program text would
 	// only re-hash the loader argument (see digest.go).
-	//cbvet:ephemeral immutable program text; snapshotted for resume, deliberately excluded from digests
+	//cbvet:ephemeral immutable program text, deliberately excluded from digests
 	prog *isa.Program
 	regs [isa.NumRegs]uint64
 	pc   int

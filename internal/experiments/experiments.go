@@ -136,12 +136,6 @@ type Options struct {
 	// machine.ErrNoProgress and a per-core dump.
 	Watchdog uint64
 
-	// WarmStart reuses machines across cells of the same configuration:
-	// each run forks from a pooled machine rewound to its zero-state
-	// snapshot instead of building a new one (see warmpool.go). Results
-	// are byte-identical to cold runs; only wall-clock changes.
-	WarmStart bool
-
 	// CycleStacks attaches the cycle-accounting layer to every run:
 	// Result.Stats.CycleStack carries the per-core attribution, and the
 	// end-of-run conservation invariant is checked. Observational only —
@@ -302,9 +296,8 @@ func (r Result) Time() float64 { return float64(r.Stats.Cycles) }
 // Traffic returns the network traffic in flit-hops (the GARNET metric).
 func (r Result) Traffic() float64 { return float64(r.Stats.Net.FlitHops) }
 
-// machineConfig derives the machine configuration for a setup — the warm
-// pool's key, so every option that changes machine behavior must flow
-// through it.
+// machineConfig derives the machine configuration for a setup: every
+// option that changes machine behavior flows through it.
 func machineConfig(s Setup, o Options) machine.Config {
 	cfg := machine.Default(s.Protocol)
 	cfg.Cores = o.Cores
@@ -326,18 +319,7 @@ func buildMachine(s Setup, o Options) *machine.Machine {
 // events; cancellation is returned as a bare ctx.Err() so callers can
 // errors.Is it directly.
 func runGenerated(g *workload.Generated, s Setup, o Options) (Result, error) {
-	var m *machine.Machine
-	if o.WarmStart {
-		cfg := machineConfig(s, o)
-		w, err := acquireWarm(cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s under %s: warm start: %w", g.Profile.Name, s.Name, err)
-		}
-		m = w.m
-		defer releaseWarm(cfg, w)
-	} else {
-		m = buildMachine(s, o)
-	}
+	m := buildMachine(s, o)
 	if o.Trace != nil {
 		m.AttachTrace(o.Trace)
 	}

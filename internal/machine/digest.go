@@ -10,10 +10,11 @@ import (
 // divergence bisector's measuring instrument. At an exact cycle boundary
 // (see RunToCycle) two machines of compatible configuration agree on
 // their Full digest if and only if they are behaviorally
-// indistinguishable from that boundary on — the digest folds exactly the
-// state that Snapshot would capture, plus the transient mid-run state
-// Snapshot refuses (pending L1 operations, busy directory lines, parked
-// callback reads, in-flight message counts), represented as data.
+// indistinguishable from that boundary on — the digest folds all mutable
+// machine state, including the transient mid-run state (pending L1
+// operations, busy directory lines, parked callback reads, in-flight
+// message counts), represented as data. Each component's Digest is its
+// state manifest; the statecov analyzer keeps it complete.
 //
 // Two deliberate exclusions:
 //

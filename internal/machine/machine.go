@@ -136,6 +136,7 @@ type Machine struct {
 	// cyc is the cycle-accounting accumulator, nil unless AttachCycles
 	// was called. Like sinks it is observational only: the machine's
 	// simulated behaviour is byte-identical with or without it.
+	//cbvet:ephemeral observational cycle accounting; simulated behaviour is byte-identical with or without it
 	cyc *cycles.Accumulator
 
 	// chaos is the fault-injection engine shared by the mesh and banks

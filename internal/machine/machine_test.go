@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -303,5 +304,57 @@ func TestRunContextCancel(t *testing.T) {
 	// A nil context behaves exactly like Run: the limit error fires.
 	if err := build().RunContext(nil, 10_000); err == nil {
 		t.Fatal("nil-context RunContext ignored the cycle limit")
+	}
+}
+
+// loadSmoke loads the two-core flag hand-off workload used by the smoke
+// tests: core 0 computes then writes through a flag, core 1 spins on it.
+func loadSmoke(m *Machine) {
+	flag := memtypes.Addr(0x1000)
+	wb := isa.NewBuilder()
+	wb.Compute(100)
+	wb.Imm(isa.R1, uint64(flag))
+	wb.Imm(isa.R2, 1)
+	wb.StThrough(isa.R1, 0, isa.R2)
+	wb.Done()
+	m.Load(0, wb.MustBuild(), nil)
+
+	rb := isa.NewBuilder()
+	rb.Imm(isa.R1, uint64(flag))
+	rb.SyncBegin(isa.SyncWait)
+	rb.Label("spin")
+	rb.LdThrough(isa.R2, isa.R1, 0)
+	rb.Beqz(isa.R2, "spin")
+	rb.SyncEnd(isa.SyncWait)
+	rb.Done()
+	m.Load(1, rb.MustBuild(), nil)
+}
+
+func runSmoke(t *testing.T, m *Machine) Stats {
+	t.Helper()
+	loadSmoke(m)
+	if err := m.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Quiesce(100_000); err != nil {
+		t.Fatal(err)
+	}
+	return m.Stats()
+}
+
+// The heap-only reference kernel and the two-tier wheel kernel must
+// produce byte-identical machine Stats.
+func TestHeapOnlyKernelIdenticalStats(t *testing.T) {
+	for _, p := range []Protocol{ProtocolMESI, ProtocolBackoff, ProtocolCallback} {
+		cfg := Default(p)
+		cfg.Cores = 4
+		wheel := runSmoke(t, New(cfg, nil))
+		cfg.HeapOnlyKernel = true
+		heap := runSmoke(t, New(cfg, nil))
+		// The configs differ only in the kernel flag, which Stats must
+		// not observe.
+		if !reflect.DeepEqual(wheel, heap) {
+			t.Fatalf("%v: wheel and heap kernels diverge:\nwheel %+v\nheap  %+v", p, wheel, heap)
+		}
 	}
 }

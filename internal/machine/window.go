@@ -58,5 +58,16 @@ func (m *Machine) Finished() bool {
 // detached at its end, so a parked replay cursor never drags a stale
 // sink into a later window.
 func (m *Machine) DetachTrace() {
-	m.detachObservers()
+	m.sinks = nil
+	m.Mesh.SetObserver(nil)
+	for _, t := range m.vipsTiles {
+		t.Bank.SetObserver(nil)
+	}
+	for _, t := range m.mesiTiles {
+		t.L1.SetMonitorObserver(nil)
+	}
+	for _, c := range m.Cores {
+		c.SetObserver(nil)
+	}
+	m.AttachCycles(nil)
 }

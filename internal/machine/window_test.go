@@ -1,9 +1,10 @@
 package machine
 
 import (
-	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // The replay contract: a run chopped into RunToCycle segments fires the
@@ -88,28 +89,37 @@ func TestRunToCycleBoundaryIndependence(t *testing.T) {
 	}
 }
 
-// A refused mid-run snapshot is errors.Is-able against the sentinel and
-// carries the in-flight counts that explain the refusal.
-func TestNotQuiescentErrorDetails(t *testing.T) {
+// DetachTrace mid-run uninstalls a traced machine's observers: the rest
+// of the run emits nothing into the stale sink, and a fresh AttachTrace
+// picks up where it left off.
+func TestDetachTraceStopsEmission(t *testing.T) {
 	cfg := Default(ProtocolCallback)
 	cfg.Cores = 4
 	m := New(cfg, nil)
 	loadSmoke(m)
-	if done, err := m.RunToCycle(50); err != nil || done {
-		t.Fatalf("RunToCycle(50): done=%v err=%v", done, err)
+	stale := 0
+	m.AttachTrace(traceCounter{&stale})
+	if done, err := m.RunToCycle(smokeEnd(t, cfg) / 2); err != nil || done {
+		t.Fatalf("RunToCycle: done=%v err=%v", done, err)
 	}
-	_, err := m.Snapshot()
-	if err == nil {
-		t.Fatal("Snapshot of a mid-run machine must fail")
+	if stale == 0 {
+		t.Fatal("attached sink saw no events")
 	}
-	if !errors.Is(err, ErrNotQuiescent) {
-		t.Fatalf("error %v is not errors.Is ErrNotQuiescent", err)
+	m.DetachTrace()
+	before := stale
+	fresh := 0
+	m.AttachTrace(traceCounter{&fresh})
+	if err := m.Run(1_000_000); err != nil {
+		t.Fatal(err)
 	}
-	var nq *NotQuiescentError
-	if !errors.As(err, &nq) {
-		t.Fatalf("error %v is not a *NotQuiescentError", err)
+	if stale != before {
+		t.Fatalf("stale sink received %d events after DetachTrace", stale-before)
 	}
-	if nq.PendingEvents == 0 && nq.LiveMessages == 0 && nq.Detail == "" {
-		t.Fatalf("NotQuiescentError carries no diagnosis: %+v", nq)
+	if fresh == 0 {
+		t.Fatal("fresh sink attached after DetachTrace saw no events")
 	}
 }
+
+type traceCounter struct{ n *int }
+
+func (c traceCounter) Emit(trace.Event) { *c.n++ }

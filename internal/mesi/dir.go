@@ -62,7 +62,7 @@ type Dir struct {
 
 	// chaos, when non-nil, jitters LLC bank access latencies (fault
 	// injection; nil on the default path).
-	//cbvet:ephemeral wiring pointer installed at construction; the engine's RNG state is snapshotted by the machine
+	//cbvet:ephemeral wiring pointer installed at construction; chaos-engine state is deliberately excluded from digests (see machine/digest.go)
 	chaos *chaos.Engine
 
 	// cyc, when set, receives cycle-accounting segments for requester

@@ -58,12 +58,12 @@ type Stats struct {
 type Mesh struct {
 	k             *sim.Kernel
 	width, height int
-	//cbvet:ephemeral configuration fixed at wiring time, re-applied by machine construction on restore
+	//cbvet:ephemeral configuration fixed at wiring time, never changed mid-run
 	switchLat uint64
 	localLat  uint64
 	// handlers holds the per-node delivery endpoints installed by
 	// Attach during machine wiring.
-	//cbvet:ephemeral wiring: delivery endpoints are re-attached at construction, not restored
+	//cbvet:ephemeral wiring: delivery endpoints attached at construction
 	handlers []Handler
 	// linkFree[node][dir] is the first cycle the outgoing link of node
 	// in direction dir is idle.
@@ -94,7 +94,7 @@ type Mesh struct {
 
 	// chaos, when non-nil, injects per-message send delays and per-hop
 	// jitter (fault injection; nil on the default path).
-	//cbvet:ephemeral wiring pointer installed at construction; the engine's RNG state is snapshotted by the machine
+	//cbvet:ephemeral wiring pointer installed at construction; chaos-engine state is deliberately excluded from digests (see machine/digest.go)
 	chaos *chaos.Engine
 	// chaosFloor keeps chaos-perturbed times monotone where the real
 	// network is FIFO: links (and per-node injection/local delivery)
@@ -104,7 +104,7 @@ type Mesh struct {
 	// produce. Delays still reorder traffic across different routes.
 	// Indexed like linkFree, with two extra virtual directions per
 	// node: injection into the network and local (src==dst) delivery.
-	//cbvet:ephemeral snapshot-captured but deliberately excluded from digests so a chaos run does not digest-diverge from a fault-free twin before any fault lands (see digest.go)
+	//cbvet:ephemeral deliberately excluded from digests so a chaos run does not digest-diverge from a fault-free twin before any fault lands (see digest.go)
 	chaosFloor [][numDirs + 2]uint64
 
 	// live counts messages handed out by NewMessage and not yet

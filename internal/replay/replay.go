@@ -12,23 +12,16 @@
 // window start — verifying the digest marks crossed on the way — attach
 // the requested trace sinks, and run to the window end.
 //
-// Checkpoints and quiescence. machine.Snapshot only captures quiescent
-// machines (its closure-backed transient state cannot be copied), and a
-// mid-run machine essentially always has events in flight. The recorder
-// therefore attempts a portable snapshot at every mark and — on
-// machine.ErrNotQuiescent — defers it to the next quiescent point,
-// which for real workloads is the end of the run (the final portable
-// snapshot). The fast re-execution anchors are instead live cursors:
-// paused machines parked at a cycle boundary by a previous replay, kept
-// in a bounded LRU ring. A replay of [from,to) anchors on the best
-// cursor at or below from (or a fresh build at cycle 0), and parks its
-// machine at to for the next replay to reuse — repeatedly stepping
-// through a run forward pays the prefix once, not per window.
+// Replay anchors are live cursors: paused machines parked at a cycle
+// boundary by a previous replay, kept in a bounded LRU ring. A replay of
+// [from,to) anchors on the best cursor at or below from (or a fresh
+// build at cycle 0), and parks its machine at to for the next replay to
+// reuse — repeatedly stepping through a run forward pays the prefix
+// once, not per window.
 package replay
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -75,8 +68,8 @@ type Source struct {
 
 // Options tunes recording and replay.
 type Options struct {
-	// Interval is the digest-mark / checkpoint-attempt cadence K in
-	// cycles (0 = DefaultInterval).
+	// Interval is the digest-mark cadence K in cycles (0 =
+	// DefaultInterval).
 	Interval uint64
 	// Cursors bounds the parked replay-cursor ring (0 = DefaultCursors).
 	Cursors int
@@ -137,12 +130,6 @@ type Recording struct {
 	// the run completed (before Quiesce).
 	finalDigest uint64
 	stats       machine.Stats
-	// snap is the end-of-run portable snapshot, captured after Quiesce
-	// — the one quiescent point real workloads reach.
-	snap *machine.Snapshot
-	// deferred counts checkpoint attempts refused with ErrNotQuiescent
-	// and deferred to the next quiescent point.
-	deferred int
 
 	mu       sync.Mutex
 	cursors  []*cursor
@@ -158,8 +145,7 @@ type cursor struct {
 }
 
 // Record runs the source to completion, digesting at every Interval
-// boundary and attempting a portable checkpoint there (deferring on
-// machine.ErrNotQuiescent, per the quiescence contract).
+// boundary.
 func Record(src Source, opts Options) (*Recording, error) {
 	m, err := src.Build()
 	if err != nil {
@@ -191,15 +177,6 @@ func record(m *machine.Machine, src Source, opts Options) (*Recording, error) {
 			break
 		}
 		r.marks = append(r.marks, Mark{Cycle: next, Digest: m.Digest(opts.Scope), Executed: m.K.Executed()})
-		if _, err := m.Snapshot(); err == nil {
-			// A quiescent mid-run boundary: nothing in flight. No real
-			// workload reaches this (cores always have a next event),
-			// but the contract is honored if one does.
-		} else if errors.Is(err, machine.ErrNotQuiescent) {
-			r.deferred++
-		} else {
-			return nil, fmt.Errorf("replay: checkpoint %s at %d: %w", src.Label, next, err)
-		}
 		if next >= limit {
 			return nil, fmt.Errorf("replay: record %s: no completion within %d cycles", src.Label, limit)
 		}
@@ -212,17 +189,12 @@ func record(m *machine.Machine, src Source, opts Options) (*Recording, error) {
 	r.endCycle = r.stats.Cycles
 	r.finalDigest = m.Digest(opts.Scope)
 
-	// The deferred checkpoint lands here: Quiesce drains the leftover
-	// events and the machine reaches its one guaranteed quiescent
-	// point.
+	// Drain check: the leftover events after the last core finished
+	// must drain within the watchdog window, or the recorded run left
+	// the machine wedged.
 	if err := m.Quiesce(machine.DefaultWatchdogWindow); err != nil {
 		return nil, fmt.Errorf("replay: quiesce %s: %w", src.Label, err)
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("replay: final checkpoint %s: %w", src.Label, err)
-	}
-	r.snap = snap
 
 	if opts.SpillDir != "" {
 		if err := r.spill(); err != nil {
@@ -248,10 +220,6 @@ func (r *Recording) End() uint64 { return r.endCycle + 1 }
 
 // Marks returns the digest marks (ascending cycle, mark 0 at cycle 0).
 func (r *Recording) Marks() []Mark { return r.marks }
-
-// Deferred reports how many checkpoint attempts were refused with
-// machine.ErrNotQuiescent and deferred to the next quiescent point.
-func (r *Recording) Deferred() int { return r.deferred }
 
 // Interval returns the effective mark cadence K.
 func (r *Recording) Interval() uint64 { return r.opts.Interval }

@@ -3,7 +3,10 @@ package replay_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -208,6 +211,21 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec2.Marks(), blob.Marks) {
 		t.Fatal("re-recording the same source produced a different mark stream")
+	}
+}
+
+// ReadSpill refuses a blob from an older layout instead of comparing
+// incomparable digests: a version-2 blob (which still carried the
+// deferred-checkpoint count) is rejected by this build.
+func TestReadSpillRefusesVersion2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.replay.json")
+	blob := `{"version": 2, "label": "old", "interval": 256, "scope": "full", "end_cycle": 9, "final_digest": 1, "deferred_checkpoints": 3, "marks": []}`
+	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := replay.ReadSpill(path)
+	if err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("ReadSpill(version 2) = %v, want a version error", err)
 	}
 }
 

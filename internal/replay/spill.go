@@ -21,8 +21,9 @@ import (
 // definition changes; a reader refuses other versions rather than
 // comparing incomparable digests. Version 2: digests fold whole 64-bit
 // words per round and component stats are folded field-by-field instead
-// of through their formatted image.
-const SpillVersion = 2
+// of through their formatted image. Version 3: the deferred-checkpoint
+// count is gone.
+const SpillVersion = 3
 
 // Spill is the on-disk form of a recording's verification data.
 type Spill struct {
@@ -32,7 +33,6 @@ type Spill struct {
 	Scope       string `json:"scope"`
 	EndCycle    uint64 `json:"end_cycle"`
 	FinalDigest uint64 `json:"final_digest"`
-	Deferred    int    `json:"deferred_checkpoints"`
 	Marks       []Mark `json:"marks"`
 }
 
@@ -45,7 +45,6 @@ func (r *Recording) spill() error {
 		Scope:       r.opts.Scope.String(),
 		EndCycle:    r.endCycle,
 		FinalDigest: r.finalDigest,
-		Deferred:    r.deferred,
 		Marks:       r.marks,
 	}
 	data, err := json.MarshalIndent(&blob, "", "  ")

@@ -309,10 +309,8 @@ type ReplayResponse struct {
 	// End is the recording's exclusive end boundary [0,End).
 	End uint64 `json:"end"`
 	// Interval is the digest-mark cadence K; Marks the mark count.
-	Interval uint64 `json:"interval"`
-	Marks    int    `json:"marks"`
-	// Deferred counts checkpoint attempts deferred on non-quiescence.
-	Deferred int              `json:"deferred_checkpoints"`
+	Interval uint64           `json:"interval"`
+	Marks    int              `json:"marks"`
 	Stats    machine.Stats    `json:"stats"`
 	Energy   energy.Breakdown `json:"energy"`
 }

@@ -599,11 +599,6 @@ func (s *Server) simulateCell(ctx context.Context, c CellSpec, p workload.Profil
 		Parallelism: 1, // a cell is a single simulation
 		Context:     ctx,
 		Metrics:     s.sim,
-		// Cache-adjacent cells share configurations; warm-starting from
-		// the experiments machine pool skips rebuilding the machine.
-		// Results are byte-identical (tracing still works: restore
-		// detaches the previous run's observers).
-		WarmStart:   true,
 		CycleStacks: c.Cycles,
 		Progress:    progress,
 	}
@@ -1091,7 +1086,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, ReplayResponse{
 		ID: j.id, From: from, To: to, End: rec.End(),
-		Interval: rec.Interval(), Marks: len(rec.Marks()), Deferred: rec.Deferred(),
+		Interval: rec.Interval(), Marks: len(rec.Marks()),
 		Stats: st, Energy: experiments.EnergyOf(st),
 	})
 }

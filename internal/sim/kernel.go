@@ -113,10 +113,8 @@ type Kernel struct {
 	// cached memoizes the earliest pending event between the limit check
 	// and the pop that fires it, so Run/RunUntil scan the wheel once per
 	// event. cachedSlot < 0 means the event is the heap top.
-	cached bool
-	//cbvet:ephemeral memo guarded by cached, which SetState clears; rebuilt from the wheel/heap by the next locate
+	cached     bool
 	cachedSlot int
-	//cbvet:ephemeral memo guarded by cached, which SetState clears; rebuilt from the wheel/heap by the next locate
 	cachedWhen uint64
 
 	tele Telemetry
@@ -518,52 +516,3 @@ func (k *Kernel) NextEventTime() (uint64, bool) {
 // an uninterrupted run even when their histories are identical (the
 // paused clock rests on the last event, not the boundary).
 func (k *Kernel) Scheduled() uint64 { return k.seq }
-
-// KernelState is the portable execution state of a quiescent kernel: with
-// no events pending, the clock, sequence counter, and executed count fully
-// determine all future behavior (machine snapshots capture and restore
-// exactly this).
-type KernelState struct {
-	Now      uint64
-	Seq      uint64
-	Executed uint64
-}
-
-// ErrNotQuiescent is returned by State when events are still pending.
-var ErrNotQuiescent = errors.New("sim: kernel has pending events")
-
-// State captures the kernel's execution state. It fails with
-// ErrNotQuiescent unless the queue is drained: pending closures cannot be
-// serialized deterministically.
-func (k *Kernel) State() (KernelState, error) {
-	if k.Pending() != 0 {
-		return KernelState{}, ErrNotQuiescent
-	}
-	return KernelState{Now: k.now, Seq: k.seq, Executed: k.nrun}, nil
-}
-
-// SetState overwrites the kernel's execution state, dropping any pending
-// events and resetting telemetry. Restoring a quiescent state into a
-// kernel — in any state — makes its future behavior byte-identical to the
-// kernel the state was captured from.
-func (k *Kernel) SetState(s KernelState) {
-	for i := range k.slots {
-		sl := &k.slots[i]
-		if len(sl.ev) > 0 {
-			clear(sl.ev[sl.head:])
-			sl.ev = sl.ev[:0]
-			sl.head = 0
-		}
-	}
-	for i := range k.occ {
-		k.occ[i] = 0
-	}
-	clear(k.heap)
-	k.heap = k.heap[:0]
-	k.nwheel = 0
-	k.cached = false
-	k.tele = Telemetry{}
-	k.now = s.Now
-	k.seq = s.Seq
-	k.nrun = s.Executed
-}

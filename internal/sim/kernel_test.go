@@ -313,46 +313,6 @@ func TestBatchSkipTelemetry(t *testing.T) {
 	}
 }
 
-func TestStateRoundTrip(t *testing.T) {
-	k := New()
-	k.Schedule(5, func() {})
-	k.Schedule(2000, func() {})
-	if _, err := k.State(); err != ErrNotQuiescent {
-		t.Fatalf("State with pending events: err = %v, want ErrNotQuiescent", err)
-	}
-	if err := k.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	st, err := k.State()
-	if err != nil {
-		t.Fatalf("State: %v", err)
-	}
-	if st.Now != 2000 || st.Seq != 2 || st.Executed != 2 {
-		t.Fatalf("state = %+v, want {2000 2 2}", st)
-	}
-
-	// Restore into a kernel with pending garbage in both tiers: the
-	// garbage is dropped, and future behavior matches the source kernel.
-	k2 := New()
-	k2.Schedule(1, func() { t.Error("dropped wheel event fired") })
-	k2.At(99999, func() { t.Error("dropped heap event fired") })
-	k2.SetState(st)
-	if k2.Pending() != 0 {
-		t.Fatalf("Pending = %d after SetState, want 0", k2.Pending())
-	}
-	if k2.Now() != 2000 || k2.Executed() != 2 {
-		t.Fatalf("restored now=%d executed=%d, want 2000/2", k2.Now(), k2.Executed())
-	}
-	var at uint64
-	k2.Schedule(3, func() { at = k2.Now() })
-	if err := k2.Run(0); err != nil {
-		t.Fatalf("Run after restore: %v", err)
-	}
-	if at != 2003 {
-		t.Fatalf("event after restore fired at %d, want 2003", at)
-	}
-}
-
 // The Run limit clamp must not disturb the wheel window invariant: after
 // stopping at the limit, resuming fires everything in the right order.
 func TestRunLimitAcrossWheelHorizon(t *testing.T) {

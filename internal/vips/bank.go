@@ -44,7 +44,7 @@ type Bank struct {
 	// chaos, when non-nil, injects directory-level faults (forced
 	// evictions, spurious wakes, delayed wake visibility) and LLC
 	// latency jitter; nil on the default path.
-	//cbvet:ephemeral wiring pointer installed at construction; the engine's RNG state is snapshotted by the machine
+	//cbvet:ephemeral wiring pointer installed at construction; chaos-engine state is deliberately excluded from digests (see machine/digest.go)
 	chaos *chaos.Engine
 
 	// queueLocks holds the ModeQueueLock blocking bits and FIFO queues
