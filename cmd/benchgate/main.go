@@ -13,8 +13,9 @@
 //     the calendar-wheel kernel must hold at least a 2x lead over the
 //     heap-only reference on the spin-wave distribution, and checkpoint
 //     recording must stay within 2.5x of the same cell run plain
-//     (measured ~1.8x at the default digest-mark cadence; the headroom
-//     absorbs runner load, not a lost fast path).
+//     (measured ~1.3x at the default digest-mark cadence once the memory
+//     path stopped allocating; the headroom absorbs runner load, not a
+//     lost fast path).
 //
 // Usage:
 //

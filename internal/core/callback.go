@@ -104,8 +104,8 @@ func (e *entry) anyCB() bool {
 	return false
 }
 
-func (e *entry) waiters() []int {
-	var w []int
+// appendWaiters appends the cores with a pending callback to w.
+func (e *entry) appendWaiters(w []int) []int {
 	for i, c := range e.cb {
 		if c {
 			w = append(w, i)
@@ -161,6 +161,11 @@ type Directory struct {
 	lineGranular bool
 	tick         uint64
 	stats        Stats
+
+	// ev is the eviction report CallbackRead and ForceEvict hand out,
+	// reused so reporting an eviction does not allocate.
+	//cbvet:ephemeral report buffer the caller consumes before its next call
+	ev Eviction
 }
 
 // New builds a directory with the given entry count for a machine with
@@ -233,7 +238,9 @@ func (d *Directory) find(addr memtypes.Addr) *entry {
 }
 
 // Eviction describes a replaced entry whose waiting callbacks must be
-// answered with the current value (Section 2.3.1).
+// answered with the current value (Section 2.3.1). The directory owns the
+// Eviction it returns and reuses it: it is valid until the directory's
+// next CallbackRead or ForceEvict.
 type Eviction struct {
 	Addr    memtypes.Addr
 	Waiters []int
@@ -263,16 +270,24 @@ func (d *Directory) victim() *entry {
 	return lru
 }
 
+// evict1 records e's eviction in the reusable report.
+//
+//cbsim:hotpath
+func (d *Directory) evict1(e *entry) *Eviction {
+	d.stats.Evictions++
+	d.ev.Addr = e.addr
+	d.ev.Waiters = e.appendWaiters(d.ev.Waiters[:0])
+	d.stats.StaleWakes += uint64(len(d.ev.Waiters))
+	return &d.ev
+}
+
 // install allocates an entry for addr, returning the eviction (if a valid
 // entry was displaced) for the caller to answer.
 func (d *Directory) install(addr memtypes.Addr) (*entry, *Eviction) {
 	var ev *Eviction
 	e := d.victim()
 	if e.valid {
-		d.stats.Evictions++
-		w := e.waiters()
-		d.stats.StaleWakes += uint64(len(w))
-		ev = &Eviction{Addr: e.addr, Waiters: w}
+		ev = d.evict1(e)
 	}
 	e.reset(d.tag(addr), d.cores)
 	d.tick++
@@ -345,9 +360,10 @@ func (d *Directory) ReadThrough(core int, addr memtypes.Addr) {
 }
 
 // Write processes a racy write on addr with the given callback-service
-// semantics and returns the cores to wake (their CB bits are cleared).
-// Writes never install entries; a write with no matching entry wakes
-// nobody.
+// semantics, appends the cores to wake (their CB bits are cleared) to dst,
+// and returns the extended slice; a caller that reuses dst wakes without
+// allocating. Writes never install entries; a write with no matching
+// entry wakes nobody.
 //
 // Semantics per Section 2.3-2.5:
 //
@@ -362,27 +378,27 @@ func (d *Directory) ReadThrough(core int, addr memtypes.Addr) {
 //     optimization of Figure 6).
 //
 //cbsim:hotpath
-func (d *Directory) Write(addr memtypes.Addr, mode memtypes.CBWrite) []int {
+func (d *Directory) Write(dst []int, addr memtypes.Addr, mode memtypes.CBWrite) []int {
 	e := d.find(addr)
 	if e == nil {
-		return nil
+		return dst
 	}
 	d.stats.Writes++
 	switch mode {
 	case memtypes.CBAll:
 		e.one = false
-		var wake []int
+		n := len(dst)
 		for i := range e.cb {
 			if e.cb[i] {
 				e.cb[i] = false
 				e.fe[i] = false // woken cores consume this write
-				wake = append(wake, i)
+				dst = append(dst, i)
 			} else {
 				e.fe[i] = true
 			}
 		}
-		d.stats.Wakes += uint64(len(wake))
-		return wake
+		d.stats.Wakes += uint64(len(dst) - n)
+		return dst
 
 	case memtypes.CBOne:
 		if !e.one {
@@ -394,18 +410,14 @@ func (d *Directory) Write(addr memtypes.Addr, mode memtypes.CBWrite) []int {
 			// No waiters: the value is available to exactly one
 			// future read.
 			e.setAllFE(true)
-			return nil
+			return dst
 		}
 		e.cb[victim] = false
 		// F/E bits stay undisturbed (empty): the write was consumed
 		// by the woken callback (Figure 4, step 9).
 		e.setAllFE(false)
 		d.stats.Wakes++
-		// The wake list is handed to a scheduled closure, so a reusable
-		// scratch buffer would alias across cycles; CBAll builds its
-		// list with append the same way.
-		//cbvet:alloc-ok wake list escapes to a scheduled closure
-		return []int{victim}
+		return append(dst, victim)
 
 	case memtypes.CBZero:
 		if !e.one {
@@ -415,7 +427,7 @@ func (d *Directory) Write(addr memtypes.Addr, mode memtypes.CBWrite) []int {
 			// consume until the release.
 			e.setAllFE(false)
 		}
-		return nil
+		return dst
 	}
 	panic(fmt.Sprintf("core: unknown CBWrite %d", mode))
 }
@@ -496,11 +508,8 @@ func (d *Directory) ForceEvict(pick int) *Eviction {
 			k--
 			continue
 		}
-		d.stats.Evictions++
-		w := e.waiters()
-		d.stats.StaleWakes += uint64(len(w))
 		e.valid = false
-		return &Eviction{Addr: e.addr, Waiters: w}
+		return d.evict1(e)
 	}
 	return nil
 }

@@ -51,7 +51,7 @@ func TestFigure3Steps(t *testing.T) {
 	// Step 3: core 3 writes; both callbacks are serviced, and the F/E
 	// bits of the cores that did NOT have a callback (1 and 3) are set
 	// to full.
-	wake := d.Write(addrA, memtypes.CBAll)
+	wake := d.Write(nil, addrA, memtypes.CBAll)
 	if !reflect.DeepEqual(wake, []int{0, 2}) {
 		t.Fatalf("step 3: wake=%v, want [0 2]", wake)
 	}
@@ -112,7 +112,7 @@ func TestFigure4LockHandoff(t *testing.T) {
 	if res, _ := d.CallbackRead(2, addrA); res != ReadSatisfied {
 		t.Fatal("setup: install should satisfy")
 	}
-	d.Write(addrA, memtypes.CBOne) // no waiters: One mode, all full
+	d.Write(nil, addrA, memtypes.CBOne) // no waiters: One mode, all full
 	fe, _, one, _ := d.EntryState(addrA)
 	if !one || !reflect.DeepEqual(fe, []bool{true, true, true, true}) {
 		t.Fatalf("step 1: fe=%v one=%v, want all full in One mode", fe, one)
@@ -139,7 +139,7 @@ func TestFigure4LockHandoff(t *testing.T) {
 
 	// Step 6: core 2 releases with write_CB1: exactly one wake (core 3),
 	// F/E bits left undisturbed (empty).
-	wake := d.Write(addrA, memtypes.CBOne)
+	wake := d.Write(nil, addrA, memtypes.CBOne)
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("step 6: wake=%v, want [3]", wake)
 	}
@@ -150,14 +150,14 @@ func TestFigure4LockHandoff(t *testing.T) {
 
 	// Core 3 releases: round-robin proceeds to core 0, then core 1 —
 	// grant order 2,3,0,1 overall.
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("second release: wake=%v, want [0]", wake)
 	}
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
+	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
 		t.Fatalf("third release: wake=%v, want [1]", wake)
 	}
 	// Final release with no waiters returns the entry to all-full.
-	if wake := d.Write(addrA, memtypes.CBOne); wake != nil {
+	if wake := d.Write(nil, addrA, memtypes.CBOne); wake != nil {
 		t.Fatalf("final release: wake=%v, want none", wake)
 	}
 	fe, _, _, _ = d.EntryState(addrA)
@@ -173,7 +173,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 
 	// Entry in One mode, all full (as in Figure 5 step 1).
 	d.CallbackRead(2, addrA)
-	d.Write(addrA, memtypes.CBOne)
+	d.Write(nil, addrA, memtypes.CBOne)
 
 	// Core 2's RMW: the read consumes the value (all F/E empty).
 	d.ReadThrough(2, addrA)
@@ -189,7 +189,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	// Step 4: core 2's RMW write is a write_CB1 -> premature wake of
 	// core 3 (the pseudo-random pointer is at 3 in the example).
 	d.SetWakePointer(addrA, 3)
-	wake := d.Write(addrA, memtypes.CBOne)
+	wake := d.Write(nil, addrA, memtypes.CBOne)
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("RMW write: wake=%v, want premature [3]", wake)
 	}
@@ -200,7 +200,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	}
 
 	// Steps 5-6: core 2's release wakes core 0 (round-robin moved on).
-	wake = d.Write(addrA, memtypes.CBOne)
+	wake = d.Write(nil, addrA, memtypes.CBOne)
 	if !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("release: wake=%v, want [0]", wake)
 	}
@@ -208,7 +208,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	// Steps 7-8: core 0's RMW write prematurely wakes core 1... which in
 	// the figure had also blocked. Here core 3 is the only waiter left,
 	// so it is woken prematurely again, losing its turn.
-	wake = d.Write(addrA, memtypes.CBOne)
+	wake = d.Write(nil, addrA, memtypes.CBOne)
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("second RMW write: wake=%v, want [3]", wake)
 	}
@@ -219,11 +219,11 @@ func TestFigure5PrematureWake(t *testing.T) {
 func TestFigure6WriteCB0(t *testing.T) {
 	d := New(4, 4)
 	d.CallbackRead(2, addrA)
-	d.Write(addrA, memtypes.CBOne) // One mode, all full
+	d.Write(nil, addrA, memtypes.CBOne) // One mode, all full
 
 	// Core 2 acquires: read consumes; write is st_cb0 (no wakes).
 	d.ReadThrough(2, addrA)
-	if wake := d.Write(addrA, memtypes.CBZero); wake != nil {
+	if wake := d.Write(nil, addrA, memtypes.CBZero); wake != nil {
 		t.Fatalf("st_cb0 woke %v, want nobody", wake)
 	}
 
@@ -234,11 +234,11 @@ func TestFigure6WriteCB0(t *testing.T) {
 
 	// Release wakes exactly one (core 3), whose RMW succeeds; its own
 	// st_cb0 wakes nobody.
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{3}) {
+	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatal("release should wake core 3")
 	}
 	d.ReadThrough(3, addrA) // woken RMW's read half re-executes at the LLC
-	if wake := d.Write(addrA, memtypes.CBZero); wake != nil {
+	if wake := d.Write(nil, addrA, memtypes.CBZero); wake != nil {
 		t.Fatalf("woken RMW's st_cb0 woke %v, want nobody", wake)
 	}
 	// Core 0 still waits, untouched.
@@ -247,7 +247,7 @@ func TestFigure6WriteCB0(t *testing.T) {
 		t.Fatalf("cb=%v, want only core 0 waiting", cb)
 	}
 	// Next release hands off to core 0.
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatal("second release should wake core 0")
 	}
 }
@@ -265,7 +265,7 @@ func TestReadThroughNeverInstalls(t *testing.T) {
 
 func TestWriteNeverInstalls(t *testing.T) {
 	d := New(4, 4)
-	if wake := d.Write(addrA, memtypes.CBAll); wake != nil {
+	if wake := d.Write(nil, addrA, memtypes.CBAll); wake != nil {
 		t.Fatal("write on missing entry woke someone")
 	}
 	if d.HasEntry(addrA) {
@@ -299,10 +299,10 @@ func TestWordGranularity(t *testing.T) {
 	if res, _ := d.CallbackRead(0, w1); res != ReadSatisfied {
 		t.Fatal("same-line different-word read should have its own entry")
 	}
-	if wake := d.Write(w1, memtypes.CBAll); len(wake) != 0 {
+	if wake := d.Write(nil, w1, memtypes.CBAll); len(wake) != 0 {
 		t.Fatal("write to w1 must not wake w0's waiter")
 	}
-	if wake := d.Write(w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := d.Write(nil, w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatal("write to w0 should wake its waiter")
 	}
 }
@@ -342,7 +342,7 @@ func TestEvictionAnswersAllWaiters(t *testing.T) {
 func TestCBOneNoWaitersMakesFull(t *testing.T) {
 	d := New(4, 4)
 	d.CallbackRead(0, addrA)
-	d.Write(addrA, memtypes.CBOne)
+	d.Write(nil, addrA, memtypes.CBOne)
 	fe, _, one, _ := d.EntryState(addrA)
 	if !one {
 		t.Fatal("st_cb1 should set One mode")
@@ -364,13 +364,13 @@ func TestCBOneNoWaitersMakesFull(t *testing.T) {
 func TestNormalWriteResetsOneMode(t *testing.T) {
 	d := New(4, 4)
 	d.CallbackRead(0, addrA)
-	d.Write(addrA, memtypes.CBOne)
+	d.Write(nil, addrA, memtypes.CBOne)
 	_, _, one, _ := d.EntryState(addrA)
 	if !one {
 		t.Fatal("setup failed")
 	}
 	// "(Any normal write or read resets the A/O bit to All.)"
-	d.Write(addrA, memtypes.CBAll)
+	d.Write(nil, addrA, memtypes.CBAll)
 	_, _, one, _ = d.EntryState(addrA)
 	if one {
 		t.Fatal("st_through should reset the entry to All mode")
@@ -381,11 +381,11 @@ func TestLowestIDPolicy(t *testing.T) {
 	d := New(4, 4)
 	d.SetWakePolicy(WakeLowestID)
 	d.CallbackRead(3, addrA)
-	d.Write(addrA, memtypes.CBOne) // One mode, full
-	d.CallbackRead(3, addrA)       // consumes
-	d.CallbackRead(2, addrA)       // blocks
-	d.CallbackRead(1, addrA)       // blocks
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
+	d.Write(nil, addrA, memtypes.CBOne) // One mode, full
+	d.CallbackRead(3, addrA)            // consumes
+	d.CallbackRead(2, addrA)            // blocks
+	d.CallbackRead(1, addrA)            // blocks
+	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
 		t.Fatalf("wake=%v, want lowest ID [1]", wake)
 	}
 }
@@ -413,7 +413,7 @@ func TestCancelCallback(t *testing.T) {
 		t.Fatal("second cancel should find nothing")
 	}
 	// After cancel the write wakes nobody.
-	if wake := d.Write(addrA, memtypes.CBAll); len(wake) != 0 {
+	if wake := d.Write(nil, addrA, memtypes.CBAll); len(wake) != 0 {
 		t.Fatal("cancelled callback was woken")
 	}
 }
@@ -435,7 +435,7 @@ func TestPropertyCBAllWakeSet(t *testing.T) {
 				want = append(want, c)
 			}
 		}
-		wake := d.Write(addrA, memtypes.CBAll)
+		wake := d.Write(nil, addrA, memtypes.CBAll)
 		if !reflect.DeepEqual(wake, want) {
 			return false
 		}
@@ -482,7 +482,7 @@ func TestPropertyCBOneSingleWake(t *testing.T) {
 					pending[c] = true
 				}
 			case 1:
-				wake := d.Write(addrA, memtypes.CBOne)
+				wake := d.Write(nil, addrA, memtypes.CBOne)
 				if len(wake) > 1 {
 					return false
 				}
@@ -493,7 +493,7 @@ func TestPropertyCBOneSingleWake(t *testing.T) {
 					pending[w] = false
 				}
 			case 2:
-				d.Write(addrA, memtypes.CBZero)
+				d.Write(nil, addrA, memtypes.CBZero)
 			}
 		}
 		return true
@@ -533,14 +533,14 @@ func TestPropertyNoLostWaiters(t *testing.T) {
 					blocked[waiter{c, a}] = true
 				}
 			case 1:
-				for _, w := range d.Write(a, memtypes.CBAll) {
+				for _, w := range d.Write(nil, a, memtypes.CBAll) {
 					if !blocked[waiter{w, a}] {
 						return false
 					}
 					delete(blocked, waiter{w, a})
 				}
 			case 2:
-				for _, w := range d.Write(a, memtypes.CBOne) {
+				for _, w := range d.Write(nil, a, memtypes.CBOne) {
 					if !blocked[waiter{w, a}] {
 						return false
 					}
@@ -577,7 +577,7 @@ func TestLineGranularTags(t *testing.T) {
 		t.Fatal("line-granular entry should have been consumed by w0's read")
 	}
 	// A write to the other word wakes it (false sharing of entries).
-	if wake := d.Write(w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := d.Write(nil, w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("wake=%v, want [0]", wake)
 	}
 	if d.Stats().Installs != 1 {

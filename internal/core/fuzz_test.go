@@ -258,7 +258,7 @@ func FuzzDirectory(f *testing.F) {
 				r.readThrough(core, addr)
 			case op < 0x7: // write (mode from the op nibble)
 				mode := memtypes.CBWrite(op - 0x4)
-				wake := d.Write(addr, mode)
+				wake := d.Write(nil, addr, mode)
 				want := r.write(addr, mode)
 				if fmt.Sprint(wake) != fmt.Sprint(want) {
 					t.Fatalf("%s: Write(%#x, %v) woke %v, model says %v", label, uint64(addr), mode, wake, want)

@@ -85,6 +85,14 @@ type Core struct {
 	done         bool
 	onDone       func(*Core)
 
+	// The memory operation in flight. The core owns req and reuses it for
+	// every operation (see memtypes.Port); memRd, memLoad and issuedAt are
+	// what Complete needs to retire the operation.
+	req      memtypes.Request
+	memRd    isa.Reg
+	memLoad  bool
+	issuedAt uint64
+
 	// observer, when set, receives synchronization-phase and spin-wait
 	// events for tracing: "sync.begin"/"sync.end" (note = kind name, arg =
 	// episode cycles on end) and "spin.wait" (arg = wait cycles). The hook
@@ -179,7 +187,33 @@ func (c *Core) Run(prog *isa.Program, delay uint64) {
 	}
 	c.prog = prog
 	c.started = true
-	c.k.Schedule(delay, c.step)
+	c.k.ScheduleActor(delay, c, nil, stageStep)
+}
+
+// Core event stages: the arg of the kernel events the core schedules on
+// itself.
+const (
+	stageStep  = iota // resume executing instructions
+	stageIssue        // issue the memory request built by issueMem
+	stageDone         // report completion to onDone
+)
+
+// Act implements sim.Actor. Scheduling the core itself with a stage
+// number keeps instruction batches and memory issue free of closure
+// allocations.
+//
+//cbsim:hotpath
+func (c *Core) Act(_ any, stage uint64) {
+	switch stage {
+	case stageStep:
+		c.step()
+	case stageIssue:
+		c.issue()
+	case stageDone:
+		c.onDone(c)
+	default:
+		panic(fmt.Sprintf("cpu: core %d unknown stage %d", c.id, stage))
+	}
 }
 
 // IdleGateThreshold is the minimum memory stall, in cycles, that counts
@@ -200,7 +234,7 @@ func (c *Core) step() {
 	for n := 0; ; n++ {
 		if n >= maxBatch {
 			c.flushExec(elapsed, &rep)
-			c.k.Schedule(elapsed, c.step)
+			c.k.ScheduleActor(elapsed, c, nil, stageStep)
 			return
 		}
 		if c.pc < 0 || c.pc >= c.prog.Len() {
@@ -303,7 +337,7 @@ func (c *Core) step() {
 			if c.cyc != nil && wait > 0 {
 				c.cyc(int(c.id), cycles.EvWait, 0, wait, uint64(c.curKind()))
 			}
-			c.k.Schedule(elapsed+wait, c.step)
+			c.k.ScheduleActor(elapsed+wait, c, nil, stageStep)
 			return
 		case isa.Done:
 			c.done = true
@@ -316,8 +350,7 @@ func (c *Core) step() {
 				c.cyc(int(c.id), cycles.EvDone, c.stats.DoneAt, 0, 0)
 			}
 			if c.onDone != nil {
-				done := c.onDone
-				c.k.Schedule(elapsed, func() { done(c) })
+				c.k.ScheduleActor(elapsed, c, nil, stageDone)
 			}
 			return
 		default:
@@ -358,10 +391,15 @@ func (c *Core) backoffInterval() uint64 {
 	return iv
 }
 
-// issueMem builds and issues the memory request for in after the batch's
-// elapsed cycles, and resumes execution when the port responds.
+// issueMem builds the memory request for in into the core's reusable
+// Request and issues it after the batch's elapsed cycles; Complete
+// resumes execution when the port responds.
+//
+//cbsim:hotpath
 func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
-	req := &memtypes.Request{Core: c.id, Sync: len(c.syncStack) > 0}
+	c.stats.MemOps++
+	req := &c.req
+	*req = memtypes.Request{Core: c.id, Sync: len(c.syncStack) > 0, Serial: c.stats.MemOps}
 	if n := len(c.syncStack); n > 0 {
 		req.SyncKind = uint8(c.syncStack[n-1].kind)
 	}
@@ -402,44 +440,50 @@ func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
 	default:
 		panic(fmt.Sprintf("cpu: issueMem on %s", in.Op))
 	}
-	if !in.Op.IsMem() {
-		panic("cpu: not a memory op")
-	}
 	if req.Kind != memtypes.OpFenceSelfInvl && req.Kind != memtypes.OpFenceSelfDown {
 		req.Addr = memtypes.Addr(c.regs[in.Base] + uint64(in.Offset))
 		req.Private = c.isPrivate(req.Addr)
 	}
-	c.stats.MemOps++
-	rd := in.Rd
-	isLoad := in.Op == isa.Ld || in.Op == isa.LdT || in.Op == isa.LdCB || in.Op == isa.RMW
-	issue := func() {
-		issuedAt := c.k.Now()
-		if c.cyc != nil {
-			c.cyc(int(c.id), cycles.EvStallBegin, issuedAt,
-				uint64(req.SyncKind), uint64(stallCategory(req.Kind)))
-		}
-		c.port.Access(req, func(resp memtypes.Response) {
-			if c.cyc != nil {
-				c.cyc(int(c.id), cycles.EvStallEnd, c.k.Now(), 0, 0)
-			}
-			if stall := c.k.Now() - issuedAt; stall >= IdleGateThreshold {
-				c.stats.MemStallCycles += stall
-			}
-			if isLoad {
-				c.regs[rd] = resp.Value
-			}
-			if resp.Stale {
-				c.stats.StaleResponses++
-			}
-			c.pc++
-			c.step()
-		})
-	}
+	c.memRd = in.Rd
+	c.memLoad = in.Op == isa.Ld || in.Op == isa.LdT || in.Op == isa.LdCB || in.Op == isa.RMW
 	if elapsed == 0 {
-		issue()
+		c.issue()
 	} else {
-		c.k.Schedule(elapsed, issue)
+		c.k.ScheduleActor(elapsed, c, nil, stageIssue)
 	}
+}
+
+// issue hands the built request to the port.
+//
+//cbsim:hotpath
+func (c *Core) issue() {
+	c.issuedAt = c.k.Now()
+	if c.cyc != nil {
+		c.cyc(int(c.id), cycles.EvStallBegin, c.issuedAt,
+			uint64(c.req.SyncKind), uint64(stallCategory(c.req.Kind)))
+	}
+	c.port.Access(&c.req, c)
+}
+
+// Complete implements memtypes.Completer: it retires the memory operation
+// in flight and resumes execution.
+//
+//cbsim:hotpath
+func (c *Core) Complete(resp memtypes.Response) {
+	if c.cyc != nil {
+		c.cyc(int(c.id), cycles.EvStallEnd, c.k.Now(), 0, 0)
+	}
+	if stall := c.k.Now() - c.issuedAt; stall >= IdleGateThreshold {
+		c.stats.MemStallCycles += stall
+	}
+	if c.memLoad {
+		c.regs[c.memRd] = resp.Value
+	}
+	if resp.Stale {
+		c.stats.StaleResponses++
+	}
+	c.pc++
+	c.step()
 }
 
 // stallCategory picks the fallback attribution for parts of a memory

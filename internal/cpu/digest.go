@@ -6,7 +6,8 @@ import (
 
 // Digest folds the core's architectural and micro-architectural state:
 // registers, program counter, back-off ladder position, the open
-// synchronization-phase stack, run flags, and counters. The program
+// synchronization-phase stack, run flags, the memory operation in flight
+// (or the last one issued), and counters. The program
 // itself is excluded — it is immutable input, and the machine
 // configurations a bisection compares already run the same programs
 // (DigestCompatible checks the config; the program is the caller's
@@ -24,6 +25,10 @@ func (c *Core) Digest(h *digest.Hash) {
 	}
 	h.Bool(c.started)
 	h.Bool(c.done)
+	c.req.Digest(h)
+	h.Int(int(c.memRd))
+	h.Bool(c.memLoad)
+	h.U64(c.issuedAt)
 	c.stats.Digest(h)
 }
 

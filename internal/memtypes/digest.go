@@ -24,12 +24,20 @@ func (m *Message) Digest(h *digest.Hash) {
 	}
 	h.Int(m.Words)
 	h.Bool(m.Stale)
+	h.U64(m.Serial)
+}
+
+// Digest folds a completion that is scheduled but not yet delivered.
+func (r *Response) Digest(h *digest.Hash) {
+	h.U64(r.Value)
+	h.Bool(r.Hit)
+	h.Bool(r.Stale)
 }
 
 // Digest folds the request's architecturally meaningful fields (for
-// hashing a pending L1 operation mid-run). The completion closure is the
-// caller's business and cannot be hashed; the request payload determines
-// what the memory system will do with it.
+// hashing a pending L1 operation mid-run). The completion target is the
+// caller's business; the request payload determines what the memory
+// system will do with it.
 func (r *Request) Digest(h *digest.Hash) {
 	h.Int(int(r.Kind))
 	h.U64(uint64(r.Addr))
@@ -43,4 +51,5 @@ func (r *Request) Digest(h *digest.Hash) {
 	h.Bool(r.Private)
 	h.Bool(r.Sync)
 	h.Int(int(r.SyncKind))
+	h.U64(r.Serial)
 }

@@ -259,6 +259,12 @@ type Request struct {
 	// isa.SyncKind value; 0 when not synchronizing), for per-algorithm
 	// LLC-access attribution.
 	SyncKind uint8
+
+	// Serial numbers the core's memory operations. A core reuses one
+	// Request for all of them, so the serial, not the pointer, tells a
+	// response to this operation from a stale one to an earlier
+	// operation.
+	Serial uint64
 }
 
 // NumSyncKinds mirrors isa.NumSyncKinds for counter array sizing without
@@ -277,9 +283,21 @@ type Response struct {
 	Stale bool
 }
 
+// Completer receives the completion of a memory operation.
+type Completer interface {
+	Complete(resp Response)
+}
+
 // Port is the interface cores use to access the memory system. Exactly one
 // outstanding request per core is permitted (in-order blocking cores).
+//
+// Ownership: the caller owns req. It must stay valid and unchanged from
+// Access until done.Complete runs, and no callee may keep a reference to
+// it after that: the caller is free to reuse the same Request for its next
+// operation. This lets a core embed one Request and issue every memory
+// operation through it without allocating.
 type Port interface {
-	// Access starts req and invokes done exactly once on completion.
-	Access(req *Request, done func(Response))
+	// Access starts req and calls done.Complete exactly once on
+	// completion.
+	Access(req *Request, done Completer)
 }

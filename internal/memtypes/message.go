@@ -83,9 +83,14 @@ type Message struct {
 	// Req carries the originating request for racy-op transactions so
 	// the LLC can interpret RMW semantics without extra lookups.
 	Req *Request
+
+	// Serial echoes Req.Serial in a racy-op response, so the requesting
+	// L1 can reject a response meant for an earlier operation.
+	Serial uint64
 }
 
 // Flits returns the message size in flits.
+//
 //cbsim:hotpath
 func (m *Message) Flits() int {
 	if m.Class == ClassWordData && m.Words > 1 {
@@ -107,6 +112,7 @@ type MsgPool struct {
 }
 
 // Get returns a zeroed message, reusing a freed one when available.
+//
 //cbsim:hotpath
 func (p *MsgPool) Get() *Message {
 	if n := len(p.free); n > 0 {
@@ -121,6 +127,7 @@ func (p *MsgPool) Get() *Message {
 
 // Put returns msg to the pool, zeroing it. The caller must not retain
 // msg afterwards: the next Get may hand it out again.
+//
 //cbsim:hotpath
 func (p *MsgPool) Put(msg *Message) {
 	*msg = Message{}

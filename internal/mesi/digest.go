@@ -9,12 +9,10 @@ import (
 )
 
 // This file folds the MESI tile's mutable state into a replay digest.
-// Transient mid-transaction state is represented as data: a pending L1
-// miss hashes its request payload, a busy directory line its ack count
-// and deferred-queue depth. The continuation closures themselves cannot
-// be hashed, but they are pure functions of the hashed request/line
-// state in a deterministic run, so digest equality still implies
-// behavioral equality at the compared boundary.
+// Transient mid-transaction state is plain data and is hashed as such: a
+// pending L1 miss hashes its request payload, a scheduled response its
+// value, a busy directory line its ack count and pending grant, a
+// deferred request its message.
 
 // Digest folds the L1's cache array (MESI line states), any pending
 // miss, the monitor extension's armed state, and the counters.
@@ -22,13 +20,21 @@ func (l *L1) Digest(h *digest.Hash) {
 	l.arr.Digest(h, func(h *digest.Hash, s *l1Line) {
 		h.Int(int(s.state))
 	})
-	h.Bool(l.pending != nil)
-	if l.pending != nil {
+	h.Bool(l.pending.req != nil)
+	if l.pending.req != nil {
 		l.pending.req.Digest(h)
+	}
+	h.Bool(l.respTo != nil)
+	if l.respTo != nil {
+		l.resp.Digest(h)
 	}
 	h.Bool(l.monitor.armed)
 	if l.monitor.armed {
 		h.U64(uint64(l.monitor.addr))
+	}
+	h.Bool(l.monitor.req != nil)
+	if l.monitor.req != nil {
+		l.monitor.req.Digest(h)
 	}
 	l.monStats.Digest(h)
 	l.stats.Digest(h)
@@ -56,9 +62,9 @@ func (s *MonitorStats) Digest(h *digest.Hash) {
 }
 
 // Digest folds the directory bank: sharer/owner tracking, in-flight
-// transactions (ack counts), deferred-request queue depths, the data
-// bank, and the counters — all map-keyed state in ascending address
-// order.
+// transactions (ack counts and the pending grant), the deferred requests,
+// the data bank, and the counters — all map-keyed state in ascending
+// address order.
 func (d *Dir) Digest(h *digest.Hash) {
 	lineAddrs := sortedAddrs(len(d.lines), func(f func(memtypes.Addr)) {
 		for a := range d.lines { //cbvet:unordered — keys are sorted before hashing
@@ -80,20 +86,19 @@ func (d *Dir) Digest(h *digest.Hash) {
 	})
 	h.Int(len(busyAddrs))
 	for _, a := range busyAddrs {
+		t := d.busy[a]
 		h.U64(uint64(a))
-		h.Int(d.busy[a].acksPending)
+		h.Int(t.acksPending)
+		h.Bool(t.req != nil)
+		if t.req != nil {
+			t.req.Digest(h)
+			h.Int(int(t.grant))
+			h.Int(t.owner)
+			h.U64(t.sharers)
+		}
 	}
 
-	defAddrs := sortedAddrs(len(d.deferq), func(f func(memtypes.Addr)) {
-		for a := range d.deferq { //cbvet:unordered — keys are sorted before hashing
-			f(a)
-		}
-	})
-	h.Int(len(defAddrs))
-	for _, a := range defAddrs {
-		h.U64(uint64(a))
-		h.Int(len(d.deferq[a]))
-	}
+	d.deferq.Digest(h)
 
 	d.data.Digest(h)
 	d.stats.Digest(h)

@@ -40,9 +40,15 @@ type dirLine struct {
 }
 
 // trans is an in-flight directory transaction holding the line busy.
+// When the forward or the acks it waits for have arrived, the line takes
+// owner and sharers and req, the requester's message, is granted a data
+// response of kind grant (see finish). req is nil when nothing waits.
 type trans struct {
 	acksPending int
-	cont        func() // run when forwards/acks complete
+	req         *memtypes.Message
+	grant       memtypes.MsgKind
+	owner       int
+	sharers     uint64
 }
 
 // Dir is one LLC bank's directory controller. The directory state itself
@@ -58,7 +64,11 @@ type Dir struct {
 
 	lines  map[memtypes.Addr]*dirLine
 	busy   map[memtypes.Addr]*trans
-	deferq map[memtypes.Addr][]func()
+	deferq memtypes.LineQueues // requests waiting for a busy line
+
+	// spareT recycles finished transactions.
+	//cbvet:ephemeral recycled transaction records; they hold no state
+	spareT []*trans
 
 	// chaos, when non-nil, jitters LLC bank access latencies (fault
 	// injection; nil on the default path).
@@ -89,10 +99,9 @@ func (d *Dir) accessLat(addr memtypes.Addr, needData bool, syncKind uint8) uint6
 func NewDir(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store) *Dir {
 	return &Dir{
 		k: k, id: id, mesh: mesh, store: store,
-		data:   mem.NewBank(),
-		lines:  make(map[memtypes.Addr]*dirLine),
-		busy:   make(map[memtypes.Addr]*trans),
-		deferq: make(map[memtypes.Addr][]func()),
+		data:  mem.NewBank(),
+		lines: make(map[memtypes.Addr]*dirLine),
+		busy:  make(map[memtypes.Addr]*trans),
 	}
 }
 
@@ -118,43 +127,67 @@ func (d *Dir) line(addr memtypes.Addr) *dirLine {
 	return l
 }
 
-// admit runs fn now if the line is idle, otherwise defers it.
-func (d *Dir) admit(addr memtypes.Addr, fn func()) {
-	line := addr.Line()
+// admit dispatches msg now if its line is idle, otherwise defers it.
+//
+//cbsim:hotpath
+func (d *Dir) admit(msg *memtypes.Message) {
+	line := msg.Addr.Line()
 	if d.busy[line] != nil {
 		d.stats.Deferred++
-		d.deferq[line] = append(d.deferq[line], fn)
+		d.deferq.Push(line, msg)
 		return
 	}
-	fn()
+	d.dispatch(msg)
+}
+
+// dispatch runs an admitted request.
+//
+//cbsim:hotpath
+func (d *Dir) dispatch(msg *memtypes.Message) {
+	switch msg.Kind {
+	case MsgGetS:
+		d.handleGetS(msg)
+	case MsgGetX:
+		d.handleGetX(msg)
+	default:
+		d.handlePut(msg)
+	}
 }
 
 // begin marks the line busy for a multi-message transaction.
+//
+//cbsim:hotpath
 func (d *Dir) begin(addr memtypes.Addr) *trans {
 	line := addr.Line()
 	if d.busy[line] != nil {
 		panic(fmt.Sprintf("mesi: dir %d transaction overlap on %s", d.id, line))
 	}
-	t := &trans{}
+	var t *trans
+	if n := len(d.spareT); n > 0 {
+		t = d.spareT[n-1]
+		d.spareT = d.spareT[:n-1]
+	} else {
+		//cbvet:alloc-ok pool growth; steady state reuses finished transactions
+		t = &trans{}
+	}
 	d.busy[line] = t
 	return t
 }
 
 // end completes the line's transaction and replays one deferred request.
+//
+//cbsim:hotpath
 func (d *Dir) end(addr memtypes.Addr) {
 	line := addr.Line()
-	if d.busy[line] == nil {
+	t := d.busy[line]
+	if t == nil {
 		panic(fmt.Sprintf("mesi: dir %d ending idle line %s", d.id, line))
 	}
 	delete(d.busy, line)
-	if q := d.deferq[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(d.deferq, line)
-		} else {
-			d.deferq[line] = q[1:]
-		}
-		next()
+	*t = trans{}
+	d.spareT = append(d.spareT, t)
+	if next := d.deferq.Pop(line); next != nil {
+		d.dispatch(next)
 	}
 }
 
@@ -180,12 +213,12 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 	switch msg.Kind {
 	case MsgGetS:
 		d.cycArrive(msg)
-		d.admit(msg.Addr, func() { d.handleGetS(msg) })
+		d.admit(msg)
 	case MsgGetX:
 		d.cycArrive(msg)
-		d.admit(msg.Addr, func() { d.handleGetX(msg) })
+		d.admit(msg)
 	case MsgPutM, MsgPutE:
-		d.admit(msg.Addr, func() { d.handlePut(msg) })
+		d.admit(msg)
 	case MsgInvAck:
 		d.handleInvAck(msg)
 	case MsgDataWB:
@@ -195,31 +228,55 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 	}
 }
 
-// grant sends a data response after an LLC access and recycles the
-// request message: it is the terminal step of every GetS/GetX
-// transaction.
-func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind, done func()) {
+// grant sends a data response of the given kind after an LLC access:
+// it is the terminal step of every GetS/GetX transaction. The delayed
+// half runs as the directory's actor event (Act).
+//
+//cbsim:hotpath
+func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
 	lat := d.accessLat(msg.Addr, true, reqSyncKind(msg.Req))
 	if d.cyc != nil {
 		d.cyc(int(msg.Core), cycles.EvSpan, d.k.Now(), d.k.Now()+lat,
 			uint64(cycles.CatLLCStall))
 	}
-	d.k.Schedule(lat, func() {
-		data := d.mesh.NewMessage()
-		*data = memtypes.Message{
-			Src: d.id, Dst: msg.Src, Kind: kind,
-			Class: memtypes.ClassLineData, Addr: msg.Addr, Core: msg.Core,
-			LineData: d.store.LoadLine(msg.Addr),
-		}
-		d.mesh.Send(data)
-		if d.cyc != nil {
-			d.cyc(int(data.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatNoC), 0)
-		}
-		if done != nil {
-			done()
-		}
-		d.mesh.Free(msg)
-	})
+	d.k.ScheduleActor(lat, d, msg, uint64(kind))
+}
+
+// Act implements sim.Actor: the delayed half of grant. It sends the data
+// response (kind is the event arg), ends the line's transaction and
+// recycles the request message.
+//
+//cbsim:hotpath
+func (d *Dir) Act(data any, kind uint64) {
+	msg := data.(*memtypes.Message)
+	out := d.mesh.NewMessage()
+	*out = memtypes.Message{
+		Src: d.id, Dst: msg.Src, Kind: memtypes.MsgKind(kind),
+		Class: memtypes.ClassLineData, Addr: msg.Addr, Core: msg.Core,
+		LineData: d.store.LoadLine(msg.Addr),
+	}
+	d.mesh.Send(out)
+	if d.cyc != nil {
+		d.cyc(int(out.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatNoC), 0)
+	}
+	d.end(msg.Addr)
+	d.mesh.Free(msg)
+}
+
+// finish runs a transaction's continuation once its forward or acks have
+// arrived: the line takes its new owner and sharers, and the requester is
+// granted.
+//
+//cbsim:hotpath
+func (d *Dir) finish(t *trans) {
+	msg := t.req
+	t.req = nil
+	if d.cyc != nil {
+		d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
+	}
+	l := d.line(msg.Addr)
+	l.owner, l.sharers = t.owner, t.sharers
+	d.grant(msg, t.grant)
 }
 
 func (d *Dir) handleGetS(msg *memtypes.Message) {
@@ -243,14 +300,8 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 		if d.cyc != nil { // the owner round trip is coherence work
 			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
 		}
-		t.cont = func() {
-			if d.cyc != nil {
-				d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-			}
-			l.owner = -1
-			l.sharers = 1<<uint(owner) | 1<<uint(r)
-			d.grant(msg, MsgDataS, func() { d.end(msg.Addr) })
-		}
+		t.req, t.grant = msg, MsgDataS
+		t.owner, t.sharers = -1, 1<<uint(owner)|1<<uint(r)
 		return
 	}
 	d.begin(msg.Addr)
@@ -258,11 +309,11 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 		// No copies: grant clean-exclusive.
 		d.stats.EGrants++
 		l.owner = r
-		d.grant(msg, MsgDataE, func() { d.end(msg.Addr) })
+		d.grant(msg, MsgDataE)
 		return
 	}
 	l.sharers |= 1 << uint(r)
-	d.grant(msg, MsgDataS, func() { d.end(msg.Addr) })
+	d.grant(msg, MsgDataS)
 }
 
 func (d *Dir) handleGetX(msg *memtypes.Message) {
@@ -285,14 +336,8 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 		if d.cyc != nil { // the owner round trip is coherence work
 			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
 		}
-		t.cont = func() {
-			if d.cyc != nil {
-				d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-			}
-			l.owner = r
-			l.sharers = 0
-			d.grant(msg, MsgDataX, func() { d.end(msg.Addr) })
-		}
+		t.req, t.grant = msg, MsgDataX
+		t.owner, t.sharers = r, 0
 		return
 	}
 	toInv := l.sharers &^ (1 << uint(r))
@@ -322,19 +367,13 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 		if d.cyc != nil { // the invalidation round is coherence work
 			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
 		}
-		t.cont = func() {
-			if d.cyc != nil {
-				d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-			}
-			l.owner = r
-			l.sharers = 0
-			d.grant(msg, MsgDataX, func() { d.end(msg.Addr) })
-		}
+		t.req, t.grant = msg, MsgDataX
+		t.owner, t.sharers = r, 0
 		return
 	}
 	l.owner = r
 	l.sharers = 0
-	d.grant(msg, MsgDataX, func() { d.end(msg.Addr) })
+	d.grant(msg, MsgDataX)
 }
 
 func (d *Dir) handlePut(msg *memtypes.Message) {
@@ -369,17 +408,15 @@ func (d *Dir) handleInvAck(msg *memtypes.Message) {
 	d.mesh.Free(msg)
 	t.acksPending--
 	if t.acksPending == 0 {
-		t.cont()
+		d.finish(t)
 	}
 }
 
 func (d *Dir) handleDataWB(msg *memtypes.Message) {
 	t := d.busy[msg.Addr.Line()]
-	if t == nil || t.cont == nil {
+	if t == nil || t.req == nil {
 		panic(fmt.Sprintf("mesi: dir %d spurious DataWB for %s", d.id, msg.Addr))
 	}
 	d.mesh.Free(msg)
-	cont := t.cont
-	t.cont = nil
-	cont()
+	d.finish(t)
 }

@@ -51,9 +51,10 @@ type l1Line struct {
 	state State
 }
 
+// l1Pending is the core's operation in flight (req == nil when idle).
 type l1Pending struct {
 	req  *memtypes.Request
-	done func(memtypes.Response)
+	done memtypes.Completer
 }
 
 // L1 is one core's private MESI cache controller; it implements
@@ -66,7 +67,12 @@ type L1 struct {
 	bankOf func(memtypes.Addr) memtypes.NodeID
 
 	arr     *cache.Array[l1Line]
-	pending *l1Pending
+	pending l1Pending
+
+	// resp is the completion respond scheduled for delivery to respTo
+	// (nil when none is in flight).
+	resp   memtypes.Response
+	respTo memtypes.Completer
 
 	// Monitor (quiesce/MWAIT) extension state; see monitor.go.
 	//cbvet:ephemeral configuration toggle set at wiring time, never changed mid-run
@@ -126,8 +132,10 @@ func mapKind(k memtypes.OpKind) memtypes.OpKind {
 }
 
 // Access implements memtypes.Port.
-func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
-	if l.pending != nil {
+//
+//cbsim:hotpath
+func (l *L1) Access(req *memtypes.Request, done memtypes.Completer) {
+	if l.pending.req != nil {
 		panic(fmt.Sprintf("mesi: core %d issued a second request while one is outstanding", l.id))
 	}
 	if l.monitorEnabled && req.Kind == memtypes.OpReadCB {
@@ -141,10 +149,10 @@ func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
 			l.cyc(int(l.id), cycles.EvSpan, l.k.Now(),
 				l.k.Now()+mem.DefaultL1Latency, uint64(cycles.CatL1Stall))
 		}
-		l.k.Schedule(mem.DefaultL1Latency, func() { done(memtypes.Response{}) })
+		l.respond(mem.DefaultL1Latency, done, memtypes.Response{})
 		return
 	}
-	l.pending = &l1Pending{req: req, done: done}
+	l.pending = l1Pending{req: req, done: done}
 	l.stats.Accesses++
 	line := l.arr.Lookup(req.Addr)
 	switch kind {
@@ -189,9 +197,11 @@ func (l *L1) request(kind memtypes.MsgKind, req *memtypes.Request) {
 
 // finish applies the pending operation to a resident line with the
 // required permissions and responds to the core.
+//
+//cbsim:hotpath
 func (l *L1) finish(line *cache.Line[l1Line], delay uint64, hit bool) {
 	p := l.pending
-	l.pending = nil
+	l.pending = l1Pending{}
 	req := p.req
 	w := req.Addr.WordIndex()
 	resp := memtypes.Response{Hit: hit}
@@ -215,12 +225,47 @@ func (l *L1) finish(line *cache.Line[l1Line], delay uint64, hit bool) {
 		}
 		resp.Value = old
 	}
-	l.k.Schedule(delay, func() { p.done(resp) })
+	l.respond(delay, p.done, resp)
+}
+
+// L1 event stages: the arg of the kernel events the L1 schedules on
+// itself.
+const (
+	stageRespond = iota // deliver resp to respTo
+	stageResume         // re-issue the load of a woken monitor
+)
+
+// respond delivers resp to the core after delay cycles, through an actor
+// event so that delivery does not allocate.
+//
+//cbsim:hotpath
+func (l *L1) respond(delay uint64, to memtypes.Completer, resp memtypes.Response) {
+	if l.respTo != nil {
+		panic(fmt.Sprintf("mesi: core %d completed an operation while a response is in flight", l.id))
+	}
+	l.resp, l.respTo = resp, to
+	l.k.ScheduleActor(delay, l, nil, stageRespond)
+}
+
+// Act implements sim.Actor.
+//
+//cbsim:hotpath
+func (l *L1) Act(_ any, stage uint64) {
+	switch stage {
+	case stageRespond:
+		to := l.respTo
+		l.respTo = nil
+		to.Complete(l.resp)
+	case stageResume:
+		l.resume()
+	default:
+		panic(fmt.Sprintf("mesi: L1 %d unknown stage %d", l.id, stage))
+	}
 }
 
 // handleData installs a granted line and completes the pending miss.
 func (l *L1) handleData(msg *memtypes.Message) {
-	if l.pending == nil || l.pending.req.Addr.Line() != msg.Addr {
+	if l.pending.req == nil || l.pending.req.Addr.Line() != msg.Addr {
 		panic(fmt.Sprintf("mesi: core %d unexpected data for %s", l.id, msg.Addr))
 	}
 	if l.cyc != nil {

@@ -44,12 +44,17 @@ func newRig(t testing.TB, nodes int) *rig {
 	return r
 }
 
+// completeFunc adapts a function to memtypes.Completer.
+type completeFunc func(memtypes.Response)
+
+func (f completeFunc) Complete(resp memtypes.Response) { f(resp) }
+
 func (r *rig) access(t testing.TB, n int, req *memtypes.Request) memtypes.Response {
 	t.Helper()
 	var resp memtypes.Response
 	got := false
 	req.Core = memtypes.NodeID(n)
-	r.tiles[n].L1.Access(req, func(rp memtypes.Response) { resp = rp; got = true })
+	r.tiles[n].L1.Access(req, completeFunc(func(rp memtypes.Response) { resp = rp; got = true }))
 	if err := r.k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -61,7 +66,7 @@ func (r *rig) access(t testing.TB, n int, req *memtypes.Request) memtypes.Respon
 
 func (r *rig) start(n int, req *memtypes.Request, done func(memtypes.Response)) {
 	req.Core = memtypes.NodeID(n)
-	r.tiles[n].L1.Access(req, done)
+	r.tiles[n].L1.Access(req, completeFunc(done))
 }
 
 func TestColdReadGrantsE(t *testing.T) {

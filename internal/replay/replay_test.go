@@ -229,6 +229,21 @@ func TestReadSpillRefusesVersion2(t *testing.T) {
 	}
 }
 
+// A version-3 blob predates the digests of in-flight memory operations
+// (the core's request, scheduled responses, pending grants), so its marks
+// cannot be compared with this build's.
+func TestReadSpillRefusesVersion3(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v3.replay.json")
+	blob := `{"version": 3, "label": "v3", "interval": 256, "scope": "full", "end_cycle": 9, "final_digest": 1, "marks": []}`
+	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := replay.ReadSpill(path)
+	if err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("ReadSpill(version 3) = %v, want a version error", err)
+	}
+}
+
 // A non-deterministic source must fail loudly at replay, not fabricate
 // a history: a Build that returns a different machine on the second
 // call trips the digest verification at the first crossed mark.

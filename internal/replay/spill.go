@@ -22,8 +22,10 @@ import (
 // comparing incomparable digests. Version 2: digests fold whole 64-bit
 // words per round and component stats are folded field-by-field instead
 // of through their formatted image. Version 3: the deferred-checkpoint
-// count is gone.
-const SpillVersion = 3
+// count is gone. Version 4: digests fold the in-flight memory operation
+// state that used to live in closures (the core's request and serial,
+// scheduled L1 responses, pending directory grants, deferred messages).
+const SpillVersion = 4
 
 // Spill is the on-disk form of a recording's verification data.
 type Spill struct {

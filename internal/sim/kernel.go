@@ -1,7 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // All simulator components (cores, cache controllers, network routers)
-// schedule closures at absolute or relative cycle times. Events that share
+// schedule events at absolute or relative cycle times: pre-bound actors on
+// the hot paths, closures elsewhere. Events that share
 // a cycle fire in scheduling order, which makes every run bit-reproducible:
 // the queue is ordered by (time, sequence number).
 //

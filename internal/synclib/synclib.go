@@ -19,6 +19,7 @@ package synclib
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/isa"
 	"repro/internal/memtypes"
@@ -178,9 +179,12 @@ type Barrier interface {
 	EmitWait(b *isa.Builder, f Flavor, tid int)
 }
 
-// uniq generates a unique label from the builder position.
+// uniq generates a unique label from the builder position. It avoids fmt
+// on purpose: fmt's printer cache is a sync.Pool that every GC empties,
+// which would make the allocation count of building a workload depend on
+// GC timing.
 func uniq(b *isa.Builder, prefix string) string {
-	return fmt.Sprintf("%s_%d", prefix, b.Pos())
+	return prefix + "_" + strconv.Itoa(b.Pos())
 }
 
 // emitSpinReg emits the flavour-appropriate spin-exit sequence on the

@@ -54,11 +54,18 @@ type Bank struct {
 	// busy and deferq implement the per-line LLC MSHR lock: operations
 	// on a locked line queue FIFO until the holder releases.
 	busy   map[memtypes.Addr]bool
-	deferq map[memtypes.Addr][]func()
+	deferq memtypes.LineQueues
 
 	// parked holds callback reads (and RMWs) blocked in the callback
 	// directory, keyed by word address then core.
 	parked map[memtypes.Addr]map[memtypes.NodeID]*memtypes.Message
+
+	// spareParked and spareWakes recycle drained per-word parked sets and
+	// delivered wake batches.
+	//cbvet:ephemeral recycled empty parked sets; they hold no operations
+	spareParked []map[memtypes.NodeID]*memtypes.Message
+	//cbvet:ephemeral recycled delivered wake batches; they hold no wakes
+	spareWakes []*wakeBatch
 
 	// observer, when set, is called on callback-directory activity
 	// (tracing): "cb.block", "cb.wake", "cb.stale" (core = the waiting
@@ -82,7 +89,6 @@ func NewBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store
 		mode:       cfg.Mode,
 		data:       mem.NewBank(),
 		busy:       make(map[memtypes.Addr]bool),
-		deferq:     make(map[memtypes.Addr][]func()),
 		parked:     make(map[memtypes.Addr]map[memtypes.NodeID]*memtypes.Message),
 		queueLocks: make(map[memtypes.Addr]*qlState),
 	}
@@ -144,35 +150,138 @@ func reqSyncKind(req *memtypes.Request) uint8 {
 	return req.SyncKind
 }
 
-// withLine runs fn under the line lock for addr's line; fn must call the
-// release function it receives exactly once when the line may be handed
-// to the next queued operation.
-func (b *Bank) withLine(addr memtypes.Addr, fn func(release func())) {
-	line := addr.Line()
-	run := func() {
-		fn(func() { b.release(line) })
+// Bank event stages: the arg of the kernel events the bank schedules on
+// itself. Every stage but stageWake carries the operation's message as
+// the event data; stageWake carries a *wakeBatch.
+const (
+	stageFill     = iota // a line fill read the LLC: send the data
+	stageWTAck           // a write-through was absorbed: ack the L1
+	stageLoad            // a racy load read the LLC: respond with the word
+	stageStoreAck        // a racy store wrote the LLC: ack the writer
+	stageRMW             // an atomic read the LLC: apply it and respond
+	stageCBRead          // a ld_cb or callback RMW consults the directory
+	stageWake            // deliver delayed callback wakes
+)
+
+// Act implements sim.Actor: it runs the stage of an operation that its
+// previous stage scheduled. Scheduling the bank itself, with the message
+// as payload, keeps every stage free of closure allocations.
+//
+//cbsim:hotpath
+func (b *Bank) Act(data any, stage uint64) {
+	if stage == stageWake {
+		b.deliverWakes(data.(*wakeBatch))
+		return
 	}
+	msg := data.(*memtypes.Message)
+	switch stage {
+	case stageFill:
+		line := msg.Addr.Line()
+		out := b.mesh.NewMessage()
+		*out = memtypes.Message{
+			Src: b.id, Dst: msg.Src, Kind: MsgDataLine,
+			Class: memtypes.ClassLineData, Addr: msg.Addr,
+			Core: msg.Core, LineData: b.store.LoadLine(msg.Addr),
+		}
+		b.mesh.Free(msg)
+		b.mesh.Send(out)
+		if b.cyc != nil {
+			b.cyc(int(out.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
+		}
+		b.release(line)
+	case stageWTAck:
+		line := msg.Addr.Line()
+		ack := b.mesh.NewMessage()
+		*ack = memtypes.Message{
+			Src: b.id, Dst: msg.Src, Kind: MsgWTAck,
+			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
+		}
+		b.mesh.Free(msg)
+		b.mesh.Send(ack)
+		b.release(line)
+	case stageLoad:
+		line := msg.Addr.Line()
+		b.respond(msg, b.store.Load(msg.Req.Addr), false)
+		b.release(line)
+	case stageStoreAck:
+		line := msg.Addr.Line()
+		b.ack(msg)
+		b.release(line)
+	case stageRMW:
+		b.applyRMW(msg)
+	case stageCBRead:
+		res, ev := b.cbdir.CallbackRead(int(msg.Core), msg.Req.Addr)
+		b.answerEviction(ev)
+		b.observeOcc(msg.Req.Addr)
+		if res == core.ReadBlocked {
+			b.park(msg)
+			return
+		}
+		b.withLine(msg)
+	default:
+		panic(fmt.Sprintf("vips: bank %d unknown stage %d", b.id, stage))
+	}
+}
+
+// withLine runs msg's operation under its line's lock: now if the line is
+// free, otherwise once every earlier holder has released it (FIFO). The
+// operation releases the line exactly once, when it completes.
+//
+//cbsim:hotpath
+func (b *Bank) withLine(msg *memtypes.Message) {
+	line := msg.Addr.Line()
 	if b.busy[line] {
 		b.stats.Deferred++
-		b.deferq[line] = append(b.deferq[line], run)
+		b.deferq.Push(line, msg)
 		return
 	}
 	b.busy[line] = true
-	run()
+	b.locked(msg)
 }
 
+// release hands line to its next queued operation, or unlocks it.
+//
+//cbsim:hotpath
 func (b *Bank) release(line memtypes.Addr) {
-	if q := b.deferq[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(b.deferq, line)
-		} else {
-			b.deferq[line] = q[1:]
-		}
-		next()
+	if next := b.deferq.Pop(line); next != nil {
+		b.locked(next)
 		return
 	}
 	delete(b.busy, line)
+}
+
+// locked starts msg's operation once it holds the line lock: the LLC
+// access, whose completion runs as a later stage.
+//
+//cbsim:hotpath
+func (b *Bank) locked(msg *memtypes.Message) {
+	switch msg.Kind {
+	case MsgGetLine:
+		b.readLLC(msg, msg.Addr, stageFill)
+	case MsgWTLine:
+		b.writeLine(msg)
+	case MsgRacy:
+		switch msg.Req.Kind {
+		case memtypes.OpReadThrough, memtypes.OpReadCB:
+			b.readLLC(msg, msg.Req.Addr, stageLoad)
+		case memtypes.OpRMW:
+			b.readLLC(msg, msg.Req.Addr, stageRMW)
+		default:
+			b.writeWord(msg)
+		}
+	default:
+		panic(fmt.Sprintf("vips: bank %d cannot lock for %s", b.id, msg))
+	}
+}
+
+// readLLC starts the LLC data access at addr for msg's operation; stage
+// completes the operation when the access finishes.
+//
+//cbsim:hotpath
+func (b *Bank) readLLC(msg *memtypes.Message, addr memtypes.Addr, stage uint64) {
+	lat := b.accessLat(addr, true, reqSyncKind(msg.Req))
+	b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
+	b.k.ScheduleActor(lat, b, msg, stage)
 }
 
 // Deliver routes L1-to-bank messages.
@@ -182,9 +291,9 @@ func (b *Bank) Deliver(msg *memtypes.Message) {
 		if b.cyc != nil { // the demand request's NoC leg ends here
 			b.cyc(int(msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
 		}
-		b.handleGetLine(msg)
+		b.withLine(msg)
 	case MsgWTLine:
-		b.handleWTLine(msg) // background write-through: not a core stall leg
+		b.withLine(msg) // background write-through: not a core stall leg
 	case MsgRacy:
 		if b.cyc != nil {
 			b.cyc(int(msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
@@ -195,58 +304,32 @@ func (b *Bank) Deliver(msg *memtypes.Message) {
 	}
 }
 
-func (b *Bank) handleGetLine(msg *memtypes.Message) {
-	b.withLine(msg.Addr, func(release func()) {
-		lat := b.accessLat(msg.Addr, true, reqSyncKind(msg.Req))
-		b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-		b.k.Schedule(lat, func() {
-			data := b.mesh.NewMessage()
-			*data = memtypes.Message{
-				Src: b.id, Dst: msg.Src, Kind: MsgDataLine,
-				Class: memtypes.ClassLineData, Addr: msg.Addr,
-				Core: msg.Core, LineData: b.store.LoadLine(msg.Addr),
+// writeLine absorbs a write-through under the line lock and acks it
+// (stageWTAck).
+//
+//cbsim:hotpath
+func (b *Bank) writeLine(msg *memtypes.Message) {
+	b.store.StoreLineWords(msg.Addr, msg.LineData, msg.Mask)
+	// An ordinary write-through behaves as a normal write for any
+	// callback entries covering its words: reset to All mode and wake
+	// everyone (Section 2.4: "any normal write or read resets the A/O bit
+	// to All").
+	if b.cbdir != nil {
+		base := msg.Addr.Line()
+		for i, m := range msg.Mask {
+			if !m {
+				continue
 			}
-			b.mesh.Free(msg)
-			b.mesh.Send(data)
-			if b.cyc != nil {
-				b.cyc(int(data.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
-			}
-			release()
-		})
-	})
-}
-
-func (b *Bank) handleWTLine(msg *memtypes.Message) {
-	b.withLine(msg.Addr, func(release func()) {
-		b.store.StoreLineWords(msg.Addr, msg.LineData, msg.Mask)
-		// An ordinary write-through behaves as a normal write for any
-		// callback entries covering its words: reset to All mode and
-		// wake everyone (Section 2.4: "any normal write or read
-		// resets the A/O bit to All").
-		if b.cbdir != nil {
-			base := msg.Addr.Line()
-			for i, m := range msg.Mask {
-				if !m {
-					continue
-				}
-				w := base + memtypes.Addr(i*memtypes.WordBytes)
-				if b.cbdir.HasEntry(w) {
-					b.wakeAfter(0, b.cbdir.Write(w, memtypes.CBAll), w, msg.LineData[i])
-				}
+			w := base + memtypes.Addr(i*memtypes.WordBytes)
+			if b.cbdir.HasEntry(w) {
+				wb := b.newWakes(w, msg.LineData[i])
+				wb.cores = b.cbdir.Write(wb.cores, w, memtypes.CBAll)
+				b.wakeAfter(0, wb)
 			}
 		}
-		lat := b.accessLat(msg.Addr, true, 0)
-		b.k.Schedule(lat, func() {
-			ack := b.mesh.NewMessage()
-			*ack = memtypes.Message{
-				Src: b.id, Dst: msg.Src, Kind: MsgWTAck,
-				Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-			}
-			b.mesh.Free(msg)
-			b.mesh.Send(ack)
-			release()
-		})
-	})
+	}
+	lat := b.accessLat(msg.Addr, true, 0)
+	b.k.ScheduleActor(lat, b, msg, stageWTAck)
 }
 
 func (b *Bank) handleRacy(msg *memtypes.Message) {
@@ -272,7 +355,7 @@ func (b *Bank) handleRacy(msg *memtypes.Message) {
 		b.callbackRead(msg)
 	case memtypes.OpWriteThrough, memtypes.OpWriteCB1, memtypes.OpWriteCB0:
 		b.stats.RacyWrites++
-		b.racyWrite(msg)
+		b.withLine(msg)
 	case memtypes.OpRMW:
 		b.stats.RMWs++
 		b.rmw(msg)
@@ -284,69 +367,47 @@ func (b *Bank) handleRacy(msg *memtypes.Message) {
 // readThrough serves a non-blocking racy load: consume F/E state if
 // available (in parallel with the LLC access) and return the current
 // value.
+//
+//cbsim:hotpath
 func (b *Bank) readThrough(msg *memtypes.Message) {
 	if b.cbdir != nil {
 		b.stats.CBDirAccesses++
 		b.cbdir.ReadThrough(int(msg.Core), msg.Req.Addr)
 		b.observeOcc(msg.Req.Addr)
 	}
-	b.withLine(msg.Req.Addr, func(release func()) {
-		lat := b.accessLat(msg.Req.Addr, true, reqSyncKind(msg.Req))
-		b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-		b.k.Schedule(lat, func() {
-			b.respond(msg, b.store.Load(msg.Req.Addr), false)
-			release()
-		})
-	})
+	b.withLine(msg)
 }
 
-// callbackRead serves a ld_cb: consult the directory first (1 cycle);
-// satisfied reads proceed to the LLC, blocked reads park without holding
-// the line lock.
+// callbackRead serves a ld_cb: consult the directory first (1 cycle,
+// stageCBRead); satisfied reads proceed to the LLC, blocked reads park
+// without holding the line lock.
+//
+//cbsim:hotpath
 func (b *Bank) callbackRead(msg *memtypes.Message) {
 	b.stats.CBDirAccesses++
 	b.cycSpan(msg.Core, b.cbdirLat, cycles.CatCoherenceStall)
-	b.k.Schedule(b.cbdirLat, func() {
-		res, ev := b.cbdir.CallbackRead(int(msg.Core), msg.Req.Addr)
-		b.answerEviction(ev)
-		b.observeOcc(msg.Req.Addr)
-		if res == core.ReadBlocked {
-			b.park(msg)
-			return
-		}
-		b.withLine(msg.Req.Addr, func(release func()) {
-			lat := b.accessLat(msg.Req.Addr, true, reqSyncKind(msg.Req))
-			b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-			b.k.Schedule(lat, func() {
-				b.respond(msg, b.store.Load(msg.Req.Addr), false)
-				release()
-			})
-		})
-	})
+	b.k.ScheduleActor(b.cbdirLat, b, msg, stageCBRead)
 }
 
-// racyWrite serves st_through / st_cb1 / st_cb0: write the word, wake the
-// selected callbacks (directory consulted in parallel with the LLC), and
-// ack the writer.
-func (b *Bank) racyWrite(msg *memtypes.Message) {
+// writeWord serves st_through / st_cb1 / st_cb0 under the line lock:
+// write the word, wake the selected callbacks (directory consulted in
+// parallel with the LLC), and ack the writer (stageStoreAck).
+//
+//cbsim:hotpath
+func (b *Bank) writeWord(msg *memtypes.Message) {
 	req := msg.Req
-	b.withLine(req.Addr, func(release func()) {
-		b.store.StoreWord(req.Addr, req.Value)
-		b.qlRelease(req.Addr)
-		if b.cbdir != nil {
-			b.stats.CBDirAccesses++
-			mode := cbWriteMode(req.Kind)
-			wakes := b.cbdir.Write(req.Addr, mode)
-			b.observeOcc(req.Addr)
-			b.wakeAfter(b.cbdirLat, wakes, req.Addr, req.Value)
-		}
-		lat := b.accessLat(req.Addr, true, reqSyncKind(req))
-		b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-		b.k.Schedule(lat, func() {
-			b.ack(msg)
-			release()
-		})
-	})
+	b.store.StoreWord(req.Addr, req.Value)
+	b.qlRelease(req.Addr)
+	if b.cbdir != nil {
+		b.stats.CBDirAccesses++
+		wb := b.newWakes(req.Addr, req.Value)
+		wb.cores = b.cbdir.Write(wb.cores, req.Addr, cbWriteMode(req.Kind))
+		b.observeOcc(req.Addr)
+		b.wakeAfter(b.cbdirLat, wb)
+	}
+	lat := b.accessLat(req.Addr, true, reqSyncKind(req))
+	b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
+	b.k.ScheduleActor(lat, b, msg, stageStoreAck)
 }
 
 func cbWriteMode(k memtypes.OpKind) memtypes.CBWrite {
@@ -364,22 +425,15 @@ func cbWriteMode(k memtypes.OpKind) memtypes.CBWrite {
 // rmw serves an atomic. The load half consults the callback directory
 // (blocking the whole RMW if it is a ld_cb and the value was consumed);
 // once admitted, the RMW locks the line and executes read-modify-write in
-// one LLC access.
+// one LLC access (stageRMW).
+//
+//cbsim:hotpath
 func (b *Bank) rmw(msg *memtypes.Message) {
 	req := msg.Req
 	if b.cbdir != nil && req.RMWLdCB {
 		b.stats.CBDirAccesses++
 		b.cycSpan(msg.Core, b.cbdirLat, cycles.CatCoherenceStall)
-		b.k.Schedule(b.cbdirLat, func() {
-			res, ev := b.cbdir.CallbackRead(int(msg.Core), req.Addr)
-			b.answerEviction(ev)
-			b.observeOcc(req.Addr)
-			if res == core.ReadBlocked {
-				b.park(msg)
-				return
-			}
-			b.executeRMW(msg)
-		})
+		b.k.ScheduleActor(b.cbdirLat, b, msg, stageCBRead)
 		return
 	}
 	if b.cbdir != nil {
@@ -388,54 +442,62 @@ func (b *Bank) rmw(msg *memtypes.Message) {
 		b.cbdir.ReadThrough(int(msg.Core), req.Addr)
 		b.observeOcc(req.Addr)
 	}
-	b.executeRMW(msg)
+	b.withLine(msg)
 }
 
-// executeRMW performs the atomic under the line lock.
-func (b *Bank) executeRMW(msg *memtypes.Message) {
+// applyRMW completes an atomic once its LLC access is done, then
+// releases the line.
+//
+//cbsim:hotpath
+func (b *Bank) applyRMW(msg *memtypes.Message) {
 	req := msg.Req
-	b.withLine(req.Addr, func(release func()) {
-		lat := b.accessLat(req.Addr, true, reqSyncKind(req))
-		b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-		b.k.Schedule(lat, func() {
-			old := b.store.Load(req.Addr)
-			if b.qlMaybeQueue(msg, old) {
-				// VIPS-M blocking bit: the failing test-style RMW is
-				// held at the controller; the line lock is released
-				// so the eventual releasing write can proceed.
-				release()
-				return
-			}
-			newVal, writes := req.RMW.Apply(old, req.Expect, req.Arg)
-			if writes {
-				b.store.StoreWord(req.Addr, newVal)
-				if b.cbdir != nil {
-					b.stats.CBDirAccesses++
-					wakes := b.cbdir.Write(req.Addr, req.RMWSt)
-					b.observeOcc(req.Addr)
-					b.wakeAfter(0, wakes, req.Addr, newVal)
-				}
-				if writes && (req.RMW == memtypes.RMWSwap || req.RMW == memtypes.RMWFetchAdd) {
-					// Unconditional atomics (signals) release queued
-					// waiters too.
-					b.qlRelease(req.Addr)
-				}
-			}
-			// A failed RMW writes nothing and services no callbacks
-			// (the "Unblock" case of Section 2.6).
-			b.respond(msg, old, false)
-			release()
-		})
-	})
+	line := msg.Addr.Line()
+	old := b.store.Load(req.Addr)
+	if b.qlMaybeQueue(msg, old) {
+		// VIPS-M blocking bit: the failing test-style RMW is held at
+		// the controller; the line lock is released so the eventual
+		// releasing write can proceed.
+		b.release(line)
+		return
+	}
+	newVal, writes := req.RMW.Apply(old, req.Expect, req.Arg)
+	if writes {
+		b.store.StoreWord(req.Addr, newVal)
+		if b.cbdir != nil {
+			b.stats.CBDirAccesses++
+			wb := b.newWakes(req.Addr, newVal)
+			wb.cores = b.cbdir.Write(wb.cores, req.Addr, req.RMWSt)
+			b.observeOcc(req.Addr)
+			b.wakeAfter(0, wb)
+		}
+		if req.RMW == memtypes.RMWSwap || req.RMW == memtypes.RMWFetchAdd {
+			// Unconditional atomics (signals) release queued waiters
+			// too.
+			b.qlRelease(req.Addr)
+		}
+	}
+	// A failed RMW writes nothing and services no callbacks (the
+	// "Unblock" case of Section 2.6).
+	b.respond(msg, old, false)
+	b.release(line)
 }
 
 // park records a blocked callback read or RMW until a write (or an
 // eviction) services it, keyed by the directory tag.
+//
+//cbsim:hotpath
 func (b *Bank) park(msg *memtypes.Message) {
 	w := b.cbdir.Tag(msg.Req.Addr)
 	m := b.parked[w]
 	if m == nil {
-		m = make(map[memtypes.NodeID]*memtypes.Message)
+		if n := len(b.spareParked); n > 0 {
+			m = b.spareParked[n-1]
+			b.spareParked[n-1] = nil
+			b.spareParked = b.spareParked[:n-1]
+		} else {
+			//cbvet:alloc-ok pool growth; steady state reuses drained parked sets
+			m = make(map[memtypes.NodeID]*memtypes.Message)
+		}
 		b.parked[w] = m
 	}
 	if _, dup := m[msg.Core]; dup {
@@ -451,6 +513,8 @@ func (b *Bank) park(msg *memtypes.Message) {
 // wake services callbacks: parked plain reads are answered directly with
 // the written value ("wakeup messages carry the newly created value");
 // parked RMWs re-enter execution at the LLC.
+//
+//cbsim:hotpath
 func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
 	if len(cores) == 0 {
 		return
@@ -475,13 +539,14 @@ func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
 			b.cyc(int(id), cycles.EvClose, b.k.Now(), 0, 0)
 		}
 		if parked.Req.Kind == memtypes.OpRMW {
-			b.executeRMW(parked)
+			b.withLine(parked)
 			continue
 		}
 		b.respond(parked, value, stale)
 	}
 	if len(m) == 0 {
 		delete(b.parked, w)
+		b.spareParked = append(b.spareParked, m)
 	}
 }
 
@@ -496,12 +561,15 @@ func (b *Bank) answerEviction(ev *core.Eviction) {
 
 // respond sends a racy-op completion carrying a data word and recycles
 // the request message: it is the terminal step of the operation.
+//
+//cbsim:hotpath
 func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
 	resp := b.mesh.NewMessage()
 	*resp = memtypes.Message{
 		Src: b.id, Dst: msg.Src, Kind: MsgRacyResp,
 		Class: memtypes.ClassWordData, Addr: msg.Req.Addr,
 		Core: msg.Core, Value: value, Stale: stale, Req: msg.Req,
+		Serial: msg.Req.Serial,
 	}
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
@@ -512,12 +580,15 @@ func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
 
 // ack sends a store completion (control message) and recycles the
 // request message.
+//
+//cbsim:hotpath
 func (b *Bank) ack(msg *memtypes.Message) {
 	resp := b.mesh.NewMessage()
 	*resp = memtypes.Message{
 		Src: b.id, Dst: msg.Src, Kind: MsgRacyResp,
 		Class: memtypes.ClassControl, Addr: msg.Req.Addr,
 		Core: msg.Core, Value: msg.Req.Value, Req: msg.Req,
+		Serial: msg.Req.Serial,
 	}
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)

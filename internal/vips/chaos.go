@@ -53,22 +53,57 @@ func (b *Bank) spuriousWake(addr memtypes.Addr) {
 	b.wake([]int{victim}, addr, b.store.Load(addr), true)
 }
 
-// wakeAfter services wakes delay cycles from now; chaos may stretch the
-// window between the directory update (callback bits already cleared)
-// and the delivery of the wakes — the delayed F/E-bit visibility fault.
-// A zero total delay wakes synchronously, exactly like calling wake
-// directly.
-func (b *Bank) wakeAfter(delay uint64, cores []int, addr memtypes.Addr, value uint64) {
+// wakeBatch is the set of callback wakes one write services on one word,
+// carrying the written value to the woken cores.
+type wakeBatch struct {
+	cores []int
+	addr  memtypes.Addr
+	value uint64
+}
+
+// newWakes returns an empty wake batch for a write of value to addr,
+// reusing a delivered one when available.
+//
+//cbsim:hotpath
+func (b *Bank) newWakes(addr memtypes.Addr, value uint64) *wakeBatch {
+	var wb *wakeBatch
+	if n := len(b.spareWakes); n > 0 {
+		wb = b.spareWakes[n-1]
+		b.spareWakes[n-1] = nil
+		b.spareWakes = b.spareWakes[:n-1]
+	} else {
+		//cbvet:alloc-ok pool growth; steady state reuses delivered batches
+		wb = &wakeBatch{}
+	}
+	wb.addr, wb.value = addr, value
+	return wb
+}
+
+// wakeAfter delivers wb delay cycles from now (stageWake); chaos may
+// stretch the window between the directory update (callback bits already
+// cleared) and the delivery of the wakes — the delayed F/E-bit
+// visibility fault. A zero total delay wakes synchronously, exactly like
+// calling wake directly.
+//
+//cbsim:hotpath
+func (b *Bank) wakeAfter(delay uint64, wb *wakeBatch) {
 	if b.chaos != nil {
 		delay += b.chaos.WakeDelay()
 	}
 	if delay == 0 {
-		b.wake(cores, addr, value, false)
+		b.deliverWakes(wb)
 		return
 	}
-	b.k.Schedule(delay, func() {
-		b.wake(cores, addr, value, false)
-	})
+	b.k.ScheduleActor(delay, b, wb, stageWake)
+}
+
+// deliverWakes services wb's wakes and recycles it.
+//
+//cbsim:hotpath
+func (b *Bank) deliverWakes(wb *wakeBatch) {
+	b.wake(wb.cores, wb.addr, wb.value, false)
+	wb.cores = wb.cores[:0]
+	b.spareWakes = append(b.spareWakes, wb)
 }
 
 // accessLat returns the LLC access latency for addr, plus chaos jitter.

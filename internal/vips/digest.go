@@ -9,14 +9,14 @@ import (
 )
 
 // This file folds the VIPS tile's mutable state into a replay digest.
-// As in the MESI digest, closure-backed transient state is represented
-// by the data that determines it: a pending L1 operation hashes its
-// request and phase flags, a parked callback read hashes the full
-// blocked message, deferred work hashes its queue depth.
+// As in the MESI digest, transient state is plain data and is hashed as
+// such: a pending L1 operation hashes its request and phase flags, a
+// scheduled response its value, a parked callback read or a deferred
+// operation its full message.
 
 // Digest folds the L1's cache array (dirty masks, private bits), any
-// pending operation, the outstanding write-through count, and the
-// counters.
+// pending operation, a scheduled response, the outstanding write-through
+// count, and the counters.
 func (l *L1) Digest(h *digest.Hash) {
 	l.arr.Digest(h, func(h *digest.Hash, s *l1Line) {
 		for _, d := range s.dirty {
@@ -24,14 +24,15 @@ func (l *L1) Digest(h *digest.Hash) {
 		}
 		h.Bool(s.private)
 	})
-	h.Bool(l.pending != nil)
-	if l.pending != nil {
-		h.Bool(l.pending.req != nil)
-		if l.pending.req != nil {
-			l.pending.req.Digest(h)
-		}
+	h.Bool(l.pending.req != nil)
+	if l.pending.req != nil {
+		l.pending.req.Digest(h)
 		h.Bool(l.pending.fence)
 		h.Bool(l.pending.invlAfter)
+	}
+	h.Bool(l.respTo != nil)
+	if l.respTo != nil {
+		l.resp.Digest(h)
 	}
 	h.Int(l.wtOutstanding)
 	l.stats.Digest(h)
@@ -52,7 +53,7 @@ func (s *L1Stats) Digest(h *digest.Hash) {
 
 // Digest folds the bank controller: the callback directory, queue-lock
 // blocking bits and queued RMWs, the per-line MSHR locks and deferred
-// queue depths, parked callback reads, the data bank, and the counters —
+// operations, parked callback reads, the data bank, and the counters —
 // all map-keyed state in ascending (address, core) order.
 func (b *Bank) Digest(h *digest.Hash) {
 	// Protocols without callbacks (BackOff, QueueLock) run banks with no
@@ -84,16 +85,7 @@ func (b *Bank) Digest(h *digest.Hash) {
 		h.U64(uint64(a))
 	}
 
-	defAddrs := make([]memtypes.Addr, 0, len(b.deferq))
-	for a := range b.deferq { //cbvet:unordered — keys are sorted before hashing
-		defAddrs = append(defAddrs, a)
-	}
-	sort.Slice(defAddrs, func(i, j int) bool { return defAddrs[i] < defAddrs[j] })
-	h.Int(len(defAddrs))
-	for _, a := range defAddrs {
-		h.U64(uint64(a))
-		h.Int(len(b.deferq[a]))
-	}
+	b.deferq.Digest(h)
 
 	parkAddrs := make([]memtypes.Addr, 0, len(b.parked))
 	for a := range b.parked { //cbvet:unordered — keys are sorted before hashing

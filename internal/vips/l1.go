@@ -36,9 +36,10 @@ func (l *l1Line) anyDirty() bool {
 	return false
 }
 
+// pendingOp is the core's operation in flight (req == nil when idle).
 type pendingOp struct {
 	req  *memtypes.Request
-	done func(memtypes.Response)
+	done memtypes.Completer
 	// fence marks an in-progress fence waiting for write-through acks.
 	fence bool
 	// invlAfter marks a self-invalidation to perform once all
@@ -56,7 +57,12 @@ type L1 struct {
 	bankOf func(memtypes.Addr) memtypes.NodeID
 
 	arr     *cache.Array[l1Line]
-	pending *pendingOp
+	pending pendingOp
+
+	// resp is the completion respond scheduled for delivery to respTo
+	// (nil when none is in flight).
+	resp   memtypes.Response
+	respTo memtypes.Completer
 
 	// wtOutstanding counts unacknowledged write-throughs (evictions and
 	// fences alike). A fence completes only when this drains to zero,
@@ -88,11 +94,13 @@ func (l *L1) Stats() L1Stats { return l.stats }
 func (l *L1) ValidLines() int { return l.arr.CountValid() }
 
 // Access implements memtypes.Port.
-func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
-	if l.pending != nil {
+//
+//cbsim:hotpath
+func (l *L1) Access(req *memtypes.Request, done memtypes.Completer) {
+	if l.pending.req != nil {
 		panic(fmt.Sprintf("vips: core %d issued a second request while one is outstanding", l.id))
 	}
-	l.pending = &pendingOp{req: req, done: done}
+	l.pending = pendingOp{req: req, done: done}
 	switch req.Kind {
 	case memtypes.OpRead, memtypes.OpWrite:
 		l.accessDRF()
@@ -108,14 +116,31 @@ func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
 	}
 }
 
-// respond completes the pending operation after delay cycles.
+// respond completes the pending operation after delay cycles, delivering
+// resp through an actor event so that delivery does not allocate.
+//
+//cbsim:hotpath
 func (l *L1) respond(delay uint64, resp memtypes.Response) {
-	p := l.pending
-	l.pending = nil
-	l.k.Schedule(delay, func() { p.done(resp) })
+	if l.respTo != nil {
+		panic(fmt.Sprintf("vips: core %d completed an operation while a response is in flight", l.id))
+	}
+	l.resp, l.respTo = resp, l.pending.done
+	l.pending = pendingOp{}
+	l.k.ScheduleActor(delay, l, nil, 0)
+}
+
+// Act implements sim.Actor: it delivers the response respond scheduled.
+//
+//cbsim:hotpath
+func (l *L1) Act(any, uint64) {
+	to := l.respTo
+	l.respTo = nil
+	to.Complete(l.resp)
 }
 
 // accessDRF handles cached loads and stores.
+//
+//cbsim:hotpath
 func (l *L1) accessDRF() {
 	req := l.pending.req
 	l.stats.Accesses++
@@ -138,6 +163,8 @@ func (l *L1) accessDRF() {
 }
 
 // finishDRF applies the pending DRF op to a resident line and responds.
+//
+//cbsim:hotpath
 func (l *L1) finishDRF(line *cache.Line[l1Line], delay uint64) {
 	req := l.pending.req
 	w := req.Addr.WordIndex()
@@ -156,7 +183,7 @@ func (l *L1) finishDRF(line *cache.Line[l1Line], delay uint64) {
 
 // handleDataLine installs a fill and completes the pending DRF miss.
 func (l *L1) handleDataLine(msg *memtypes.Message) {
-	if l.pending == nil || l.pending.req.Addr.Line() != msg.Addr {
+	if l.pending.req == nil || l.pending.req.Addr.Line() != msg.Addr {
 		panic(fmt.Sprintf("vips: core %d unexpected fill for %s", l.id, msg.Addr))
 	}
 	if l.cyc != nil {
@@ -212,7 +239,6 @@ func (l *L1) writeThrough(line *cache.Line[l1Line]) {
 
 // fence executes self_down (invl=false) or self_invl (invl=true).
 func (l *L1) fence(invl bool) {
-	p := l.pending
 	l.stats.SelfDowns++
 	// Self-downgrade: write through every dirty non-private line.
 	l.arr.ForEach(func(line *cache.Line[l1Line]) {
@@ -223,8 +249,8 @@ func (l *L1) fence(invl bool) {
 			l.writeThrough(line)
 		}
 	})
-	p.fence = true
-	p.invlAfter = invl
+	l.pending.fence = true
+	l.pending.invlAfter = invl
 	if l.wtOutstanding == 0 {
 		l.completeFence()
 	}
@@ -253,13 +279,15 @@ func (l *L1) handleWTAck(msg *memtypes.Message) {
 	}
 	l.mesh.Free(msg)
 	l.wtOutstanding--
-	if l.wtOutstanding == 0 && l.pending != nil && l.pending.fence {
+	if l.wtOutstanding == 0 && l.pending.fence {
 		l.completeFence()
 	}
 }
 
 // issueRacy forwards a racy operation to the owning LLC bank, bypassing
 // the L1 array.
+//
+//cbsim:hotpath
 func (l *L1) issueRacy() {
 	req := l.pending.req
 	l.stats.RacyOps++
@@ -279,17 +307,21 @@ func (l *L1) issueRacy() {
 	}
 }
 
-// handleRacyResp completes the outstanding racy operation.
+// handleRacyResp completes the outstanding racy operation. The core
+// reuses one Request for all its operations, so the response's echoed
+// serial, not its request pointer, proves it answers this operation.
+//
+//cbsim:hotpath
 func (l *L1) handleRacyResp(msg *memtypes.Message) {
-	if l.pending == nil {
+	if l.pending.req == nil {
 		panic(fmt.Sprintf("vips: core %d racy response with no pending op", l.id))
 	}
 	if l.cyc != nil {
 		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
 	}
-	if msg.Req != nil && msg.Req != l.pending.req {
-		panic(fmt.Sprintf("vips: core %d racy response for %s does not match pending %s",
-			l.id, msg.Req.Kind, l.pending.req.Kind))
+	if msg.Serial != l.pending.req.Serial {
+		panic(fmt.Sprintf("vips: core %d racy response for op %d does not match pending %s op %d",
+			l.id, msg.Serial, l.pending.req.Kind, l.pending.req.Serial))
 	}
 	req := l.pending.req
 	// Keep a resident copy of the word fresh: racy results are at least

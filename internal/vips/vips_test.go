@@ -49,12 +49,17 @@ func newRig(t testing.TB, nodes int, cfg Config) *rig {
 
 // access issues a request from core n and returns the response once the
 // simulation drains.
+// completeFunc adapts a function to memtypes.Completer.
+type completeFunc func(memtypes.Response)
+
+func (f completeFunc) Complete(resp memtypes.Response) { f(resp) }
+
 func (r *rig) access(t testing.TB, n int, req *memtypes.Request) memtypes.Response {
 	t.Helper()
 	var resp memtypes.Response
 	got := false
 	req.Core = memtypes.NodeID(n)
-	r.tiles[n].L1.Access(req, func(rp memtypes.Response) { resp = rp; got = true })
+	r.tiles[n].L1.Access(req, completeFunc(func(rp memtypes.Response) { resp = rp; got = true }))
 	if err := r.k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -68,7 +73,7 @@ func (r *rig) access(t testing.TB, n int, req *memtypes.Request) memtypes.Respon
 // completes.
 func (r *rig) start(n int, req *memtypes.Request, done func(memtypes.Response)) {
 	req.Core = memtypes.NodeID(n)
-	r.tiles[n].L1.Access(req, done)
+	r.tiles[n].L1.Access(req, completeFunc(done))
 }
 
 func TestDRFReadWriteHitMiss(t *testing.T) {
@@ -577,5 +582,42 @@ func TestQueueLockUnconditionalAtomicsPass(t *testing.T) {
 	r.access(t, 3, &memtypes.Request{Kind: memtypes.OpRMW, Addr: c, RMW: memtypes.RMWFetchAdd, Arg: 1})
 	if !woken {
 		t.Fatal("f&a release should replay the queued t&d")
+	}
+}
+
+// A racy response that answers an earlier operation must be rejected,
+// not complete the operation in flight. The core reuses one Request for
+// every operation, so the L1 tells responses apart by the serial the bank
+// echoes; the case with a fresh Request per operation pins the check for
+// callers that do not reuse.
+func TestDuplicatedRacyResponsePanics(t *testing.T) {
+	for _, reuse := range []bool{true, false} {
+		r := newRig(t, 4, DefaultConfig(ModeCallback))
+		const addr = memtypes.Addr(0x300)
+		first := &memtypes.Request{Kind: memtypes.OpReadThrough, Addr: addr, Serial: 1}
+		r.access(t, 0, first)
+
+		// A second copy of the first operation's response, as a faulty
+		// bank would send it.
+		dup := r.mesh.NewMessage()
+		*dup = memtypes.Message{
+			Src: 0, Dst: 0, Kind: MsgRacyResp, Class: memtypes.ClassWordData,
+			Addr: addr, Core: 0, Req: first, Serial: first.Serial,
+		}
+
+		second := first
+		if !reuse {
+			second = &memtypes.Request{}
+		}
+		*second = memtypes.Request{Kind: memtypes.OpReadThrough, Addr: addr, Serial: 2}
+		r.start(0, second, func(memtypes.Response) {})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("reuse=%v: a duplicated racy response completed the next operation", reuse)
+				}
+			}()
+			r.tiles[0].L1.Deliver(dup)
+		}()
 	}
 }
