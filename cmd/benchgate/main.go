@@ -5,7 +5,9 @@
 //   - allocs/op must match the baseline EXACTLY for every benchmark both
 //     files share. Allocation counts are deterministic — any change is a
 //     real code change, not noise — and the kernel hot paths are required
-//     to stay at zero.
+//     to stay at zero. Kernel events per op, recorded for whole cells,
+//     must match exactly too: a lost event-saving fast path (spin
+//     parking) shows there long before it shows in ns/op.
 //   - ns/op may drift up to -tolerance x the baseline (default 4x). CI
 //     runners and dev laptops differ by small integer factors; an
 //     order-of-magnitude cliff is a lost fast path, not a slow machine.
@@ -38,6 +40,7 @@ type benchPerf struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
+	EventsPerOp uint64  `json:"events_per_op,omitempty"`
 }
 
 type snapshot struct {
@@ -93,6 +96,10 @@ func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
 		if c.AllocsPerOp != b.AllocsPerOp {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %d, baseline %d (must match exactly)",
 				name, c.AllocsPerOp, b.AllocsPerOp))
+		}
+		if c.EventsPerOp != b.EventsPerOp {
+			failures = append(failures, fmt.Sprintf("%s: events/op %d, baseline %d (must match exactly)",
+				name, c.EventsPerOp, b.EventsPerOp))
 		}
 		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*tolerance {
 			failures = append(failures, fmt.Sprintf("%s: %.1f ns/op exceeds %.0fx baseline %.1f ns/op",

@@ -136,3 +136,23 @@ func TestGateCleanRunPasses(t *testing.T) {
 		t.Fatalf("clean run produced failures:\n%s", strings.Join(failures, "\n"))
 	}
 }
+
+// A whole-cell benchmark whose kernel event count moved fails the gate
+// even when its time and allocations hold: a lost event-saving fast path
+// (spin parking) shows in events/op first.
+func TestGateEventsPerOpExact(t *testing.T) {
+	dir := t.TempDir()
+	base := snapshot{Benchmarks: ratioPairs()}
+	base.Benchmarks["mesi_spin_cell"] = benchPerf{NsPerOp: 1e6, AllocsPerOp: 10, EventsPerOp: 33426}
+	pr := snapshot{Benchmarks: ratioPairs()}
+	pr.Benchmarks["mesi_spin_cell"] = benchPerf{NsPerOp: 1e6, AllocsPerOp: 10, EventsPerOp: 618000}
+	failures, err := gate(
+		writeSnapshot(t, dir, "base.json", base),
+		writeSnapshot(t, dir, "pr.json", pr), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 1 || !strings.Contains(failures[0], "events/op 618000, baseline 33426") {
+		t.Fatalf("failures = %q, want one events/op failure", failures)
+	}
+}

@@ -49,6 +49,9 @@ type benchPerf struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
+	// EventsPerOp is the kernel events one op executes, for whole-cell
+	// benchmarks (deterministic, so the gate pins it exactly).
+	EventsPerOp uint64 `json:"events_per_op,omitempty"`
 }
 
 // kernelTelemetry is the two-tier scheduler's internal counters over the
@@ -199,6 +202,35 @@ func run(out string, cores int, benches []string) error {
 			}
 		}
 	}))
+
+	// A whole Invalidation cell whose memory ops are almost all iterations
+	// of parkable spin loops: its event count pins the spin-parking fast
+	// path (without it the cell runs ~25x the events).
+	spinP, err := workload.ByName("fft")
+	if err != nil {
+		return err
+	}
+	inv, err := experiments.SetupByName("Invalidation")
+	if err != nil {
+		return err
+	}
+	spinSrc := experiments.BenchmarkSource(spinP, inv, workload.StyleNaive, experiments.Options{Cores: 16})
+	var spinEvents uint64
+	spin := record(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, err := spinSrc.Build()
+			if err == nil {
+				err = m.Run(spinSrc.Limit)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			spinEvents = m.K.Executed()
+		}
+	}))
+	spin.EventsPerOp = spinEvents
+	snap.Benchmarks["mesi_spin_cell"] = spin
 
 	cells, cycles, wall := rate.Snapshot()
 	snap.SimRate = simRate{

@@ -89,6 +89,7 @@ func (a *Array[P]) setIndex(addr memtypes.Addr) int {
 
 // Lookup finds the line holding addr, touching LRU state on a hit. It
 // returns nil on a miss.
+//
 //cbsim:hotpath
 func (a *Array[P]) Lookup(addr memtypes.Addr) *Line[P] {
 	a.Accesses++
@@ -105,8 +106,25 @@ func (a *Array[P]) Lookup(addr memtypes.Addr) *Line[P] {
 	return nil
 }
 
+// CreditHits accounts n Lookup hits of addr's resident line at once:
+// the access and hit counters, the LRU clock and the line's stamp end
+// exactly as after n consecutive Lookup calls.
+//
+//cbsim:hotpath
+func (a *Array[P]) CreditHits(addr memtypes.Addr, n uint64) {
+	line := a.Peek(addr)
+	if line == nil {
+		panic(fmt.Sprintf("cache: crediting hits of absent line %s", addr.Line()))
+	}
+	a.Accesses += n
+	a.Hits += n
+	a.tick += n
+	line.lru = a.tick
+}
+
 // Peek finds the line holding addr without touching LRU or access
 // counters. It returns nil on a miss.
+//
 //cbsim:hotpath
 func (a *Array[P]) Peek(addr memtypes.Addr) *Line[P] {
 	line := addr.Line()
@@ -139,6 +157,7 @@ func (a *Array[P]) victimWay(addr memtypes.Addr) (int, int) {
 // Victim returns the line that Allocate would replace for addr: an invalid
 // way if one exists, otherwise the LRU way. The returned line may be valid
 // (the caller must write it back or invalidate it before reuse).
+//
 //cbsim:hotpath
 func (a *Array[P]) Victim(addr memtypes.Addr) *Line[P] {
 	s, w := a.victimWay(addr)

@@ -65,7 +65,10 @@ type Core struct {
 	k    *sim.Kernel
 	id   memtypes.NodeID
 	port memtypes.Port
-	cfg  Config
+	// sp is port when it lets spin loops park (nil otherwise, and then
+	// the core never looks for them).
+	sp  memtypes.SpinPort
+	cfg Config
 
 	// prog is the loaded program: immutable input, not evolving state.
 	// The digest deliberately skips it — hashing the program text would
@@ -74,6 +77,10 @@ type Core struct {
 	prog *isa.Program
 	regs [isa.NumRegs]uint64
 	pc   int
+	// spinPC is the Ld issued last, reached along a pure path that
+	// started at a hit of the same Ld, or -1 (the spin-loop detector's
+	// hot half; the rest is spin, see spin.go).
+	spinPC int
 
 	// isPrivate classifies addresses as thread-private (excluded from
 	// coherence by the self-invalidation protocols).
@@ -105,6 +112,10 @@ type Core struct {
 	cyc cycles.Hook
 
 	stats Stats
+
+	// spin holds the spin-loop detector's register snapshot and the
+	// park record (spin.go).
+	spin spinLoop
 }
 
 type syncFrame struct {
@@ -119,7 +130,10 @@ func New(k *sim.Kernel, id memtypes.NodeID, port memtypes.Port, cfg Config,
 	if classify == nil {
 		classify = func(memtypes.Addr) bool { return false }
 	}
-	return &Core{k: k, id: id, port: port, cfg: cfg, isPrivate: classify, onDone: onDone}
+	c := &Core{k: k, id: id, port: port, cfg: cfg, isPrivate: classify, onDone: onDone}
+	c.sp, _ = port.(memtypes.SpinPort)
+	c.spinPC = -1
+	return c
 }
 
 // ID returns the core's node ID.
@@ -233,6 +247,7 @@ func (c *Core) step() {
 	var rep uint64     // cycles of this batch already flushed to c.cyc
 	for n := 0; ; n++ {
 		if n >= maxBatch {
+			c.spinPC = -1
 			c.flushExec(elapsed, &rep)
 			c.k.ScheduleActor(elapsed, c, nil, stageStep)
 			return
@@ -286,15 +301,18 @@ func (c *Core) step() {
 			c.pc = in.Target
 			elapsed++
 		case isa.Compute:
+			c.spinPC = -1
 			c.stats.ComputeCycles += in.ImmVal
 			elapsed += in.ImmVal
 			c.pc++
 		case isa.ComputeR:
+			c.spinPC = -1
 			cycles := c.regs[in.Rs]
 			c.stats.ComputeCycles += cycles
 			elapsed += cycles
 			c.pc++
 		case isa.SyncBegin:
+			c.spinPC = -1
 			kind := isa.SyncKind(in.ImmVal)
 			c.flushExec(elapsed, &rep) // cycles so far belong to the outer phase
 			c.syncStack = append(c.syncStack, syncFrame{
@@ -306,6 +324,7 @@ func (c *Core) step() {
 			}
 			c.pc++
 		case isa.SyncEnd:
+			c.spinPC = -1
 			if len(c.syncStack) == 0 {
 				panic(fmt.Sprintf("cpu: core %d SyncEnd without SyncBegin", c.id))
 			}
@@ -324,9 +343,11 @@ func (c *Core) step() {
 			}
 			c.pc++
 		case isa.BackoffReset:
+			c.spinPC = -1
 			c.backoffCount = 0
 			c.pc++
 		case isa.BackoffWait:
+			c.spinPC = -1
 			c.pc++
 			wait := c.backoffInterval()
 			c.stats.BackoffCycles += wait
@@ -446,6 +467,9 @@ func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
 	}
 	c.memRd = in.Rd
 	c.memLoad = in.Op == isa.Ld || in.Op == isa.LdT || in.Op == isa.LdCB || in.Op == isa.RMW
+	if c.sp != nil && c.spinPark(in, elapsed) {
+		return
+	}
 	if elapsed == 0 {
 		c.issue()
 	} else {
@@ -481,6 +505,9 @@ func (c *Core) Complete(resp memtypes.Response) {
 	}
 	if resp.Stale {
 		c.stats.StaleResponses++
+	}
+	if !resp.Hit {
+		c.spinPC = -1 // a spin loop's loads all hit
 	}
 	c.pc++
 	c.step()

@@ -7,11 +7,11 @@ import (
 // Digest folds the core's architectural and micro-architectural state:
 // registers, program counter, back-off ladder position, the open
 // synchronization-phase stack, run flags, the memory operation in flight
-// (or the last one issued), and counters. The program
-// itself is excluded — it is immutable input, and the machine
-// configurations a bisection compares already run the same programs
-// (DigestCompatible checks the config; the program is the caller's
-// responsibility, exactly as for Snapshot/Restore).
+// (or the last one issued), the spin-loop detector and park record, and
+// counters. The program itself is excluded — it is immutable input, and
+// the machine configurations a bisection compares already run the same
+// programs (DigestCompatible checks the config; the program is the
+// caller's responsibility, exactly as for Snapshot/Restore).
 func (c *Core) Digest(h *digest.Hash) {
 	for _, r := range c.regs {
 		h.U64(r)
@@ -29,7 +29,31 @@ func (c *Core) Digest(h *digest.Hash) {
 	h.Int(int(c.memRd))
 	h.Bool(c.memLoad)
 	h.U64(c.issuedAt)
+	h.Int(c.spinPC)
+	c.spin.digest(h)
 	c.stats.Digest(h)
+}
+
+// digest folds the spin-loop detector and, while parked, the park
+// record: both decide when the core schedules its next event.
+func (s *spinLoop) digest(h *digest.Hash) {
+	h.U64(s.instr)
+	h.Bool(s.seen)
+	if s.seen {
+		for _, r := range s.regs {
+			h.U64(r)
+		}
+	}
+	h.Bool(s.parked)
+	if s.parked {
+		h.U64(s.ghost.Seq())
+		h.U64(s.ghost.Passed())
+		h.U64(s.settled)
+		h.U64(s.start)
+		h.U64(s.exec)
+		h.U64(s.lat)
+		h.U64(s.instrs)
+	}
 }
 
 // Digest folds every Stats field in declaration order. This is the

@@ -1,0 +1,132 @@
+package experiments
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/workload"
+)
+
+var updateIdentity = flag.Bool("update-identity", false,
+	"rewrite testdata/mesi_identity.txt from the current simulator")
+
+// identityFile pins the exact outcome of Invalidation (MESI) cells: the
+// SHA-256 of json.Marshal(Result) per cell. The hashes were recorded
+// before spin parking existed, so they are the reference that parked
+// spin loops must reproduce byte for byte (Stats, energy and, with
+// CycleStacks on, the per-core cycle stacks).
+const identityFile = "testdata/mesi_identity.txt"
+
+type identityCell struct {
+	bench  string
+	style  workload.SyncStyle
+	cores  int
+	cycles bool
+}
+
+func (c identityCell) key() string {
+	return fmt.Sprintf("%s/%s/%d/cycles=%v", c.bench, c.style, c.cores, c.cycles)
+}
+
+// identityCells lists every 16-core Invalidation cell of the suite, with
+// and without cycle accounting, plus the reduced reproduction's three
+// benchmarks at 64 cores (skipped under -short).
+func identityCells(short bool) []identityCell {
+	var cells []identityCell
+	for _, p := range workload.Profiles() {
+		for _, style := range []workload.SyncStyle{workload.StyleScalable, workload.StyleNaive} {
+			for _, cyc := range []bool{false, true} {
+				cells = append(cells, identityCell{p.Name, style, 16, cyc})
+			}
+		}
+	}
+	if !short {
+		for _, name := range []string{"radiosity", "fft", "dedup"} {
+			for _, style := range []workload.SyncStyle{workload.StyleScalable, workload.StyleNaive} {
+				cells = append(cells, identityCell{name, style, 64, false})
+			}
+		}
+	}
+	return cells
+}
+
+func identityHash(t *testing.T, c identityCell) string {
+	t.Helper()
+	p, err := workload.ByName(c.bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Setup{Name: "Invalidation", Protocol: machine.ProtocolMESI}
+	r, err := RunBenchmark(p, s, c.style, Options{Cores: c.cores, Parallelism: 1, CycleStacks: c.cycles})
+	if err != nil {
+		t.Fatalf("%s: %v", c.key(), err)
+	}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+func readIdentity(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(identityFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("%s: malformed line %q", identityFile, line)
+		}
+		want[fields[0]] = fields[1]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// Every Invalidation cell reproduces its pinned Stats hash exactly.
+func TestInvalidationCellsMatchPinnedHashes(t *testing.T) {
+	cells := identityCells(testing.Short() && !*updateIdentity)
+	if *updateIdentity {
+		var b strings.Builder
+		b.WriteString("# SHA-256 of json.Marshal(experiments.Result) per Invalidation cell:\n")
+		b.WriteString("# benchmark/style/cores/cycles=<CycleStacks> hash. Regenerate only for an\n")
+		b.WriteString("# intended behaviour change: go test -run TestInvalidationCellsMatchPinnedHashes -update-identity\n")
+		for _, c := range cells {
+			fmt.Fprintf(&b, "%s %s\n", c.key(), identityHash(t, c))
+		}
+		if err := os.WriteFile(identityFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want := readIdentity(t)
+	for _, c := range cells {
+		w, ok := want[c.key()]
+		if !ok {
+			t.Fatalf("%s: no pinned hash in %s", c.key(), identityFile)
+		}
+		if got := identityHash(t, c); got != w {
+			t.Errorf("%s: Result hash %s, pinned %s", c.key(), got, w)
+		}
+	}
+}

@@ -75,6 +75,7 @@ type ComponentDigest struct {
 // The machine need not be quiescent, but the caller must be at an exact
 // cycle boundary (RunToCycle) for cross-run comparisons to be sound.
 func (m *Machine) ComponentDigests(scope DigestScope) []ComponentDigest {
+	m.settle()
 	var out []ComponentDigest
 	add := func(name string, fold func(*digest.Hash)) {
 		h := digest.New()

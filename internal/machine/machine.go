@@ -6,6 +6,7 @@ package machine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -319,6 +320,7 @@ func (m *Machine) AttachTrace(sink trace.Sink) {
 // contract of AttachTrace applies identically. At most one accumulator
 // is active; attaching nil detaches.
 func (m *Machine) AttachCycles(a *cycles.Accumulator) {
+	m.settle() // parked loops report their past to the old hook
 	m.cyc = a
 	var hook cycles.Hook
 	if a != nil {
@@ -367,6 +369,7 @@ func (m *Machine) cycleHorizon() uint64 {
 // run counter. Event-level histograms (sync latency, spins, callback
 // wakes) are fed live by attaching a trace.MetricsCollector.
 func (m *Machine) ObserveMetrics(sm *obs.SimMetrics) {
+	m.settle()
 	if cycles := m.K.Now(); cycles > 0 {
 		m.Mesh.VisitLinkBusy(func(_ memtypes.NodeID, busy uint64) {
 			sm.LinkUtil.Observe(float64(busy) / float64(cycles))
@@ -492,6 +495,19 @@ func (m *Machine) RunContext(ctx context.Context, limit uint64) error {
 	if stopErr != nil {
 		return stopErr
 	}
+	if errors.Is(err, sim.ErrDrained) && m.parked() {
+		// Only parked spin loops remain, and they would spin on
+		// to the limit.
+		if limit == 0 {
+			return fmt.Errorf("machine: %d/%d cores finished at cycle %d: %w\n%s",
+				m.finished, m.loaded, m.K.Now(), errSpinForever, m.Diagnose())
+		}
+		m.K.AdvanceTo(limit)
+		err = sim.ErrLimit
+	}
+	if errors.Is(err, sim.ErrLimit) {
+		m.passTo(limit + 1) // the limit cycle itself ran
+	}
 	if err != nil {
 		return fmt.Errorf("machine: %d/%d cores finished at cycle %d: %w\n%s",
 			m.finished, m.loaded, m.K.Now(), err, m.Diagnose())
@@ -499,10 +515,41 @@ func (m *Machine) RunContext(ctx context.Context, limit uint64) error {
 	return nil
 }
 
+// errSpinForever reports a run without a cycle limit in which every
+// unfinished core spins on a line no message will ever change.
+var errSpinForever = errors.New("machine: cores spin forever and no cycle limit is set")
+
+// settle applies the effects of the events the kernel passed for parked
+// spin loops (see cpu.Core.Settle). Everything that reads core or L1
+// state mid-run settles first.
+func (m *Machine) settle() {
+	for _, c := range m.Cores {
+		c.Settle()
+	}
+}
+
+// passTo passes and settles every parked spin-loop event before cycle h:
+// a run that stops at a pause or a limit has fired those events.
+func (m *Machine) passTo(h uint64) {
+	m.K.PassGhosts(h)
+	m.settle()
+}
+
+// parked reports whether some core is parked in a spin loop.
+func (m *Machine) parked() bool {
+	for _, c := range m.Cores {
+		if c.Parked() {
+			return true
+		}
+	}
+	return false
+}
+
 // Diagnose reports where every unfinished core is stuck and what is
 // parked in the callback directories — the first thing to read when a
 // run deadlocks.
 func (m *Machine) Diagnose() string {
+	m.settle()
 	var b strings.Builder
 	for i, c := range m.Cores {
 		if c.Done() {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/memtypes"
+	"repro/internal/sim"
 )
 
 // This file holds the machine's robustness surface: typed run errors
@@ -137,6 +138,7 @@ const wdPollMask = 4095
 // instructions, so only a machine where every unfinished core is blocked
 // waiting on a wake that never comes freezes the metric.
 func (m *Machine) progress() uint64 {
+	m.settle()
 	p := uint64(m.finished)
 	for _, c := range m.Cores {
 		p += c.Stats().Instructions
@@ -220,7 +222,14 @@ func (m *Machine) allDone() bool {
 // finished (acks, delayed wakes) so final invariants can be checked. It
 // fails if the queue does not drain within budget extra cycles.
 func (m *Machine) Quiesce(budget uint64) error {
-	if err := m.K.Run(m.K.Now() + budget); err != nil {
+	limit := m.K.Now() + budget
+	err := m.K.Run(limit)
+	if err == nil && m.parked() {
+		m.K.AdvanceTo(limit) // parked spin loops never drain
+		err = sim.ErrLimit
+	}
+	if err != nil {
+		m.passTo(limit + 1)
 		return &InvariantError{Cycle: m.K.Now(),
 			Detail: fmt.Sprintf("event queue failed to drain within %d extra cycles", budget)}
 	}

@@ -88,6 +88,7 @@ func (s *Stats) TotalSyncCycles() uint64 {
 
 // Stats collects the aggregate counters for the run so far.
 func (m *Machine) Stats() Stats {
+	m.settle()
 	var s Stats
 	for _, c := range m.Cores {
 		cs := c.Stats()

@@ -31,10 +31,11 @@ func (m *Machine) RunToCycle(target uint64) (done bool, err error) {
 	if finished() {
 		return true, nil
 	}
-	if m.K.Pending() == 0 {
+	if m.K.Pending() == 0 && !m.parked() {
 		return false, fmt.Errorf("machine: %d/%d cores finished and event queue drained at cycle %d (deadlock)\n%s",
 			m.finished, m.loaded, m.K.Now(), m.Diagnose())
 	}
+	m.passTo(target) // parked spin loops stay parked across the pause
 	return false, nil
 }
 

@@ -10,7 +10,11 @@
 // and self-downgrade fences.
 package memtypes
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Geometry of the memory system (Table 2 of the paper).
 const (
@@ -300,4 +304,32 @@ type Port interface {
 	// Access starts req and calls done.Complete exactly once on
 	// completion.
 	Access(req *Request, done Completer)
+}
+
+// Spinner is a core parked in a pure spin loop on a SpinPort.
+type Spinner interface {
+	// Wake tells the core that a message is being sent to its port. The
+	// port calls it before anything is scheduled for the message, so the
+	// core can settle the iterations it skipped and schedule its pending
+	// event where it would have been.
+	Wake()
+}
+
+// SpinPort is a Port on which a core may park a pure spin loop: a loop
+// whose every iteration is the same read hit, which cannot change until
+// a message reaches the port. While the core is parked it schedules
+// nothing; the port credits the skipped hits when asked and wakes the
+// core before any message is sent to it.
+type SpinPort interface {
+	Port
+	// Park reports whether req, a read, would hit now with no message
+	// in flight to the port, and returns the hit latency. On true the
+	// port holds s and calls s.Wake before the next message sent to it.
+	Park(req *Request, s Spinner) (latency uint64, ok bool)
+	// SpinHits credits n skipped hits of req, the first issued at cycle
+	// first and each next one period cycles later.
+	SpinHits(req *Request, n, first, period uint64)
+	// SpinRespond schedules, in place of g's pending event, the
+	// response to the skipped hit of req issued one hit latency earlier.
+	SpinRespond(req *Request, done Completer, g *sim.Ghost)
 }

@@ -15,7 +15,8 @@ import (
 // deferred request its message.
 
 // Digest folds the L1's cache array (MESI line states), any pending
-// miss, the monitor extension's armed state, and the counters.
+// miss, the monitor extension's armed state, the messages in flight to
+// it, whether a spinner is parked on it, and the counters.
 func (l *L1) Digest(h *digest.Hash) {
 	l.arr.Digest(h, func(h *digest.Hash, s *l1Line) {
 		h.Int(int(s.state))
@@ -36,6 +37,8 @@ func (l *L1) Digest(h *digest.Hash) {
 	if l.monitor.req != nil {
 		l.monitor.req.Digest(h)
 	}
+	h.Int(l.inbound)
+	h.Bool(l.spinner != nil)
 	l.monStats.Digest(h)
 	l.stats.Digest(h)
 }

@@ -74,6 +74,12 @@ type L1 struct {
 	resp   memtypes.Response
 	respTo memtypes.Completer
 
+	// inbound counts the messages sent to this L1 and not yet delivered;
+	// spinner is the core parked on a hit here (see Park), woken when the
+	// next message is sent to the L1.
+	inbound int
+	spinner memtypes.Spinner
+
 	// Monitor (quiesce/MWAIT) extension state; see monitor.go.
 	//cbvet:ephemeral configuration toggle set at wiring time, never changed mid-run
 	monitorEnabled bool
@@ -362,8 +368,68 @@ func (l *L1) handleFwd(msg *memtypes.Message) {
 	l.mesh.Send(wb)
 }
 
+// incoming notes a message sent to the L1 and wakes the parked spinner
+// before the mesh schedules anything for it: the message is the first
+// thing since the park that can change the spin line.
+//
+//cbsim:hotpath
+func (l *L1) incoming() {
+	l.inbound++
+	if s := l.spinner; s != nil {
+		l.spinner = nil
+		s.Wake()
+	}
+}
+
+// Park implements memtypes.SpinPort: a read of a resident line, with no
+// message on its way to the L1, hits now and keeps hitting until a
+// message is sent here.
+//
+//cbsim:hotpath
+func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (uint64, bool) {
+	if req.Kind != memtypes.OpRead || l.inbound != 0 || l.arr.Peek(req.Addr) == nil {
+		return 0, false
+	}
+	l.spinner = s
+	return mem.DefaultL1Latency, true
+}
+
+// SpinHits implements memtypes.SpinPort: it books n read hits of req's
+// line exactly as n Access calls would, cycle-accounting spans
+// included.
+//
+//cbsim:hotpath
+func (l *L1) SpinHits(req *memtypes.Request, n, first, period uint64) {
+	l.stats.Accesses += n
+	l.stats.Hits += n
+	l.arr.CreditHits(req.Addr, n)
+	if l.cyc != nil {
+		for i := uint64(0); i < n; i++ {
+			at := first + i*period
+			l.cyc(int(l.id), cycles.EvSpan, at, at+mem.DefaultL1Latency,
+				uint64(cycles.CatL1Stall))
+		}
+	}
+}
+
+// SpinRespond implements memtypes.SpinPort: it schedules, in place of
+// g's pending event, the response to the read hit of req a woken spinner
+// issued one hit latency earlier, as finish would have.
+//
+//cbsim:hotpath
+func (l *L1) SpinRespond(req *memtypes.Request, done memtypes.Completer, g *sim.Ghost) {
+	if l.respTo != nil {
+		panic(fmt.Sprintf("mesi: core %d woke while a response is in flight", l.id))
+	}
+	line := l.arr.Peek(req.Addr)
+	l.resp = memtypes.Response{Hit: true, Value: line.Data[req.Addr.WordIndex()]}
+	l.respTo = done
+	l.k.WakeGhost(g, l, nil, stageRespond)
+}
+
 // Deliver routes directory-to-L1 messages.
 func (l *L1) Deliver(msg *memtypes.Message) {
+	l.inbound--
 	switch msg.Kind {
 	case MsgDataS, MsgDataE, MsgDataX:
 		l.handleData(msg)

@@ -58,12 +58,31 @@ type Tile struct {
 	Dir *Dir
 }
 
+// toDir reports whether a message of kind k is for the directory (the
+// rest are for the L1).
+func toDir(k memtypes.MsgKind) bool {
+	switch k {
+	case MsgGetS, MsgGetX, MsgPutM, MsgPutE, MsgInvAck, MsgDataWB:
+		return true
+	}
+	return false
+}
+
 // Deliver implements noc.Handler.
 func (t *Tile) Deliver(msg *memtypes.Message) {
-	switch msg.Kind {
-	case MsgGetS, MsgGetX, MsgPutM, MsgPutE, MsgInvAck, MsgDataWB:
+	if toDir(msg.Kind) {
 		t.Dir.Deliver(msg)
-	default:
-		t.L1.Deliver(msg)
+		return
+	}
+	t.L1.Deliver(msg)
+}
+
+// Incoming implements noc.Incomer: the L1 counts the messages in flight
+// to it and wakes its parked spinner before the first one is scheduled.
+//
+//cbsim:hotpath
+func (t *Tile) Incoming(msg *memtypes.Message) {
+	if !toDir(msg.Kind) {
+		t.L1.incoming()
 	}
 }

@@ -29,6 +29,14 @@ type Handler interface {
 	Deliver(msg *memtypes.Message)
 }
 
+// An Incomer is a Handler that hears of every message sent to its node
+// before the mesh schedules anything for it (the MESI tile wakes a core
+// parked in a spin loop on its L1 there).
+type Incomer interface {
+	Handler
+	Incoming(msg *memtypes.Message)
+}
+
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(*memtypes.Message)
 
@@ -65,6 +73,9 @@ type Mesh struct {
 	// Attach during machine wiring.
 	//cbvet:ephemeral wiring: delivery endpoints attached at construction
 	handlers []Handler
+	// incoming holds the handlers that are Incomers (nil elsewhere).
+	//cbvet:ephemeral wiring: installed by Attach at construction
+	incoming []Incomer
 	// linkFree[node][dir] is the first cycle the outgoing link of node
 	// in direction dir is idle.
 	linkFree [][numDirs]uint64
@@ -130,6 +141,7 @@ func New(k *sim.Kernel, width, height int) *Mesh {
 		switchLat: DefaultSwitchLatency,
 		localLat:  DefaultLocalLatency,
 		handlers:  make([]Handler, width*height),
+		incoming:  make([]Incomer, width*height),
 		linkFree:  make([][numDirs]uint64, width*height),
 		linkBusy:  make([][numDirs]uint64, width*height),
 	}
@@ -179,9 +191,11 @@ func (m *Mesh) LiveMessages() int { return m.live }
 // Nodes returns the number of nodes in the mesh.
 func (m *Mesh) Nodes() int { return m.width * m.height }
 
-// Attach registers the message handler for node n.
+// Attach registers the message handler for node n. A handler that is
+// an Incomer also hears of each message at its Send.
 func (m *Mesh) Attach(n memtypes.NodeID, h Handler) {
 	m.handlers[m.check(n)] = h
+	m.incoming[n], _ = h.(Incomer)
 }
 
 // Stats returns a copy of the accumulated traffic counters.
@@ -282,13 +296,16 @@ func (m *Mesh) HopCount(src, dst memtypes.NodeID) int {
 }
 
 // Send injects msg into the network. The destination handler's Deliver is
-// invoked when the message arrives. Sends to the local node bypass the
-// network with a fixed small latency and are not counted as traffic.
+// invoked when the message arrives; an Incomer destination hears of it
+// first, before anything is scheduled. Sends to the local node bypass
+// the network with a fixed small latency and are not counted as traffic.
 //
 //cbsim:hotpath
 func (m *Mesh) Send(msg *memtypes.Message) {
 	m.check(msg.Src)
-	m.check(msg.Dst)
+	if in := m.incoming[m.check(msg.Dst)]; in != nil {
+		in.Incoming(msg)
+	}
 	if m.observer != nil {
 		m.observer(m.k.Now(), msg, "send")
 	}

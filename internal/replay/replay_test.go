@@ -244,6 +244,18 @@ func TestReadSpillRefusesVersion3(t *testing.T) {
 	}
 }
 
+func TestReadSpillRefusesVersion4(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v4.replay.json")
+	blob := `{"version": 4, "label": "v4", "interval": 256, "scope": "full", "end_cycle": 9, "final_digest": 1, "marks": []}`
+	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := replay.ReadSpill(path)
+	if err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Fatalf("ReadSpill(version 4) = %v, want a version error", err)
+	}
+}
+
 // A non-deterministic source must fail loudly at replay, not fabricate
 // a history: a Build that returns a different machine on the second
 // call trips the digest verification at the first crossed mark.

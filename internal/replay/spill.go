@@ -25,7 +25,10 @@ import (
 // count is gone. Version 4: digests fold the in-flight memory operation
 // state that used to live in closures (the core's request and serial,
 // scheduled L1 responses, pending directory grants, deferred messages).
-const SpillVersion = 4
+// Version 5: digests fold the cores' spin-loop detector and park record
+// and each MESI L1's count of messages in flight to it, and the kernel's
+// scheduled-event count includes the events of parked spin loops.
+const SpillVersion = 5
 
 // Spill is the on-disk form of a recording's verification data.
 type Spill struct {

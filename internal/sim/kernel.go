@@ -29,6 +29,10 @@ import (
 // still pending. It usually indicates a deadlock or an undersized limit.
 var ErrLimit = errors.New("sim: cycle limit reached with pending events")
 
+// ErrDrained is returned by RunUntil when the queue drains before its
+// condition holds.
+var ErrDrained = errors.New("sim: event queue drained before condition held")
+
 // Actor is a pre-bound event target. Scheduling an actor instead of a
 // closure avoids the per-event closure allocation on hot paths that fire
 // many events against one long-lived object (e.g. per-hop message routing
@@ -118,6 +122,9 @@ type Kernel struct {
 	cachedSlot int
 	cachedWhen uint64
 
+	// ghosts holds the parked event chains (see ghost.go).
+	ghosts ghostRing
+
 	tele Telemetry
 }
 
@@ -203,8 +210,8 @@ func (k *Kernel) AtActor(when uint64, a Actor, data any, arg uint64) {
 	k.push(event{when: when, actor: a, data: data, arg: arg})
 }
 
-// push inserts an event, assigning its sequence number, into the wheel
-// (near future) or the overflow heap (far future).
+// push assigns an event its sequence number and inserts it into the
+// wheel (near future) or the overflow heap (far future).
 //
 //cbsim:hotpath
 func (k *Kernel) push(e event) {
@@ -213,6 +220,13 @@ func (k *Kernel) push(e event) {
 	}
 	e.seq = k.seq
 	k.seq++
+	k.insert(e)
+}
+
+// insert queues an event that already has its sequence number.
+//
+//cbsim:hotpath
+func (k *Kernel) insert(e event) {
 	k.cached = false
 	if !k.heapOnly && e.when-k.now < wheelSlots {
 		if k.slots == nil {
@@ -399,6 +413,15 @@ func (k *Kernel) stepOne() {
 	if !k.cached {
 		k.locate()
 	}
+	if k.ghosts.n > 0 {
+		var seq uint64
+		if si := k.cachedSlot; si >= 0 {
+			seq = k.slots[si].ev[k.slots[si].head].seq
+		} else {
+			seq = k.heap[0].seq
+		}
+		k.passGhosts(k.cachedWhen, seq)
+	}
 	var e event
 	if si := k.cachedSlot; si >= 0 {
 		e = k.popSlot(si)
@@ -464,7 +487,20 @@ func (k *Kernel) RunUntil(limit uint64, cond func() bool) error {
 	if cond() {
 		return nil
 	}
-	return errors.New("sim: event queue drained before condition held")
+	return ErrDrained
+}
+
+// AdvanceTo moves the clock forward to cycle t with nothing firing, for a
+// caller that knows the simulated system is busy until t in ways the
+// queue does not hold (parked spin loops). It panics if an event is
+// pending before t.
+func (k *Kernel) AdvanceTo(t uint64) {
+	if k.Pending() > 0 && k.earliest() < t {
+		panic("sim: AdvanceTo past a pending event")
+	}
+	if t > k.now {
+		k.now = t
+	}
 }
 
 // RunToBoundary fires every event scheduled strictly before cycle target
