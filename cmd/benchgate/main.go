@@ -17,7 +17,10 @@
 //     recording must stay within 2.5x of the same cell run plain
 //     (measured ~1.3x at the default digest-mark cadence once the memory
 //     path stopped allocating; the headroom absorbs runner load, not a
-//     lost fast path).
+//     lost fast path), and the spin cell with a metrics collector
+//     attached must stay within 1.2x of the plain cell (formatting a
+//     string per message cost 1.45x, settling parked spin loops event
+//     by event 1.53x).
 //
 // Usage:
 //
@@ -123,6 +126,14 @@ func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
 		failures = append(failures, fmt.Sprintf(
 			"checkpoint recording: %.0f ms/run vs %.0f ms plain — overhead %.2fx, want <= 2.5x",
 			on.NsPerOp/1e6, off.NsPerOp/1e6, on.NsPerOp/off.NsPerOp))
+	}
+	plain, observed := cur.Benchmarks["mesi_spin_cell"], cur.Benchmarks["mesi_spin_cell_observed"]
+	if plain.NsPerOp <= 0 || observed.NsPerOp <= 0 {
+		failures = append(failures, "mesi_spin_cell/mesi_spin_cell_observed missing from PR snapshot")
+	} else if observed.NsPerOp > plain.NsPerOp*1.2 {
+		failures = append(failures, fmt.Sprintf(
+			"observed spin cell: %.2f ms/run vs %.2f ms plain — overhead %.2fx, want <= 1.2x",
+			observed.NsPerOp/1e6, plain.NsPerOp/1e6, observed.NsPerOp/plain.NsPerOp))
 	}
 
 	return failures, nil

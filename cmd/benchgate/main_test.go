@@ -29,6 +29,9 @@ func ratioPairs() map[string]benchPerf {
 		"spin_wave_heap":    {NsPerOp: 300},
 		"replay_record_off": {NsPerOp: 1e6},
 		"replay_record_on":  {NsPerOp: 1.8e6},
+
+		"mesi_spin_cell":          {NsPerOp: 1e6},
+		"mesi_spin_cell_observed": {NsPerOp: 1.1e6},
 	}
 }
 
@@ -154,5 +157,25 @@ func TestGateEventsPerOpExact(t *testing.T) {
 	}
 	if len(failures) != 1 || !strings.Contains(failures[0], "events/op 618000, baseline 33426") {
 		t.Fatalf("failures = %q, want one events/op failure", failures)
+	}
+}
+
+// The observed spin cell may cost at most 1.2x the plain one on the same
+// machine: a string formatted per message, or parked loops settling
+// event by event, shows here even when both cells stay within the ns/op
+// tolerance.
+func TestGateObservedSpinRatio(t *testing.T) {
+	dir := t.TempDir()
+	base := snapshot{Benchmarks: ratioPairs()}
+	pr := snapshot{Benchmarks: ratioPairs()}
+	pr.Benchmarks["mesi_spin_cell_observed"] = benchPerf{NsPerOp: 1.5e6}
+	failures, err := gate(
+		writeSnapshot(t, dir, "base.json", base),
+		writeSnapshot(t, dir, "pr.json", pr), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 1 || !strings.Contains(failures[0], "overhead 1.50x, want <= 1.2x") {
+		t.Fatalf("failures = %q, want one observed-spin ratio failure", failures)
 	}
 }

@@ -26,8 +26,10 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -215,22 +217,34 @@ func run(out string, cores int, benches []string) error {
 		return err
 	}
 	spinSrc := experiments.BenchmarkSource(spinP, inv, workload.StyleNaive, experiments.Options{Cores: 16})
-	var spinEvents uint64
-	spin := record(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m, err := spinSrc.Build()
-			if err == nil {
-				err = m.Run(spinSrc.Limit)
+	spinCell := func(observe func(*machine.Machine)) benchPerf {
+		var events uint64
+		r := record(testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := spinSrc.Build()
+				if err == nil {
+					observe(m)
+					err = m.Run(spinSrc.Limit)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = m.K.Executed()
 			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			spinEvents = m.K.Executed()
-		}
-	}))
-	spin.EventsPerOp = spinEvents
-	snap.Benchmarks["mesi_spin_cell"] = spin
+		}))
+		r.EventsPerOp = events
+		return r
+	}
+	snap.Benchmarks["mesi_spin_cell"] = spinCell(func(*machine.Machine) {})
+	// The same cell with a metrics collector attached, as cbsimd runs
+	// every fresh cell: the gate pins its events and allocations and
+	// bounds its time against the plain cell, so observing neither
+	// formats per message nor forces parked loops to settle per event.
+	sm := obs.NewSimMetrics(obs.NewRegistry())
+	snap.Benchmarks["mesi_spin_cell_observed"] = spinCell(func(m *machine.Machine) {
+		m.AttachTrace(trace.NewMetricsCollector(sm))
+	})
 
 	cells, cycles, wall := rate.Snapshot()
 	snap.SimRate = simRate{

@@ -271,7 +271,7 @@ func (c *checker) checkConcat(be *ast.BinaryExpr) {
 		return
 	}
 	if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-		c.report(be.Pos(), "hotpath: string concatenation allocates; precompute or carry numbers instead (see trace.Event.Arg)")
+		c.report(be.Pos(), "hotpath: string concatenation allocates; precompute or carry numbers instead, as trace.Event does")
 	}
 }
 

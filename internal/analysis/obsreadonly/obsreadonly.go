@@ -5,8 +5,9 @@
 // The observability layer's correctness claim is that attaching any
 // number of sinks leaves Stats byte-identical (the
 // TestStatsByteIdenticalWithTracing regression). That holds only if the
-// observer callbacks installed via Set*Observer — and everything they
-// call — are pure readers of the machine. A single counter bump or map
+// observer callbacks installed via SetObserver — the one setter each
+// emitting component has for the typed event stream — and everything
+// they call are pure readers of the machine. A single counter bump or map
 // insert inside a hook silently makes traced runs diverge from untraced
 // ones.
 package obsreadonly
@@ -75,7 +76,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // isObserverRegistration reports whether call installs an observer: the
-// callee is named Set*Observer (SetObserver, SetMonitorObserver, ...).
+// callee is named Set*Observer (the components' SetObserver).
 func isObserverRegistration(pass *analysis.Pass, call *ast.CallExpr) bool {
 	obj := calleeObj(pass, call.Fun)
 	if obj == nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/memtypes"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Config holds per-core execution parameters.
@@ -100,16 +101,10 @@ type Core struct {
 	memLoad  bool
 	issuedAt uint64
 
-	// observer, when set, receives synchronization-phase and spin-wait
-	// events for tracing: "sync.begin"/"sync.end" (note = kind name, arg =
-	// episode cycles on end) and "spin.wait" (arg = wait cycles). The hook
-	// is observational only — it must not change timing.
-	observer func(cycle uint64, what, note string, arg uint64)
-
-	// cyc, when set, receives cycle-accounting events (retired batches,
-	// backoff waits, memory-stall boundaries). Observational only, like
-	// observer.
-	cyc cycles.Hook
+	// obs receives sync phases, back-off waits, retired batches and
+	// memory-stall boundaries. It is observational only: it must not
+	// change timing.
+	obs trace.Hook
 
 	stats Stats
 
@@ -164,14 +159,8 @@ func (c *Core) CurrentInstr() *isa.Instr {
 // structure base addresses...).
 func (c *Core) SetReg(r isa.Reg, v uint64) { c.regs[r] = v }
 
-// SetObserver installs a tracing hook for sync phases and spin waits
-// (nil disables).
-func (c *Core) SetObserver(fn func(cycle uint64, what, note string, arg uint64)) {
-	c.observer = fn
-}
-
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (c *Core) SetCyclesObserver(fn cycles.Hook) { c.cyc = fn }
+// SetObserver installs the hook the core emits the given kinds to.
+func (c *Core) SetObserver(fn func(trace.Event), kinds trace.Mask) { c.obs.Set(fn, kinds) }
 
 // curKind is the innermost synchronization phase the core is in.
 func (c *Core) curKind() isa.SyncKind {
@@ -181,13 +170,14 @@ func (c *Core) curKind() isa.SyncKind {
 	return isa.SyncNone
 }
 
-// flushExec reports the batch cycles retired since the last flush to the
-// cycle-accounting hook, attributed to the current innermost sync phase.
+// flushExec reports the batch cycles retired since the last flush as an
+// EvExec, attributed to the current innermost sync phase.
 func (c *Core) flushExec(elapsed uint64, rep *uint64) {
-	if c.cyc == nil || elapsed == *rep {
+	if !c.obs.On(trace.EvExec) || elapsed == *rep {
 		return
 	}
-	c.cyc(int(c.id), cycles.EvExec, 0, elapsed-*rep, uint64(c.curKind()))
+	c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: elapsed - *rep,
+		B: uint64(c.curKind())})
 	*rep = elapsed
 }
 
@@ -244,7 +234,7 @@ const maxBatch = 4096
 // finishes.
 func (c *Core) step() {
 	var elapsed uint64 // cycles consumed within this batch
-	var rep uint64     // cycles of this batch already flushed to c.cyc
+	var rep uint64     // cycles of this batch already reported as EvExec
 	for n := 0; ; n++ {
 		if n >= maxBatch {
 			c.spinPC = -1
@@ -319,9 +309,8 @@ func (c *Core) step() {
 				kind:  kind,
 				start: c.k.Now() + elapsed,
 			})
-			if c.observer != nil {
-				c.observer(c.k.Now()+elapsed, "sync.begin", kind.String(), 0)
-			}
+			c.obs.Emit(trace.Event{Kind: trace.EvSyncBegin, Core: c.id, Cycle: c.k.Now() + elapsed,
+				B: uint64(kind)})
 			c.pc++
 		case isa.SyncEnd:
 			c.spinPC = -1
@@ -337,10 +326,8 @@ func (c *Core) step() {
 			}
 			c.stats.SyncCycles[top.kind] += c.k.Now() + elapsed - top.start
 			c.stats.SyncEntries[top.kind]++
-			if c.observer != nil {
-				c.observer(c.k.Now()+elapsed, "sync.end", top.kind.String(),
-					c.k.Now()+elapsed-top.start)
-			}
+			c.obs.Emit(trace.Event{Kind: trace.EvSyncEnd, Core: c.id, Cycle: c.k.Now() + elapsed,
+				A: c.k.Now() + elapsed - top.start, B: uint64(top.kind)})
 			c.pc++
 		case isa.BackoffReset:
 			c.spinPC = -1
@@ -351,13 +338,9 @@ func (c *Core) step() {
 			c.pc++
 			wait := c.backoffInterval()
 			c.stats.BackoffCycles += wait
-			if c.observer != nil {
-				c.observer(c.k.Now()+elapsed, "spin.wait", "", wait)
-			}
 			c.flushExec(elapsed, &rep)
-			if c.cyc != nil && wait > 0 {
-				c.cyc(int(c.id), cycles.EvWait, 0, wait, uint64(c.curKind()))
-			}
+			c.obs.Emit(trace.Event{Kind: trace.EvWait, Core: c.id, Cycle: c.k.Now() + elapsed,
+				A: wait, B: uint64(c.curKind())})
 			c.k.ScheduleActor(elapsed+wait, c, nil, stageStep)
 			return
 		case isa.Done:
@@ -367,9 +350,7 @@ func (c *Core) step() {
 				panic(fmt.Sprintf("cpu: core %d finished inside a sync phase", c.id))
 			}
 			c.flushExec(elapsed, &rep)
-			if c.cyc != nil {
-				c.cyc(int(c.id), cycles.EvDone, c.stats.DoneAt, 0, 0)
-			}
+			c.obs.Emit(trace.Event{Kind: trace.EvDone, Core: c.id, Cycle: c.stats.DoneAt})
 			if c.onDone != nil {
 				c.k.ScheduleActor(elapsed, c, nil, stageDone)
 			}
@@ -482,10 +463,8 @@ func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
 //cbsim:hotpath
 func (c *Core) issue() {
 	c.issuedAt = c.k.Now()
-	if c.cyc != nil {
-		c.cyc(int(c.id), cycles.EvStallBegin, c.issuedAt,
-			uint64(c.req.SyncKind), uint64(stallCategory(c.req.Kind)))
-	}
+	c.obs.Emit(trace.Event{Kind: trace.EvStallBegin, Core: c.id, Cycle: c.issuedAt,
+		A: uint64(c.req.SyncKind), B: uint64(stallCategory(c.req.Kind))})
 	c.port.Access(&c.req, c)
 }
 
@@ -494,9 +473,7 @@ func (c *Core) issue() {
 //
 //cbsim:hotpath
 func (c *Core) Complete(resp memtypes.Response) {
-	if c.cyc != nil {
-		c.cyc(int(c.id), cycles.EvStallEnd, c.k.Now(), 0, 0)
-	}
+	c.obs.Emit(trace.Event{Kind: trace.EvStallEnd, Core: c.id, Cycle: c.k.Now()})
 	if stall := c.k.Now() - c.issuedAt; stall >= IdleGateThreshold {
 		c.stats.MemStallCycles += stall
 	}

@@ -1,9 +1,9 @@
 package cpu
 
 import (
-	"repro/internal/cycles"
 	"repro/internal/isa"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Spin parking. A pure spin loop reaches the same Ld again with an
@@ -77,12 +77,17 @@ func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
 	return true
 }
 
+// spinKinds are the kinds a settled iteration emits from the core. Only
+// when one is wanted do parked loops settle event by event; otherwise
+// any attached observer leaves them settling in bulk.
+var spinKinds = trace.Of(trace.EvExec, trace.EvStallBegin, trace.EvStallEnd)
+
 // Parked reports whether the core is parked in a spin loop.
 func (c *Core) Parked() bool { return c.spin.parked }
 
 // Settle applies the effects of the parked loop's events the kernel has
 // passed since the last call: the core's and its port's counters, state
-// and cycle-accounting calls end exactly as if those events had fired.
+// and observer events end exactly as if those events had fired.
 //
 //cbsim:hotpath
 func (c *Core) Settle() {
@@ -95,7 +100,7 @@ func (c *Core) Settle() {
 		return
 	}
 	s.settled = to
-	if c.cyc != nil {
+	if c.obs.Wants(spinKinds) {
 		for i := from; i < to; i++ {
 			c.spinEvent(i)
 		}
@@ -111,9 +116,9 @@ func (c *Core) Settle() {
 	c.spinRetire(to/2 - from/2)
 }
 
-// spinEvent applies event i of a parked loop, with the cycle-accounting
-// calls it makes when it fires: the load's issue (and the port's hit),
-// or its response and the next iteration's batch.
+// spinEvent applies event i of a parked loop, with the observer events
+// it emits when it fires: the load's issue (and the port's hit), or its
+// response and the next iteration's batch.
 //
 //cbsim:hotpath
 func (c *Core) spinEvent(i uint64) {
@@ -121,14 +126,14 @@ func (c *Core) spinEvent(i uint64) {
 	at := s.start + i/2*(s.exec+s.lat)
 	if i%2 == 1 {
 		at += s.lat
-		c.cyc(int(c.id), cycles.EvStallEnd, at, 0, 0)
-		c.cyc(int(c.id), cycles.EvExec, 0, s.exec, uint64(c.curKind()))
+		c.obs.Emit(trace.Event{Kind: trace.EvStallEnd, Core: c.id, Cycle: at})
+		c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: s.exec, B: uint64(c.curKind())})
 		c.spinRetire(1)
 		return
 	}
 	c.issuedAt = at
-	c.cyc(int(c.id), cycles.EvStallBegin, at,
-		uint64(c.req.SyncKind), uint64(stallCategory(c.req.Kind)))
+	c.obs.Emit(trace.Event{Kind: trace.EvStallBegin, Core: c.id, Cycle: at,
+		A: uint64(c.req.SyncKind), B: uint64(stallCategory(c.req.Kind))})
 	c.sp.SpinHits(&c.req, 1, at, s.exec+s.lat)
 }
 

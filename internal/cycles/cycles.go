@@ -13,16 +13,18 @@
 // category, so per-core category sums always equal the accounted
 // horizon — machine.CheckInvariants asserts this at end of run.
 //
-// Feeding is observational-only (the PR-3 purity contract): components
-// call a nil-guarded Hook installed via Set*Observer setters, results
-// are byte-identical with accounting on or off, and the kernel hot path
-// stays allocation-free.
+// The Accumulator is a trace.Sink: it reads the accounting kinds of the
+// machine's one typed event stream (see internal/trace), which every
+// component emits through its single SetObserver. Feeding is
+// observational only: results are byte-identical with accounting on or
+// off, and the kernel hot path stays allocation-free.
 package cycles
 
 import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // Category is the exclusive attribution bucket of a simulated cycle.
@@ -74,50 +76,6 @@ func (c Category) String() string {
 	}
 	return fmt.Sprintf("category(%d)", uint8(c))
 }
-
-// Event tags one observation delivered through a Hook. The meaning of
-// the (cycle, a, b) operands depends on the event.
-type Event uint8
-
-const (
-	// EvExec: the core retired a batch of instructions.
-	// a = cycle count, b = innermost sync kind.
-	EvExec Event = iota
-	// EvWait: the core scheduled an exponential-backoff wait.
-	// a = cycle count, b = innermost sync kind.
-	EvWait
-	// EvStallBegin: a memory operation left the core.
-	// cycle = issue time, a = innermost sync kind, b = default Category
-	// for unclaimed parts of the stall window.
-	EvStallBegin
-	// EvStallEnd: the memory operation's response reached the core.
-	// cycle = completion time.
-	EvStallEnd
-	// EvDone: the core finished its program. cycle = completion time.
-	EvDone
-	// EvOpen: a component began an open-ended leg of the core's
-	// in-flight stall (message injected, op parked in the cb
-	// directory, monitor armed). cycle = start, a = Category.
-	EvOpen
-	// EvClose: the most recent open leg ended. cycle = end.
-	EvClose
-	// EvSpan: a component claims a closed interval of the stall
-	// (an LLC access, a cb-directory consult). cycle = start, a = end,
-	// b = Category.
-	EvSpan
-	// EvNoCSend / EvNoCDeliver: mesh-level injection/delivery of any
-	// message tagged with this core, feeding the aggregate
-	// messages-in-flight counter (union of in-flight intervals; not a
-	// per-core time category). cycle = injection/delivery time.
-	EvNoCSend
-	EvNoCDeliver
-)
-
-// Hook is the observation callback components call. Components keep it
-// nil-guarded in a plain func field (no interface boxing on annotated
-// hot paths) and install it through Set*Observer setters so the
-// obsreadonly analyzer vets the accounting side for purity.
-type Hook func(core int, ev Event, cycle, a, b uint64)
 
 // CoreStack is one core's cycle attribution, cross-tabulated by the
 // innermost synchronization phase the core was in when the cycles were
@@ -187,12 +145,14 @@ type coreAcc struct {
 	// the stack. Conservation follows because mark only advances in
 	// lockstep with stack additions.
 	mark uint64
-	// In-flight memory stall (between EvStallBegin and EvStallEnd).
+	// In-flight memory stall (between trace.EvStallBegin and
+	// trace.EvStallEnd).
 	inStall   bool
 	stallKind isa.SyncKind
 	stallDef  Category
 	segs      []seg
-	// Open-ended component leg (EvOpen .. EvClose).
+	// Open-ended component leg (EvOpen, EvCBBlock or EvMonArm until
+	// the close that ends it).
 	open      bool
 	openStart uint64
 	openCat   Category
@@ -270,7 +230,7 @@ func (c *coreAcc) commit(end uint64) {
 	c.inStall = false
 }
 
-// Accumulator receives Hook observations from every component of one
+// Accumulator receives the accounting kinds of every component of one
 // machine and maintains per-core cycle stacks. It is single-goroutine
 // like the machine that feeds it.
 type Accumulator struct {
@@ -282,19 +242,31 @@ func NewAccumulator(n int) *Accumulator {
 	return &Accumulator{cores: make([]coreAcc, n)}
 }
 
-// Observe is the Hook components call; see the Event constants for the
-// operand meanings. Observations for out-of-range cores (possible only
-// for mesh-level events on protocol-internal messages) are dropped.
-func (a *Accumulator) Observe(core int, ev Event, cycle, x, y uint64) {
-	if core < 0 || core >= len(a.cores) {
+// accountingKinds are the kinds the accounting reads. Settled spin loops
+// fire EvExec, EvStallBegin, EvStallEnd and EvSpan per iteration, so an
+// attached Accumulator makes parked loops settle event by event.
+var accountingKinds = trace.Of(trace.EvExec, trace.EvWait, trace.EvStallBegin, trace.EvStallEnd,
+	trace.EvDone, trace.EvOpen, trace.EvClose, trace.EvSpan,
+	trace.EvNoCSend, trace.EvNoCDeliver,
+	trace.EvCBBlock, trace.EvCBWake, trace.EvCBStale, trace.EvMonArm, trace.EvMonWake)
+
+// Kinds implements trace.Sink.
+func (a *Accumulator) Kinds() trace.Mask { return accountingKinds }
+
+// Emit implements trace.Sink; see the trace.Kind constants for the
+// operand meanings. Events for out-of-range cores (possible only for
+// mesh-level events on protocol-internal messages) are dropped.
+func (a *Accumulator) Emit(e trace.Event) {
+	if e.Core < 0 || int(e.Core) >= len(a.cores) {
 		return
 	}
-	c := &a.cores[core]
-	switch ev {
-	case EvExec:
+	c := &a.cores[e.Core]
+	cycle, x, y := e.Cycle, e.A, e.B
+	switch e.Kind {
+	case trace.EvExec:
 		c.add(isa.SyncKind(y), CatCompute, x)
 		c.mark += x
-	case EvWait:
+	case trace.EvWait:
 		kind := isa.SyncKind(y)
 		cat := CatSpinWait
 		if kind == isa.SyncBarrier {
@@ -302,18 +274,18 @@ func (a *Accumulator) Observe(core int, ev Event, cycle, x, y uint64) {
 		}
 		c.stack.ByPhase[kind][cat] += x
 		c.mark += x
-	case EvStallBegin:
+	case trace.EvStallBegin:
 		c.inStall = true
 		c.stallKind = isa.SyncKind(x)
 		c.stallDef = Category(y)
 		c.open = false
 		c.segs = c.segs[:0]
-	case EvStallEnd:
+	case trace.EvStallEnd:
 		c.closeOpen(cycle)
 		if c.inStall {
 			c.commit(cycle)
 		}
-	case EvDone:
+	case trace.EvDone:
 		if c.inStall { // defensive: a Done core has no stall in flight
 			c.closeOpen(cycle)
 			c.commit(cycle)
@@ -323,30 +295,40 @@ func (a *Accumulator) Observe(core int, ev Event, cycle, x, y uint64) {
 			c.mark = cycle
 		}
 		c.done, c.doneAt = true, cycle
-	case EvOpen:
-		if c.inStall {
-			c.closeOpen(cycle)
-			c.open, c.openStart, c.openCat = true, cycle, Category(x)
-		}
-	case EvClose:
+	case trace.EvOpen:
+		c.openLeg(cycle, Category(x))
+	case trace.EvCBBlock, trace.EvMonArm:
+		// A core parked in the callback directory, or halted on its
+		// monitor, is blocked.
+		c.openLeg(cycle, CatCBBlocked)
+	case trace.EvClose, trace.EvCBWake, trace.EvCBStale, trace.EvMonWake:
 		c.closeOpen(cycle)
-	case EvSpan:
+	case trace.EvSpan:
 		if c.inStall && x > cycle {
 			c.closeOpen(cycle)
 			c.segs = append(c.segs, seg{cycle, x, Category(y)})
 		}
-	case EvNoCSend:
+	case trace.EvNoCSend:
 		if c.nocDepth == 0 {
 			c.nocStart = cycle
 		}
 		c.nocDepth++
-	case EvNoCDeliver:
+	case trace.EvNoCDeliver:
 		if c.nocDepth > 0 {
 			c.nocDepth--
 			if c.nocDepth == 0 && cycle > c.nocStart {
 				c.msgCycles += cycle - c.nocStart
 			}
 		}
+	}
+}
+
+// openLeg starts an open-ended leg of category cat at cycle, ending the
+// previous one.
+func (c *coreAcc) openLeg(cycle uint64, cat Category) {
+	if c.inStall {
+		c.closeOpen(cycle)
+		c.open, c.openStart, c.openCat = true, cycle, cat
 	}
 }
 

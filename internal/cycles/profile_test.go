@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // walkProto iterates the top-level fields of an encoded protobuf
@@ -60,19 +61,19 @@ func uvarint(b []byte) (uint64, int) {
 // and a string table carrying the frame names.
 func TestWritePprofStructure(t *testing.T) {
 	a := NewAccumulator(2)
-	a.Observe(0, EvExec, 0, 10, uint64(isa.SyncNone))
-	a.Observe(0, EvExec, 0, 6, uint64(isa.SyncAcquire))
-	a.Observe(0, EvDone, 16, 0, 0)
-	a.Observe(1, EvExec, 0, 16, uint64(isa.SyncNone))
-	a.Observe(1, EvDone, 16, 0, 0)
+	observe(a, 0, trace.EvExec, 0, 10, uint64(isa.SyncNone))
+	observe(a, 0, trace.EvExec, 0, 6, uint64(isa.SyncAcquire))
+	observe(a, 0, trace.EvDone, 16, 0, 0)
+	observe(a, 1, trace.EvExec, 0, 16, uint64(isa.SyncNone))
+	observe(a, 1, trace.EvDone, 16, 0, 0)
 	mesi := a.Snapshot(16)
 
 	b := NewAccumulator(1)
-	b.Observe(0, EvStallBegin, 0, uint64(isa.SyncWait), uint64(CatL1Stall))
-	b.Observe(0, EvOpen, 2, uint64(CatCBBlocked), 0)
-	b.Observe(0, EvClose, 12, 0, 0)
-	b.Observe(0, EvStallEnd, 12, 0, 0)
-	b.Observe(0, EvDone, 12, 0, 0)
+	observe(b, 0, trace.EvStallBegin, 0, uint64(isa.SyncWait), uint64(CatL1Stall))
+	observe(b, 0, trace.EvOpen, 2, uint64(CatCBBlocked), 0)
+	observe(b, 0, trace.EvClose, 12, 0, 0)
+	observe(b, 0, trace.EvStallEnd, 12, 0, 0)
+	observe(b, 0, trace.EvDone, 12, 0, 0)
 	cbone := b.Snapshot(12)
 
 	var buf bytes.Buffer

@@ -117,8 +117,8 @@ type Options struct {
 	Parallelism int
 	// Verbose enables per-run progress lines via Logf.
 	Logf func(format string, args ...any)
-	// Trace, when set, receives network and callback-directory events
-	// from every run.
+	// Trace, when set, receives the kinds it declares of every run's
+	// event stream.
 	Trace trace.Sink
 	// Metrics, when set, accumulates observability histograms across
 	// runs: sync-episode latencies, spin waits, callback wake latencies,

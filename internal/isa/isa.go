@@ -140,18 +140,6 @@ func (s SyncKind) String() string {
 	return fmt.Sprintf("SyncKind(%d)", uint8(s))
 }
 
-// SyncKindFromName is the inverse of String for the defined kinds; ok is
-// false for unknown names. Trace consumers use it to decode the kind
-// carried in an event's Note string.
-func SyncKindFromName(name string) (SyncKind, bool) {
-	for k, n := range syncKindNames {
-		if n == name {
-			return SyncKind(k), true
-		}
-	}
-	return SyncNone, false
-}
-
 // Instr is one decoded micro-op.
 type Instr struct {
 	Op Opcode

@@ -3,8 +3,11 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/cycles"
 	"repro/internal/isa"
 	"repro/internal/memtypes"
+	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // The memory path — core, L1, directory or LLC bank, and the response —
@@ -53,10 +56,18 @@ func counted(b *isa.Builder, n uint64, body func(b *isa.Builder)) *isa.Builder {
 	return b.Done()
 }
 
-// TestZeroAllocMESISpin runs the Invalidation baseline's spin: every core
+// observeAll attaches the consumers a fully observed run carries: a
+// Ring, a metrics collector and cycle accounting.
+func observeAll(m *Machine) {
+	m.AttachTrace(trace.NewRing(256))
+	m.AttachTrace(trace.NewMetricsCollector(obs.NewSimMetrics(obs.NewRegistry())))
+	m.AttachCycles(cycles.NewAccumulator(len(m.Cores)))
+}
+
+// mesiSpinMachine runs the Invalidation baseline's spin: every core
 // loads one shared flag in a loop, so after the first miss each load is
 // an L1 hit on an S copy.
-func TestZeroAllocMESISpin(t *testing.T) {
+func mesiSpinMachine() *Machine {
 	cfg := Default(ProtocolMESI)
 	cfg.Cores = 4
 	m := New(cfg, nil)
@@ -67,17 +78,33 @@ func TestZeroAllocMESISpin(t *testing.T) {
 			b.Ld(isa.R3, isa.R2, 0)
 		}).MustBuild(), nil)
 	}
+	return m
+}
+
+func TestZeroAllocMESISpin(t *testing.T) {
+	m := mesiSpinMachine()
 	requireZeroAllocWindows(t, m)
 	if st := m.Stats(); st.L1Hits == 0 {
 		t.Fatalf("no L1 hits: %+v", st)
 	}
 }
 
-// TestZeroAllocCBOneSpin runs CB-One traffic through the VIPS LLC banks
-// and the callback directory: two cores pass a token through two words
-// with st_cb1, each waiting for it with a blocking ld_cb, while a third
-// core polls both words with ld_through.
-func TestZeroAllocCBOneSpin(t *testing.T) {
+// With every consumer attached the MESI spin stays allocation-free too;
+// cycle accounting makes its parked loops settle event by event.
+func TestZeroAllocMESISpinObserved(t *testing.T) {
+	m := mesiSpinMachine()
+	observeAll(m)
+	requireZeroAllocWindows(t, m)
+	if st := m.Stats(); st.L1Hits == 0 {
+		t.Fatalf("no L1 hits: %+v", st)
+	}
+}
+
+// cbOneSpinMachine runs CB-One traffic through the VIPS LLC banks and
+// the callback directory: two cores pass a token through two words with
+// st_cb1, each waiting for it with a blocking ld_cb, while a third core
+// polls both words with ld_through.
+func cbOneSpinMachine() *Machine {
 	cfg := Default(ProtocolCallback)
 	cfg.Cores = 4
 	m := New(cfg, nil)
@@ -102,6 +129,23 @@ func TestZeroAllocCBOneSpin(t *testing.T) {
 		b.LdThrough(isa.R3, isa.R4, 0)
 		b.Compute(20)
 	}).MustBuild(), nil)
+	return m
+}
+
+func TestZeroAllocCBOneSpin(t *testing.T) {
+	m := cbOneSpinMachine()
+	requireZeroAllocWindows(t, m)
+	if st := m.Stats(); st.CBWakes == 0 || st.CBDirAccesses == 0 {
+		t.Fatalf("no callback traffic: %+v", st)
+	}
+}
+
+// With every consumer attached, messages, callback episodes and
+// accounting legs are all observed without allocating: events carry
+// numbers, and strings are rendered only when a consumer prints.
+func TestZeroAllocCBOneSpinObserved(t *testing.T) {
+	m := cbOneSpinMachine()
+	observeAll(m)
 	requireZeroAllocWindows(t, m)
 	if st := m.Stats(); st.CBWakes == 0 || st.CBDirAccesses == 0 {
 		t.Fatalf("no callback traffic: %+v", st)

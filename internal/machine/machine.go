@@ -129,14 +129,11 @@ type Machine struct {
 
 	classify func(memtypes.Addr) bool
 
-	// sinks receives the machine's trace-event stream; the component
-	// observers are installed once and fan out to every attached sink.
-	//cbvet:ephemeral observational trace fan-out; simulated behaviour is byte-identical with or without it
-	sinks trace.Multi
+	// sinks consume the machine's event stream (see install).
+	//cbvet:ephemeral observational event fan-out; simulated behaviour is byte-identical with or without it
+	sinks []sink
 
-	// cyc is the cycle-accounting accumulator, nil unless AttachCycles
-	// was called. Like sinks it is observational only: the machine's
-	// simulated behaviour is byte-identical with or without it.
+	// cyc is the cycle-accounting accumulator among the sinks, if any.
 	//cbvet:ephemeral observational cycle accounting; simulated behaviour is byte-identical with or without it
 	cyc *cycles.Accumulator
 
@@ -271,72 +268,65 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// AttachTrace streams the machine's events into sink: network
-// send/deliver, callback-directory activity, core sync phases and spin
-// waits, and monitor arm/wake. It may be called several times — each
-// sink sees the full stream (e.g. a ring buffer for debugging plus a
-// Chrome trace writer plus a metrics collector).
-func (m *Machine) AttachTrace(sink trace.Sink) {
-	m.sinks = append(m.sinks, sink)
-	if len(m.sinks) > 1 {
-		return // observers already installed; they fan out via m.sinks
-	}
-	m.Mesh.SetObserver(func(cycle uint64, msg *memtypes.Message, what string) {
-		node := msg.Src
-		if what == "deliver" {
-			node = msg.Dst
+// sink is an attached consumer and the kinds it reads.
+type sink struct {
+	s     trace.Sink
+	kinds trace.Mask
+}
+
+// AttachTrace adds a sink: from now on it receives the kinds it
+// declares. It may be called several times.
+func (m *Machine) AttachTrace(s trace.Sink) {
+	m.install(append(m.sinks, sink{s, s.Kinds()}))
+}
+
+// AttachCycles adds a cycle-accounting accumulator as a sink, replacing
+// any earlier one; attaching nil detaches it.
+func (m *Machine) AttachCycles(a *cycles.Accumulator) {
+	var sinks []sink
+	for _, s := range m.sinks {
+		if s.s != trace.Sink(m.cyc) {
+			sinks = append(sinks, s)
 		}
-		m.sinks.Emit(trace.Event{
-			Cycle: cycle, Node: node, What: what, Addr: msg.Addr,
-			// Pack the route so consumers can pair send/deliver without
-			// parsing the note (X-Y routing is FIFO per route).
-			Arg:  uint64(msg.Src)<<32 | uint64(msg.Dst),
-			Note: fmt.Sprintf("kind=%#x %s %d->%d", uint16(msg.Kind), msg.Class, msg.Src, msg.Dst),
-		})
-	})
+	}
+	if m.cyc = a; a != nil {
+		sinks = append(sinks, sink{a, a.Kinds()})
+	}
+	m.install(sinks)
+}
+
+// install is the one path that changes what the machine observes. It
+// settles parked spin loops, whose past events go to the old sinks, and
+// installs emit on every component with the union of the sinks' kinds:
+// with only a metrics collector the mesh emits nothing, and parked loops
+// settle in bulk unless a sink reads cycle accounting.
+func (m *Machine) install(sinks []sink) {
+	m.settle()
+	m.sinks = sinks
+	var kinds trace.Mask
+	for _, s := range sinks {
+		kinds |= s.kinds
+	}
+	m.Mesh.SetObserver(m.emit, kinds)
+	for _, c := range m.Cores {
+		c.SetObserver(m.emit, kinds)
+	}
 	for _, t := range m.vipsTiles {
-		t.Bank.SetObserver(func(cycle uint64, core memtypes.NodeID, addr memtypes.Addr, what string, arg uint64) {
-			m.sinks.Emit(trace.Event{Cycle: cycle, Node: core, What: what, Addr: addr, Arg: arg})
-		})
+		t.L1.SetObserver(m.emit, kinds)
+		t.Bank.SetObserver(m.emit, kinds)
 	}
 	for _, t := range m.mesiTiles {
-		l1 := t.L1
-		id := l1.ID()
-		l1.SetMonitorObserver(func(cycle uint64, addr memtypes.Addr, what string) {
-			m.sinks.Emit(trace.Event{Cycle: cycle, Node: id, What: what, Addr: addr})
-		})
-	}
-	for _, c := range m.Cores {
-		id := c.ID()
-		c.SetObserver(func(cycle uint64, what, note string, arg uint64) {
-			m.sinks.Emit(trace.Event{Cycle: cycle, Node: id, What: what, Note: note, Arg: arg})
-		})
+		t.L1.SetObserver(m.emit, kinds)
+		t.Dir.SetObserver(m.emit, kinds)
 	}
 }
 
-// AttachCycles installs a cycle-accounting accumulator: every component
-// that contributes stall attribution (cores, L1s, directory/banks, mesh)
-// gets the accumulator's Observe hook. Observational only — the purity
-// contract of AttachTrace applies identically. At most one accumulator
-// is active; attaching nil detaches.
-func (m *Machine) AttachCycles(a *cycles.Accumulator) {
-	m.settle() // parked loops report their past to the old hook
-	m.cyc = a
-	var hook cycles.Hook
-	if a != nil {
-		hook = a.Observe
-	}
-	m.Mesh.SetCyclesObserver(hook)
-	for _, c := range m.Cores {
-		c.SetCyclesObserver(hook)
-	}
-	for _, t := range m.vipsTiles {
-		t.L1.SetCyclesObserver(hook)
-		t.Bank.SetCyclesObserver(hook)
-	}
-	for _, t := range m.mesiTiles {
-		t.L1.SetCyclesObserver(hook)
-		t.Dir.SetCyclesObserver(hook)
+// emit hands e to every sink that reads its kind.
+func (m *Machine) emit(e trace.Event) {
+	for _, s := range m.sinks {
+		if s.kinds.Has(e.Kind) {
+			s.s.Emit(e)
+		}
 	}
 }
 

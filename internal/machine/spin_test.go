@@ -17,6 +17,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/mesi"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 var updateSpin = flag.Bool("update-spin", false,
@@ -104,17 +105,15 @@ func spinRunStats(t *testing.T, m *Machine) []byte {
 func invOnAccess(t *testing.T, m *Machine) bool {
 	t.Helper()
 	var inv uint64
-	m.Mesh.SetObserver(func(cycle uint64, msg *memtypes.Message, what string) {
-		if what == "deliver" && msg.Kind == mesi.MsgInv && msg.Dst == 0 {
-			inv = cycle
+	m.Mesh.SetObserver(func(e trace.Event) {
+		if e.B>>8 == uint64(mesi.MsgInv) && e.Node() == 0 {
+			inv = e.Cycle
 		}
-	})
+	}, trace.Of(trace.EvNoCDeliver))
 	access := map[uint64]bool{}
-	m.Cores[0].SetCyclesObserver(func(_ int, ev cycles.Event, cycle, _, _ uint64) {
-		if ev == cycles.EvStallBegin {
-			access[cycle] = true
-		}
-	})
+	m.Cores[0].SetObserver(func(e trace.Event) {
+		access[e.Cycle] = true
+	}, trace.Of(trace.EvStallBegin))
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}

@@ -52,23 +52,12 @@ func (m *Machine) Finished() bool {
 	return m.loaded > 0 && m.finished == m.loaded
 }
 
-// DetachTrace removes every attached trace sink and uninstalls the
-// component observers, returning the machine to its untraced (and
-// observer-overhead-free) state. The replay re-executor pairs it with
-// AttachTrace: sinks are attached at a window's start boundary and
-// detached at its end, so a parked replay cursor never drags a stale
-// sink into a later window.
+// DetachTrace removes every attached sink, cycle accounting included,
+// returning the machine to its unobserved (and observer-overhead-free)
+// state. The replay re-executor pairs it with AttachTrace: sinks are
+// attached at a window's start boundary and detached at its end, so a
+// parked replay cursor never drags a stale sink into a later window.
 func (m *Machine) DetachTrace() {
-	m.sinks = nil
-	m.Mesh.SetObserver(nil)
-	for _, t := range m.vipsTiles {
-		t.Bank.SetObserver(nil)
-	}
-	for _, t := range m.mesiTiles {
-		t.L1.SetMonitorObserver(nil)
-	}
-	for _, c := range m.Cores {
-		c.SetObserver(nil)
-	}
-	m.AttachCycles(nil)
+	m.cyc = nil
+	m.install(nil)
 }

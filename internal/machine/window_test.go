@@ -122,4 +122,5 @@ func TestDetachTraceStopsEmission(t *testing.T) {
 
 type traceCounter struct{ n *int }
 
-func (c traceCounter) Emit(trace.Event) { *c.n++ }
+func (c traceCounter) Kinds() trace.Mask { return trace.TraceKinds }
+func (c traceCounter) Emit(trace.Event)  { *c.n++ }

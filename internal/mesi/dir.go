@@ -10,6 +10,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // DirStats counts directory activity.
@@ -75,9 +76,9 @@ type Dir struct {
 	//cbvet:ephemeral wiring pointer installed at construction; chaos-engine state is deliberately excluded from digests (see machine/digest.go)
 	chaos *chaos.Engine
 
-	// cyc, when set, receives cycle-accounting segments for requester
-	// cores' in-flight misses (observational only).
-	cyc cycles.Hook
+	// obs receives cycle-accounting legs of requester cores' in-flight
+	// misses (observational only).
+	obs trace.Hook
 
 	stats DirStats
 }
@@ -191,20 +192,17 @@ func (d *Dir) end(addr memtypes.Addr) {
 	}
 }
 
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (d *Dir) SetCyclesObserver(fn cycles.Hook) { d.cyc = fn }
+// SetObserver installs the hook the directory emits the given kinds to.
+func (d *Dir) SetObserver(fn func(trace.Event), kinds trace.Mask) { d.obs.Set(fn, kinds) }
 
 // cycArrive closes the requester's NoC leg when its request reaches the
 // directory and, if the line is busy (the request will be deferred),
 // opens a coherence leg covering the wait behind the in-flight
 // transaction.
 func (d *Dir) cycArrive(msg *memtypes.Message) {
-	if d.cyc == nil {
-		return
-	}
-	d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
+	d.obs.Close(msg.Core, d.k.Now())
 	if d.busy[msg.Addr.Line()] != nil {
-		d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
+		d.obs.Open(msg.Core, d.k.Now(), uint64(cycles.CatCoherenceStall))
 	}
 }
 
@@ -235,10 +233,7 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 //cbsim:hotpath
 func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
 	lat := d.accessLat(msg.Addr, true, reqSyncKind(msg.Req))
-	if d.cyc != nil {
-		d.cyc(int(msg.Core), cycles.EvSpan, d.k.Now(), d.k.Now()+lat,
-			uint64(cycles.CatLLCStall))
-	}
+	d.obs.Span(msg.Core, d.k.Now(), d.k.Now()+lat, uint64(cycles.CatLLCStall))
 	d.k.ScheduleActor(lat, d, msg, uint64(kind))
 }
 
@@ -256,9 +251,7 @@ func (d *Dir) Act(data any, kind uint64) {
 		LineData: d.store.LoadLine(msg.Addr),
 	}
 	d.mesh.Send(out)
-	if d.cyc != nil {
-		d.cyc(int(out.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	d.obs.Open(out.Core, d.k.Now(), uint64(cycles.CatNoC))
 	d.end(msg.Addr)
 	d.mesh.Free(msg)
 }
@@ -271,9 +264,7 @@ func (d *Dir) Act(data any, kind uint64) {
 func (d *Dir) finish(t *trans) {
 	msg := t.req
 	t.req = nil
-	if d.cyc != nil {
-		d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-	}
+	d.obs.Close(msg.Core, d.k.Now())
 	l := d.line(msg.Addr)
 	l.owner, l.sharers = t.owner, t.sharers
 	d.grant(msg, t.grant)
@@ -281,9 +272,7 @@ func (d *Dir) finish(t *trans) {
 
 func (d *Dir) handleGetS(msg *memtypes.Message) {
 	d.stats.GetS++
-	if d.cyc != nil { // ends the deferral leg of a replayed request
-		d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-	}
+	d.obs.Close(msg.Core, d.k.Now()) // a replayed request's deferral leg
 	l := d.line(msg.Addr)
 	r := int(msg.Src)
 	if l.owner >= 0 {
@@ -297,9 +286,8 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
 		}
 		d.mesh.Send(fwd)
-		if d.cyc != nil { // the owner round trip is coherence work
-			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
-		}
+		// The owner round trip is coherence work.
+		d.obs.Open(msg.Core, d.k.Now(), uint64(cycles.CatCoherenceStall))
 		t.req, t.grant = msg, MsgDataS
 		t.owner, t.sharers = -1, 1<<uint(owner)|1<<uint(r)
 		return
@@ -318,9 +306,7 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 
 func (d *Dir) handleGetX(msg *memtypes.Message) {
 	d.stats.GetX++
-	if d.cyc != nil { // ends the deferral leg of a replayed request
-		d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-	}
+	d.obs.Close(msg.Core, d.k.Now()) // a replayed request's deferral leg
 	l := d.line(msg.Addr)
 	r := int(msg.Src)
 	if l.owner >= 0 && l.owner != r {
@@ -333,9 +319,8 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
 		}
 		d.mesh.Send(fwd)
-		if d.cyc != nil { // the owner round trip is coherence work
-			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
-		}
+		// The owner round trip is coherence work.
+		d.obs.Open(msg.Core, d.k.Now(), uint64(cycles.CatCoherenceStall))
 		t.req, t.grant = msg, MsgDataX
 		t.owner, t.sharers = r, 0
 		return
@@ -364,9 +349,8 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 			}
 			toInv >>= 1
 		}
-		if d.cyc != nil { // the invalidation round is coherence work
-			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
-		}
+		// The invalidation round is coherence work.
+		d.obs.Open(msg.Core, d.k.Now(), uint64(cycles.CatCoherenceStall))
 		t.req, t.grant = msg, MsgDataX
 		t.owner, t.sharers = r, 0
 		return

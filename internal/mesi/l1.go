@@ -9,6 +9,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // State is an L1 MESI line state. Invalid lines are simply absent from
@@ -86,13 +87,9 @@ type L1 struct {
 	monitor        monitorState
 	monStats       MonitorStats
 
-	// monObserver, when set, receives "mon.arm" and "mon.wake" monitor
-	// events (tracing).
-	monObserver func(cycle uint64, addr memtypes.Addr, what string)
-
-	// cyc, when set, receives cycle-accounting segments for the core's
-	// in-flight miss (observational only).
-	cyc cycles.Hook
+	// obs receives cycle-accounting legs of the core's in-flight
+	// operation and monitor arm/wake events (observational only).
+	obs trace.Hook
 
 	stats L1Stats
 }
@@ -105,8 +102,8 @@ func NewL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, 
 	}
 }
 
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (l *L1) SetCyclesObserver(fn cycles.Hook) { l.cyc = fn }
+// SetObserver installs the hook the L1 emits the given kinds to.
+func (l *L1) SetObserver(fn func(trace.Event), kinds trace.Mask) { l.obs.Set(fn, kinds) }
 
 // Stats returns the L1 counters.
 func (l *L1) Stats() L1Stats { return l.stats }
@@ -151,10 +148,7 @@ func (l *L1) Access(req *memtypes.Request, done memtypes.Completer) {
 	kind := mapKind(req.Kind)
 	if kind.IsFence() {
 		// MESI needs no self-invalidation or self-downgrade.
-		if l.cyc != nil {
-			l.cyc(int(l.id), cycles.EvSpan, l.k.Now(),
-				l.k.Now()+mem.DefaultL1Latency, uint64(cycles.CatL1Stall))
-		}
+		l.obs.Span(l.id, l.k.Now(), l.k.Now()+mem.DefaultL1Latency, uint64(cycles.CatL1Stall))
 		l.respond(mem.DefaultL1Latency, done, memtypes.Response{})
 		return
 	}
@@ -196,9 +190,7 @@ func (l *L1) request(kind memtypes.MsgKind, req *memtypes.Request) {
 		Core: l.id, Req: req,
 	}
 	l.mesh.Send(msg)
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	l.obs.Open(l.id, l.k.Now(), uint64(cycles.CatNoC))
 }
 
 // finish applies the pending operation to a resident line with the
@@ -211,10 +203,7 @@ func (l *L1) finish(line *cache.Line[l1Line], delay uint64, hit bool) {
 	req := p.req
 	w := req.Addr.WordIndex()
 	resp := memtypes.Response{Hit: hit}
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvSpan, l.k.Now(), l.k.Now()+delay,
-			uint64(cycles.CatL1Stall))
-	}
+	l.obs.Span(l.id, l.k.Now(), l.k.Now()+delay, uint64(cycles.CatL1Stall))
 	switch mapKind(req.Kind) {
 	case memtypes.OpRead:
 		resp.Value = line.Data[w]
@@ -274,9 +263,7 @@ func (l *L1) handleData(msg *memtypes.Message) {
 	if l.pending.req == nil || l.pending.req.Addr.Line() != msg.Addr {
 		panic(fmt.Sprintf("mesi: core %d unexpected data for %s", l.id, msg.Addr))
 	}
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
-	}
+	l.obs.Close(l.id, l.k.Now())
 	line := l.arr.Peek(msg.Addr)
 	if line == nil {
 		l.evictFor(msg.Addr)
@@ -403,11 +390,10 @@ func (l *L1) SpinHits(req *memtypes.Request, n, first, period uint64) {
 	l.stats.Accesses += n
 	l.stats.Hits += n
 	l.arr.CreditHits(req.Addr, n)
-	if l.cyc != nil {
+	if l.obs.On(trace.EvSpan) {
 		for i := uint64(0); i < n; i++ {
 			at := first + i*period
-			l.cyc(int(l.id), cycles.EvSpan, at, at+mem.DefaultL1Latency,
-				uint64(cycles.CatL1Stall))
+			l.obs.Span(l.id, at, at+mem.DefaultL1Latency, uint64(cycles.CatL1Stall))
 		}
 	}
 }

@@ -3,9 +3,9 @@ package mesi
 import (
 	"fmt"
 
-	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/memtypes"
+	"repro/internal/trace"
 )
 
 // This file implements the quiesce/monitor extension discussed in the
@@ -51,18 +51,6 @@ func (l *L1) EnableMonitor() { l.monitorEnabled = true }
 // MonitorStats returns the monitor counters.
 func (l *L1) MonitorStats() MonitorStats { return l.monStats }
 
-// SetMonitorObserver installs a tracing hook for monitor arm/wake events
-// (nil disables).
-func (l *L1) SetMonitorObserver(fn func(cycle uint64, addr memtypes.Addr, what string)) {
-	l.monObserver = fn
-}
-
-func (l *L1) monObserve(addr memtypes.Addr, what string) {
-	if l.monObserver != nil {
-		l.monObserver(l.k.Now(), addr, what)
-	}
-}
-
 // accessMonitored serves an OpReadCB under the monitor model: load the
 // line (normal MESI fill if needed), return the value — but if the line
 // is already resident and thus cannot have changed since the caller's
@@ -90,11 +78,8 @@ func (l *L1) accessMonitored(req *memtypes.Request, done memtypes.Completer) {
 	// invalidated (the writer's GetX), then re-read.
 	l.stats.Hits++
 	l.monStats.Arms++
-	l.monObserve(req.Addr.Line(), "mon.arm")
-	if l.cyc != nil {
-		// The halted core is blocked exactly like a parked callback.
-		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatCBBlocked), 0)
-	}
+	// The halted core is blocked exactly like a parked callback.
+	l.obs.Emit(trace.Event{Kind: trace.EvMonArm, Core: l.id, Cycle: l.k.Now(), Addr: req.Addr.Line()})
 	l.monitor = monitorState{armed: true, addr: req.Addr.Line(), req: req, done: done}
 }
 
@@ -117,10 +102,7 @@ func (l *L1) monitorInvalidated(addr memtypes.Addr) {
 		return
 	}
 	l.monitor.armed = false
-	l.monObserve(addr.Line(), "mon.wake")
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
-	}
+	l.obs.Emit(trace.Event{Kind: trace.EvMonWake, Core: l.id, Cycle: l.k.Now(), Addr: addr.Line()})
 	// The wakeup costs one cycle of monitor logic before the reload.
 	l.k.ScheduleActor(mem.DefaultL1Latency, l, nil, stageResume)
 }

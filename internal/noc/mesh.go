@@ -13,9 +13,9 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
-	"repro/internal/cycles"
 	"repro/internal/memtypes"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Default timing parameters (Table 2).
@@ -89,14 +89,9 @@ type Mesh struct {
 	// performs no heap allocations.
 	pool memtypes.MsgPool
 
-	// observer, when set, is called on every injection and delivery
-	// (tracing).
-	observer func(cycle uint64, msg *memtypes.Message, what string)
-
-	// cyc, when set, receives injection/delivery events keyed by the
-	// message's core tag for the cycle-accounting aggregate
-	// messages-in-flight counter (observational only).
-	cyc cycles.Hook
+	// obs receives EvNoCSend and EvNoCDeliver per message (observational
+	// only).
+	obs trace.Hook
 
 	// ideal disables link contention and serialization: messages
 	// arrive after pure distance latency (ablation mode).
@@ -201,16 +196,10 @@ func (m *Mesh) Attach(n memtypes.NodeID, h Handler) {
 // Stats returns a copy of the accumulated traffic counters.
 func (m *Mesh) Stats() Stats { return m.stats }
 
-// SetObserver installs a hook called with "send" at injection and
-// "deliver" at arrival of every message (nil disables tracing).
-func (m *Mesh) SetObserver(fn func(cycle uint64, msg *memtypes.Message, what string)) {
-	m.observer = fn
-}
-
-// SetCyclesObserver installs the cycle-accounting hook, fed
-// EvNoCSend/EvNoCDeliver per message keyed by the message's core tag
-// (nil disables).
-func (m *Mesh) SetCyclesObserver(fn cycles.Hook) { m.cyc = fn }
+// SetObserver installs the hook the mesh emits the given kinds to: an
+// EvNoCSend at the injection and an EvNoCDeliver at the arrival of every
+// message.
+func (m *Mesh) SetObserver(fn func(trace.Event), kinds trace.Mask) { m.obs.Set(fn, kinds) }
 
 // ResetStats zeroes the traffic counters (used to scope measurement to a
 // parallel section).
@@ -306,11 +295,8 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 	if in := m.incoming[m.check(msg.Dst)]; in != nil {
 		in.Incoming(msg)
 	}
-	if m.observer != nil {
-		m.observer(m.k.Now(), msg, "send")
-	}
-	if m.cyc != nil {
-		m.cyc(int(msg.Core), cycles.EvNoCSend, m.k.Now(), 0, 0)
+	if m.obs.On(trace.EvNoCSend) {
+		m.emit(trace.EvNoCSend, msg)
 	}
 	// Chaos holds the message at its source for delay extra cycles:
 	// the mesh itself is the actor, so the held message re-enters the
@@ -411,17 +397,26 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 
 //cbsim:hotpath
 func (m *Mesh) deliver(msg *memtypes.Message) {
-	if m.observer != nil {
-		m.observer(m.k.Now(), msg, "deliver")
-	}
-	if m.cyc != nil {
-		m.cyc(int(msg.Core), cycles.EvNoCDeliver, m.k.Now(), 0, 0)
+	if m.obs.On(trace.EvNoCDeliver) {
+		m.emit(trace.EvNoCDeliver, msg)
 	}
 	h := m.handlers[msg.Dst]
 	if h == nil {
 		panic(fmt.Sprintf("noc: no handler attached to node %d for %s", msg.Dst, msg))
 	}
 	h.Deliver(msg)
+}
+
+// emit reports msg's send or delivery: the event carries the message's
+// route, kind and class as numbers, never msg itself, which the pool
+// recycles. Callers test the kind first, keeping the unobserved path to
+// one bit test.
+//
+//cbsim:hotpath
+func (m *Mesh) emit(k trace.Kind, msg *memtypes.Message) {
+	m.obs.Emit(trace.Event{Kind: k, Core: msg.Core, Cycle: m.k.Now(), Addr: msg.Addr,
+		A: uint64(msg.Src)<<32 | uint64(msg.Dst),
+		B: uint64(msg.Kind)<<8 | uint64(msg.Class)})
 }
 
 func abs(v int) int {

@@ -52,15 +52,15 @@ func TestPooledSendZeroAllocs(t *testing.T) {
 	}
 }
 
-// The cycle-accounting hook must not break the zero-alloc hot path: a
-// pooled message travelling the mesh with an accounting observer
-// attached still costs zero heap allocations per hop in steady state
-// (the hook is a func field called with scalar args — no boxing).
+// The observer must not break the zero-alloc hot path: a pooled message
+// travelling the mesh with cycle accounting attached still costs zero
+// heap allocations per hop in steady state (the event is a flat value —
+// no boxing, no route string).
 func TestPooledSendZeroAllocsWithCyclesObserver(t *testing.T) {
 	k := sim.New()
 	m := New(k, 4, 4)
 	a := cycles.NewAccumulator(16)
-	m.SetCyclesObserver(a.Observe)
+	m.SetObserver(a.Emit, a.Kinds())
 	for n := 0; n < m.Nodes(); n++ {
 		m.Attach(memtypes.NodeID(n), HandlerFunc(func(msg *memtypes.Message) {
 			m.Free(msg)

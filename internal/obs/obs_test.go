@@ -185,22 +185,6 @@ func TestExpLinearBuckets(t *testing.T) {
 	}
 }
 
-func TestTally(t *testing.T) {
-	ta := NewTally()
-	ta.Inc("send")
-	ta.Inc("send")
-	ta.Add("deliver", 3)
-	if ta.Count("send") != 2 || ta.Count("deliver") != 3 || ta.Count("absent") != 0 {
-		t.Fatalf("counts wrong: %s", ta)
-	}
-	if got := ta.String(); got != "send=2 deliver=3" {
-		t.Fatalf("String = %q", got)
-	}
-	if keys := ta.Keys(); len(keys) != 2 || keys[0] != "send" {
-		t.Fatalf("Keys = %v", keys)
-	}
-}
-
 func TestSimMetricsRegistersIdempotently(t *testing.T) {
 	r := NewRegistry()
 	a := NewSimMetrics(r)

@@ -157,6 +157,7 @@ type eventLog struct {
 	events []trace.Event
 }
 
+func (l *eventLog) Kinds() trace.Mask  { return trace.TraceKinds }
 func (l *eventLog) Emit(e trace.Event) { l.events = append(l.events, e) }
 
 // fineScan advances two fresh machines in lockstep from the anchor
@@ -269,8 +270,13 @@ func firstEventDiff(a, b []trace.Event) (string, string) {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
+		// Events differ as the report renders them: operands it does
+		// not show (a message's requester tag, a wait's sync kind) do
+		// not count.
 		if a[i] != b[i] {
-			return formatEvent(a[i]), formatEvent(b[i])
+			if fa, fb := formatEvent(a[i]), formatEvent(b[i]); fa != fb {
+				return fa, fb
+			}
 		}
 	}
 	if len(a) > n {
@@ -283,9 +289,9 @@ func firstEventDiff(a, b []trace.Event) (string, string) {
 }
 
 func formatEvent(e trace.Event) string {
-	s := fmt.Sprintf("cycle %d node %d %s addr %#x arg %d", e.Cycle, e.Node, e.What, uint64(e.Addr), e.Arg)
-	if e.Note != "" {
-		s += " (" + e.Note + ")"
+	s := fmt.Sprintf("cycle %d node %d %s addr %#x arg %d", e.Cycle, e.Node(), e.Kind, uint64(e.Addr), e.A)
+	if note := e.Note(); note != "" {
+		s += " (" + note + ")"
 	}
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/isa"
 	"repro/internal/memtypes"
 )
 
@@ -13,7 +14,6 @@ import (
 // tile (pid = node id) with one named "thread" per component, so a run
 // reads as a swim-lane diagram of the whole chip.
 const (
-	tidMisc     = 0 // events with no dedicated lane
 	tidSync     = 1 // core synchronization phases, spins, critical sections
 	tidCallback = 2 // callback-directory block/wake episodes
 	tidNet      = 3 // NoC message lifetimes
@@ -21,7 +21,6 @@ const (
 )
 
 var tidNames = map[int]string{
-	tidMisc:     "misc",
 	tidSync:     "sync",
 	tidCallback: "callback",
 	tidNet:      "net",
@@ -55,7 +54,7 @@ type asyncKey struct {
 
 // ChromeWriter is a Sink that converts the simulator's event stream into
 // a Chrome trace-event (catapult) JSON file, loadable in chrome://tracing
-// or Perfetto. It buffers events in memory and renders on Close, so it
+// or Perfetto. It buffers the events and renders them on Close, so it
 // must only be used for bounded runs (which all simulations are).
 //
 // Mapping: pid = tile, tid = component lane (sync / callback / net /
@@ -68,8 +67,11 @@ type asyncKey struct {
 // deterministic and X-Y routing preserves per-route order.
 type ChromeWriter struct {
 	w      io.Writer
-	events []chromeEvent
+	events []Event
+	closed bool
 
+	// Render state, used by Close.
+	rows      []chromeEvent
 	lastCycle uint64
 	seenPid   map[int]bool
 	seenLane  map[laneKey]bool
@@ -84,7 +86,6 @@ type ChromeWriter struct {
 	// netFIFO queues async span ids per packed (src<<32|dst) route.
 	netFIFO map[uint64][]uint64
 	nextID  uint64
-	closed  bool
 }
 
 // NewChromeWriter returns a writer that renders to w on Close.
@@ -100,11 +101,22 @@ func NewChromeWriter(w io.Writer) *ChromeWriter {
 	}
 }
 
+// Kinds implements Sink.
+func (c *ChromeWriter) Kinds() Mask { return TraceKinds }
+
+// Emit implements Sink. Events are only buffered: rendering them, text
+// included, waits for Close.
+func (c *ChromeWriter) Emit(e Event) {
+	if !c.closed {
+		c.events = append(c.events, e)
+	}
+}
+
 func (c *ChromeWriter) lane(node memtypes.NodeID, tid int) (pid int) {
 	pid = int(node)
 	if !c.seenPid[pid] {
 		c.seenPid[pid] = true
-		c.events = append(c.events, chromeEvent{
+		c.rows = append(c.rows, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
 			Args: map[string]any{"name": fmt.Sprintf("tile %d", pid)},
 		}, chromeEvent{
@@ -115,7 +127,7 @@ func (c *ChromeWriter) lane(node memtypes.NodeID, tid int) (pid int) {
 	lk := laneKey{pid, tid}
 	if !c.seenLane[lk] {
 		c.seenLane[lk] = true
-		c.events = append(c.events, chromeEvent{
+		c.rows = append(c.rows, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": tidNames[tid]},
 		})
@@ -128,35 +140,33 @@ func (c *ChromeWriter) id() uint64 {
 	return c.nextID
 }
 
-// Emit implements Sink.
-func (c *ChromeWriter) Emit(e Event) {
-	if c.closed {
-		return
-	}
+// add renders one buffered event into rows.
+func (c *ChromeWriter) add(e Event) {
 	if e.Cycle > c.lastCycle {
 		c.lastCycle = e.Cycle
 	}
-	switch e.What {
-	case "sync.begin":
-		pid := c.lane(e.Node, tidSync)
-		if e.Note == "release" && c.inCritical[pid] {
+	switch e.Kind {
+	case EvSyncBegin:
+		pid := c.lane(e.Core, tidSync)
+		kind := isa.SyncKind(e.B)
+		if kind == isa.SyncRelease && c.inCritical[pid] {
 			// Leaving the critical section: close the synthesized slice
 			// before the release phase opens.
 			c.inCritical[pid] = false
 			c.popSync(pid, e.Cycle)
 		}
-		c.pushSync(pid, e.Note, e.Cycle)
-	case "sync.end":
-		pid := c.lane(e.Node, tidSync)
+		c.pushSync(pid, kind.String(), e.Cycle)
+	case EvSyncEnd:
+		pid := c.lane(e.Core, tidSync)
 		c.popSync(pid, e.Cycle)
-		if e.Note == "acquire" {
+		if isa.SyncKind(e.B) == isa.SyncAcquire {
 			// Lock acquired: open the critical-section slice under it.
 			c.pushSync(pid, "critical", e.Cycle)
 			c.inCritical[pid] = true
 		}
-	case "spin.wait":
-		pid := c.lane(e.Node, tidSync)
-		dur := e.Arg
+	case EvWait:
+		pid := c.lane(e.Core, tidSync)
+		dur := e.A
 		if dur == 0 {
 			dur = 1
 		}
@@ -164,82 +174,76 @@ func (c *ChromeWriter) Emit(e Event) {
 		if end > c.lastCycle {
 			c.lastCycle = end
 		}
-		c.events = append(c.events, chromeEvent{
+		c.rows = append(c.rows, chromeEvent{
 			Name: "spin", Cat: "sync", Ph: "X", Ts: e.Cycle, Dur: dur,
 			Pid: pid, Tid: tidSync,
 			Args: map[string]any{"addr": e.Addr.String()},
 		})
-	case "cb.block":
-		pid := c.lane(e.Node, tidCallback)
-		key := asyncKey{e.Node, e.Addr.Word()}
+	case EvCBBlock:
+		pid := c.lane(e.Core, tidCallback)
+		key := asyncKey{e.Core, e.Addr.Word()}
 		id := c.id()
 		c.openCB[key] = id
-		c.events = append(c.events, chromeEvent{
+		c.rows = append(c.rows, chromeEvent{
 			Name: "cb.wait", Cat: "cb", Ph: "b", Ts: e.Cycle,
 			Pid: pid, Tid: tidCallback, ID: id,
 			Args: map[string]any{"addr": e.Addr.String()},
 		})
-	case "cb.wake", "cb.stale":
-		pid := c.lane(e.Node, tidCallback)
-		key := asyncKey{e.Node, e.Addr.Word()}
+	case EvCBWake, EvCBStale:
+		pid := c.lane(e.Core, tidCallback)
+		key := asyncKey{e.Core, e.Addr.Word()}
 		if id, ok := c.openCB[key]; ok {
 			delete(c.openCB, key)
-			c.events = append(c.events, chromeEvent{
+			c.rows = append(c.rows, chromeEvent{
 				Name: "cb.wait", Cat: "cb", Ph: "e", Ts: e.Cycle,
 				Pid: pid, Tid: tidCallback, ID: id,
 			})
 		}
-		if e.What == "cb.stale" {
-			c.events = append(c.events, chromeEvent{
+		if e.Kind == EvCBStale {
+			c.rows = append(c.rows, chromeEvent{
 				Name: "cb.stale", Cat: "cb", Ph: "i", Ts: e.Cycle,
 				Pid: pid, Tid: tidCallback, S: "t",
 			})
 		}
-	case "cb.occ":
-		pid := c.lane(e.Node, tidCallback)
-		c.events = append(c.events, chromeEvent{
+	case EvCBOcc:
+		pid := c.lane(e.Core, tidCallback)
+		c.rows = append(c.rows, chromeEvent{
 			Name: "cb.dir", Cat: "cb", Ph: "C", Ts: e.Cycle,
 			Pid: pid, Tid: tidCallback,
-			Args: map[string]any{"entries": e.Arg},
+			Args: map[string]any{"entries": e.A},
 		})
-	case "send":
-		pid := c.lane(e.Node, tidNet)
+	case EvNoCSend:
+		pid := c.lane(e.Node(), tidNet)
 		id := c.id()
-		c.netFIFO[e.Arg] = append(c.netFIFO[e.Arg], id)
-		c.events = append(c.events, chromeEvent{
+		c.netFIFO[e.A] = append(c.netFIFO[e.A], id)
+		c.rows = append(c.rows, chromeEvent{
 			Name: "msg", Cat: "net", Ph: "b", Ts: e.Cycle,
 			Pid: pid, Tid: tidNet, ID: id,
-			Args: map[string]any{"route": e.Note, "addr": e.Addr.String()},
+			Args: map[string]any{"route": e.Note(), "addr": e.Addr.String()},
 		})
-	case "deliver":
-		pid := c.lane(e.Node, tidNet)
-		if q := c.netFIFO[e.Arg]; len(q) > 0 {
+	case EvNoCDeliver:
+		pid := c.lane(e.Node(), tidNet)
+		if q := c.netFIFO[e.A]; len(q) > 0 {
 			id := q[0]
-			c.netFIFO[e.Arg] = q[1:]
-			c.events = append(c.events, chromeEvent{
+			c.netFIFO[e.A] = q[1:]
+			c.rows = append(c.rows, chromeEvent{
 				Name: "msg", Cat: "net", Ph: "e", Ts: e.Cycle,
 				Pid: pid, Tid: tidNet, ID: id,
 			})
 		}
-	case "mon.arm", "mon.wake":
-		pid := c.lane(e.Node, tidMonitor)
-		c.events = append(c.events, chromeEvent{
-			Name: e.What, Cat: "monitor", Ph: "i", Ts: e.Cycle,
+	case EvMonArm, EvMonWake:
+		pid := c.lane(e.Core, tidMonitor)
+		c.rows = append(c.rows, chromeEvent{
+			Name: e.Kind.String(), Cat: "monitor", Ph: "i", Ts: e.Cycle,
 			Pid: pid, Tid: tidMonitor, S: "t",
 			Args: map[string]any{"addr": e.Addr.String()},
-		})
-	default:
-		pid := c.lane(e.Node, tidMisc)
-		c.events = append(c.events, chromeEvent{
-			Name: e.What, Ph: "i", Ts: e.Cycle,
-			Pid: pid, Tid: tidMisc, S: "t",
 		})
 	}
 }
 
 func (c *ChromeWriter) pushSync(pid int, name string, cycle uint64) {
 	c.openSync[pid] = append(c.openSync[pid], name)
-	c.events = append(c.events, chromeEvent{
+	c.rows = append(c.rows, chromeEvent{
 		Name: name, Cat: "sync", Ph: "B", Ts: cycle, Pid: pid, Tid: tidSync,
 	})
 }
@@ -250,18 +254,22 @@ func (c *ChromeWriter) popSync(pid int, cycle uint64) {
 		return
 	}
 	c.openSync[pid] = stack[:len(stack)-1]
-	c.events = append(c.events, chromeEvent{
+	c.rows = append(c.rows, chromeEvent{
 		Cat: "sync", Ph: "E", Ts: cycle, Pid: pid, Tid: tidSync,
 	})
 }
 
-// Close balances any still-open slices at the last observed cycle and
-// writes the complete JSON document. Further Emits are ignored.
+// Close renders the buffered events, balances any still-open slices at
+// the last observed cycle, and writes the complete JSON document. Further
+// Emits are ignored.
 func (c *ChromeWriter) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
+	for _, e := range c.events {
+		c.add(e)
+	}
 	// Balancing order must be deterministic: a truncated stream (a
 	// replayed window ending mid-episode) leaves open slices, and two
 	// renders of the same window must be byte-identical. Sort the map
@@ -273,7 +281,7 @@ func (c *ChromeWriter) Close() error {
 	sort.Ints(pids)
 	for _, pid := range pids {
 		for range c.openSync[pid] {
-			c.events = append(c.events, chromeEvent{
+			c.rows = append(c.rows, chromeEvent{
 				Cat: "sync", Ph: "E", Ts: c.lastCycle, Pid: pid, Tid: tidSync,
 			})
 		}
@@ -290,7 +298,7 @@ func (c *ChromeWriter) Close() error {
 		return cbKeys[i].addr < cbKeys[j].addr
 	})
 	for _, key := range cbKeys {
-		c.events = append(c.events, chromeEvent{
+		c.rows = append(c.rows, chromeEvent{
 			Name: "cb.wait", Cat: "cb", Ph: "e", Ts: c.lastCycle,
 			Pid: int(key.node), Tid: tidCallback, ID: c.openCB[key],
 		})
@@ -298,7 +306,7 @@ func (c *ChromeWriter) Close() error {
 	doc := struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
 		TimeUnit    string        `json:"displayTimeUnit"`
-	}{TraceEvents: c.events, TimeUnit: "ms"}
+	}{TraceEvents: c.rows, TimeUnit: "ms"}
 	if doc.TraceEvents == nil {
 		doc.TraceEvents = []chromeEvent{}
 	}

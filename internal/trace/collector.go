@@ -27,25 +27,30 @@ func NewMetricsCollector(m *obs.SimMetrics) *MetricsCollector {
 	return &MetricsCollector{m: m, blocked: make(map[asyncKey]uint64)}
 }
 
+// collectorKinds are the kinds a MetricsCollector reads: no NoC kinds,
+// so a metrics-only run makes no mesh observer calls at all.
+var collectorKinds = Of(EvSyncEnd, EvWait, EvCBBlock, EvCBWake, EvCBStale, EvCBOcc)
+
+// Kinds implements Sink.
+func (c *MetricsCollector) Kinds() Mask { return collectorKinds }
+
 // Emit implements Sink.
 func (c *MetricsCollector) Emit(e Event) {
-	switch e.What {
-	case "sync.end":
-		if kind, ok := isa.SyncKindFromName(e.Note); ok {
-			c.m.ObserveSync(kind, e.Arg)
-		}
-	case "spin.wait":
-		c.m.SpinWait.Observe(float64(e.Arg))
-	case "cb.block":
-		c.blocked[asyncKey{e.Node, e.Addr.Word()}] = e.Cycle
-	case "cb.wake", "cb.stale":
-		key := asyncKey{e.Node, e.Addr.Word()}
+	switch e.Kind {
+	case EvSyncEnd:
+		c.m.ObserveSync(isa.SyncKind(e.B), e.A)
+	case EvWait:
+		c.m.SpinWait.Observe(float64(e.A))
+	case EvCBBlock:
+		c.blocked[asyncKey{e.Core, e.Addr.Word()}] = e.Cycle
+	case EvCBWake, EvCBStale:
+		key := asyncKey{e.Core, e.Addr.Word()}
 		if t0, ok := c.blocked[key]; ok {
 			delete(c.blocked, key)
 			c.m.CBWakeLatency.Observe(float64(e.Cycle - t0))
 		}
-	case "cb.occ":
-		c.m.CBOccupancy.Observe(float64(e.Arg))
+	case EvCBOcc:
+		c.m.CBOccupancy.Observe(float64(e.A))
 	}
 }
 

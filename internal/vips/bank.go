@@ -10,6 +10,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // BankCtrlStats counts LLC bank controller activity beyond the raw
@@ -67,15 +68,11 @@ type Bank struct {
 	//cbvet:ephemeral recycled delivered wake batches; they hold no wakes
 	spareWakes []*wakeBatch
 
-	// observer, when set, is called on callback-directory activity
-	// (tracing): "cb.block", "cb.wake", "cb.stale" (core = the waiting
-	// core), and "cb.occ" (core = this bank, arg = live entries after a
-	// consultation).
-	observer func(cycle uint64, core memtypes.NodeID, addr memtypes.Addr, what string, arg uint64)
-
-	// cyc, when set, receives cycle-accounting segments for requester
-	// cores' in-flight racy operations (observational only).
-	cyc cycles.Hook
+	// obs receives callback-directory activity (EvCBBlock, EvCBWake,
+	// EvCBStale for the waiting core, EvCBOcc for this bank) and
+	// cycle-accounting legs of requester cores' in-flight racy operations
+	// (observational only).
+	obs trace.Hook
 
 	stats BankCtrlStats
 }
@@ -105,33 +102,21 @@ func NewBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store
 // Stats returns the controller counters.
 func (b *Bank) Stats() BankCtrlStats { return b.stats }
 
-// SetObserver installs a tracing hook for callback-directory activity.
-func (b *Bank) SetObserver(fn func(cycle uint64, core memtypes.NodeID, addr memtypes.Addr, what string, arg uint64)) {
-	b.observer = fn
-}
-
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (b *Bank) SetCyclesObserver(fn cycles.Hook) { b.cyc = fn }
+// SetObserver installs the hook the bank emits the given kinds to.
+func (b *Bank) SetObserver(fn func(trace.Event), kinds trace.Mask) { b.obs.Set(fn, kinds) }
 
 // cycSpan books a closed cycle-accounting segment for core.
 func (b *Bank) cycSpan(core memtypes.NodeID, lat uint64, cat cycles.Category) {
-	if b.cyc != nil {
-		b.cyc(int(core), cycles.EvSpan, b.k.Now(), b.k.Now()+lat, uint64(cat))
-	}
-}
-
-func (b *Bank) observe(core memtypes.NodeID, addr memtypes.Addr, what string) {
-	if b.observer != nil {
-		b.observer(b.k.Now(), core, addr, what, 0)
-	}
+	b.obs.Span(core, b.k.Now(), b.k.Now()+lat, uint64(cat))
 }
 
 // observeOcc samples the callback directory's occupancy after a
-// consultation (the cb.occ event feeding the occupancy histogram). The
-// Live scan only runs when a trace sink is attached.
+// consultation (the EvCBOcc feeding the occupancy histogram). The Live
+// scan only runs when the kind is wanted.
 func (b *Bank) observeOcc(addr memtypes.Addr) {
-	if b.observer != nil && b.cbdir != nil {
-		b.observer(b.k.Now(), b.id, addr, "cb.occ", uint64(b.cbdir.Live()))
+	if b.obs.On(trace.EvCBOcc) && b.cbdir != nil {
+		b.obs.Emit(trace.Event{Kind: trace.EvCBOcc, Core: b.id, Cycle: b.k.Now(), Addr: addr,
+			A: uint64(b.cbdir.Live())})
 	}
 }
 
@@ -185,9 +170,7 @@ func (b *Bank) Act(data any, stage uint64) {
 		}
 		b.mesh.Free(msg)
 		b.mesh.Send(out)
-		if b.cyc != nil {
-			b.cyc(int(out.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
-		}
+		b.obs.Open(out.Core, b.k.Now(), uint64(cycles.CatNoC))
 		b.release(line)
 	case stageWTAck:
 		line := msg.Addr.Line()
@@ -288,16 +271,12 @@ func (b *Bank) readLLC(msg *memtypes.Message, addr memtypes.Addr, stage uint64) 
 func (b *Bank) Deliver(msg *memtypes.Message) {
 	switch msg.Kind {
 	case MsgGetLine:
-		if b.cyc != nil { // the demand request's NoC leg ends here
-			b.cyc(int(msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
-		}
+		b.obs.Close(msg.Core, b.k.Now()) // the demand request's NoC leg ends here
 		b.withLine(msg)
 	case MsgWTLine:
 		b.withLine(msg) // background write-through: not a core stall leg
 	case MsgRacy:
-		if b.cyc != nil {
-			b.cyc(int(msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
-		}
+		b.obs.Close(msg.Core, b.k.Now())
 		b.handleRacy(msg)
 	default:
 		panic(fmt.Sprintf("vips: bank %d cannot handle %s", b.id, msg))
@@ -504,10 +483,7 @@ func (b *Bank) park(msg *memtypes.Message) {
 		panic(fmt.Sprintf("vips: bank %d core %d parked twice on %s", b.id, msg.Core, w))
 	}
 	m[msg.Core] = msg
-	b.observe(msg.Core, w, "cb.block")
-	if b.cyc != nil {
-		b.cyc(int(msg.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatCBBlocked), 0)
-	}
+	b.obs.Emit(trace.Event{Kind: trace.EvCBBlock, Core: msg.Core, Cycle: b.k.Now(), Addr: w})
 }
 
 // wake services callbacks: parked plain reads are answered directly with
@@ -528,16 +504,14 @@ func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
 			panic(fmt.Sprintf("vips: bank %d woke core %d on %s with no parked op", b.id, c, w))
 		}
 		delete(m, id)
+		kind := trace.EvCBWake
 		if stale {
 			b.stats.StaleWakes++
-			b.observe(id, w, "cb.stale")
+			kind = trace.EvCBStale
 		} else {
 			b.stats.Wakes++
-			b.observe(id, w, "cb.wake")
 		}
-		if b.cyc != nil { // the blocked episode ends at the wake
-			b.cyc(int(id), cycles.EvClose, b.k.Now(), 0, 0)
-		}
+		b.obs.Emit(trace.Event{Kind: kind, Core: id, Cycle: b.k.Now(), Addr: w})
 		if parked.Req.Kind == memtypes.OpRMW {
 			b.withLine(parked)
 			continue
@@ -573,9 +547,7 @@ func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
 	}
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
-	if b.cyc != nil {
-		b.cyc(int(resp.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	b.obs.Open(resp.Core, b.k.Now(), uint64(cycles.CatNoC))
 }
 
 // ack sends a store completion (control message) and recycles the
@@ -592,9 +564,7 @@ func (b *Bank) ack(msg *memtypes.Message) {
 	}
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
-	if b.cyc != nil {
-		b.cyc(int(resp.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	b.obs.Open(resp.Core, b.k.Now(), uint64(cycles.CatNoC))
 }
 
 // Parked reports how many operations are currently blocked in the bank's

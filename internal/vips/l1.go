@@ -9,6 +9,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // L1Stats counts L1 activity.
@@ -69,9 +70,9 @@ type L1 struct {
 	// guaranteeing release-to-acquire visibility.
 	wtOutstanding int
 
-	// cyc, when set, receives cycle-accounting segments for the core's
-	// in-flight operation (observational only).
-	cyc cycles.Hook
+	// obs receives cycle-accounting legs of the core's in-flight
+	// operation (observational only).
+	obs trace.Hook
 
 	stats L1Stats
 }
@@ -84,8 +85,8 @@ func NewL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, bankOf func(memtyp
 	}
 }
 
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (l *L1) SetCyclesObserver(fn cycles.Hook) { l.cyc = fn }
+// SetObserver installs the hook the L1 emits the given kinds to.
+func (l *L1) SetObserver(fn func(trace.Event), kinds trace.Mask) { l.obs.Set(fn, kinds) }
 
 // Stats returns the L1 counters.
 func (l *L1) Stats() L1Stats { return l.stats }
@@ -157,9 +158,7 @@ func (l *L1) accessDRF() {
 		Core: l.id, Req: req,
 	}
 	l.mesh.Send(msg)
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	l.obs.Open(l.id, l.k.Now(), uint64(cycles.CatNoC))
 }
 
 // finishDRF applies the pending DRF op to a resident line and responds.
@@ -186,9 +185,7 @@ func (l *L1) handleDataLine(msg *memtypes.Message) {
 	if l.pending.req == nil || l.pending.req.Addr.Line() != msg.Addr {
 		panic(fmt.Sprintf("vips: core %d unexpected fill for %s", l.id, msg.Addr))
 	}
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
-	}
+	l.obs.Close(l.id, l.k.Now())
 	l.evictFor(msg.Addr)
 	line, ev := l.arr.Allocate(msg.Addr)
 	if ev != nil {
@@ -302,9 +299,7 @@ func (l *L1) issueRacy() {
 		Class: class, Addr: req.Addr, Core: l.id, Req: req,
 	}
 	l.mesh.Send(msg)
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	l.obs.Open(l.id, l.k.Now(), uint64(cycles.CatNoC))
 }
 
 // handleRacyResp completes the outstanding racy operation. The core
@@ -316,9 +311,7 @@ func (l *L1) handleRacyResp(msg *memtypes.Message) {
 	if l.pending.req == nil {
 		panic(fmt.Sprintf("vips: core %d racy response with no pending op", l.id))
 	}
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
-	}
+	l.obs.Close(l.id, l.k.Now())
 	if msg.Serial != l.pending.req.Serial {
 		panic(fmt.Sprintf("vips: core %d racy response for op %d does not match pending %s op %d",
 			l.id, msg.Serial, l.pending.req.Kind, l.pending.req.Serial))
