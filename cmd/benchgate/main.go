@@ -18,9 +18,9 @@
 //     (measured ~1.3x at the default digest-mark cadence once the memory
 //     path stopped allocating; the headroom absorbs runner load, not a
 //     lost fast path), and the spin cell with a metrics collector
-//     attached must stay within 1.2x of the plain cell (formatting a
-//     string per message cost 1.45x, settling parked spin loops event
-//     by event 1.53x).
+//     attached must stay within 1.2x of the plain cell (on a 2-vCPU VM,
+//     formatting a string per message cost 1.7x, and settling parked
+//     spin loops event by event 1.6x).
 //
 // Usage:
 //

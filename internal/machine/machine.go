@@ -330,10 +330,6 @@ func (m *Machine) emit(e trace.Event) {
 	}
 }
 
-// CycleAccumulator returns the attached accumulator (nil when cycle
-// accounting is off).
-func (m *Machine) CycleAccumulator() *cycles.Accumulator { return m.cyc }
-
 // cycleHorizon is the horizon cycle stacks are charged to: the cycle the
 // last core retired its program, or the current kernel time if the run
 // was stopped early (or no core has finished).

@@ -50,12 +50,8 @@ func (r *Recording) ReplayContext(ctx context.Context, from, to uint64, sinks ..
 		return machine.Stats{}, err
 	}
 
-	if len(sinks) > 0 {
-		var sink trace.Sink = trace.Multi(sinks)
-		if len(sinks) == 1 {
-			sink = sinks[0]
-		}
-		cur.m.AttachTrace(sink)
+	for _, s := range sinks {
+		cur.m.AttachTrace(s)
 	}
 	err = r.advance(ctx, cur, to)
 	if len(sinks) > 0 {
