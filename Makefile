@@ -1,14 +1,17 @@
 GO ?= go
 
-.PHONY: all build test vet vet-cb race test-debug bench bench-snapshot bench-gate ci figures fuzz chaos-litmus replay-e2e cluster-e2e cycles
+.PHONY: all build test vet vet-cb race test-debug bench bench-snapshot bench-gate ci figures fuzz chaos-litmus replay-e2e cycles
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# vet runs stock go vet and fails when any Go file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 
 # vet-cb runs the project's own analyzers (internal/analysis, driven by
 # cmd/cbvet) through the go vet harness: determinism, msgfree, hotpath,
@@ -75,22 +78,11 @@ chaos-litmus:
 replay-e2e:
 	$(GO) test -count=1 -run TestReplayE2E ./cmd/cbsimd/
 
-# cluster-e2e is the robustness gate over real processes: three cbsimd
-# daemons form a cluster over loopback, a standalone daemon defines the
-# baseline bytes, one member is SIGKILLed mid-sweep, and the survivors'
-# sweep tables must stay byte-identical to the baseline. The in-process
-# fault-schedule invariance suite (drop/delay/dup/partition at fixed
-# seeds) runs alongside it.
-cluster-e2e:
-	$(GO) test -count=1 -run TestClusterKillPeerE2E ./cmd/cbsimd/
-	$(GO) test -count=1 ./internal/cluster/...
-
-# ci is the full gate: vet (stock + project analyzers), build,
-# race-enabled tests, the cbsimdebug tagged tests, a single-shot
+# ci is the full gate: vet (stock vet, gofmt, project analyzers),
+# build, race-enabled tests, the cbsimdebug tagged tests, a single-shot
 # benchmark pass, the perf gate (which also writes the archived
-# BENCH_pr.json snapshot), the replay end-to-end gate, and the cluster
-# kill-a-peer end-to-end gate.
-ci: vet vet-cb build race test-debug bench bench-gate replay-e2e cluster-e2e
+# BENCH_pr.json snapshot), and the replay end-to-end gate.
+ci: vet vet-cb build race test-debug bench bench-gate replay-e2e
 
 # figures regenerates every table of the paper at full 64-core scale.
 figures:

@@ -187,7 +187,10 @@ func run(out string, cores int, benches []string) error {
 	if err != nil {
 		return err
 	}
-	ckOpts := experiments.Options{Cores: cores}
+	// Parallelism 1: each entry is a single cell, and a wider default
+	// (GOMAXPROCS) would wrap Logf in a mutex closure, making the
+	// allocation counts depend on the host's CPU count.
+	ckOpts := experiments.Options{Cores: cores, Parallelism: 1}
 	snap.Benchmarks["replay_record_off"] = record(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -10,7 +10,6 @@
 //	cbsimd [-addr :8347] [-workers N] [-queue N] [-cache-mb N]
 //	       [-parallel N] [-job-timeout D] [-drain-timeout D] [-salt S]
 //	       [-journal FILE] [-pprof]
-//	       [-node-id NAME -peers NAME=URL,NAME=URL [-advertise URL] [-replicas N]]
 //
 // API:
 //
@@ -26,9 +25,10 @@
 //	                            returns its Chrome trace instead of stats
 //	GET    /v1/jobs/{id}/bisect first divergence vs ?against=<setup> (exact
 //	                            cycle, component, and first differing event)
+//	GET    /v1/jobs/{id}/cycles per-setup cycle stacks (jobs submitted with cycles=true)
+//	POST   /v1/verify           statically verify a client-supplied program set
 //	GET    /metrics             Prometheus text: queue/worker/cache gauges + simulator histograms
 //	GET    /healthz             liveness + draining flag
-//	GET    /v1/cluster/status   cluster membership, peer health, breaker states (cluster mode)
 //	GET    /debug/pprof/        Go profiling endpoints (only with -pprof)
 //
 // Jobs submitted with checkpoints=true (single-cell only) are recorded
@@ -47,21 +47,11 @@
 // record (queued or running when the previous process died) are
 // re-enqueued under their original IDs — so the daemon survives crashes
 // and kill -9 without losing accepted work.
-//
-// With -node-id and -peers, the daemon joins a static-membership cluster
-// (internal/cluster): the result cache is consistent-hashed across
-// members, cache fills are gossiped to each key's replicas, cells are
-// forwarded to their owners or offloaded to idle peers, and the job
-// journal is streamed to ring successors so a surviving replica re-owns
-// a dead member's unfinished jobs. Every member must be started with the
-// same member name set. Cluster connectivity is purely an accelerator:
-// a partitioned member degrades to standalone behavior.
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -70,31 +60,11 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/service"
 )
-
-// parsePeers parses the -peers grammar: comma-separated name=URL pairs.
-func parsePeers(s string) (map[string]string, error) {
-	peers := make(map[string]string)
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		name, url, ok := strings.Cut(field, "=")
-		if !ok || name == "" || url == "" {
-			return nil, fmt.Errorf("malformed peer %q (want name=http://host:port)", field)
-		}
-		peers[name] = strings.TrimSuffix(url, "/")
-	}
-	return peers, nil
-}
 
 func main() {
 	addr := flag.String("addr", ":8347", "listen address")
@@ -107,10 +77,6 @@ func main() {
 	salt := flag.String("salt", service.DefaultVersionSalt, "cache version salt (bump to invalidate cached results)")
 	journal := flag.String("journal", "", "crash-consistent job journal file (empty = jobs do not survive restarts)")
 	pprofOn := flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/")
-	nodeID := flag.String("node-id", "", "this member's name in a cbsimd cluster (requires -peers)")
-	peersFlag := flag.String("peers", "", "static cluster membership: comma-separated name=URL pairs for every other member")
-	advertise := flag.String("advertise", "", "URL peers should use to reach this member (reported in /v1/cluster/status)")
-	replicas := flag.Int("replicas", 2, "copies of each cached result across the cluster, owner included")
 	flag.Parse()
 
 	// A fresh cell builds its machine from scratch (7.2 MB at 16 cores)
@@ -127,7 +93,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "cbsimd: ", log.LstdFlags|log.Lmsgprefix)
 
-	scfg := service.Config{
+	svc, err := service.New(service.Config{
 		Workers:     *workers,
 		QueueDepth:  *queue,
 		CacheBytes:  *cacheMB << 20,
@@ -136,51 +102,12 @@ func main() {
 		VersionSalt: *salt,
 		JournalPath: *journal,
 		Logf:        logger.Printf,
-	}
-
-	var node *cluster.Node
-	if *peersFlag != "" || *nodeID != "" {
-		peers, err := parsePeers(*peersFlag)
-		if err != nil {
-			logger.Fatalf("-peers: %v", err)
-		}
-		if *nodeID == "" || len(peers) == 0 {
-			logger.Fatalf("cluster mode needs both -node-id and -peers")
-		}
-		reg := obs.NewRegistry()
-		node, err = cluster.New(cluster.Config{
-			Self:     *nodeID,
-			SelfURL:  *advertise,
-			Peers:    peers,
-			Replicas: *replicas,
-			Registry: reg,
-			Logf:     logger.Printf,
-		})
-		if err != nil {
-			logger.Fatalf("cluster: %v", err)
-		}
-		scfg.Registry = reg
-		scfg.CellResolver = node.CellResolver()
-		scfg.OnCacheFill = node.OnCacheFill
-		scfg.OnJournal = node.OnJournal
-		logger.Printf("cluster mode: node %s, %d peers, %d replicas", *nodeID, len(peers), *replicas)
-	}
-
-	svc, err := service.New(scfg)
+	})
 	if err != nil {
 		logger.Fatalf("startup: %v", err)
 	}
 
 	handler := svc.Handler()
-	if node != nil {
-		node.SetBackend(svc)
-		mux := http.NewServeMux()
-		mux.Handle("/v1/cluster/", node.Handler())
-		mux.Handle("/", svc.Handler())
-		handler = mux
-		node.Start()
-		defer node.Stop()
-	}
 	if *pprofOn {
 		// Mount the API alongside explicit pprof routes (avoiding the
 		// DefaultServeMux so nothing else registered there leaks in).

@@ -193,4 +193,3 @@ func Fixture(t *testing.T, name string) string {
 	}
 	return dir
 }
-

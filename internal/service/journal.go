@@ -18,11 +18,7 @@ import (
 // append-only NDJSON, one record per line, fsynced per append; a torn
 // final line (crash mid-write) is tolerated and ignored on replay.
 
-// JournalRecord is one NDJSON line of the job journal. It is exported
-// as the wire unit of journal replication: a cluster node mirrors every
-// record it appends to its replica peers (see Config.OnJournal and
-// internal/cluster), so a surviving replica can re-own a dead peer's
-// unfinished jobs.
+// JournalRecord is one NDJSON line of the job journal.
 type JournalRecord struct {
 	// Op is "submit" (job accepted; Req holds the original request) or
 	// "done" (job reached a terminal state; State holds which).

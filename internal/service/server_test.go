@@ -220,12 +220,25 @@ func TestEndToEndCacheHit(t *testing.T) {
 
 // TestQueueBackpressureAndDrain exercises the 429 bound and the graceful
 // drain: running cells finish, queued jobs fail retryable, and new
-// submissions are rejected while draining.
+// submissions are rejected while draining. A drained job is then
+// re-POSTed unchanged to a second server, where it completes and reuses
+// that server's cache byte for byte.
 func TestQueueBackpressureAndDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Parallelism: 1})
 
+	// One cell of the sweep below, simulated fresh here: the reference
+	// bytes for the re-POST at the end.
+	warmReq := JobRequest{Benchmark: "fft", Setup: "CB-One", Cores: 16}
+	warm, code := submit(t, ts, warmReq)
+	if code != http.StatusAccepted {
+		t.Fatalf("warm = %d", code)
+	}
+	waitState(t, ts, warm.ID, StateDone)
+	refBytes := getResult(t, ts, warm.ID).Cells[0].Data
+
 	// A long sweep keeps the single worker busy: 19 benchmarks x CB-One.
-	stA, code := submit(t, ts, JobRequest{Setups: []string{"CB-One"}, Cores: 16})
+	sweepReq := JobRequest{Setups: []string{"CB-One"}, Cores: 16}
+	stA, code := submit(t, ts, sweepReq)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit A = %d", code)
 	}
@@ -272,6 +285,41 @@ func TestQueueBackpressureAndDrain(t *testing.T) {
 	}
 	if d := metricValue(t, ts, "cbsimd_draining"); d != 1 {
 		t.Fatalf("draining gauge = %v", d)
+	}
+
+	// Re-POST the drained sweep unchanged to server B, which has warmed
+	// the fft cell: the sweep completes there, and the warm cell is a
+	// cache hit with A's fresh bytes. Cached == fresh across servers.
+	_, tsB := newTestServer(t, Config{Workers: 2, QueueDepth: 4, Parallelism: 2})
+	warmB, code := submit(t, tsB, warmReq)
+	if code != http.StatusAccepted {
+		t.Fatalf("warm B = %d", code)
+	}
+	waitState(t, tsB, warmB.ID, StateDone)
+	again, code := submit(t, tsB, sweepReq)
+	if code != http.StatusAccepted {
+		t.Fatalf("re-POST of drained sweep = %d", code)
+	}
+	waitState(t, tsB, again.ID, StateDone)
+	var matched bool
+	for _, cell := range getResult(t, tsB, again.ID).Cells {
+		var pl cellPayload
+		if err := json.Unmarshal(cell.Data, &pl); err != nil {
+			t.Fatal(err)
+		}
+		if pl.Spec.Benchmark != "fft" {
+			continue
+		}
+		if !cell.Cached {
+			t.Fatal("warmed fft cell was re-simulated, not served from cache")
+		}
+		if !bytes.Equal(cell.Data, refBytes) {
+			t.Fatalf("cached cell differs from A's fresh bytes:\n%s\nvs\n%s", cell.Data, refBytes)
+		}
+		matched = true
+	}
+	if !matched {
+		t.Fatal("fft cell missing from the re-POSTed sweep")
 	}
 }
 
