@@ -1,11 +1,10 @@
 package repro
 
-// The benchmarks in this file regenerate every table and figure of the
-// paper's evaluation section (Section 5), at a reduced 16-core scale so
-// `go test -bench=.` completes in minutes. Each iteration performs one
-// full regeneration of its figure; b.N therefore stays small and the
-// interesting output is the reported metrics, not ns/op. Use
-// `cmd/experiments` for the paper's full 64-core scale.
+// The benchmarks in this file measure the primitives, the event kernel,
+// machine construction and a parallel suite sweep, and report the
+// ablations of the design choices DESIGN.md calls out. The figures
+// themselves are pinned by internal/experiments' TestFiguresMatchPins;
+// use cmd/experiments to print them.
 
 import (
 	"testing"
@@ -20,15 +19,7 @@ import (
 	"repro/internal/workload"
 )
 
-// benchOptions is the reduced scale used by all figure benchmarks.
-func benchOptions() experiments.Options {
-	return experiments.Options{
-		Cores:      16,
-		Benchmarks: []string{"radiosity", "ocean", "fft", "fluidanimate", "dedup"},
-	}
-}
-
-// reportRatio publishes a figure metric through the benchmark framework.
+// reportRatio publishes a metric through the benchmark framework.
 func reportRatio(b *testing.B, name string, v float64) {
 	b.ReportMetric(v, name)
 }
@@ -109,11 +100,10 @@ func BenchmarkSuiteParallel(b *testing.B) {
 		n    int
 	}{{"serial", 1}, {"parallel", 8}} {
 		b.Run(par.name, func(b *testing.B) {
-			o := benchOptions()
-			o.Benchmarks = []string{"radiosity", "ocean", "fft"}
-			o.Parallelism = par.n
+			o := experiments.Options{Cores: 16, Benchmarks: []string{"radiosity", "ocean", "fft"}, Parallelism: par.n}
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunSuite(setups, workload.StyleScalable, o); err != nil {
+				// A fresh cell set per iteration, so every iteration simulates.
+				if _, err := experiments.RunSuite(setups, workload.StyleScalable, experiments.NewRuns(o)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,112 +118,6 @@ func BenchmarkTable2Machine(b *testing.B) {
 		m := machine.New(machine.Default(machine.ProtocolCallback), nil)
 		if m.Mesh.Nodes() != 64 {
 			b.Fatal("bad machine")
-		}
-	}
-}
-
-// BenchmarkFigure1 regenerates the motivation figure (Invalidation vs
-// back-off on CLH and TreeSR spin-waiting).
-func BenchmarkFigure1(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		scal, err := experiments.RunSuite(experiments.StandardSetups()[:5], workload.StyleScalable, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		llc, lat := experiments.Fig1(scal)
-		if i == 0 {
-			row := llc.Row("CLH")
-			reportRatio(b, "CLH-llc-backoff0-vs-inval", row[1]/nonzero(row[0]))
-			lrow := lat.Row("TreeSR barrier")
-			reportRatio(b, "TreeSR-lat-backoff15-vs-inval", lrow[4]/nonzero(lrow[0]))
-		}
-	}
-}
-
-// BenchmarkFigure20 regenerates the per-construct synchronization
-// behaviour from the two suite sweeps.
-func BenchmarkFigure20(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		scal, err := experiments.RunSuite(experiments.StandardSetups(), workload.StyleScalable, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		naive, err := experiments.RunSuite(experiments.StandardSetups(), workload.StyleNaive, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		llc, _ := experiments.Fig20(scal, naive)
-		if i == 0 {
-			ttas := llc.Row("T&T&S")
-			reportRatio(b, "TTAS-llc-CBOne-vs-CBAll", ttas[6]/nonzero(ttas[5]))
-		}
-	}
-}
-
-// BenchmarkFigure21 regenerates execution time and traffic across the
-// benchmark subset, reporting the geomean CB-One ratios.
-func BenchmarkFigure21(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		scal, err := experiments.RunSuite(experiments.StandardSetups(), workload.StyleScalable, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		timeT, trafT := experiments.SuiteToFig21(scal)
-		if i == 0 {
-			reportRatio(b, "time-CBOne-vs-inval", timeT.Row("geomean")[6])
-			reportRatio(b, "traffic-CBOne-vs-inval", trafT.Row("geomean")[6])
-		}
-	}
-}
-
-// BenchmarkFigure22 regenerates the energy breakdown.
-func BenchmarkFigure22(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		scal, err := experiments.RunSuite(experiments.StandardSetups(), workload.StyleScalable, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := experiments.Fig22(scal)
-		if i == 0 {
-			reportRatio(b, "energy-CBOne-vs-inval", e.Row("CB-One")[4])
-			reportRatio(b, "L1energy-inval", e.Row("Invalidation")[0])
-		}
-	}
-}
-
-// BenchmarkFigure23 regenerates the naive-vs-scalable lock comparison
-// with the TreeSR barrier fixed.
-func BenchmarkFigure23(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"radiosity", "ocean", "dedup"}
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig23(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRatio(b, "time-CBOne-TTAS", t.Row("CB-One + T&T&S")[0])
-			reportRatio(b, "time-CBOne-CLH", t.Row("CB-One + CLH")[0])
-		}
-	}
-}
-
-// BenchmarkSensitivityEntries regenerates the Section 5.2 directory-size
-// sensitivity result.
-func BenchmarkSensitivityEntries(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.SensitivityEntries(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			gm := t.Row("geomean")
-			reportRatio(b, "time-256-vs-4-entries", gm[3])
 		}
 	}
 }
@@ -412,13 +296,6 @@ func BenchmarkAblationRMWWrite(b *testing.B) {
 	}
 }
 
-func nonzero(v float64) float64 {
-	if v == 0 {
-		return 1
-	}
-	return v
-}
-
 // BenchmarkAblationNoCContention checks that the protocol conclusions are
 // not artifacts of the link-contention model: an ideal (contentionless)
 // interconnect must preserve the CB-vs-Invalidation ordering.
@@ -435,51 +312,5 @@ func BenchmarkAblationNoCContention(b *testing.B) {
 			}
 			reportRatio(b, "cycles", float64(cycles)/float64(b.N))
 		})
-	}
-}
-
-// BenchmarkExtensionQuiesce regenerates the MWAIT comparison at reduced
-// scale.
-func BenchmarkExtensionQuiesce(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"radiosity", "dedup"}
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.ExtensionQuiesce(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRatio(b, "quiesce-L1-vs-inval", t.Row("Quiesce")[2])
-			reportRatio(b, "CBOne-time-vs-inval", t.Row("CB-One")[0])
-		}
-	}
-}
-
-// BenchmarkExtensionLocks regenerates the five-lock comparison.
-func BenchmarkExtensionLocks(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		lat, _, err := experiments.ExtensionLocks(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRatio(b, "MCS-CBOne-latency", lat.Row("MCS")[6])
-		}
-	}
-}
-
-// BenchmarkExtensionIdleEnergy regenerates the idle-while-blocked study.
-func BenchmarkExtensionIdleEnergy(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"radiosity", "ocean"}
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.ExtensionIdleEnergy(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRatio(b, "CBOne-idle-fraction", t.Row("CB-One")[0])
-		}
 	}
 }

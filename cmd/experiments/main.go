@@ -2,14 +2,16 @@
 //
 // Usage:
 //
-//	experiments [-fig all|1|20|21|22|23|sens|headline|cycles] [-cores N] [-parallel N] [-v] [-bench a,b,c]
+//	experiments [-fig all|1|20|21|22|23|sens|naive|locks|idle|quiesce|cycles|headline]
+//	            [-cores N] [-parallel N] [-v] [-bench a,b,c] [-csv DIR]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With the defaults (64 cores, all 19 benchmarks) the full run takes
-// several minutes; use -cores 16 and/or -bench for quick looks. Sweeps
-// fan their (benchmark x setup) cells out over -parallel worker
-// goroutines (default: GOMAXPROCS); every cell simulates on its own
-// kernel, so the tables are byte-identical to a -parallel=1 run.
+// a few minutes; use -cores 16 and/or -bench for quick looks. The
+// figures read their cells from one cell set per invocation, so a cell
+// two figures share is simulated once. Its cells fan out over -parallel
+// worker goroutines (default: GOMAXPROCS); every cell simulates on its
+// own kernel, so the tables are byte-identical to a -parallel=1 run.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -121,6 +124,13 @@ func emit(name string, tables ...*metrics.Table) error {
 }
 
 func run(fig string, o experiments.Options) error {
+	if err := machine.ValidateCores(o.Cores); err != nil {
+		return err
+	}
+	for i, name := range o.Benchmarks {
+		o.Benchmarks[i] = strings.TrimSpace(name)
+	}
+	runs := experiments.NewRuns(o)
 	need21 := fig == "all" || fig == "1" || fig == "20" || fig == "21" || fig == "22" || fig == "headline"
 	needNaive := fig == "all" || fig == "20" || fig == "naive"
 
@@ -128,14 +138,14 @@ func run(fig string, o experiments.Options) error {
 	var err error
 	if need21 {
 		fmt.Fprintln(os.Stderr, "running scalable-synchronization suite (CLH + TreeSR)...")
-		scal, err = experiments.RunSuite(experiments.StandardSetups(), workload.StyleScalable, o)
+		scal, err = experiments.RunSuite(experiments.StandardSetups(), workload.StyleScalable, runs)
 		if err != nil {
 			return err
 		}
 	}
 	if needNaive {
 		fmt.Fprintln(os.Stderr, "running naive-synchronization suite (T&T&S + SR)...")
-		naive, err = experiments.RunSuite(experiments.StandardSetups(), workload.StyleNaive, o)
+		naive, err = experiments.RunSuite(experiments.StandardSetups(), workload.StyleNaive, runs)
 		if err != nil {
 			return err
 		}
@@ -173,7 +183,7 @@ func run(fig string, o experiments.Options) error {
 	}
 	if err := show("23", func() error {
 		fmt.Fprintln(os.Stderr, "running Figure 23 lock comparison (TreeSR fixed)...")
-		t, err := experiments.Fig23(o)
+		t, err := experiments.Fig23(runs)
 		if err != nil {
 			return err
 		}
@@ -183,7 +193,7 @@ func run(fig string, o experiments.Options) error {
 	}
 	if err := show("sens", func() error {
 		fmt.Fprintln(os.Stderr, "running callback-directory size sensitivity...")
-		t, err := experiments.SensitivityEntries(o)
+		t, err := experiments.SensitivityEntries(runs)
 		if err != nil {
 			return err
 		}
@@ -209,7 +219,7 @@ func run(fig string, o experiments.Options) error {
 	}
 	if err := show("idle", func() error {
 		fmt.Fprintln(os.Stderr, "running idle-while-blocked extension study...")
-		t, err := experiments.ExtensionIdleEnergy(o)
+		t, err := experiments.ExtensionIdleEnergy(runs)
 		if err != nil {
 			return err
 		}
@@ -219,7 +229,7 @@ func run(fig string, o experiments.Options) error {
 	}
 	if err := show("quiesce", func() error {
 		fmt.Fprintln(os.Stderr, "running quiesce (MWAIT) extension study...")
-		t, err := experiments.ExtensionQuiesce(o)
+		t, err := experiments.ExtensionQuiesce(runs)
 		if err != nil {
 			return err
 		}

@@ -139,7 +139,7 @@ func TestProgressEvents(t *testing.T) {
 	cbOne, _ := SetupByName("CB-One")
 	setups := []Setup{inval, cbOne}
 	o.Parallelism = 1 // keep the event order deterministic for the test
-	if _, err := RunSuite(setups, workload.StyleScalable, o); err != nil {
+	if _, err := RunSuite(setups, workload.StyleScalable, NewRuns(o)); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 8 { // 2 benchmarks x 2 setups x (start + done)

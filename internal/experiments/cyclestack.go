@@ -25,12 +25,16 @@ type CycleStackResult struct {
 }
 
 // RunCycleStacks runs one benchmark across the given setups with cycle
-// accounting attached and tabulates the per-category share of all core
-// cycles (each row sums to 1 by conservation).
+// accounting attached, through a cell set of its own and across
+// Options.Parallelism workers, and tabulates the per-category share of
+// all core cycles (each row sums to 1 by conservation).
 func RunCycleStacks(bench string, setups []Setup, style workload.SyncStyle, o Options) (*CycleStackResult, error) {
-	o = o.fill()
 	o.CycleStacks = true
-	p, err := workload.ByName(bench)
+	cells := make([]Cell, len(setups))
+	for i, s := range setups {
+		cells[i] = styleCell(bench, s, style)
+	}
+	results, err := NewRuns(o).Results(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -42,12 +46,8 @@ func RunCycleStacks(bench string, setups []Setup, style workload.SyncStyle, o Op
 		Benchmark: bench,
 		Table:     metrics.NewTable(fmt.Sprintf("Cycle stacks: %s (fraction of all core cycles)", bench), cols...),
 	}
-	for _, s := range setups {
-		r, err := RunBenchmark(p, s, style, o)
-		if err != nil {
-			return nil, err
-		}
-		stack := r.Stats.CycleStack
+	for i, s := range setups {
+		stack := results[i].Stats.CycleStack
 		if stack == nil {
 			return nil, fmt.Errorf("cycles: %s under %s returned no cycle stack", bench, s.Name)
 		}

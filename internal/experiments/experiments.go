@@ -152,20 +152,17 @@ type Options struct {
 	safe bool
 }
 
-// profiles returns the benchmark set selected by the options.
-func (o Options) profiles() ([]workload.Profile, error) {
-	if len(o.Benchmarks) == 0 {
-		return workload.Profiles(), nil
+// benchmarks returns the names of the benchmark set selected by the
+// options (all 19 profiles when none are named).
+func (o Options) benchmarks() []string {
+	if len(o.Benchmarks) > 0 {
+		return append([]string(nil), o.Benchmarks...)
 	}
-	var ps []workload.Profile
-	for _, name := range o.Benchmarks {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
+	var names []string
+	for _, p := range workload.Profiles() {
+		names = append(names, p.Name)
 	}
-	return ps, nil
+	return names
 }
 
 func (o Options) fill() Options {
@@ -274,9 +271,9 @@ func (o Options) forEach(n int, fn func(i int) error) error {
 }
 
 // Sweep runs fn(0) .. fn(n-1) over the options' bounded worker pool —
-// the same engine RunSuite and the figure runners use, exported so other
-// subsystems (the cbsimd daemon) can layer per-cell work such as cache
-// lookups and progress streaming over it. Every index runs exactly once;
+// the same engine a Runs cell set uses, exported so other subsystems
+// (the cbsimd daemon) can layer per-cell work such as cache lookups and
+// progress streaming over it. Unlike a Runs, it never reuses a result. Every index runs exactly once;
 // the returned error is the one from the lowest failing index regardless
 // of scheduling. When o.Context is canceled, remaining cells are skipped
 // and Sweep returns ctx.Err().
@@ -309,9 +306,17 @@ func machineConfig(s Setup, o Options) machine.Config {
 	return cfg
 }
 
-// buildMachine constructs the machine for a setup.
-func buildMachine(s Setup, o Options) *machine.Machine {
-	return machine.New(machineConfig(s, o), synclib.IsPrivate)
+// buildMachine constructs the machine for a setup with g's initial
+// memory written and one of its programs loaded per thread.
+func buildMachine(g *workload.Generated, s Setup, o Options) *machine.Machine {
+	m := machine.New(machineConfig(s, o), synclib.IsPrivate)
+	for a, v := range g.Layout.Init {
+		m.Store.StoreWord(a, v)
+	}
+	for tid, prog := range g.Programs {
+		m.Load(tid, prog, nil)
+	}
+	return m
 }
 
 // runGenerated loads and runs a generated workload, returning stats and
@@ -319,7 +324,7 @@ func buildMachine(s Setup, o Options) *machine.Machine {
 // events; cancellation is returned as a bare ctx.Err() so callers can
 // errors.Is it directly.
 func runGenerated(g *workload.Generated, s Setup, o Options) (Result, error) {
-	m := buildMachine(s, o)
+	m := buildMachine(g, s, o)
 	if o.Trace != nil {
 		m.AttachTrace(o.Trace)
 	}
@@ -330,12 +335,6 @@ func runGenerated(g *workload.Generated, s Setup, o Options) (Result, error) {
 	}
 	if o.CycleStacks {
 		m.AttachCycles(cycles.NewAccumulator(len(m.Cores)))
-	}
-	for a, v := range g.Layout.Init {
-		m.Store.StoreWord(a, v)
-	}
-	for tid, prog := range g.Programs {
-		m.Load(tid, prog, nil)
 	}
 	if o.Progress != nil {
 		o.Progress(RunEvent{Benchmark: g.Profile.Name, Setup: s.Name})
@@ -362,14 +361,7 @@ func runGenerated(g *workload.Generated, s Setup, o Options) (Result, error) {
 		m.ObserveMetrics(o.Metrics)
 	}
 	st := m.Stats()
-	e := energy.Compute(energy.Counts{
-		L1Accesses:      st.L1Accesses,
-		LLCTagAccesses:  st.LLCAccesses - st.LLCDataAccesses,
-		LLCDataAccesses: st.LLCDataAccesses,
-		CBDirAccesses:   st.CBDirAccesses,
-		FlitHops:        st.Net.FlitHops,
-	}, energy.DefaultParams())
-	return Result{Stats: st, Energy: e}, nil
+	return Result{Stats: st, Energy: EnergyOf(st)}, nil
 }
 
 // RunBenchmark runs one benchmark profile under one setup with the given
@@ -386,4 +378,83 @@ func RunBenchmarkCustom(p workload.Profile, s Setup, lk workload.LockKind, bk wo
 	o = o.fill()
 	g := workload.GenerateCustom(p, o.Cores, lk, bk, s.Flavor())
 	return runGenerated(g, s, o)
+}
+
+// Cell names one benchmark simulation: a workload profile lowered with a
+// lock and a barrier algorithm, run under a setup. Everything else that
+// can change its Result (cores, limit, chaos, watchdog, cycle stacks) is
+// fixed for a whole Runs by its Options.
+type Cell struct {
+	Profile string
+	Setup   Setup
+	Lock    workload.LockKind
+	Barrier workload.BarrierKind
+	// Entries sizes the callback directories; 0 means Options.CBEntries.
+	Entries int
+}
+
+// styleCell is the cell of profile under s with style's lock and barrier.
+func styleCell(profile string, s Setup, style workload.SyncStyle) Cell {
+	lk, bk := style.Kinds()
+	return Cell{Profile: profile, Setup: s, Lock: lk, Barrier: bk}
+}
+
+// Runs is the cell set of one invocation: the figures read their cells
+// from it, and each distinct cell is simulated once, however many
+// figures read it. It is not safe for concurrent use, and the Results it
+// returns are shared, so callers must not modify them.
+type Runs struct {
+	o    Options
+	done map[Cell]Result
+}
+
+// NewRuns returns an empty cell set whose cells run under o.
+func NewRuns(o Options) *Runs {
+	return &Runs{o: o.fill(), done: make(map[Cell]Result)}
+}
+
+// Results returns every cell's Result, in order. It simulates, across
+// Options.Parallelism workers, only the distinct cells the set does not
+// already hold; on an error it keeps none of this call's runs.
+func (r *Runs) Results(cells []Cell) ([]Result, error) {
+	keys := make([]Cell, len(cells))
+	var todo []Cell
+	var profiles []workload.Profile
+	queued := make(map[Cell]bool)
+	for i, c := range cells {
+		if c.Entries == 0 {
+			c.Entries = r.o.CBEntries
+		}
+		keys[i] = c
+		if _, ok := r.done[c]; ok || queued[c] {
+			continue
+		}
+		p, err := workload.ByName(c.Profile)
+		if err != nil {
+			return nil, err
+		}
+		queued[c] = true
+		todo = append(todo, c)
+		profiles = append(profiles, p)
+	}
+	results := make([]Result, len(todo))
+	err := r.o.forEach(len(todo), func(i int) error {
+		c, o := todo[i], r.o
+		o.CBEntries = c.Entries
+		o.Logf("run %-14s %-13s %s + %s, %d entries", c.Profile, c.Setup.Name, c.Lock, c.Barrier, c.Entries)
+		var err error
+		results[i], err = RunBenchmarkCustom(profiles[i], c.Setup, c.Lock, c.Barrier, o)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range todo {
+		r.done[c] = results[i]
+	}
+	out := make([]Result, len(keys))
+	for i, c := range keys {
+		out[i] = r.done[c]
+	}
+	return out, nil
 }

@@ -59,12 +59,12 @@ func TestSuiteAndFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite sweep is slow")
 	}
-	o := testOptions()
-	scal, err := RunSuite(StandardSetups(), workload.StyleScalable, o)
+	r := NewRuns(testOptions())
+	scal, err := RunSuite(StandardSetups(), workload.StyleScalable, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := RunSuite(StandardSetups(), workload.StyleNaive, o)
+	naive, err := RunSuite(StandardSetups(), workload.StyleNaive, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,7 @@ func TestSensitivitySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	o := testOptions()
-	tab, err := SensitivityEntries(o)
+	tab, err := SensitivityEntries(NewRuns(testOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func TestExtensionQuiesceShape(t *testing.T) {
 		t.Skip("slow")
 	}
 	o := Options{Cores: 16, Benchmarks: []string{"radiosity", "dedup"}}
-	tab, err := ExtensionQuiesce(o)
+	tab, err := ExtensionQuiesce(NewRuns(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestExtensionIdleEnergyShape(t *testing.T) {
 		t.Skip("slow")
 	}
 	o := Options{Cores: 16, Benchmarks: []string{"radiosity"}}
-	tab, err := ExtensionIdleEnergy(o)
+	tab, err := ExtensionIdleEnergy(NewRuns(o))
 	if err != nil {
 		t.Fatal(err)
 	}

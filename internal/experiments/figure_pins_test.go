@@ -23,19 +23,20 @@ type renderedFigure struct {
 }
 
 // renderFigures regenerates every figure the way cmd/experiments -fig
-// all does, in its print order.
+// all does, in its print order, through one cell set.
 func renderFigures(t *testing.T) []renderedFigure {
 	t.Helper()
 	o := testOptions()
+	r := NewRuns(o)
 	check := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	scal, err := RunSuite(StandardSetups(), workload.StyleScalable, o)
+	scal, err := RunSuite(StandardSetups(), workload.StyleScalable, r)
 	check(err)
-	naive, err := RunSuite(StandardSetups(), workload.StyleNaive, o)
+	naive, err := RunSuite(StandardSetups(), workload.StyleNaive, r)
 	check(err)
 	var figs []renderedFigure
 	add := func(name string, v fmt.Stringer) {
@@ -51,10 +52,10 @@ func renderFigures(t *testing.T) []renderedFigure {
 	add("fig21_time", fig21Time)
 	add("fig21_traffic", fig21Traffic)
 	add("fig22", Fig22(scal))
-	fig23, err := Fig23(o)
+	fig23, err := Fig23(r)
 	check(err)
 	add("fig23", fig23)
-	sens, err := SensitivityEntries(o)
+	sens, err := SensitivityEntries(r)
 	check(err)
 	add("sensitivity", sens)
 	add("naive", ComputeNaiveSummary(naive))
@@ -62,10 +63,10 @@ func renderFigures(t *testing.T) []renderedFigure {
 	check(err)
 	add("locks_latency", locksLat)
 	add("locks_llc", locksLLC)
-	idle, err := ExtensionIdleEnergy(o)
+	idle, err := ExtensionIdleEnergy(r)
 	check(err)
 	add("idle", idle)
-	quiesce, err := ExtensionQuiesce(o)
+	quiesce, err := ExtensionQuiesce(r)
 	check(err)
 	add("quiesce", quiesce)
 	cyc, err := RunCycleStacks(o.Benchmarks[0], StandardSetups(), workload.StyleScalable, o)

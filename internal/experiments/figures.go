@@ -15,51 +15,34 @@ type SuiteResults struct {
 	Results map[string]map[string]Result // benchmark -> setup -> result
 }
 
-// RunSuite runs all 19 benchmarks under the given setups with one
-// synchronization style. Cells run across Options.Parallelism worker
-// goroutines, each on its own Machine and Kernel; the collected results
-// are byte-identical to a serial sweep (each simulation is fully
-// deterministic and shares no state with its siblings).
-func RunSuite(setups []Setup, style workload.SyncStyle, o Options) (*SuiteResults, error) {
-	o = o.fill()
-	ps, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	type cell struct {
-		p workload.Profile
-		s Setup
-	}
-	var cells []cell
-	for _, p := range ps {
+// RunSuite reads the selected benchmarks under the given setups with
+// one synchronization style from the cell set r. Cells run across
+// Options.Parallelism worker goroutines, each on its own Machine and
+// Kernel; the collected results are byte-identical to a serial sweep
+// (each simulation is fully deterministic and shares no state with its
+// siblings).
+func RunSuite(setups []Setup, style workload.SyncStyle, r *Runs) (*SuiteResults, error) {
+	names := r.o.benchmarks()
+	var cells []Cell
+	for _, name := range names {
 		for _, s := range setups {
-			cells = append(cells, cell{p, s})
+			cells = append(cells, styleCell(name, s, style))
 		}
 	}
-	results := make([]Result, len(cells))
-	err = o.forEach(len(cells), func(i int) error {
-		c := cells[i]
-		o.Logf("run %-14s %-13s (%s)", c.p.Name, c.s.Name, style)
-		res, err := RunBenchmark(c.p, c.s, style, o)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
+	results, err := r.Results(cells)
 	if err != nil {
 		return nil, err
 	}
 	sr := &SuiteResults{
 		Setups:  setups,
+		Names:   names,
 		Results: make(map[string]map[string]Result),
 	}
-	for _, p := range ps {
-		sr.Names = append(sr.Names, p.Name)
-		sr.Results[p.Name] = make(map[string]Result, len(setups))
+	for _, name := range names {
+		sr.Results[name] = make(map[string]Result, len(setups))
 	}
 	for i, c := range cells {
-		sr.Results[c.p.Name][c.s.Name] = results[i]
+		sr.Results[c.Profile][c.Setup.Name] = results[i]
 	}
 	return sr, nil
 }
@@ -184,18 +167,6 @@ func SuiteToFig21(sr *SuiteResults) (timeT, trafT *metrics.Table) {
 	return suiteTables(sr, "Figure 21")
 }
 
-// Fig21 runs the full suite with scalable synchronization (CLH + TreeSR)
-// and reports execution time and network traffic normalized to
-// Invalidation per benchmark, plus geomeans.
-func Fig21(o Options) (timeT, trafT *metrics.Table, sr *SuiteResults, err error) {
-	sr, err = RunSuite(StandardSetups(), workload.StyleScalable, o)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	timeT, trafT = SuiteToFig21(sr)
-	return timeT, trafT, sr, nil
-}
-
 // Fig22 converts a suite sweep into the energy breakdown of Figure 22:
 // per setup, the geomean across benchmarks of L1 / LLC / network /
 // callback-directory energy, normalized to Invalidation's total.
@@ -221,60 +192,40 @@ func Fig22(sr *SuiteResults) *metrics.Table {
 
 // Fig23 fixes the barrier to TreeSR and compares T&T&S vs CLH locks:
 // geomean execution time and traffic over all benchmarks, normalized to
-// Invalidation-with-CLH.
-func Fig23(o Options) (*metrics.Table, error) {
-	o = o.fill()
+// Invalidation-with-CLH. Its CLH half is the scalable suite's cells.
+func Fig23(r *Runs) (*metrics.Table, error) {
 	setups := StandardSetups()
 	lockKinds := []workload.LockKind{workload.LockTTAS, workload.LockCLH}
-
+	names := r.o.benchmarks()
+	var cells []Cell
+	for _, name := range names {
+		for _, lk := range lockKinds {
+			for _, s := range setups {
+				cells = append(cells, Cell{Profile: name, Setup: s, Lock: lk, Barrier: workload.BarrierTree})
+			}
+		}
+	}
+	results, err := r.Results(cells)
+	if err != nil {
+		return nil, err
+	}
 	// base: Invalidation with CLH locks (one of the grid cells).
 	type key struct {
 		lock  workload.LockKind
 		setup string
 	}
-	ps, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	type cell struct {
-		p  workload.Profile
-		lk workload.LockKind
-		s  Setup
-	}
-	var cells []cell
-	for _, p := range ps {
-		for _, lk := range lockKinds {
-			for _, s := range setups {
-				cells = append(cells, cell{p, lk, s})
-			}
-		}
-	}
-	results := make([]Result, len(cells))
-	err = o.forEach(len(cells), func(i int) error {
-		c := cells[i]
-		o.Logf("run fig23 %-14s lock=%-6s %-13s", c.p.Name, c.lk, c.s.Name)
-		res, err := RunBenchmarkCustom(c.p, c.s, c.lk, workload.BarrierTree, o)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	times := map[key][]float64{}
 	trafs := map[key][]float64{}
 	cellsPerProfile := len(lockKinds) * len(setups)
-	for pi := range ps {
+	for pi := range names {
 		var base Result
 		for i := pi * cellsPerProfile; i < (pi+1)*cellsPerProfile; i++ {
-			if cells[i].lk == workload.LockCLH && cells[i].s.Name == setups[0].Name {
+			if cells[i].Lock == workload.LockCLH && cells[i].Setup.Name == setups[0].Name {
 				base = results[i]
 			}
 		}
 		for i := pi * cellsPerProfile; i < (pi+1)*cellsPerProfile; i++ {
-			k := key{cells[i].lk, cells[i].s.Name}
+			k := key{cells[i].Lock, cells[i].Setup.Name}
 			times[k] = append(times[k], results[i].Time()/base.Time())
 			trafs[k] = append(trafs[k], results[i].Traffic()/base.Traffic())
 		}
@@ -295,40 +246,21 @@ func Fig23(o Options) (*metrics.Table, error) {
 // the callback directory beyond 4 entries per bank does not change the
 // results: geomean execution time over a lock-heavy benchmark subset,
 // normalized to 4 entries.
-func SensitivityEntries(o Options) (*metrics.Table, error) {
-	o = o.fill()
+func SensitivityEntries(r *Runs) (*metrics.Table, error) {
 	subset := []string{"radiosity", "fluidanimate", "raytrace", "barnes"}
 	entries := []int{4, 16, 64, 256}
 	setup, _ := SetupByName("CB-One")
 	t := metrics.NewTable("Callback directory size sensitivity (time normalized to 4 entries/bank)",
 		"4", "16", "64", "256")
-	type cell struct {
-		p       workload.Profile
-		entries int
-	}
-	var cells []cell
+	var cells []Cell
 	for _, name := range subset {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
 		for _, e := range entries {
-			cells = append(cells, cell{p, e})
+			c := styleCell(name, setup, workload.StyleScalable)
+			c.Entries = e
+			cells = append(cells, c)
 		}
 	}
-	results := make([]Result, len(cells))
-	err := o.forEach(len(cells), func(i int) error {
-		c := cells[i]
-		oe := o
-		oe.CBEntries = c.entries
-		o.Logf("run sensitivity %-14s entries=%d", c.p.Name, c.entries)
-		res, err := RunBenchmark(c.p, setup, workload.StyleScalable, oe)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
+	results, err := r.Results(cells)
 	if err != nil {
 		return nil, err
 	}

@@ -13,14 +13,10 @@ import (
 // clock-gate-able; cores spinning on an L1 copy are not. It reports, per
 // setup, the gate-able fraction of core-cycles and the total energy
 // including a per-cycle core model, normalized to Invalidation.
-func ExtensionIdleEnergy(o Options) (*metrics.Table, error) {
-	o = o.fill()
-	if len(o.Benchmarks) == 0 {
-		o.Benchmarks = []string{"radiosity", "ocean", "fluidanimate", "raytrace"}
-	}
-	ps, err := o.profiles()
-	if err != nil {
-		return nil, err
+func ExtensionIdleEnergy(r *Runs) (*metrics.Table, error) {
+	names := r.o.Benchmarks
+	if len(names) == 0 {
+		names = []string{"radiosity", "ocean", "fluidanimate", "raytrace"}
 	}
 	setups := StandardSetups()
 	params := energy.DefaultParams()
@@ -28,22 +24,18 @@ func ExtensionIdleEnergy(o Options) (*metrics.Table, error) {
 
 	t := metrics.NewTable("Idle-while-blocked extension (geomean over benchmarks)",
 		"idle fraction", "core+mem energy")
-	results := make([]Result, len(ps)*len(setups))
-	err = o.forEach(len(results), func(i int) error {
-		p, s := ps[i/len(setups)], setups[i%len(setups)]
-		o.Logf("run idle-ext %-14s %-13s", p.Name, s.Name)
-		res, err := RunBenchmark(p, s, workload.StyleScalable, o)
-		if err != nil {
-			return err
+	var cells []Cell
+	for _, name := range names {
+		for _, s := range setups {
+			cells = append(cells, styleCell(name, s, workload.StyleScalable))
 		}
-		results[i] = res
-		return nil
-	})
+	}
+	results, err := r.Results(cells)
 	if err != nil {
 		return nil, err
 	}
 	perSetup := map[string][][]float64{}
-	for pi := range ps {
+	for pi := range names {
 		var baseEnergy float64
 		for i, s := range setups {
 			st := results[pi*len(setups)+i].Stats

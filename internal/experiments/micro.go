@@ -186,29 +186,3 @@ func RunMicro(mc Micro, s Setup, o Options) (MicroResult, error) {
 		Stats:       st,
 	}, nil
 }
-
-// RunMicroGrid sweeps every microbenchmark across the setups, cells
-// running across Options.Parallelism workers. grid[m][s] is microbenchmark
-// mcs[m] under setups[s].
-func RunMicroGrid(mcs []Micro, setups []Setup, o Options) (grid [][]MicroResult, err error) {
-	o = o.fill()
-	flat := make([]MicroResult, len(mcs)*len(setups))
-	err = o.forEach(len(flat), func(i int) error {
-		mc, s := mcs[i/len(setups)], setups[i%len(setups)]
-		o.Logf("run micro %-14s %-13s", mc.Name, s.Name)
-		res, err := RunMicro(mc, s, o)
-		if err != nil {
-			return err
-		}
-		flat[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	grid = make([][]MicroResult, len(mcs))
-	for m := range mcs {
-		grid[m] = flat[m*len(setups) : (m+1)*len(setups)]
-	}
-	return grid, nil
-}

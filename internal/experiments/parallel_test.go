@@ -11,18 +11,19 @@ import (
 
 // Parallel sweeps must be bit-reproducible: each cell simulates on its own
 // kernel with seeded workload generation, so fan-out order cannot leak into
-// the results. This is the regression test guarding that guarantee.
+// the results. This is the regression test guarding that guarantee. Each
+// sweep has its own cell set, or the second would only read the first's.
 func TestParallelSuiteMatchesSerial(t *testing.T) {
 	setups := []Setup{StandardSetups()[0], StandardSetups()[1], StandardSetups()[6]}
 	o := Options{Cores: 4, Benchmarks: []string{"radiosity", "fft"}}
 
 	o.Parallelism = 1
-	serial, err := RunSuite(setups, workload.StyleScalable, o)
+	serial, err := RunSuite(setups, workload.StyleScalable, NewRuns(o))
 	if err != nil {
 		t.Fatalf("serial RunSuite: %v", err)
 	}
 	o.Parallelism = 8
-	parallel, err := RunSuite(setups, workload.StyleScalable, o)
+	parallel, err := RunSuite(setups, workload.StyleScalable, NewRuns(o))
 	if err != nil {
 		t.Fatalf("parallel RunSuite: %v", err)
 	}
@@ -78,4 +79,39 @@ func TestForEachLowestIndexError(t *testing.T) {
 	if err != errLow {
 		t.Fatalf("forEach err = %v, want the lowest-index error %v", err, errLow)
 	}
+}
+
+// A cell set simulates each distinct cell once: a repeated sweep starts
+// no cells, Figure 23 after the scalable suite starts only its T&T&S
+// half, and a cell with 0 entries is the one with Options.CBEntries.
+func TestRunsSimulateEachCellOnce(t *testing.T) {
+	starts := 0
+	o := Options{Cores: 4, Benchmarks: []string{"radiosity", "fft"}, Progress: func(e RunEvent) {
+		if !e.Done {
+			starts++
+		}
+	}}
+	r := NewRuns(o)
+	step := func(what string, want int, run func() error) {
+		t.Helper()
+		before := starts
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := starts - before; got != want {
+			t.Errorf("%s started %d cells, want %d", what, got, want)
+		}
+	}
+	suite := func() error {
+		_, err := RunSuite(StandardSetups(), workload.StyleScalable, r)
+		return err
+	}
+	step("scalable suite", 2*7, suite)
+	step("second scalable suite", 0, suite)
+	step("Fig23", 2*7, func() error { _, err := Fig23(r); return err })
+	cbOne, _ := SetupByName("CB-One")
+	c := styleCell("fft", cbOne, workload.StyleNaive)
+	c4 := c
+	c4.Entries = 4
+	step("one cell twice", 1, func() error { _, err := NewRuns(o).Results([]Cell{c, c4, c}); return err })
 }

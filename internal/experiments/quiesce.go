@@ -23,34 +23,26 @@ func ExtensionSetups() []Setup {
 // ExtensionQuiesce runs a synchronization-heavy benchmark subset under
 // the extension setups and reports execution time, traffic, L1 accesses
 // (the spin-energy proxy), and total energy, normalized to Invalidation.
-func ExtensionQuiesce(o Options) (*metrics.Table, error) {
-	o = o.fill()
-	if len(o.Benchmarks) == 0 {
-		o.Benchmarks = []string{"radiosity", "ocean", "fluidanimate", "dedup"}
-	}
-	ps, err := o.profiles()
-	if err != nil {
-		return nil, err
+func ExtensionQuiesce(r *Runs) (*metrics.Table, error) {
+	names := r.o.Benchmarks
+	if len(names) == 0 {
+		names = []string{"radiosity", "ocean", "fluidanimate", "dedup"}
 	}
 	setups := ExtensionSetups()
 	t := metrics.NewTable("Quiesce extension (geomean, normalized to Invalidation)",
 		"time", "traffic", "L1 accesses", "energy")
-	results := make([]Result, len(ps)*len(setups))
-	err = o.forEach(len(results), func(i int) error {
-		p, s := ps[i/len(setups)], setups[i%len(setups)]
-		o.Logf("run quiesce-ext %-14s %-13s", p.Name, s.Name)
-		res, err := RunBenchmark(p, s, workload.StyleScalable, o)
-		if err != nil {
-			return err
+	var cells []Cell
+	for _, name := range names {
+		for _, s := range setups {
+			cells = append(cells, styleCell(name, s, workload.StyleScalable))
 		}
-		results[i] = res
-		return nil
-	})
+	}
+	results, err := r.Results(cells)
 	if err != nil {
 		return nil, err
 	}
 	cols := map[string][][]float64{}
-	for pi := range ps {
+	for pi := range names {
 		base := results[pi*len(setups)]
 		for i, s := range setups {
 			res := results[pi*len(setups)+i]

@@ -24,14 +24,7 @@ func GeneratedSource(g *workload.Generated, s Setup, o Options) replay.Source {
 		Label: g.Profile.Name + "/" + s.Name,
 		Limit: o.Limit,
 		Build: func() (*machine.Machine, error) {
-			m := buildMachine(s, o)
-			for a, v := range g.Layout.Init {
-				m.Store.StoreWord(a, v)
-			}
-			for tid, prog := range g.Programs {
-				m.Load(tid, prog, nil)
-			}
-			return m, nil
+			return buildMachine(g, s, o), nil
 		},
 	}
 }
@@ -54,7 +47,7 @@ func RecordBenchmark(p workload.Profile, s Setup, style workload.SyncStyle, o Op
 }
 
 // EnergyOf computes the energy breakdown for a Stats value with the
-// default parameters — the same accounting runGenerated applies, usable
+// default parameters: the accounting of every run's Result, usable also
 // on the mid-run Stats a windowed replay returns.
 func EnergyOf(st machine.Stats) energy.Breakdown {
 	return energy.Compute(energy.Counts{
