@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -228,15 +227,4 @@ func (r *SimRate) CyclesPerSecond() float64 {
 		return 0
 	}
 	return float64(r.cycles) / r.wall.Seconds()
-}
-
-// SortedKeys returns map keys in sorted order (stable iteration for
-// reports).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

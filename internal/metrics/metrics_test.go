@@ -99,14 +99,6 @@ func TestTableMismatchedRowPanics(t *testing.T) {
 	tb.AddRow("bad", 1, 2)
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Fatalf("SortedKeys = %v", keys)
-	}
-}
-
 func TestCSV(t *testing.T) {
 	tb := NewTable("t", "a,b", "c")
 	tb.AddRow("r,1", 1.5, 2)
