@@ -97,7 +97,7 @@ func main() {
 	flag.StringVar(&c.setupName, "setup", "CB-One", "protocol setup: Invalidation, BackOff-{0,5,10,15}, CB-All, CB-One")
 	flag.IntVar(&c.cores, "cores", 64, "simulated cores (perfect square, <= 64)")
 	flag.StringVar(&c.style, "style", "scalable", "synchronization style: scalable (CLH+TreeSR) or naive (T&T&S+SR)")
-	flag.IntVar(&c.entries, "entries", 4, "callback directory entries per bank")
+	flag.IntVar(&c.entries, "entries", 4, "callback directory entries per bank (at most 1024)")
 	flag.IntVar(&c.traceN, "trace", 0, "print the last N protocol/network trace events")
 	flag.StringVar(&c.chromePath, "trace-chrome", "", "write a Chrome trace-event JSON file (view in chrome://tracing or Perfetto)")
 	flag.StringVar(&c.chaosSpec, "chaos", "", "fault-injection spec (e.g. all, or noc-delay=0.01,evict-storm=0.05; empty/off = disabled)")
@@ -125,11 +125,14 @@ func main() {
 		}
 		return
 	}
-	// Validate the core count before any construction: a bad value would
-	// otherwise only surface as a deep machine-build panic.
-	if err := machine.ValidateCores(c.cores); err != nil {
-		fmt.Fprintln(os.Stderr, "cbsim:", err)
-		os.Exit(1)
+	// Validate the core count and directory size before any
+	// construction: a bad value would otherwise only surface as a deep
+	// machine-build panic.
+	for _, err := range []error{machine.ValidateCores(c.cores), machine.ValidateCBEntries(c.entries)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cbsim:", err)
+			os.Exit(1)
+		}
 	}
 	if err := run(c); err != nil {
 		// A liveness failure carries a per-core dump: print where every

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	cbsimd [-addr :8347] [-workers N] [-queue N] [-cache-mb N]
-//	       [-parallel N] [-job-timeout D] [-drain-timeout D] [-salt S]
+//	       [-parallel N] [-job-timeout D] [-drain-timeout D]
 //	       [-journal FILE] [-pprof]
 //
 // API:
@@ -74,7 +74,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max worker goroutines per job's cells")
 	jobTimeout := flag.Duration("job-timeout", 30*time.Minute, "per-job deadline, queue wait included (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "graceful-drain budget on SIGTERM")
-	salt := flag.String("salt", service.DefaultVersionSalt, "cache version salt (bump to invalidate cached results)")
 	journal := flag.String("journal", "", "crash-consistent job journal file (empty = jobs do not survive restarts)")
 	pprofOn := flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/")
 	flag.Parse()
@@ -99,7 +98,6 @@ func main() {
 		CacheBytes:  *cacheMB << 20,
 		Parallelism: *parallel,
 		JobTimeout:  *jobTimeout,
-		VersionSalt: *salt,
 		JournalPath: *journal,
 		Logf:        logger.Printf,
 	})

@@ -168,6 +168,22 @@ func ValidateCores(n int) error {
 	return nil
 }
 
+// MaxCBEntries bounds the callback-directory entries per bank. Every
+// entry of every bank is allocated up front, so an unbounded size lets
+// one request exhaust host memory. The bound is four times the paper's
+// largest size, 256.
+const MaxCBEntries = 1024
+
+// ValidateCBEntries reports whether n is a legal callback-directory size
+// per bank: 0 (the default size) up to MaxCBEntries. It is the single
+// validation shared by cbsim, the service API, and New.
+func ValidateCBEntries(n int) error {
+	if n < 0 || n > MaxCBEntries {
+		return fmt.Errorf("machine: callback directory entries must be 0 (default) to %d (got %d)", MaxCBEntries, n)
+	}
+	return nil
+}
+
 // New builds a machine. classify marks thread-private addresses (nil
 // means none).
 func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
@@ -187,6 +203,9 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 		if cfg.Chaos.CBEvictLRU {
 			cfg.CBEvict = core.EvictLRU
 		}
+	}
+	if err := ValidateCBEntries(cfg.CBEntriesPerBank); err != nil {
+		panic(err.Error())
 	}
 	w := int(math.Sqrt(float64(cfg.Cores)))
 	k := sim.New()

@@ -21,12 +21,6 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultVersionSalt tags cache keys with the simulator generation.
-// Bump it whenever a change makes old cached results stale (protocol
-// fixes, timing model changes): the salt is hashed into every cell key,
-// so bumping it invalidates the whole cache at once.
-const DefaultVersionSalt = "cbsim/v3"
-
 // DefaultLimitCycles is the per-cell simulation cycle budget, matching
 // experiments.Options.Limit's default.
 const DefaultLimitCycles = 200_000_000
@@ -49,7 +43,8 @@ type JobRequest struct {
 	// Style is the synchronization style: "scalable" (CLH + TreeSR,
 	// default) or "naive" (T&T&S + SR).
 	Style string `json:"style,omitempty"`
-	// Entries sizes the callback directories (default 4).
+	// Entries sizes the callback directories (default 4, at most
+	// machine.MaxCBEntries).
 	Entries int `json:"entries,omitempty"`
 	// LimitCycles is the per-cell simulation cycle budget
 	// (default 200M).
@@ -99,12 +94,12 @@ type CellSpec struct {
 }
 
 // Key returns the content address of this cell's result: a hex SHA-256
-// over the version salt and the canonical JSON encoding of the spec.
-// Two equivalent job specs (defaults elided vs. spelled out, style case
-// differences) hash identically; changing the salt changes every key.
-func (c CellSpec) Key(salt string) string {
+// of the canonical JSON encoding of the spec. Two equivalent job specs
+// (defaults elided vs. spelled out, style case differences) hash
+// identically. The cache lives only in memory, so a rebuilt simulator
+// starts with an empty cache and never meets a stale key.
+func (c CellSpec) Key() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", salt)
 	// encoding/json serializes struct fields in declaration order, so
 	// the encoding is canonical for a normalized spec.
 	if err := json.NewEncoder(h).Encode(c); err != nil {
@@ -152,8 +147,8 @@ func (r JobRequest) Cells() ([]CellSpec, error) {
 	if entries == 0 {
 		entries = 4
 	}
-	if entries < 0 {
-		return nil, fmt.Errorf("entries must be positive (got %d)", entries)
+	if err := machine.ValidateCBEntries(entries); err != nil {
+		return nil, err
 	}
 	limit := r.LimitCycles
 	if limit == 0 {

@@ -36,20 +36,16 @@ func TestCellKeyCanonicalization(t *testing.T) {
 	if a[0] != b[0] {
 		t.Fatalf("normalized cells differ:\n  %+v\n  %+v", a[0], b[0])
 	}
-	if ka, kb := a[0].Key("salt"), b[0].Key("salt"); ka != kb {
+	if ka, kb := a[0].Key(), b[0].Key(); ka != kb {
 		t.Fatalf("equivalent specs hash differently: %s vs %s", ka, kb)
 	}
 }
 
-// TestCellKeySaltAndFields pins that the version salt and every spec
-// field perturb the key.
+// TestCellKeySaltAndFields pins that every spec field perturbs the key.
 func TestCellKeySaltAndFields(t *testing.T) {
 	base := CellSpec{Benchmark: "radiosity", Setup: "CB-One", Cores: 64,
 		Style: "scalable", Entries: 4, Limit: DefaultLimitCycles}
-	k := base.Key(DefaultVersionSalt)
-	if k2 := base.Key(DefaultVersionSalt + "-other"); k2 == k {
-		t.Fatal("version salt does not change the key")
-	}
+	k := base.Key()
 	variants := []CellSpec{}
 	for _, mutate := range []func(*CellSpec){
 		func(c *CellSpec) { c.Benchmark = "ocean" },
@@ -66,7 +62,7 @@ func TestCellKeySaltAndFields(t *testing.T) {
 	}
 	seen := map[string]CellSpec{k: base}
 	for _, c := range variants {
-		kc := c.Key(DefaultVersionSalt)
+		kc := c.Key()
 		if prev, dup := seen[kc]; dup {
 			t.Fatalf("specs %+v and %+v collide on %s", prev, c, kc)
 		}
@@ -82,6 +78,7 @@ func TestCellsValidation(t *testing.T) {
 		{Benchmark: "radiosity", Cores: 81}, // > 64
 		{Benchmark: "radiosity", Style: "aggressive"},
 		{Benchmark: "radiosity", Entries: -1},
+		{Benchmark: "fft", Setup: "CB-One", Cores: 64, Entries: 1 << 30}, // would allocate terabytes
 	}
 	for _, req := range cases {
 		if _, err := req.Cells(); err == nil {

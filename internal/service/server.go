@@ -42,9 +42,6 @@ type Config struct {
 	// JobTimeout is the end-to-end deadline per job, queue wait
 	// included (0 = none).
 	JobTimeout time.Duration
-	// VersionSalt is hashed into every cache key
-	// (default DefaultVersionSalt).
-	VersionSalt string
 	// JournalPath, when non-empty, names the append-only NDJSON job
 	// journal: accepted jobs are recorded before the client sees 202,
 	// terminal transitions when they happen, and on boot jobs without a
@@ -67,9 +64,6 @@ func (c Config) fill() Config {
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.VersionSalt == "" {
-		c.VersionSalt = DefaultVersionSalt
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -462,7 +456,7 @@ func (s *Server) runCell(j *job, i int) (err error) {
 			err = fmt.Errorf("cell %d (%s/%s) panicked: %v", i+1, c.Benchmark, c.Setup, r)
 		}
 	}()
-	key := c.Key(s.cfg.VersionSalt)
+	key := c.Key()
 	if data, ok := s.cache.Get(key); ok && !j.traceWanted && !j.checkpoints {
 		s.cellsCached.Inc()
 		j.cellDone(i, CellResult{Cached: true, Data: data}, Event{
