@@ -128,11 +128,9 @@ func main() {
 	// Validate the core count and directory size before any
 	// construction: a bad value would otherwise only surface as a deep
 	// machine-build panic.
-	for _, err := range []error{machine.ValidateCores(c.cores), machine.ValidateCBEntries(c.entries)} {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cbsim:", err)
-			os.Exit(1)
-		}
+	if err := errors.Join(machine.ValidateCores(c.cores), machine.ValidateCBEntries(c.entries)); err != nil {
+		fmt.Fprintln(os.Stderr, "cbsim:", err)
+		os.Exit(1)
 	}
 	if err := run(c); err != nil {
 		// A liveness failure carries a per-core dump: print where every

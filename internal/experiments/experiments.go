@@ -273,10 +273,10 @@ func (o Options) forEach(n int, fn func(i int) error) error {
 // Sweep runs fn(0) .. fn(n-1) over the options' bounded worker pool —
 // the same engine a Runs cell set uses, exported so other subsystems
 // (the cbsimd daemon) can layer per-cell work such as cache lookups and
-// progress streaming over it. Unlike a Runs, it never reuses a result. Every index runs exactly once;
-// the returned error is the one from the lowest failing index regardless
-// of scheduling. When o.Context is canceled, remaining cells are skipped
-// and Sweep returns ctx.Err().
+// progress streaming over it. Unlike a Runs, it never reuses a result.
+// Every index runs exactly once; the returned error is the one from the
+// lowest failing index regardless of scheduling. When o.Context is
+// canceled, remaining cells are skipped and Sweep returns ctx.Err().
 func Sweep(o Options, n int, fn func(i int) error) error {
 	return o.fill().forEach(n, fn)
 }
