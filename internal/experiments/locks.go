@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"math/rand"
-
-	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/synclib"
-	"repro/internal/workload"
 )
 
 // ExtensionLocks compares all five lock algorithms (the paper's T&S,
@@ -29,26 +25,20 @@ func ExtensionLocks(o Options) (lat, llc *metrics.Table, err error) {
 	lat = metrics.NewTable("Lock extension study (mean acquire latency, cycles)", cols...)
 	llc = metrics.NewTable("Lock extension study (sync LLC accesses)", cols...)
 
-	locks := []struct {
-		name string
-		mk   func(*synclib.Layout, int) synclib.Lock
-	}{
-		{"T&S", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewTASLock(l) }},
-		{"T&T&S", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewTTASLock(l) }},
-		{"Ticket", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewTicketLock(l) }},
-		{"CLH", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewCLHLock(l, n) }},
-		{"MCS", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewMCSLock(l, n) }},
+	locks := []Micro{
+		lockMicro("T&S", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewTASLock(l) }),
+		lockMicro("T&T&S", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewTTASLock(l) }),
+		lockMicro("Ticket", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewTicketLock(l) }),
+		lockMicro("CLH", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewCLHLock(l, n) }),
+		lockMicro("MCS", func(l *synclib.Layout, n int) synclib.Lock { return synclib.NewMCSLock(l, n) }),
 	}
-	stats := make([]machine.Stats, len(locks)*len(setups))
-	err = o.forEach(len(stats), func(i int) error {
+	results := make([]MicroResult, len(locks)*len(setups))
+	err = o.forEach(len(results), func(i int) error {
 		lk, s := locks[i/len(setups)], setups[i%len(setups)]
-		o.Logf("run lock-ext %-8s %-13s", lk.name, s.Name)
-		st, err := runLockMicro(lk.mk, s, o)
-		if err != nil {
-			return err
-		}
-		stats[i] = st
-		return nil
+		o.Logf("run lock-ext %-8s %-13s", lk.Name, s.Name)
+		var err error
+		results[i], err = RunMicro(lk, s, o)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
@@ -57,47 +47,11 @@ func ExtensionLocks(o Options) (lat, llc *metrics.Table, err error) {
 		latRow := make([]float64, len(setups))
 		llcRow := make([]float64, len(setups))
 		for i := range setups {
-			st := stats[li*len(setups)+i]
-			latRow[i] = st.SyncLatency(isa.SyncAcquire)
-			llcRow[i] = float64(st.LLCSyncByKind[isa.SyncAcquire])
+			r := results[li*len(setups)+i]
+			latRow[i], llcRow[i] = r.Latency, r.LLCAccesses
 		}
-		lat.AddRow(lk.name, latRow...)
-		llc.AddRow(lk.name, llcRow...)
+		lat.AddRow(lk.Name, latRow...)
+		llc.AddRow(lk.Name, llcRow...)
 	}
 	return lat, llc, nil
-}
-
-// runLockMicro runs the contended lock microbenchmark for one algorithm
-// under one setup.
-func runLockMicro(mk func(*synclib.Layout, int) synclib.Lock, s Setup, o Options) (machine.Stats, error) {
-	const iters = 8
-	lay := synclib.NewLayout()
-	lock := mk(lay, o.Cores)
-	counter := lay.SharedLine()
-	f := s.Flavor()
-	g := &workload.Generated{Layout: lay, Flavor: f}
-	for tid := 0; tid < o.Cores; tid++ {
-		rng := rand.New(rand.NewSource(int64(tid) + 42))
-		b := isa.NewBuilder()
-		lock.EmitInit(b, f, tid)
-		b.Imm(isa.R1, iters)
-		b.Label("loop")
-		b.Compute(uint64(2000 + rng.Intn(2000)))
-		lock.EmitAcquire(b, f, tid)
-		b.Imm(isa.R2, uint64(counter))
-		b.Ld(isa.R3, isa.R2, 0)
-		b.Addi(isa.R3, isa.R3, 1)
-		b.St(isa.R2, 0, isa.R3)
-		b.Compute(100)
-		lock.EmitRelease(b, f, tid)
-		b.Addi(isa.R1, isa.R1, ^uint64(0))
-		b.Bnez(isa.R1, "loop")
-		b.Done()
-		g.Programs = append(g.Programs, b.MustBuild())
-	}
-	res, err := runGenerated(g, s, o)
-	if err != nil {
-		return machine.Stats{}, err
-	}
-	return res.Stats, nil
 }
