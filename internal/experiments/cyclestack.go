@@ -30,11 +30,7 @@ type CycleStackResult struct {
 // all core cycles (each row sums to 1 by conservation).
 func RunCycleStacks(bench string, setups []Setup, style workload.SyncStyle, o Options) (*CycleStackResult, error) {
 	o.CycleStacks = true
-	cells := make([]Cell, len(setups))
-	for i, s := range setups {
-		cells[i] = styleCell(bench, s, style)
-	}
-	results, err := NewRuns(o).Results(cells)
+	results, err := NewRuns(o).Results(styleCells([]string{bench}, setups, style))
 	if err != nil {
 		return nil, err
 	}

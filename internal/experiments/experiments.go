@@ -393,10 +393,17 @@ type Cell struct {
 	Entries int
 }
 
-// styleCell is the cell of profile under s with style's lock and barrier.
-func styleCell(profile string, s Setup, style workload.SyncStyle) Cell {
+// styleCells lists every named profile under every setup, profile-major,
+// with style's lock and barrier.
+func styleCells(names []string, setups []Setup, style workload.SyncStyle) []Cell {
 	lk, bk := style.Kinds()
-	return Cell{Profile: profile, Setup: s, Lock: lk, Barrier: bk}
+	var cells []Cell
+	for _, name := range names {
+		for _, s := range setups {
+			cells = append(cells, Cell{Profile: name, Setup: s, Lock: lk, Barrier: bk})
+		}
+	}
+	return cells
 }
 
 // Runs is the cell set of one invocation: the figures read their cells

@@ -23,12 +23,7 @@ type SuiteResults struct {
 // siblings).
 func RunSuite(setups []Setup, style workload.SyncStyle, r *Runs) (*SuiteResults, error) {
 	names := r.o.benchmarks()
-	var cells []Cell
-	for _, name := range names {
-		for _, s := range setups {
-			cells = append(cells, styleCell(name, s, style))
-		}
-	}
+	cells := styleCells(names, setups, style)
 	results, err := r.Results(cells)
 	if err != nil {
 		return nil, err
@@ -255,9 +250,8 @@ func SensitivityEntries(r *Runs) (*metrics.Table, error) {
 	var cells []Cell
 	for _, name := range subset {
 		for _, e := range entries {
-			c := styleCell(name, setup, workload.StyleScalable)
-			c.Entries = e
-			cells = append(cells, c)
+			cells = append(cells, Cell{Profile: name, Setup: setup,
+				Lock: workload.LockCLH, Barrier: workload.BarrierTree, Entries: e})
 		}
 	}
 	results, err := r.Results(cells)

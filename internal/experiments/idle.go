@@ -24,13 +24,7 @@ func ExtensionIdleEnergy(r *Runs) (*metrics.Table, error) {
 
 	t := metrics.NewTable("Idle-while-blocked extension (geomean over benchmarks)",
 		"idle fraction", "core+mem energy")
-	var cells []Cell
-	for _, name := range names {
-		for _, s := range setups {
-			cells = append(cells, styleCell(name, s, workload.StyleScalable))
-		}
-	}
-	results, err := r.Results(cells)
+	results, err := r.Results(styleCells(names, setups, workload.StyleScalable))
 	if err != nil {
 		return nil, err
 	}

@@ -110,7 +110,7 @@ func TestRunsSimulateEachCellOnce(t *testing.T) {
 	step("second scalable suite", 0, suite)
 	step("Fig23", 2*7, func() error { _, err := Fig23(r); return err })
 	cbOne, _ := SetupByName("CB-One")
-	c := styleCell("fft", cbOne, workload.StyleNaive)
+	c := styleCells([]string{"fft"}, []Setup{cbOne}, workload.StyleNaive)[0]
 	c4 := c
 	c4.Entries = 4
 	step("one cell twice", 1, func() error { _, err := NewRuns(o).Results([]Cell{c, c4, c}); return err })

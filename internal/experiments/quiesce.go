@@ -31,13 +31,7 @@ func ExtensionQuiesce(r *Runs) (*metrics.Table, error) {
 	setups := ExtensionSetups()
 	t := metrics.NewTable("Quiesce extension (geomean, normalized to Invalidation)",
 		"time", "traffic", "L1 accesses", "energy")
-	var cells []Cell
-	for _, name := range names {
-		for _, s := range setups {
-			cells = append(cells, styleCell(name, s, workload.StyleScalable))
-		}
-	}
-	results, err := r.Results(cells)
+	results, err := r.Results(styleCells(names, setups, workload.StyleScalable))
 	if err != nil {
 		return nil, err
 	}
