@@ -32,9 +32,10 @@ race:
 test-debug:
 	$(GO) test -tags cbsimdebug ./internal/noc/
 
-# bench runs every benchmark once: a smoke pass that exercises the figure
-# regeneration paths and the alloc-counting benchmarks without the full
-# measurement cost.
+# bench runs every benchmark once: a smoke pass over the alloc-counting
+# and ablation benchmarks without the full measurement cost. The figure
+# regeneration paths are exercised by TestFiguresMatchPins under test
+# and race.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
