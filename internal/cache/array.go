@@ -10,18 +10,18 @@ import (
 	"repro/internal/memtypes"
 )
 
-// Line is one cache line: tag state plus a protocol-defined payload P and
-// the line's data words.
+// Line is one cache line: tag state plus a protocol-defined payload P.
+// Data values live in the global store (internal/mem); a controller
+// that keeps a copy of the line's words carries them in P.
 type Line[P any] struct {
 	Valid bool
 	Addr  memtypes.Addr // line-aligned address (only meaningful when Valid)
-	Data  memtypes.Line
 	State P
 
 	lru uint64
 }
 
-// Array is a set-associative cache tag/data array with true-LRU
+// Array is a set-associative cache tag array with true-LRU
 // replacement. P is the per-line protocol state (MESI state, VIPS dirty
 // mask, ...).
 type Array[P any] struct {
@@ -163,23 +163,19 @@ func (a *Array[P]) Victim(addr memtypes.Addr) *Line[P] {
 	return &a.sets[s][w]
 }
 
-// Allocate installs addr's line into the array, replacing the victim way.
-// It returns the new line and, if a valid line was evicted, a copy of it.
-// The new line's State and Data are zeroed; the caller fills them.
-func (a *Array[P]) Allocate(addr memtypes.Addr) (line *Line[P], evicted *Line[P]) {
+// Allocate installs addr's line into the array, replacing the victim way
+// (a valid victim is dropped silently; see Victim), and returns the new
+// line. Its State is zeroed; the caller fills it.
+func (a *Array[P]) Allocate(addr memtypes.Addr) *Line[P] {
 	if l := a.Peek(addr); l != nil {
 		panic(fmt.Sprintf("cache: allocating already-present line %s", addr.Line()))
 	}
 	s, w := a.victimWay(addr)
 	v := &a.sets[s][w]
-	if v.Valid {
-		ev := *v
-		evicted = &ev
-	}
 	a.tick++
 	*v = Line[P]{Valid: true, Addr: addr.Line(), lru: a.tick}
 	a.occ[s] |= 1 << w
-	return v, evicted
+	return v
 }
 
 // Invalidate drops addr's line if present and reports whether it did.
@@ -197,8 +193,8 @@ func (a *Array[P]) Invalidate(addr memtypes.Addr) bool {
 	return false
 }
 
-// ForEach visits every valid line. The visitor may mutate the line's State
-// and Data; setting Valid false invalidates it.
+// ForEach visits every valid line. The visitor may mutate the line's
+// State; setting Valid false invalidates it.
 func (a *Array[P]) ForEach(fn func(*Line[P])) {
 	for s, m := range a.occ {
 		for ; m != 0; m &= m - 1 {

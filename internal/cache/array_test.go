@@ -4,11 +4,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/memtypes"
 )
 
-type testState struct{ v int }
+type testState struct {
+	v    int
+	data memtypes.Line
+}
 
 func TestGeometry(t *testing.T) {
 	a := NewArray[testState](32*1024, 4) // the paper's L1
@@ -30,21 +34,29 @@ func TestLookupMissThenHit(t *testing.T) {
 	if a.Lookup(addr) != nil {
 		t.Fatal("lookup hit in empty cache")
 	}
-	line, ev := a.Allocate(addr)
-	if ev != nil {
+	if a.Victim(addr).Valid {
 		t.Fatal("eviction from empty cache")
 	}
+	line := a.Allocate(addr)
 	line.State.v = 42
-	line.Data[3] = 99
+	line.State.data[3] = 99
 	got := a.Lookup(addr + 8) // any address within the same line
 	if got == nil {
 		t.Fatal("miss after allocate")
 	}
-	if got.State.v != 42 || got.Data[3] != 99 {
+	if got.State.v != 42 || got.State.data[3] != 99 {
 		t.Fatal("payload lost")
 	}
 	if a.Accesses != 2 || a.Hits != 1 {
 		t.Fatalf("accesses=%d hits=%d, want 2/1", a.Accesses, a.Hits)
+	}
+}
+
+// An LLC bank's lines carry no payload: tag, valid bit and LRU stamp
+// only (data values live in the global store).
+func TestTagOnlyLineLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Line[struct{}]{}); n > 24 {
+		t.Fatalf("Line[struct{}] is %d bytes, want at most 24", n)
 	}
 }
 
@@ -57,10 +69,10 @@ func TestLRUEviction(t *testing.T) {
 	a.Allocate(a0)
 	a.Allocate(a1)
 	a.Lookup(a0) // a0 now MRU, a1 LRU
-	_, ev := a.Allocate(a2)
-	if ev == nil || ev.Addr != a1 {
-		t.Fatalf("evicted %+v, want line %s", ev, a1)
+	if v := a.Victim(a2); !v.Valid || v.Addr != a1 {
+		t.Fatalf("victim %+v, want line %s", v, a1)
 	}
+	a.Allocate(a2)
 	if a.Peek(a0) == nil || a.Peek(a2) == nil || a.Peek(a1) != nil {
 		t.Fatal("wrong resident set after eviction")
 	}
@@ -129,10 +141,10 @@ func TestPropertyCacheConsistency(t *testing.T) {
 					return false // stale or corrupted content
 				}
 			} else {
-				l, ev := a.Allocate(addr)
-				if ev != nil {
-					delete(shadow, ev.Addr)
+				if v := a.Victim(addr); v.Valid {
+					delete(shadow, v.Addr)
 				}
+				l := a.Allocate(addr)
 				l.State.v = next
 				shadow[line] = next
 				next++

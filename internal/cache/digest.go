@@ -8,9 +8,9 @@ import (
 
 // Digest folds the array's mutable state — every valid line in physical
 // (set, way) order plus the LRU clock and access counters — into h. The
-// per-line protocol payload P is opaque to the array, so the caller
-// supplies state to fold it (nil skips it, for payload-free arrays like
-// the LLC data banks).
+// per-line protocol payload P, data words included, is opaque to the
+// array, so the caller supplies state to fold it (nil skips it, for
+// payload-free arrays like the LLC banks).
 //
 // The LRU tick and per-line lru stamps are included deliberately: they
 // decide future victims, so two arrays that agree on digest agree on all
@@ -30,9 +30,6 @@ func (a *Array[P]) Digest(h *digest.Hash, state func(*digest.Hash, *P)) {
 			h.Int(w)
 			h.U64(uint64(ln.Addr))
 			h.U64(ln.lru)
-			for _, word := range ln.Data {
-				h.U64(word)
-			}
 			if state != nil {
 				state(h, &ln.State)
 			}

@@ -94,3 +94,25 @@ func TestBankEvictionSilent(t *testing.T) {
 		t.Fatalf("post-eviction latency = %d", lat)
 	}
 }
+
+// A miss that evicts a resident line drops it without allocating: one
+// 16-way set is filled, then every access brings in a new line.
+func TestBankEvictingAccessDoesNotAllocate(t *testing.T) {
+	b := NewBank()
+	const setStride = 256 * memtypes.LineBytes // same set, next tag
+	addr := memtypes.Addr(0)
+	access := func() {
+		b.Access(addr, true, 0)
+		addr += setStride
+	}
+	for i := 0; i < 16; i++ {
+		access()
+	}
+	allocs := testing.AllocsPerRun(100, access)
+	if allocs != 0 {
+		t.Fatalf("evicting access allocates %.1f times, want 0", allocs)
+	}
+	if b.Stats().Misses != b.Stats().Accesses {
+		t.Fatalf("misses %d of %d accesses: every access should miss", b.Stats().Misses, b.Stats().Accesses)
+	}
+}

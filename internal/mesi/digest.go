@@ -14,11 +14,14 @@ import (
 // value, a busy directory line its ack count and pending grant, a
 // deferred request its message.
 
-// Digest folds the L1's cache array (MESI line states), any pending
-// miss, the monitor extension's armed state, the messages in flight to
-// it, whether a spinner is parked on it, and the counters.
+// Digest folds the L1's cache array (data words and MESI line states),
+// any pending miss, the monitor extension's armed state, the messages in
+// flight to it, whether a spinner is parked on it, and the counters.
 func (l *L1) Digest(h *digest.Hash) {
 	l.arr.Digest(h, func(h *digest.Hash, s *l1Line) {
+		for _, word := range s.data {
+			h.U64(word)
+		}
 		h.Int(int(s.state))
 	})
 	h.Bool(l.pending.req != nil)

@@ -48,7 +48,10 @@ type L1Stats struct {
 	Forwards      uint64 // FwdGetS/FwdGetX served
 }
 
+// l1Line is the L1's per-line payload: the MESI state and the line's
+// data words.
 type l1Line struct {
+	data  memtypes.Line
 	state State
 }
 
@@ -206,16 +209,16 @@ func (l *L1) finish(line *cache.Line[l1Line], delay uint64, hit bool) {
 	l.obs.Span(l.id, l.k.Now(), l.k.Now()+delay, uint64(cycles.CatL1Stall))
 	switch mapKind(req.Kind) {
 	case memtypes.OpRead:
-		resp.Value = line.Data[w]
+		resp.Value = line.State.data[w]
 	case memtypes.OpWrite:
-		line.Data[w] = req.Value
+		line.State.data[w] = req.Value
 		// The single M copy is the current value: commit globally.
 		l.store.StoreWord(req.Addr, req.Value)
 	case memtypes.OpRMW:
-		old := line.Data[w]
+		old := line.State.data[w]
 		newVal, writes := req.RMW.Apply(old, req.Expect, req.Arg)
 		if writes {
-			line.Data[w] = newVal
+			line.State.data[w] = newVal
 			l.store.StoreWord(req.Addr, newVal)
 		}
 		resp.Value = old
@@ -267,8 +270,8 @@ func (l *L1) handleData(msg *memtypes.Message) {
 	line := l.arr.Peek(msg.Addr)
 	if line == nil {
 		l.evictFor(msg.Addr)
-		line, _ = l.arr.Allocate(msg.Addr)
-		line.Data = msg.LineData
+		line = l.arr.Allocate(msg.Addr)
+		line.State.data = msg.LineData
 	}
 	switch msg.Kind {
 	case MsgDataS:
@@ -278,7 +281,7 @@ func (l *L1) handleData(msg *memtypes.Message) {
 	case MsgDataX:
 		line.State.state = StateM
 		// A DataX response supersedes any stale local copy.
-		line.Data = msg.LineData
+		line.State.data = msg.LineData
 	}
 	l.mesh.Free(msg)
 	l.finish(line, mem.DefaultL1Latency, false)
@@ -297,7 +300,7 @@ func (l *L1) evictFor(addr memtypes.Addr) {
 		*msg = memtypes.Message{
 			Src: l.id, Dst: l.bankOf(v.Addr), Kind: MsgPutM,
 			Class: memtypes.ClassLineData, Addr: v.Addr, Core: l.id,
-			LineData: v.Data,
+			LineData: v.State.data,
 		}
 		l.mesh.Send(msg)
 	case StateE:
@@ -337,7 +340,7 @@ func (l *L1) handleFwd(msg *memtypes.Message) {
 	l.stats.Forwards++
 	data := l.store.LoadLine(msg.Addr)
 	if line := l.arr.Peek(msg.Addr); line != nil {
-		data = line.Data
+		data = line.State.data
 		if msg.Kind == MsgFwdGetS {
 			line.State.state = StateS
 		} else {
@@ -408,7 +411,7 @@ func (l *L1) SpinRespond(req *memtypes.Request, done memtypes.Completer, g *sim.
 		panic(fmt.Sprintf("mesi: core %d woke while a response is in flight", l.id))
 	}
 	line := l.arr.Peek(req.Addr)
-	l.resp = memtypes.Response{Hit: true, Value: line.Data[req.Addr.WordIndex()]}
+	l.resp = memtypes.Response{Hit: true, Value: line.State.data[req.Addr.WordIndex()]}
 	l.respTo = done
 	l.k.WakeGhost(g, l, nil, stageRespond)
 }

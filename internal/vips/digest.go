@@ -14,11 +14,14 @@ import (
 // scheduled response its value, a parked callback read or a deferred
 // operation its full message.
 
-// Digest folds the L1's cache array (dirty masks, private bits), any
-// pending operation, a scheduled response, the outstanding write-through
-// count, and the counters.
+// Digest folds the L1's cache array (data words, dirty masks, private
+// bits), any pending operation, a scheduled response, the outstanding
+// write-through count, and the counters.
 func (l *L1) Digest(h *digest.Hash) {
 	l.arr.Digest(h, func(h *digest.Hash, s *l1Line) {
+		for _, word := range s.data {
+			h.U64(word)
+		}
 		for _, d := range s.dirty {
 			h.Bool(d)
 		}

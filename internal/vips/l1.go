@@ -23,7 +23,10 @@ type L1Stats struct {
 	RacyOps       uint64 // operations forwarded to the LLC
 }
 
+// l1Line is the L1's per-line payload: the line's data words, which of
+// them are dirty, and whether the line holds private data.
 type l1Line struct {
+	data    memtypes.Line
 	dirty   [memtypes.WordsPerLine]bool
 	private bool
 }
@@ -170,9 +173,9 @@ func (l *L1) finishDRF(line *cache.Line[l1Line], delay uint64) {
 	resp := memtypes.Response{Hit: true}
 	switch req.Kind {
 	case memtypes.OpRead:
-		resp.Value = line.Data[w]
+		resp.Value = line.State.data[w]
 	case memtypes.OpWrite:
-		line.Data[w] = req.Value
+		line.State.data[w] = req.Value
 		line.State.dirty[w] = true
 	default:
 		panic("vips: finishDRF on non-DRF op")
@@ -187,11 +190,11 @@ func (l *L1) handleDataLine(msg *memtypes.Message) {
 	}
 	l.obs.Close(l.id, l.k.Now())
 	l.evictFor(msg.Addr)
-	line, ev := l.arr.Allocate(msg.Addr)
-	if ev != nil {
+	if l.arr.Victim(msg.Addr).Valid {
 		panic("vips: victim not cleaned before allocate")
 	}
-	line.Data = msg.LineData
+	line := l.arr.Allocate(msg.Addr)
+	line.State.data = msg.LineData
 	line.State.private = l.pending.req.Private
 	l.mesh.Free(msg)
 	l.finishDRF(line, mem.DefaultL1Latency)
@@ -222,7 +225,7 @@ func (l *L1) writeThrough(line *cache.Line[l1Line]) {
 	words := 0
 	for i, d := range line.State.dirty {
 		if d {
-			msg.LineData[i] = line.Data[i]
+			msg.LineData[i] = line.State.data[i]
 			msg.Mask[i] = true
 			words++
 			line.State.dirty[i] = false
@@ -324,9 +327,9 @@ func (l *L1) handleRacyResp(msg *memtypes.Message) {
 		w := req.Addr.WordIndex()
 		switch req.Kind {
 		case memtypes.OpWriteThrough, memtypes.OpWriteCB1, memtypes.OpWriteCB0:
-			line.Data[w] = req.Value
+			line.State.data[w] = req.Value
 		case memtypes.OpReadThrough, memtypes.OpReadCB:
-			line.Data[w] = msg.Value
+			line.State.data[w] = msg.Value
 		}
 	}
 	resp := memtypes.Response{Value: msg.Value, Stale: msg.Stale}
