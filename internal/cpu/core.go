@@ -155,6 +155,16 @@ func (c *Core) CurrentInstr() *isa.Instr {
 	return &c.prog.Ins[c.pc]
 }
 
+// Disasm disassembles the instruction at the PC through the program, so
+// branch targets print by label name; it returns "" when CurrentInstr
+// is nil (diagnostics).
+func (c *Core) Disasm() string {
+	if c.CurrentInstr() == nil {
+		return ""
+	}
+	return c.prog.Disasm(c.pc)
+}
+
 // SetReg presets a register before Start (program arguments: thread ID,
 // structure base addresses...).
 func (c *Core) SetReg(r isa.Reg, v uint64) { c.regs[r] = v }

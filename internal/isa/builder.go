@@ -2,7 +2,7 @@ package isa
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/memtypes"
 )
@@ -13,12 +13,21 @@ import (
 type Builder struct {
 	ins    []Instr
 	labels map[string]int
-	fixups map[int]string // instruction index -> unresolved label
+	fixups []branchName // every branch and its label, in pc order
 }
 
 // NewBuilder returns an empty program builder.
 func NewBuilder() *Builder {
-	return &Builder{labels: make(map[string]int), fixups: make(map[int]string)}
+	return &Builder{labels: make(map[string]int)}
+}
+
+// Reset empties the builder for the next program. It keeps the
+// instruction backing, so building many programs in turn through one
+// builder does not regrow it; programs already built are unaffected.
+func (b *Builder) Reset() {
+	b.ins = b.ins[:0]
+	clear(b.labels)
+	b.fixups = b.fixups[:0]
 }
 
 // Pos returns the current instruction count, useful for generating
@@ -40,8 +49,7 @@ func (b *Builder) emit(in Instr) *Builder {
 }
 
 func (b *Builder) emitBranch(in Instr, label string) *Builder {
-	in.Label = label
-	b.fixups[len(b.ins)] = label
+	b.fixups = append(b.fixups, branchName{pc: len(b.ins), name: label})
 	return b.emit(in)
 }
 
@@ -239,21 +247,14 @@ func (b *Builder) Done() *Builder { return b.emit(Instr{Op: Done}) }
 func (b *Builder) Build() (*Program, error) {
 	ins := make([]Instr, len(b.ins))
 	copy(ins, b.ins)
-	idxs := make([]int, 0, len(b.fixups))
-	//cbvet:unordered keys are sorted before use
-	for idx := range b.fixups {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		label := b.fixups[idx]
-		target, ok := b.labels[label]
+	for _, f := range b.fixups {
+		target, ok := b.labels[f.name]
 		if !ok {
-			return nil, fmt.Errorf("isa: undefined label %q at instruction %d", label, idx)
+			return nil, fmt.Errorf("isa: undefined label %q at instruction %d", f.name, f.pc)
 		}
-		ins[idx].Target = target
+		ins[f.pc].Target = target
 	}
-	return &Program{Ins: ins}, nil
+	return &Program{Ins: ins, names: slices.Clone(b.fixups)}, nil
 }
 
 // MustBuild is Build that panics on error, for statically known programs.

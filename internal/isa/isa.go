@@ -12,6 +12,7 @@ package isa
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/memtypes"
 )
@@ -140,41 +141,48 @@ func (s SyncKind) String() string {
 	return fmt.Sprintf("SyncKind(%d)", uint8(s))
 }
 
-// Instr is one decoded micro-op.
+// Instr is one decoded micro-op. It holds no pointers: the one-byte
+// fields come first and pack into one word, and a branch's symbolic
+// target name lives in its Program (see Program.Disasm).
 type Instr struct {
 	Op Opcode
 
 	Rd, Rs, Rt Reg
-	ImmVal     uint64
-	Target     int // resolved branch target (instruction index)
+	Base       Reg // memory addressing: effective address = regs[Base] + Offset
 
-	// Memory addressing: effective address = regs[Base] + Offset.
-	Base   Reg
-	Offset int64
-
-	// RMW description (Op == RMW).
+	// RMW description (Op == RMW), with Expect and ArgImm below.
 	RMWOp    memtypes.RMWOp
 	RMWLdCB  bool             // load half is ld_cb
 	RMWSt    memtypes.CBWrite // store half semantics
-	Expect   uint64           // expected value (t&s, cas)
 	ArgReg   Reg              // argument register (if ArgIsReg)
-	ArgImm   uint64           // argument immediate (if !ArgIsReg)
 	ArgIsReg bool
 
-	// Label is the symbolic target name, kept for disassembly.
-	Label string
+	ImmVal uint64
+	Target int // resolved branch target (instruction index)
+	Offset int64
+	Expect uint64 // expected value (t&s, cas)
+	ArgImm uint64 // argument immediate (if !ArgIsReg)
 }
 
-func (in Instr) String() string {
+// String disassembles the instruction, printing a branch target as
+// @<target>; Program.Disasm prints the target's label name instead.
+func (in Instr) String() string { return in.format("") }
+
+// format disassembles the instruction with target naming a branch's
+// target ("" prints it as @<target>).
+func (in Instr) format(target string) string {
+	if target == "" {
+		target = fmt.Sprintf("@%d", in.Target)
+	}
 	switch in.Op {
 	case Imm:
 		return fmt.Sprintf("imm r%d, %d", in.Rd, in.ImmVal)
 	case Beq, Bne:
-		return fmt.Sprintf("%s r%d, r%d, %s", in.Op, in.Rs, in.Rt, in.Label)
+		return fmt.Sprintf("%s r%d, r%d, %s", in.Op, in.Rs, in.Rt, target)
 	case Beqi, Bnei:
-		return fmt.Sprintf("%s r%d, %d, %s", in.Op, in.Rs, in.ImmVal, in.Label)
+		return fmt.Sprintf("%s r%d, %d, %s", in.Op, in.Rs, in.ImmVal, target)
 	case Jmp:
-		return fmt.Sprintf("jmp %s", in.Label)
+		return fmt.Sprintf("jmp %s", target)
 	case Ld, LdT, LdCB:
 		return fmt.Sprintf("%s r%d, %d(r%d)", in.Op, in.Rd, in.Offset, in.Base)
 	case St, StT, StCB1, StCB0:
@@ -193,7 +201,28 @@ func (in Instr) String() string {
 // Program is an executable sequence of micro-ops.
 type Program struct {
 	Ins []Instr
+
+	// names holds the label name of every branch a Builder resolved, in
+	// ascending pc order, for disassembly. Programs built otherwise
+	// (decoded from the verify wire format, say) have none.
+	names []branchName
+}
+
+// branchName is the label name the branch at pc was built with.
+type branchName struct {
+	pc   int
+	name string
 }
 
 // Len returns the instruction count.
 func (p *Program) Len() int { return len(p.Ins) }
+
+// Disasm disassembles instruction pc, naming a branch target by the
+// label it was built with, or as @<target> when the program has none.
+func (p *Program) Disasm(pc int) string {
+	i := sort.Search(len(p.names), func(i int) bool { return p.names[i].pc >= pc })
+	if i < len(p.names) && p.names[i].pc == pc {
+		return p.Ins[pc].format(p.names[i].name)
+	}
+	return p.Ins[pc].String()
+}

@@ -1,8 +1,10 @@
 package isa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/memtypes"
 )
@@ -152,8 +154,8 @@ func TestDisassembly(t *testing.T) {
 		Done().
 		MustBuild()
 	texts := make([]string, 0, p.Len())
-	for _, in := range p.Ins {
-		texts = append(texts, in.String())
+	for pc := range p.Ins {
+		texts = append(texts, p.Disasm(pc))
 	}
 	joined := strings.Join(texts, "\n")
 	for _, want := range []string{"imm r1, 7", "ld_cb r2, 8(r1)", "t&s{ld_cb&st_cb0}", "bnei r3, 0, spin", "done"} {
@@ -161,6 +163,63 @@ func TestDisassembly(t *testing.T) {
 			t.Errorf("disassembly missing %q in:\n%s", want, joined)
 		}
 	}
+}
+
+// Reset keeps the instruction backing but forgets every label, and the
+// programs built before it keep their instructions and names.
+func TestBuilderReset(t *testing.T) {
+	b := NewBuilder()
+	b.Label("top").Imm(R1, 1).Bnez(R1, "top").Done()
+	p1 := b.MustBuild()
+	b.Reset()
+	if b.Pos() != 0 {
+		t.Fatalf("Pos after Reset = %d, want 0", b.Pos())
+	}
+	b.Jmp("end").Imm(R2, 2).Label("top").Label("end").Done()
+	p2 := b.MustBuild()
+	if got := p1.Disasm(1); got != "bnei r1, 0, top" || p1.Ins[1].Target != 0 || p1.Ins[0].Op != Imm {
+		t.Fatalf("first program changed by Reset: pc 1 = %q, target %d", got, p1.Ins[1].Target)
+	}
+	if got := p2.Disasm(0); got != "jmp end" || p2.Ins[0].Target != 2 || p2.Len() != 3 {
+		t.Fatalf("second program: pc 0 = %q, target %d, len %d", got, p2.Ins[0].Target, p2.Len())
+	}
+	if got := p2.Disasm(1); got != "imm r2, 2" {
+		t.Fatalf("second program pc 1 = %q", got)
+	}
+}
+
+// Instr is a compact pointer-free record: programs are the bulk of a
+// cell's heap after the caches, and the GC never scans their backing.
+func TestInstrLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n > 56 {
+		t.Errorf("Instr is %d bytes, want at most 56", n)
+	}
+	typ := reflect.TypeOf(Instr{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holdsPointer(f.Type) {
+			t.Errorf("Instr.%s (%s) holds a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// holdsPointer reports whether a value of type t contains a pointer the
+// GC must scan.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+		reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	}
+	return false
 }
 
 func TestBuildCopiesInstructions(t *testing.T) {

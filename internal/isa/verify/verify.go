@@ -294,7 +294,7 @@ func (v *verifier) diag(pc int, check, format string, args ...any) {
 	v.seen[k] = true
 	d := Diagnostic{Thread: -1, PC: pc, Check: check, Msg: msg}
 	if pc >= 0 && pc < v.n {
-		d.Instr = v.p.Ins[pc].String()
+		d.Instr = v.p.Disasm(pc)
 	}
 	v.report.Diags = append(v.report.Diags, d)
 }

@@ -381,7 +381,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	for i := range orig.Ins {
 		want := orig.Ins[i]
-		want.Label = "" // labels are not carried on the wire
 		if progs[0].Ins[i] != want {
 			t.Fatalf("instr %d: got %+v want %+v", i, progs[0].Ins[i], want)
 		}
@@ -391,6 +390,28 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	set := Threads(progs, opts)
 	mustClean(t, set.Threads[0])
+}
+
+// A program decoded from the wire carries no label names, so its
+// diagnostics print branch targets as @<pc>.
+func TestWireDiagnosticPrintsTargetPC(t *testing.T) {
+	req := WireRequest{Threads: []WireProgram{{Ins: []WireInstr{
+		{Op: "imm", Rd: 1, Imm: 7},
+		{Op: "bnei", Rs: 1, Target: 9},
+		{Op: "jmp"},
+		{Op: "done"},
+	}}}}
+	progs, opts, err := req.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := Threads(progs, opts)
+	if err := set.Err(); err == nil || !strings.Contains(err.Error(), "pc 1 (bnei r1, 0, @9)") {
+		t.Fatalf("want a diagnostic at pc 1 (bnei r1, 0, @9), got %v", err)
+	}
+	if got := progs[0].Disasm(2); got != "jmp @0" {
+		t.Fatalf("pc 2 disassembles as %q, want %q", got, "jmp @0")
+	}
 }
 
 func TestWireDecodeErrors(t *testing.T) {

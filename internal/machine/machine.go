@@ -560,8 +560,8 @@ func (m *Machine) Diagnose() string {
 		if c.Done() {
 			continue
 		}
-		in := c.CurrentInstr()
-		if in == nil {
+		in := c.Disasm()
+		if in == "" {
 			fmt.Fprintf(&b, "  core %2d: no program\n", i)
 			continue
 		}

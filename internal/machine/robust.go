@@ -156,9 +156,7 @@ func (m *Machine) noProgressError(window uint64) *NoProgressError {
 		d := CoreDump{Core: i, Done: c.Done()}
 		if !d.Done {
 			d.PC = c.PC()
-			if in := c.CurrentInstr(); in != nil {
-				d.Instr = in.String()
-			}
+			d.Instr = c.Disasm()
 			for _, t := range m.vipsTiles {
 				if addr, ok := t.Bank.ParkedOp(memtypes.NodeID(i)); ok {
 					d.Parked, d.Addr = true, addr

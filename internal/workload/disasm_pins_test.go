@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/isa"
 	"repro/internal/synclib"
 )
 
@@ -24,14 +23,11 @@ const disasmPinsFile = "testdata/disasm_pins.txt"
 
 const disasmPinCores = 16
 
-// disasm renders instruction pc of p as diagnostics print it.
-func disasm(p *isa.Program, pc int) string { return p.Ins[pc].String() }
-
 func disasmHash(g *Generated) string {
 	h := sha256.New()
 	for tid, p := range g.Programs {
 		for pc := range p.Ins {
-			fmt.Fprintf(h, "t%d %d %s\n", tid, pc, disasm(p, pc))
+			fmt.Fprintf(h, "t%d %d %s\n", tid, pc, p.Disasm(pc))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -185,9 +185,12 @@ func GenerateCustom(p Profile, cores int, lk LockKind, bk BarrierKind, f synclib
 		channels = append(channels, synclib.NewSignalWait(lay))
 	}
 
+	// One builder serves every thread, so its instruction backing grows
+	// once per cell rather than once per thread.
 	g := &Generated{Profile: p, Flavor: f, Layout: lay}
+	b := isa.NewBuilder()
 	for tid := 0; tid < cores; tid++ {
-		g.Programs = append(g.Programs, buildThread(p, cores, tid, f, barrier, locks, channels,
+		g.Programs = append(g.Programs, buildThread(b, p, cores, tid, f, barrier, locks, channels,
 			threadData{priv: priv, boundary: boundary, partBytes: partBytes,
 				boundaryLines: boundaryLines, boundaryBytes: boundaryBytes}, csData))
 	}
@@ -237,12 +240,13 @@ type threadData struct {
 	boundaryBytes int
 }
 
-func buildThread(p Profile, cores, tid int, f synclib.Flavor,
+// buildThread resets b and builds thread tid's program through it.
+func buildThread(b *isa.Builder, p Profile, cores, tid int, f synclib.Flavor,
 	barrier synclib.Barrier, locks []synclib.Lock, channels []*synclib.SignalWait,
 	td threadData, csData memtypes.Addr) *isa.Program {
 
 	rng := rand.New(rand.NewSource(int64(tid)*1000003 + int64(len(p.Name))))
-	b := isa.NewBuilder()
+	b.Reset()
 	barrier.EmitInit(b, f, tid)
 	for _, l := range locks {
 		l.EmitInit(b, f, tid)
