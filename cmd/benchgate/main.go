@@ -8,6 +8,10 @@
 //     to stay at zero. Kernel events per op, recorded for whole cells,
 //     must match exactly too: a lost event-saving fast path (spin
 //     parking) shows there long before it shows in ns/op.
+//   - bytes/op of machine_new_64 may not exceed the baseline: machine.New
+//     allocates the same bytes on every run, so a regrown cache line or
+//     tile structure shows there exactly, where ns/op would hide it
+//     inside the tolerance.
 //   - ns/op may drift up to -tolerance x the baseline (default 4x). CI
 //     runners and dev laptops differ by small integer factors; an
 //     order-of-magnitude cliff is a lost fast path, not a slow machine.
@@ -70,6 +74,10 @@ func main() {
 	fmt.Fprintln(os.Stderr, "benchgate: ok")
 }
 
+// bytesGated names the benchmarks whose bytes/op repeats exactly from
+// run to run and may not grow past the baseline.
+var bytesGated = map[string]bool{"machine_new_64": true}
+
 func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
 	base, err := load(baselinePath)
 	if err != nil {
@@ -103,6 +111,10 @@ func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
 		if c.EventsPerOp != b.EventsPerOp {
 			failures = append(failures, fmt.Sprintf("%s: events/op %d, baseline %d (must match exactly)",
 				name, c.EventsPerOp, b.EventsPerOp))
+		}
+		if bytesGated[name] && c.BytesPerOp > b.BytesPerOp {
+			failures = append(failures, fmt.Sprintf("%s: bytes/op %d exceeds baseline %d",
+				name, c.BytesPerOp, b.BytesPerOp))
 		}
 		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*tolerance {
 			failures = append(failures, fmt.Sprintf("%s: %.1f ns/op exceeds %.0fx baseline %.1f ns/op",

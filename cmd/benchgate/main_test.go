@@ -179,3 +179,37 @@ func TestGateObservedSpinRatio(t *testing.T) {
 		t.Fatalf("failures = %q, want one observed-spin ratio failure", failures)
 	}
 }
+
+// machine.New's bytes/op may not grow past the baseline, while other
+// benchmarks' bytes/op stay ungated: a regrown cache line costs bytes
+// long before it costs 4x in ns/op.
+func TestGateMachineNewBytes(t *testing.T) {
+	dir := t.TempDir()
+	base := snapshot{Benchmarks: ratioPairs()}
+	base.Benchmarks["machine_new_64"] = benchPerf{NsPerOp: 4e6, AllocsPerOp: 1181, BytesPerOp: 11_380_000}
+	base.Benchmarks["mesi_spin_cell"] = benchPerf{NsPerOp: 1e6, BytesPerOp: 100}
+	pr := snapshot{Benchmarks: ratioPairs()}
+	pr.Benchmarks["machine_new_64"] = benchPerf{NsPerOp: 4e6, AllocsPerOp: 1181, BytesPerOp: 28_154_154}
+	pr.Benchmarks["mesi_spin_cell"] = benchPerf{NsPerOp: 1e6, BytesPerOp: 200}
+	failures, err := gate(
+		writeSnapshot(t, dir, "base.json", base),
+		writeSnapshot(t, dir, "pr.json", pr), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 1 || !strings.Contains(failures[0], "machine_new_64: bytes/op 28154154 exceeds baseline 11380000") {
+		t.Fatalf("failures = %q, want one machine_new_64 bytes failure", failures)
+	}
+
+	// Fewer bytes than the baseline pass.
+	pr.Benchmarks["machine_new_64"] = benchPerf{NsPerOp: 4e6, AllocsPerOp: 1181, BytesPerOp: 11_000_000}
+	failures, err = gate(
+		writeSnapshot(t, dir, "base.json", base),
+		writeSnapshot(t, dir, "pr2.json", pr), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 0 {
+		t.Fatalf("shrunk machine.New flagged: %q", failures)
+	}
+}
