@@ -142,8 +142,8 @@ func (s SyncKind) String() string {
 }
 
 // Instr is one decoded micro-op. It holds no pointers: the one-byte
-// fields come first and pack into one word, and a branch's symbolic
-// target name lives in its Program (see Program.Disasm).
+// fields come first and pack into the first 16 bytes, and a branch's
+// symbolic target name lives in its Program (see Program.Disasm).
 type Instr struct {
 	Op Opcode
 
@@ -168,21 +168,18 @@ type Instr struct {
 // @<target>; Program.Disasm prints the target's label name instead.
 func (in Instr) String() string { return in.format("") }
 
-// format disassembles the instruction with target naming a branch's
-// target ("" prints it as @<target>).
-func (in Instr) format(target string) string {
-	if target == "" {
-		target = fmt.Sprintf("@%d", in.Target)
-	}
+// format disassembles the instruction, printing a branch target as name,
+// or as @<target> when name is "".
+func (in Instr) format(name string) string {
 	switch in.Op {
 	case Imm:
 		return fmt.Sprintf("imm r%d, %d", in.Rd, in.ImmVal)
 	case Beq, Bne:
-		return fmt.Sprintf("%s r%d, r%d, %s", in.Op, in.Rs, in.Rt, target)
+		return fmt.Sprintf("%s r%d, r%d, %s", in.Op, in.Rs, in.Rt, in.targetText(name))
 	case Beqi, Bnei:
-		return fmt.Sprintf("%s r%d, %d, %s", in.Op, in.Rs, in.ImmVal, target)
+		return fmt.Sprintf("%s r%d, %d, %s", in.Op, in.Rs, in.ImmVal, in.targetText(name))
 	case Jmp:
-		return fmt.Sprintf("jmp %s", target)
+		return fmt.Sprintf("jmp %s", in.targetText(name))
 	case Ld, LdT, LdCB:
 		return fmt.Sprintf("%s r%d, %d(r%d)", in.Op, in.Rd, in.Offset, in.Base)
 	case St, StT, StCB1, StCB0:
@@ -196,6 +193,13 @@ func (in Instr) format(target string) string {
 	default:
 		return in.Op.String()
 	}
+}
+
+func (in Instr) targetText(name string) string {
+	if name == "" {
+		return fmt.Sprintf("@%d", in.Target)
+	}
+	return name
 }
 
 // Program is an executable sequence of micro-ops.

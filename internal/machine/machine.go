@@ -560,12 +560,12 @@ func (m *Machine) Diagnose() string {
 		if c.Done() {
 			continue
 		}
-		in := c.Disasm()
-		if in == "" {
+		dis := c.Disasm()
+		if dis == "" {
 			fmt.Fprintf(&b, "  core %2d: no program\n", i)
 			continue
 		}
-		fmt.Fprintf(&b, "  core %2d: pc=%d  %s\n", i, c.PC(), in)
+		fmt.Fprintf(&b, "  core %2d: pc=%d  %s\n", i, c.PC(), dis)
 	}
 	for i, t := range m.vipsTiles {
 		if n := t.Bank.Parked(); n > 0 {
