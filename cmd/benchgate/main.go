@@ -8,10 +8,11 @@
 //     to stay at zero. Kernel events per op, recorded for whole cells,
 //     must match exactly too: a lost event-saving fast path (spin
 //     parking) shows there long before it shows in ns/op.
-//   - bytes/op of machine_new_64 may not exceed the baseline: machine.New
-//     allocates the same bytes on every run, so a regrown cache line or
-//     tile structure shows there exactly, where ns/op would hide it
-//     inside the tolerance.
+//   - bytes/op of machine_new_64 may exceed the baseline by at most 1%.
+//     machine.New allocates the same bytes on every run; runtime
+//     background allocations move the per-op figure by a few bytes at
+//     most. A regrown cache line (8 more bytes over 262,144 LLC lines is
+//     +18%) shows there, where ns/op would hide it inside the tolerance.
 //   - ns/op may drift up to -tolerance x the baseline (default 4x). CI
 //     runners and dev laptops differ by small integer factors; an
 //     order-of-magnitude cliff is a lost fast path, not a slow machine.
@@ -74,8 +75,8 @@ func main() {
 	fmt.Fprintln(os.Stderr, "benchgate: ok")
 }
 
-// bytesGated names the benchmarks whose bytes/op repeats exactly from
-// run to run and may not grow past the baseline.
+// bytesGated names the benchmarks whose bytes/op repeats from run to run
+// within a few bytes and may not grow past the baseline.
 var bytesGated = map[string]bool{"machine_new_64": true}
 
 func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
@@ -112,8 +113,8 @@ func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
 			failures = append(failures, fmt.Sprintf("%s: events/op %d, baseline %d (must match exactly)",
 				name, c.EventsPerOp, b.EventsPerOp))
 		}
-		if bytesGated[name] && c.BytesPerOp > b.BytesPerOp {
-			failures = append(failures, fmt.Sprintf("%s: bytes/op %d exceeds baseline %d",
+		if bytesGated[name] && c.BytesPerOp > b.BytesPerOp+b.BytesPerOp/100 {
+			failures = append(failures, fmt.Sprintf("%s: bytes/op %d exceeds baseline %d by more than 1%%",
 				name, c.BytesPerOp, b.BytesPerOp))
 		}
 		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*tolerance {

@@ -180,9 +180,9 @@ func TestGateObservedSpinRatio(t *testing.T) {
 	}
 }
 
-// machine.New's bytes/op may not grow past the baseline, while other
-// benchmarks' bytes/op stay ungated: a regrown cache line costs bytes
-// long before it costs 4x in ns/op.
+// machine.New's bytes/op may not grow past the baseline by more than 1%,
+// while other benchmarks' bytes/op stay ungated: a regrown cache line
+// costs bytes long before it costs 4x in ns/op.
 func TestGateMachineNewBytes(t *testing.T) {
 	dir := t.TempDir()
 	base := snapshot{Benchmarks: ratioPairs()}
@@ -197,19 +197,21 @@ func TestGateMachineNewBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failures) != 1 || !strings.Contains(failures[0], "machine_new_64: bytes/op 28154154 exceeds baseline 11380000") {
+	if len(failures) != 1 || !strings.Contains(failures[0], "machine_new_64: bytes/op 28154154 exceeds baseline 11380000 by more than 1%") {
 		t.Fatalf("failures = %q, want one machine_new_64 bytes failure", failures)
 	}
 
-	// Fewer bytes than the baseline pass.
-	pr.Benchmarks["machine_new_64"] = benchPerf{NsPerOp: 4e6, AllocsPerOp: 1181, BytesPerOp: 11_000_000}
-	failures, err = gate(
-		writeSnapshot(t, dir, "base.json", base),
-		writeSnapshot(t, dir, "pr2.json", pr), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 0 {
-		t.Fatalf("shrunk machine.New flagged: %q", failures)
+	// Run-to-run jitter of a few bytes, and any shrink, pass.
+	for _, bytes := range []int64{11_380_004, 11_000_000} {
+		pr.Benchmarks["machine_new_64"] = benchPerf{NsPerOp: 4e6, AllocsPerOp: 1181, BytesPerOp: bytes}
+		failures, err = gate(
+			writeSnapshot(t, dir, "base.json", base),
+			writeSnapshot(t, dir, "pr2.json", pr), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(failures) != 0 {
+			t.Fatalf("machine.New at %d bytes/op flagged: %q", bytes, failures)
+		}
 	}
 }
