@@ -75,10 +75,6 @@ func main() {
 	fmt.Fprintln(os.Stderr, "benchgate: ok")
 }
 
-// bytesGated names the benchmarks whose bytes/op repeats from run to run
-// within a few bytes and may not grow past the baseline.
-var bytesGated = map[string]bool{"machine_new_64": true}
-
 func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
 	base, err := load(baselinePath)
 	if err != nil {
@@ -113,7 +109,7 @@ func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
 			failures = append(failures, fmt.Sprintf("%s: events/op %d, baseline %d (must match exactly)",
 				name, c.EventsPerOp, b.EventsPerOp))
 		}
-		if bytesGated[name] && c.BytesPerOp > b.BytesPerOp+b.BytesPerOp/100 {
+		if name == "machine_new_64" && c.BytesPerOp > b.BytesPerOp+b.BytesPerOp/100 {
 			failures = append(failures, fmt.Sprintf("%s: bytes/op %d exceeds baseline %d by more than 1%%",
 				name, c.BytesPerOp, b.BytesPerOp))
 		}
