@@ -79,14 +79,19 @@ func BenchmarkTable1Primitives(b *testing.B) {
 // cycle exercises; it must report 0 allocs/op.
 func BenchmarkKernelHotPath(b *testing.B) {
 	k := sim.New()
-	fn := func() {}
+	var a sim.Actor = nopActor{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(1, fn)
+		k.ScheduleActor(1, a, nil, 0)
 		k.Step()
 	}
 }
+
+// nopActor is an event that does nothing.
+type nopActor struct{}
+
+func (nopActor) Act(any, uint64) {}
 
 // BenchmarkSuiteParallel compares a reduced Figure 21 sweep run serially
 // against the worker-pool fan-out. On a multi-core host the parallel

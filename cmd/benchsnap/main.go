@@ -27,7 +27,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -105,11 +104,11 @@ func run(out string, cores int, benches []string) error {
 	// loop of every simulated cycle. Must stay 0 allocs/op.
 	snap.Benchmarks["kernel_hot_path"] = record(testing.Benchmark(func(b *testing.B) {
 		k := sim.New()
-		fn := func() {}
+		var a sim.Actor = nopActor{}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k.Schedule(1, fn)
+			k.ScheduleActor(1, a, nil, 0)
 			k.Step()
 		}
 	}))
@@ -202,7 +201,7 @@ func run(out string, cores int, benches []string) error {
 	snap.Benchmarks["replay_record_on"] = record(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := experiments.RecordBenchmark(ckP, setup, workload.StyleScalable, ckOpts, replay.Options{}); err != nil {
+			if _, err := experiments.RecordBenchmark(ckP, setup, workload.StyleScalable, ckOpts, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -274,6 +273,11 @@ func run(out string, cores int, benches []string) error {
 		snap.SimRate.CyclesPerSecond)
 	return nil
 }
+
+// nopActor is an event that does nothing.
+type nopActor struct{}
+
+func (nopActor) Act(any, uint64) {}
 
 // spinWaveActor models a parked core with a known next wake: it fires
 // and immediately reschedules itself period cycles out.

@@ -23,12 +23,11 @@
 // Time-travel debugging (see internal/replay):
 //
 // -replay=FROM[:TO] records the run with digest checkpoints
-// (-checkpoint-interval cycles apart), then re-executes only the
-// [FROM,TO) window with the -trace/-trace-chrome sinks attached — a
-// Chrome trace of any window without re-simulating (or re-tracing) the
-// prefix. The printed stats are the machine's cumulative stats at the
-// window's end boundary. -spill=DIR persists each recording's digest
-// marks as a versioned JSON blob.
+// (-checkpoint-interval cycles apart), then rebuilds the cell and
+// re-executes it from cycle 0 with the -trace/-trace-chrome sinks
+// attached only over the [FROM,TO) window — a Chrome trace of any
+// window without tracing the prefix. The printed stats are the
+// machine's cumulative stats at the window's end boundary.
 //
 // Cycle accounting (see internal/cycles):
 //
@@ -73,7 +72,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -86,7 +84,6 @@ type cli struct {
 	seed, watchdog          uint64
 	replayWin, bisectPair   string
 	ckInterval              uint64
-	spillDir                string
 	cycleProfile            string
 	cycleFolded             string
 }
@@ -106,7 +103,6 @@ func main() {
 	flag.StringVar(&c.replayWin, "replay", "", "record the run, then re-execute only the window FROM[:TO) with tracing attached (cycles; TO defaults to the run's end)")
 	flag.StringVar(&c.bisectPair, "bisect", "", "bisect setupA,setupB to the first divergent cycle and component; -chaos/-seed apply to side B only")
 	flag.Uint64Var(&c.ckInterval, "checkpoint-interval", 0, "replay checkpoint/digest-mark cadence K in cycles (0 = default 16384)")
-	flag.StringVar(&c.spillDir, "spill", "", "spill recording digest marks as versioned JSON blobs into this directory")
 	flag.StringVar(&c.cycleProfile, "cycleprofile", "", "sweep all standard setups with cycle accounting and write a gzipped pprof profile (view with go tool pprof)")
 	flag.StringVar(&c.cycleFolded, "cyclefolded", "", "sweep all standard setups with cycle accounting and write folded stacks text (flamegraph.pl input)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
@@ -184,10 +180,8 @@ func run(c cli) error {
 			opts.Watchdog = machine.DefaultWatchdogWindow
 		}
 	}
-	ro := replay.Options{Interval: c.ckInterval, SpillDir: c.spillDir}
-
 	if c.bisectPair != "" {
-		return runBisect(c, p, st, opts, ro)
+		return runBisect(c, p, st, opts)
 	}
 	if c.cycleProfile != "" || c.cycleFolded != "" {
 		return runCycleProfile(c, st, opts)
@@ -220,7 +214,7 @@ func run(c cli) error {
 		if err != nil {
 			return err
 		}
-		rec, err := experiments.RecordBenchmark(p, setup, st, opts, ro)
+		rec, err := experiments.RecordBenchmark(p, setup, st, opts, c.ckInterval)
 		if err != nil {
 			return err
 		}
@@ -229,7 +223,7 @@ func run(c cli) error {
 		}
 		fmt.Fprintf(os.Stderr, "recorded %s/%s: cycles [0,%d), %d digest marks (K=%d)\n",
 			p.Name, setup.Name, rec.End(), len(rec.Marks()), rec.Interval())
-		s, err = rec.Replay(from, to, sinks...)
+		s, err = rec.Replay(ctx, from, to, sinks...)
 		if err != nil {
 			return err
 		}
@@ -335,7 +329,7 @@ func runCycleProfile(c cli, st workload.SyncStyle, opts experiments.Options) err
 // runBisect runs the -bisect mode: the benchmark under two setups (side
 // B carrying the -chaos/-seed faults, side A always fault-free) bisected
 // to the first divergent cycle.
-func runBisect(c cli, p workload.Profile, st workload.SyncStyle, opts experiments.Options, ro replay.Options) error {
+func runBisect(c cli, p workload.Profile, st workload.SyncStyle, opts experiments.Options) error {
 	names := strings.Split(c.bisectPair, ",")
 	if len(names) != 2 {
 		return fmt.Errorf("-bisect wants two comma-separated setups, e.g. CB-One,CB-One or Invalidation,CB-One")
@@ -350,7 +344,7 @@ func runBisect(c cli, p workload.Profile, st workload.SyncStyle, opts experiment
 	}
 	oa := opts
 	oa.Chaos, oa.ChaosSeed = nil, 0
-	rp, err := experiments.BisectBenchmark(p, st, sa, oa, sb, opts, ro)
+	rp, err := experiments.BisectBenchmark(p, st, sa, oa, sb, opts, c.ckInterval)
 	if err != nil {
 		return err
 	}

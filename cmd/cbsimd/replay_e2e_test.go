@@ -54,8 +54,8 @@ func TestReplayE2E(t *testing.T) {
 		t.Fatalf("replay reports an empty run: %+v", full)
 	}
 
-	// A sub-window, traced twice: byte-identical (the second request
-	// anchors on the cursor the first one parked).
+	// A sub-window, traced twice: byte-identical (each request rebuilds
+	// the cell from cycle 0).
 	win := "/v1/jobs/" + ck + "/replay?from=" + u64(full.End/4) + "&to=" + u64(full.End/2) + "&trace=true"
 	w1, code := httpGet(t, url+win)
 	if code != http.StatusOK {

@@ -10,6 +10,12 @@ import (
 
 // fakePort is a flat memory with a fixed response latency. Racy and plain
 // ops behave identically; RMWs apply atomically at response time.
+// call adapts a function to an actor, so a test can schedule an inline
+// body.
+type call func()
+
+func (c call) Act(any, uint64) { c() }
+
 type fakePort struct {
 	k       *sim.Kernel
 	latency uint64
@@ -27,7 +33,7 @@ func (p *fakePort) Access(req *memtypes.Request, done memtypes.Completer) {
 	if req.Sync {
 		p.syncOps++
 	}
-	p.k.Schedule(p.latency, func() {
+	p.k.ScheduleActor(p.latency, call(func() {
 		var resp memtypes.Response
 		switch req.Kind {
 		case memtypes.OpRead, memtypes.OpReadThrough, memtypes.OpReadCB:
@@ -45,7 +51,7 @@ func (p *fakePort) Access(req *memtypes.Request, done memtypes.Completer) {
 			// no-op
 		}
 		done.Complete(resp)
-	})
+	}), nil, 0)
 }
 
 func runProgram(t *testing.T, prog *isa.Program, setup func(*Core, *fakePort)) (*Core, *fakePort, *sim.Kernel) {

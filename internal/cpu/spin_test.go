@@ -19,7 +19,7 @@ type hitPort struct {
 }
 
 func (p *hitPort) Access(req *memtypes.Request, done memtypes.Completer) {
-	p.k.Schedule(p.lat, func() { done.Complete(memtypes.Response{Hit: true}) })
+	p.k.ScheduleActor(p.lat, call(func() { done.Complete(memtypes.Response{Hit: true}) }), nil, 0)
 }
 
 func (p *hitPort) Park(req *memtypes.Request, _ memtypes.Spinner) (uint64, bool) {
@@ -44,7 +44,7 @@ func spinSettle(t *testing.T, kinds trace.Mask) (spins []uint64, events int) {
 	prog := isa.NewBuilder().Imm(isa.R2, 0x40).Label("spin").
 		Ld(isa.R3, isa.R2, 0).Beqi(isa.R3, 0, "spin").Done().MustBuild()
 	c.Run(prog, 0)
-	k.RunUntil(2000, func() bool { return false })
+	k.Run(2000)
 	if !c.Parked() {
 		t.Fatal("the spin loop did not park")
 	}

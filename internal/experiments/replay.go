@@ -39,11 +39,13 @@ func BenchmarkSource(p workload.Profile, s Setup, style workload.SyncStyle, o Op
 	return GeneratedSource(g, s, o)
 }
 
-// RecordBenchmark records one benchmark cell for later windowed replay:
-// the checkpointed counterpart of RunBenchmark. The returned recording's
-// Stats are byte-identical to RunBenchmark's for the same cell.
-func RecordBenchmark(p workload.Profile, s Setup, style workload.SyncStyle, o Options, ro replay.Options) (*replay.Recording, error) {
-	return replay.Record(BenchmarkSource(p, s, style, o), ro)
+// RecordBenchmark records one benchmark cell for later windowed replay,
+// with a digest mark every interval cycles (0 means
+// replay.DefaultInterval): the checkpointed counterpart of RunBenchmark.
+// o.Context cancels the recording. The returned recording's Stats are
+// byte-identical to RunBenchmark's for the same cell.
+func RecordBenchmark(p workload.Profile, s Setup, style workload.SyncStyle, o Options, interval uint64) (*replay.Recording, error) {
+	return replay.Record(o.Context, BenchmarkSource(p, s, style, o), interval)
 }
 
 // EnergyOf computes the energy breakdown for a Stats value with the
@@ -61,16 +63,18 @@ func EnergyOf(st machine.Stats) energy.Breakdown {
 
 // BisectBenchmark bisects one benchmark between two (setup, options)
 // sides — e.g. the same setup with chaos enabled on one side, or two
-// different protocols — and returns the first-divergence report. Side
+// different protocols — and returns the first-divergence report, with
+// marks every interval cycles (0 means replay.DefaultInterval). Side
 // labels get "/a" and "/b" suffixes when the setups share a name.
-func BisectBenchmark(p workload.Profile, style workload.SyncStyle, sa Setup, oa Options, sb Setup, ob Options, ro replay.Options) (*replay.Report, error) {
+// oa.Context cancels the bisection.
+func BisectBenchmark(p workload.Profile, style workload.SyncStyle, sa Setup, oa Options, sb Setup, ob Options, interval uint64) (*replay.Report, error) {
 	srcA := BenchmarkSource(p, sa, style, oa)
 	srcB := BenchmarkSource(p, sb, style, ob)
 	if sa.Name == sb.Name {
 		srcA.Label += "/a"
 		srcB.Label += "/b"
 	}
-	rp, err := replay.Bisect(srcA, srcB, ro)
+	rp, err := replay.Bisect(oa.Context, srcA, srcB, interval)
 	if err != nil {
 		return nil, fmt.Errorf("bisect %s: %w", p.Name, err)
 	}

@@ -58,7 +58,7 @@ func TestMicroReplayWindowByteIdentity(t *testing.T) {
 			}
 			want := ref.Stats()
 
-			rec, err := replay.Record(src, replay.Options{Interval: 512})
+			rec, err := replay.Record(nil, src, 512)
 			if err != nil {
 				t.Fatalf("%s: %v", src.Label, err)
 			}
@@ -66,7 +66,7 @@ func TestMicroReplayWindowByteIdentity(t *testing.T) {
 				t.Fatalf("%s: recording is not transparent:\nplain    %+v\nrecorded %+v", src.Label, want, got)
 			}
 
-			full, err := rec.Replay(0, rec.End())
+			full, err := rec.Replay(nil, 0, rec.End())
 			if err != nil {
 				t.Fatalf("%s: %v", src.Label, err)
 			}
@@ -79,10 +79,10 @@ func TestMicroReplayWindowByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := mid.RunToCycle(to); err != nil {
+			if _, err := mid.RunToCycle(nil, to); err != nil {
 				t.Fatalf("%s: reference: %v", src.Label, err)
 			}
-			got, err := rec.Replay(from, to)
+			got, err := rec.Replay(nil, from, to)
 			if err != nil {
 				t.Fatalf("%s: window replay: %v", src.Label, err)
 			}
@@ -110,7 +110,7 @@ func TestRecordBenchmarkMatchesRunBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RecordBenchmark(p, setup, workload.StyleScalable, o, replay.Options{})
+	rec, err := RecordBenchmark(p, setup, workload.StyleScalable, o, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

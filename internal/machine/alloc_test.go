@@ -27,14 +27,14 @@ const (
 // successive RunToCycle windows.
 func requireZeroAllocWindows(t *testing.T, m *Machine) {
 	t.Helper()
-	if done, err := m.RunToCycle(allocWarmCycles); done || err != nil {
+	if done, err := m.RunToCycle(nil, allocWarmCycles); done || err != nil {
 		t.Fatalf("warm-up: done=%v err=%v", done, err)
 	}
 	target := uint64(allocWarmCycles)
 	before := m.K.Executed()
 	allocs := testing.AllocsPerRun(20, func() {
 		target += allocWindowCycles
-		if done, err := m.RunToCycle(target); done || err != nil {
+		if done, err := m.RunToCycle(nil, target); done || err != nil {
 			t.Fatalf("window to %d: done=%v err=%v", target, done, err)
 		}
 	})

@@ -63,11 +63,11 @@ func TestDigestKernelVariantsIdentical(t *testing.T) {
 		t.Fatalf("initial digests differ: wheel %#x heap %#x", wd, hd)
 	}
 	for _, boundary := range []uint64{100, 200, 400} {
-		wDone, err := w.RunToCycle(boundary)
+		wDone, err := w.RunToCycle(nil, boundary)
 		if err != nil {
 			t.Fatalf("wheel: %v", err)
 		}
-		hDone, err := h.RunToCycle(boundary)
+		hDone, err := h.RunToCycle(nil, boundary)
 		if err != nil {
 			t.Fatalf("heap: %v", err)
 		}
@@ -106,7 +106,7 @@ func TestComponentDigestsDiff(t *testing.T) {
 		t.Fatalf("digesting perturbed Stats:\nbefore %+v\nafter  %+v", statsBefore, statsAfter)
 	}
 
-	if done, err := a.RunToCycle(smokeEnd(t, cfg) / 2); err != nil || done {
+	if done, err := a.RunToCycle(nil, smokeEnd(t, cfg)/2); err != nil || done {
 		t.Fatalf("RunToCycle: done=%v err=%v", done, err)
 	}
 	diff := DiffComponents(a.ComponentDigests(ScopeFull), b.ComponentDigests(ScopeFull))

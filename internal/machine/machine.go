@@ -139,12 +139,15 @@ type Machine struct {
 
 	// chaos is the fault-injection engine shared by the mesh and banks
 	// (nil when disabled); watchdog and checkInv drive the liveness and
-	// invariant monitors in RunContext (see robust.go).
+	// invariant monitors of the run loop (see robust.go).
 	chaos *chaos.Engine
-	//cbvet:ephemeral monitor configuration for RunContext, not simulated state; re-applied at wiring
+	//cbvet:ephemeral monitor configuration for the run loop, not simulated state; re-applied at wiring
 	watchdog uint64
-	//cbvet:ephemeral monitor configuration for RunContext, not simulated state; re-applied at wiring
+	//cbvet:ephemeral monitor configuration for the run loop, not simulated state; re-applied at wiring
 	checkInv bool
+	// mon is the run loop's monitor state (see advance).
+	//cbvet:ephemeral run-loop bookkeeping (context, poll count, watchdog sample), not simulated state
+	mon monitor
 
 	loaded   int
 	finished int
@@ -416,7 +419,7 @@ func (m *Machine) Run(limit uint64) error {
 	return m.RunContext(nil, limit)
 }
 
-// ctxPollMask amortizes context polling during RunContext: the Done
+// ctxPollMask amortizes context polling in the run loop: the Done
 // channel is sampled once every ctxPollMask+1 kernel events (~30 us of
 // wall time on the allocation-free hot path), keeping cancellation
 // latency negligible without putting a select on the per-event path.
@@ -433,91 +436,117 @@ const ctxPollMask = 1023
 // machine in a consistent (if unfinished) state: Stats and Diagnose
 // remain usable.
 func (m *Machine) RunContext(ctx context.Context, limit uint64) error {
-	if m.loaded == 0 {
-		return fmt.Errorf("machine: no programs loaded")
+	end := limit + 1
+	if limit == 0 {
+		end = math.MaxUint64
 	}
-	cond := func() bool { return m.finished == m.loaded }
-	var cancelErr, stopErr error
+	done, err := m.advance(ctx, end)
+	if done || err != nil {
+		return err
+	}
+	// Paused: events remain past the limit, or only parked spin loops
+	// remain, and they would spin on to it.
+	if limit == 0 {
+		return fmt.Errorf("machine: %d/%d cores finished at cycle %d: %w\n%s",
+			m.finished, m.loaded, m.K.Now(), errSpinForever, m.Diagnose())
+	}
+	m.K.AdvanceTo(limit)
+	m.passTo(limit + 1) // the limit cycle itself ran
+	return fmt.Errorf("machine: %d/%d cores finished at cycle %d: %w\n%s",
+		m.finished, m.loaded, m.K.Now(), sim.ErrLimit, m.Diagnose())
+}
+
+// monitor is the run loop's state between events: the context it polls,
+// the events it has counted, the watchdog's last progress sample and the
+// cycle it was taken, and the error that stopped the run. It lives on
+// the machine, so the watchdog window spans RunToCycle calls.
+type monitor struct {
+	ctx      context.Context
+	polls    uint
+	sampled  bool
+	progress uint64
+	since    uint64
+	err      error
+}
+
+// advance is the machine's one run loop: it fires every event before
+// cycle end, checking after each one whether to stop (see stop). It
+// returns done when every core has finished; the monitor's error when
+// the context, an invariant check or the watchdog stopped the run; a
+// deadlock error when the queue drained and no spin loop is parked; and
+// otherwise a pause, with the clock on the last fired event.
+func (m *Machine) advance(ctx context.Context, end uint64) (done bool, err error) {
+	if m.loaded == 0 {
+		return false, fmt.Errorf("machine: no programs loaded")
+	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return canceledError{err}
-		}
-		if done := ctx.Done(); done != nil {
-			finished := cond
-			var n uint
-			cond = func() bool {
-				if finished() {
-					return true
-				}
-				if n++; n&ctxPollMask == 0 {
-					select {
-					case <-done:
-						cancelErr = canceledError{ctx.Err()}
-						return true
-					default:
-					}
-				}
-				return false
-			}
+			return false, canceledError{err}
 		}
 	}
-	if m.watchdog > 0 || m.checkInv {
-		inner := cond
-		window := m.watchdog
-		var n uint
-		var lastProgress, lastAdvance uint64
-		first := true
-		cond = func() bool {
-			if inner() {
-				return true
-			}
-			if n++; n&wdPollMask != 0 {
-				return false
-			}
-			if m.checkInv {
-				if err := m.CheckInvariants(false); err != nil {
-					stopErr = err
-					return true
-				}
-			}
-			if window > 0 {
-				if cur := m.progress(); first || cur != lastProgress {
-					first = false
-					lastProgress = cur
-					lastAdvance = m.K.Now()
-				} else if m.K.Now()-lastAdvance >= window {
-					stopErr = m.noProgressError(window)
-					return true
-				}
-			}
-			return false
+	m.mon.ctx = ctx
+	m.K.RunToBoundary(end, m.stop)
+	m.mon.ctx = nil
+	if err := m.mon.err; err != nil {
+		m.mon.err = nil
+		return false, err
+	}
+	if m.finished == m.loaded {
+		return true, nil
+	}
+	if m.K.Pending() == 0 && !m.parked() {
+		return false, fmt.Errorf("machine: %d/%d cores finished and event queue drained at cycle %d (deadlock)\n%s",
+			m.finished, m.loaded, m.K.Now(), m.Diagnose())
+	}
+	return false, nil
+}
+
+// stop is the run loop's check after every event: true when every core
+// has finished, or when poll, run every ctxPollMask+1 events, stops the
+// run.
+//
+//cbsim:hotpath
+func (m *Machine) stop() bool {
+	if m.finished == m.loaded {
+		return true
+	}
+	if m.mon.polls++; m.mon.polls&ctxPollMask != 0 {
+		return false
+	}
+	return m.poll()
+}
+
+// poll is stop's cold half. It stops the run when the context is done
+// and, every wdPollMask+1 events, when an invariant is violated or the
+// watchdog window passed without progress, leaving the reason in
+// m.mon.err.
+func (m *Machine) poll() bool {
+	if ctx := m.mon.ctx; ctx != nil {
+		select {
+		case <-ctx.Done():
+			m.mon.err = canceledError{ctx.Err()}
+			return true
+		default:
 		}
 	}
-	err := m.K.RunUntil(limit, cond)
-	if cancelErr != nil {
-		return cancelErr
+	if m.mon.polls&wdPollMask != 0 {
+		return false
 	}
-	if stopErr != nil {
-		return stopErr
-	}
-	if errors.Is(err, sim.ErrDrained) && m.parked() {
-		// Only parked spin loops remain, and they would spin on
-		// to the limit.
-		if limit == 0 {
-			return fmt.Errorf("machine: %d/%d cores finished at cycle %d: %w\n%s",
-				m.finished, m.loaded, m.K.Now(), errSpinForever, m.Diagnose())
+	if m.checkInv {
+		if err := m.CheckInvariants(false); err != nil {
+			m.mon.err = err
+			return true
 		}
-		m.K.AdvanceTo(limit)
-		err = sim.ErrLimit
 	}
-	if errors.Is(err, sim.ErrLimit) {
-		m.passTo(limit + 1) // the limit cycle itself ran
+	if w := m.watchdog; w > 0 {
+		if cur := m.progress(); !m.mon.sampled || cur != m.mon.progress {
+			m.mon.sampled, m.mon.progress, m.mon.since = true, cur, m.K.Now()
+		} else if m.K.Now()-m.mon.since >= w {
+			m.mon.err = m.noProgressError(w)
+			return true
+		}
 	}
-	if err != nil {
-		return fmt.Errorf("machine: %d/%d cores finished at cycle %d: %w\n%s",
-			m.finished, m.loaded, m.K.Now(), err, m.Diagnose())
-	}
-	return nil
+	return false
 }
 
 // errSpinForever reports a run without a cycle limit in which every

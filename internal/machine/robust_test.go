@@ -30,10 +30,16 @@ func parkedMachine(t *testing.T) *Machine {
 // a parked machine reaches the watchdog instead of draining the queue
 // and hitting the plain deadlock diagnosis.
 func keepAlive(m *Machine) {
-	var tick func()
-	tick = func() { m.K.Schedule(100, tick) }
-	m.K.Schedule(100, tick)
+	var tick call
+	tick = func() { m.K.ScheduleActor(100, tick, nil, 0) }
+	m.K.ScheduleActor(100, tick, nil, 0)
 }
+
+// call adapts a function to an actor, so a test can schedule an inline
+// body.
+type call func()
+
+func (c call) Act(any, uint64) { c() }
 
 func TestWatchdogFiresOnLostWakeup(t *testing.T) {
 	m := parkedMachine(t)

@@ -272,17 +272,17 @@ func TestRunToCycleBoundaryIndependenceMESISpin(t *testing.T) {
 	const boundary = 5_003
 
 	a := spinWaitMachine(cfg, 10_000)
-	if done, err := a.RunToCycle(boundary); err != nil || done {
+	if done, err := a.RunToCycle(nil, boundary); err != nil || done {
 		t.Fatalf("one-shot RunToCycle(%d): done=%v err=%v", boundary, done, err)
 	}
 	b := spinWaitMachine(cfg, 10_000)
 	for target := uint64(7); target < boundary; target += 7 {
-		if done, err := b.RunToCycle(target); err != nil || done {
+		if done, err := b.RunToCycle(nil, target); err != nil || done {
 			t.Fatalf("stepped RunToCycle(%d): done=%v err=%v", target, done, err)
 		}
 		b.Stats() // reading mid-run must not perturb the run
 	}
-	if done, err := b.RunToCycle(boundary); err != nil || done {
+	if done, err := b.RunToCycle(nil, boundary); err != nil || done {
 		t.Fatalf("stepped RunToCycle(%d): done=%v err=%v", boundary, done, err)
 	}
 	as, bs := a.Stats(), b.Stats()

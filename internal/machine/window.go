@@ -1,6 +1,6 @@
 package machine
 
-import "fmt"
+import "context"
 
 // This file is the machine half of the replay subsystem's execution
 // primitive: advancing a machine to an exact cycle boundary and pausing
@@ -14,29 +14,19 @@ import "fmt"
 // target: every event scheduled before target fires, none at or after
 // it does. It returns done=true when all loaded cores finished —
 // stopping at the same point Run would, possibly before the boundary.
-// A drained event queue with unfinished cores is a deadlock and fails
-// with a diagnosis, exactly like an exhausted Run limit.
+// It runs the same loop as RunContext, so ctx, the watchdog and the
+// invariant checks stop it with the same errors; a drained event queue
+// with unfinished cores is a deadlock and fails with a diagnosis.
 //
 // Unlike Run, the clock is not bumped to the boundary on pause: Now()
 // reports the last fired event's cycle. Repeated calls with increasing
 // targets chunk a run into windows; Stats may be read at any pause.
-func (m *Machine) RunToCycle(target uint64) (done bool, err error) {
-	if m.loaded == 0 {
-		return false, fmt.Errorf("machine: no programs loaded")
+func (m *Machine) RunToCycle(ctx context.Context, target uint64) (done bool, err error) {
+	done, err = m.advance(ctx, target)
+	if !done && err == nil {
+		m.passTo(target) // parked spin loops stay parked across the pause
 	}
-	finished := func() bool { return m.finished == m.loaded }
-	if !m.K.RunToBoundary(target, finished) {
-		return true, nil // cond stopped it: every core is done
-	}
-	if finished() {
-		return true, nil
-	}
-	if m.K.Pending() == 0 && !m.parked() {
-		return false, fmt.Errorf("machine: %d/%d cores finished and event queue drained at cycle %d (deadlock)\n%s",
-			m.finished, m.loaded, m.K.Now(), m.Diagnose())
-	}
-	m.passTo(target) // parked spin loops stay parked across the pause
-	return false, nil
+	return done, err
 }
 
 // NextEventCycle reports the cycle of the earliest pending event, or

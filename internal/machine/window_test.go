@@ -27,7 +27,7 @@ func TestRunToCycleByteIdentity(t *testing.T) {
 		var done bool
 		var err error
 		for target := uint64(64); !done; target += 64 {
-			if done, err = m.RunToCycle(target); err != nil {
+			if done, err = m.RunToCycle(nil, target); err != nil {
 				t.Fatalf("%v: RunToCycle(%d): %v", p, target, err)
 			}
 			if target > 1_000_000 {
@@ -66,18 +66,18 @@ func TestRunToCycleBoundaryIndependence(t *testing.T) {
 
 	a := New(cfg, nil)
 	loadSmoke(a)
-	if done, err := a.RunToCycle(boundary); err != nil || done {
+	if done, err := a.RunToCycle(nil, boundary); err != nil || done {
 		t.Fatalf("one-shot RunToCycle(%d): done=%v err=%v", boundary, done, err)
 	}
 
 	b := New(cfg, nil)
 	loadSmoke(b)
 	for target := uint64(7); target < boundary; target += 7 {
-		if done, err := b.RunToCycle(target); err != nil || done {
+		if done, err := b.RunToCycle(nil, target); err != nil || done {
 			t.Fatalf("stepped RunToCycle(%d): done=%v err=%v", target, done, err)
 		}
 	}
-	if done, err := b.RunToCycle(boundary); err != nil || done {
+	if done, err := b.RunToCycle(nil, boundary); err != nil || done {
 		t.Fatalf("stepped RunToCycle(%d): done=%v err=%v", boundary, done, err)
 	}
 
@@ -99,7 +99,7 @@ func TestDetachTraceStopsEmission(t *testing.T) {
 	loadSmoke(m)
 	stale := 0
 	m.AttachTrace(traceCounter{&stale})
-	if done, err := m.RunToCycle(smokeEnd(t, cfg) / 2); err != nil || done {
+	if done, err := m.RunToCycle(nil, smokeEnd(t, cfg)/2); err != nil || done {
 		t.Fatalf("RunToCycle: done=%v err=%v", done, err)
 	}
 	if stale == 0 {

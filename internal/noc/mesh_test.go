@@ -9,6 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
+// call adapts a function to an actor, so a test can schedule an inline
+// body.
+type call func()
+
+func (c call) Act(any, uint64) { c() }
+
 func newTestMesh(t *testing.T, w, h int) (*sim.Kernel, *Mesh, *[]*memtypes.Message) {
 	t.Helper()
 	k := sim.New()
@@ -146,7 +152,7 @@ func TestXYRoutingIsDeadlockFreeUnderLoad(t *testing.T) {
 		}
 		delay := uint64(rng.Intn(100))
 		msg := &memtypes.Message{Src: src, Dst: dst, Class: class}
-		k.Schedule(delay, func() { m.Send(msg) })
+		k.ScheduleActor(delay, call(func() { m.Send(msg) }), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -82,14 +83,15 @@ func orNone(s string) string {
 // otherwise (cross-protocol comparisons, where only architectural state
 // is commensurable).
 //
+// Marks are taken every interval cycles (0 means DefaultInterval). ctx,
+// when non-nil, cancels both recordings and the fine scan between
+// kernel events.
+//
 // The verdict is sound only when both sources are seed-deterministic:
 // the recorded mark stream must be the run the fine scan re-executes.
 // Replay verifies that property as it goes and fails loudly on
 // mismatch.
-func Bisect(a, b Source, opts Options) (*Report, error) {
-	opts = opts.fill()
-	opts.SpillDir = "" // bisection recordings are transient
-
+func Bisect(ctx context.Context, a, b Source, interval uint64) (*Report, error) {
 	// Probe both configurations to pick the digest scope before
 	// recording (marks are digested at record time).
 	ma, err := a.Build()
@@ -100,24 +102,23 @@ func Bisect(a, b Source, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: build %s: %w", b.Label, err)
 	}
+	scope := machine.ScopeArch
 	if machine.DigestCompatible(ma.Config(), mb.Config()) {
-		opts.Scope = machine.ScopeFull
-	} else {
-		opts.Scope = machine.ScopeArch
+		scope = machine.ScopeFull
 	}
 
-	ra, err := record(ma, a, opts)
+	ra, err := record(ctx, ma, a, interval, scope)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := record(mb, b, opts)
+	rb, err := record(ctx, mb, b, interval, scope)
 	if err != nil {
 		return nil, err
 	}
 
 	rp := &Report{
 		ALabel: a.Label, BLabel: b.Label,
-		Scope: opts.Scope, Interval: opts.Interval,
+		Scope: scope, Interval: ra.interval,
 		AEnd: ra.stats.Cycles, BEnd: rb.stats.Cycles,
 	}
 
@@ -146,7 +147,7 @@ func Bisect(a, b Source, opts Options) (*Report, error) {
 		anchorIdx = 0
 	}
 	anchor := ra.marks[anchorIdx].Cycle
-	if err := fineScan(rp, ra, rb, anchor); err != nil {
+	if err := fineScan(ctx, rp, ra, rb, anchor); err != nil {
 		return nil, err
 	}
 	return rp, nil
@@ -163,7 +164,7 @@ func (l *eventLog) Emit(e trace.Event) { l.events = append(l.events, e) }
 // fineScan advances two fresh machines in lockstep from the anchor
 // boundary and fills the report with the first divergent cycle, the
 // differing components, and the first differing trace events.
-func fineScan(rp *Report, ra, rb *Recording, anchor uint64) error {
+func fineScan(ctx context.Context, rp *Report, ra, rb *Recording, anchor uint64) error {
 	ma, err := ra.src.Build()
 	if err != nil {
 		return fmt.Errorf("replay: rebuild %s: %w", ra.src.Label, err)
@@ -179,14 +180,14 @@ func fineScan(rp *Report, ra, rb *Recording, anchor uint64) error {
 		if anchor == 0 {
 			continue
 		}
-		done, err := pair.m.RunToCycle(anchor)
+		done, err := pair.m.RunToCycle(ctx, anchor)
 		if err != nil {
 			return fmt.Errorf("replay: %s: %w", pair.r.src.Label, err)
 		}
 		if done {
 			return fmt.Errorf("replay: %s finished before the agreed anchor %d: non-deterministic source", pair.r.src.Label, anchor)
 		}
-		if got, want := pair.m.Digest(pair.r.opts.Scope), markAt(pair.r.marks, anchor); got != want {
+		if got, want := pair.m.Digest(pair.r.scope), markAt(pair.r.marks, anchor); got != want {
 			return fmt.Errorf("replay: %s diverged from its own recording at cycle %d: non-deterministic source", pair.r.src.Label, anchor)
 		}
 	}
@@ -196,8 +197,6 @@ func fineScan(rp *Report, ra, rb *Recording, anchor uint64) error {
 	la, lb := &eventLog{}, &eventLog{}
 	ma.AttachTrace(la)
 	mb.AttachTrace(lb)
-	defer ma.DetachTrace()
-	defer mb.DetachTrace()
 
 	// The sources may already differ at the anchor itself — only
 	// possible when the very first mark (cycle 0) disagreed, i.e. the
@@ -226,12 +225,12 @@ func fineScan(rp *Report, ra, rb *Recording, anchor uint64) error {
 		}
 		boundary := t + 1
 		if !doneA {
-			if doneA, err = ma.RunToCycle(boundary); err != nil {
+			if doneA, err = ma.RunToCycle(ctx, boundary); err != nil {
 				return fmt.Errorf("replay: %s: %w", ra.src.Label, err)
 			}
 		}
 		if !doneB {
-			if doneB, err = mb.RunToCycle(boundary); err != nil {
+			if doneB, err = mb.RunToCycle(ctx, boundary); err != nil {
 				return fmt.Errorf("replay: %s: %w", rb.src.Label, err)
 			}
 		}

@@ -101,14 +101,14 @@ func recordPins(t *testing.T, bench, setup string) []pin {
 	}
 	key := bench + "/" + setup
 	rec, err := experiments.RecordBenchmark(p, s, workload.StyleScalable,
-		experiments.Options{Cores: 16}, replay.Options{Interval: pinInterval})
+		experiments.Options{Cores: 16}, pinInterval)
 	if err != nil {
 		t.Fatalf("%s: %v", key, err)
 	}
 	var chrome bytes.Buffer
 	cw := trace.NewChromeWriter(&chrome)
 	from, to := rec.End()/3, 2*rec.End()/3
-	st, err := rec.Replay(from, to, cw)
+	st, err := rec.Replay(nil, from, to, cw)
 	if err != nil {
 		t.Fatalf("%s: replay [%d,%d): %v", key, from, to, err)
 	}
@@ -141,7 +141,7 @@ func chaosPins(t *testing.T, preset string) []pin {
 		t.Fatal(err)
 	}
 	o := experiments.Options{Cores: 16, Parallelism: 1, Chaos: spec, ChaosSeed: 3, Watchdog: machine.DefaultWatchdogWindow}
-	rec, err := experiments.RecordBenchmark(p, s, workload.StyleScalable, o, replay.Options{Interval: pinInterval})
+	rec, err := experiments.RecordBenchmark(p, s, workload.StyleScalable, o, pinInterval)
 	if err != nil {
 		t.Fatalf("chaos %s: %v", preset, err)
 	}
@@ -186,7 +186,7 @@ func bisectPin(t *testing.T, a, b, cs string) pin {
 		ob.Chaos, ob.ChaosSeed = spec, 7
 		key += "-" + cs
 	}
-	rp, err := experiments.BisectBenchmark(p, workload.StyleScalable, sa, oa, sb, ob, replay.Options{Interval: pinInterval})
+	rp, err := experiments.BisectBenchmark(p, workload.StyleScalable, sa, oa, sb, ob, pinInterval)
 	if err != nil {
 		t.Fatalf("%s: %v", key, err)
 	}

@@ -2,19 +2,21 @@ package replay_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/experiments"
 	"repro/internal/litmus"
 	"repro/internal/machine"
 	"repro/internal/replay"
 	"repro/internal/synclib"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // litmusSource adapts a random DRF litmus program to a replay source:
@@ -64,7 +66,7 @@ func TestRecordReplayStatsByteIdentity(t *testing.T) {
 			name := fmt.Sprintf("%v/heap=%v", proto, heap)
 
 			want := plainRun(t, src)
-			rec, err := replay.Record(src, replay.Options{Interval: 256})
+			rec, err := replay.Record(nil, src, 256)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -75,7 +77,7 @@ func TestRecordReplayStatsByteIdentity(t *testing.T) {
 				t.Fatalf("%s: End() = %d, want %d", name, rec.End(), want.Cycles+1)
 			}
 
-			full, err := rec.Replay(0, rec.End())
+			full, err := rec.Replay(nil, 0, rec.End())
 			if err != nil {
 				t.Fatalf("%s: full replay: %v", name, err)
 			}
@@ -83,20 +85,19 @@ func TestRecordReplayStatsByteIdentity(t *testing.T) {
 				t.Fatalf("%s: full-window replay Stats differ:\nwant %+v\ngot  %+v", name, want, full)
 			}
 
-			// A mid-run window, replayed twice (the second replay anchors
-			// on a parked cursor), against a fresh machine paused at the
-			// window's end boundary.
+			// A mid-run window, replayed twice, against a fresh machine
+			// paused at the window's end boundary.
 			from, to := rec.End()/3, 2*rec.End()/3
 			ref, err := src.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ref.RunToCycle(to); err != nil {
+			if _, err := ref.RunToCycle(nil, to); err != nil {
 				t.Fatalf("%s: reference: %v", name, err)
 			}
 			wantMid := ref.Stats()
 			for pass := 1; pass <= 2; pass++ {
-				got, err := rec.Replay(from, to)
+				got, err := rec.Replay(nil, from, to)
 				if err != nil {
 					t.Fatalf("%s: window replay pass %d: %v", name, pass, err)
 				}
@@ -104,9 +105,6 @@ func TestRecordReplayStatsByteIdentity(t *testing.T) {
 					t.Fatalf("%s: window [%d,%d) pass %d Stats differ:\nwant %+v\ngot  %+v",
 						name, from, to, pass, wantMid, got)
 				}
-			}
-			if cur := rec.Cursors(); len(cur) == 0 {
-				t.Fatalf("%s: no cursor parked after window replays", name)
 			}
 		}
 	}
@@ -144,27 +142,26 @@ func TestReplayChromeTraceByteIdentity(t *testing.T) {
 		return m.Run(replay.DefaultLimit)
 	})
 
-	rec, err := replay.Record(src, replay.Options{Interval: 512})
+	rec, err := replay.Record(nil, src, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayed := chromeBytes(t, func(sink trace.Sink) error {
-		_, err := rec.Replay(0, rec.End(), sink)
+		_, err := rec.Replay(nil, 0, rec.End(), sink)
 		return err
 	})
 	if !bytes.Equal(original, replayed) {
 		t.Fatalf("full-window replayed trace differs from original: %d vs %d bytes", len(original), len(replayed))
 	}
 
-	// The same sub-window traced twice is byte-identical (second pass
-	// reuses a parked cursor — the trace must not depend on the anchor).
+	// The same sub-window traced twice is byte-identical.
 	from, to := rec.End()/4, rec.End()/2
 	w1 := chromeBytes(t, func(sink trace.Sink) error {
-		_, err := rec.Replay(from, to, sink)
+		_, err := rec.Replay(nil, from, to, sink)
 		return err
 	})
 	w2 := chromeBytes(t, func(sink trace.Sink) error {
-		_, err := rec.Replay(from, to, sink)
+		_, err := rec.Replay(nil, from, to, sink)
 		return err
 	})
 	if !bytes.Equal(w1, w2) {
@@ -175,84 +172,22 @@ func TestReplayChromeTraceByteIdentity(t *testing.T) {
 	}
 }
 
-// Spill round-trip: the blob carries the recording's verification data,
-// and a re-recording of the same source produces the identical mark
-// stream — the cross-process determinism evidence the spill exists for.
-func TestSpillRoundTrip(t *testing.T) {
+// Recording is deterministic: re-recording the same source produces the
+// identical mark stream.
+func TestRecordMarksDeterministic(t *testing.T) {
 	cfg := machine.Default(machine.ProtocolCallback)
 	cfg.Cores = 4
 	src := litmusSource(3, 4, cfg)
-	dir := t.TempDir()
-
-	rec, err := replay.Record(src, replay.Options{Interval: 256, SpillDir: dir})
+	rec, err := replay.Record(nil, src, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := replay.ReadSpill(dir + "/" + src.Label + ".replay.json")
+	rec2, err := replay.Record(nil, src, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blob.Version != replay.SpillVersion {
-		t.Fatalf("version = %d, want %d", blob.Version, replay.SpillVersion)
-	}
-	if blob.Label != src.Label || blob.Interval != 256 || blob.Scope != "full" {
-		t.Fatalf("metadata mismatch: %+v", blob)
-	}
-	if blob.EndCycle+1 != rec.End() {
-		t.Fatalf("end cycle %d, recording end %d", blob.EndCycle, rec.End())
-	}
-	if !reflect.DeepEqual(blob.Marks, rec.Marks()) {
-		t.Fatal("spilled marks differ from the recording's")
-	}
-
-	rec2, err := replay.Record(src, replay.Options{Interval: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rec2.Marks(), blob.Marks) {
+	if !reflect.DeepEqual(rec2.Marks(), rec.Marks()) {
 		t.Fatal("re-recording the same source produced a different mark stream")
-	}
-}
-
-// ReadSpill refuses a blob from an older layout instead of comparing
-// incomparable digests: a version-2 blob (which still carried the
-// deferred-checkpoint count) is rejected by this build.
-func TestReadSpillRefusesVersion2(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.replay.json")
-	blob := `{"version": 2, "label": "old", "interval": 256, "scope": "full", "end_cycle": 9, "final_digest": 1, "deferred_checkpoints": 3, "marks": []}`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := replay.ReadSpill(path)
-	if err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("ReadSpill(version 2) = %v, want a version error", err)
-	}
-}
-
-// A version-3 blob predates the digests of in-flight memory operations
-// (the core's request, scheduled responses, pending grants), so its marks
-// cannot be compared with this build's.
-func TestReadSpillRefusesVersion3(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v3.replay.json")
-	blob := `{"version": 3, "label": "v3", "interval": 256, "scope": "full", "end_cycle": 9, "final_digest": 1, "marks": []}`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := replay.ReadSpill(path)
-	if err == nil || !strings.Contains(err.Error(), "version 3") {
-		t.Fatalf("ReadSpill(version 3) = %v, want a version error", err)
-	}
-}
-
-func TestReadSpillRefusesVersion4(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v4.replay.json")
-	blob := `{"version": 4, "label": "v4", "interval": 256, "scope": "full", "end_cycle": 9, "final_digest": 1, "marks": []}`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := replay.ReadSpill(path)
-	if err == nil || !strings.Contains(err.Error(), "version 4") {
-		t.Fatalf("ReadSpill(version 4) = %v, want a version error", err)
 	}
 }
 
@@ -283,11 +218,11 @@ func TestReplayDetectsNonDeterministicSource(t *testing.T) {
 			return m, nil
 		},
 	}
-	rec, err := replay.Record(src, replay.Options{Interval: 256})
+	rec, err := replay.Record(nil, src, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.Replay(0, rec.End()); err == nil {
+	if _, err := rec.Replay(nil, 0, rec.End()); err == nil {
 		t.Fatal("replay of a source that does not rebuild the recorded run must fail, not fabricate a history")
 	}
 }
@@ -339,7 +274,7 @@ func TestBisectPlantedChaosDivergence(t *testing.T) {
 		if !ok {
 			break
 		}
-		done, err := mb.RunToCycle(next + 1)
+		done, err := mb.RunToCycle(nil, next+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +291,7 @@ func TestBisectPlantedChaosDivergence(t *testing.T) {
 		t.Fatal("oracle scan never saw the forced eviction land")
 	}
 
-	rp, err := replay.Bisect(srcA, srcB, replay.Options{Interval: 256})
+	rp, err := replay.Bisect(nil, srcA, srcB, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +317,107 @@ func TestBisectPlantedChaosDivergence(t *testing.T) {
 		t.Fatalf("forced eviction must implicate a vips tile, got %v", rp.Components)
 	}
 
-	rp2, err := replay.Bisect(srcA, srcB, replay.Options{Interval: 256})
+	rp2, err := replay.Bisect(nil, srcA, srcB, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rp, rp2) {
 		t.Fatalf("bisection verdict is not deterministic:\nfirst  %+v\nsecond %+v", rp, rp2)
+	}
+}
+
+// Recording runs through the machine's run loop, so its watchdog names
+// a core that parks forever instead of the recording spinning on to its
+// cycle limit.
+func TestWatchdogStopsStuckRecording(t *testing.T) {
+	_, err := replay.Record(nil, stuckSource(), 0)
+	if !errors.Is(err, machine.ErrNoProgress) {
+		t.Fatalf("Record of a stuck source: err = %v, want errors.Is(err, machine.ErrNoProgress)", err)
+	}
+}
+
+// Both sides of a bisection run under the machine's watchdog.
+func TestWatchdogStopsStuckBisection(t *testing.T) {
+	cfg := machine.Default(machine.ProtocolCallback)
+	cfg.Cores = 4
+	_, err := replay.Bisect(nil, litmusSource(1, 4, cfg), stuckSource(), 0)
+	if !errors.Is(err, machine.ErrNoProgress) {
+		t.Fatalf("Bisect against a stuck source: err = %v, want errors.Is(err, machine.ErrNoProgress)", err)
+	}
+}
+
+// A canceled context stops a recording and a replay with an error that
+// matches the context's.
+func TestCanceledContextStopsRecordAndReplay(t *testing.T) {
+	cfg := machine.Default(machine.ProtocolCallback)
+	cfg.Cores = 4
+	src := litmusSource(4, 4, cfg)
+	rec, err := replay.Record(nil, src, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := replay.Record(ctx, src, 256); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Record under a canceled context: err = %v, want context.Canceled", err)
+	}
+	if _, err := rec.Replay(ctx, 0, rec.End()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Replay under a canceled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// A Recording is immutable: goroutines replaying one window of one
+// recording at the same time each get the Stats and trace bytes of a
+// lone replay.
+func TestConcurrentReplaysOfOneWindow(t *testing.T) {
+	p, err := workload.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := experiments.SetupByName("CB-One")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := replay.Record(nil, experiments.BenchmarkSource(p, setup, workload.StyleScalable, experiments.Options{Cores: 4}), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := rec.End()/3, 2*rec.End()/3
+	window := func() (machine.Stats, []byte, error) {
+		var buf bytes.Buffer
+		cw := trace.NewChromeWriter(&buf)
+		st, err := rec.Replay(nil, from, to, cw)
+		if err == nil {
+			err = cw.Close()
+		}
+		return st, buf.Bytes(), err
+	}
+	wantStats, wantTrace, err := window()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const replays = 4
+	stats := make([]machine.Stats, replays)
+	traces := make([][]byte, replays)
+	errs := make([]error, replays)
+	var wg sync.WaitGroup
+	for i := 0; i < replays; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			stats[i], traces[i], errs[i] = window()
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < replays; i++ {
+		if errs[i] != nil {
+			t.Fatalf("replay %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(stats[i], wantStats) {
+			t.Fatalf("replay %d: Stats differ from a lone replay's", i)
+		}
+		if !bytes.Equal(traces[i], wantTrace) {
+			t.Fatalf("replay %d: trace differs from a lone replay's (%d vs %d bytes)", i, len(traces[i]), len(wantTrace))
+		}
 	}
 }

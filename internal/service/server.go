@@ -441,10 +441,10 @@ func (s *Server) runJob(j *job) {
 	s.cfg.Logf("job %s %s: %d/%d cells, %d cache hits", j.id, st.State, st.CellsDone, st.Cells, st.CacheHits)
 }
 
-// runCell resolves one cell: cache hit or fresh simulation. A traced
-// cell (single-cell jobs only) always simulates fresh — the trace must
-// match the reported result — but still populates the cache for
-// untraced followers. A panicking cell (simulator bug on one
+// runCell resolves one cell: cache hit, fresh simulation, or, for a
+// checkpointed job, a fresh recording. A traced cell (single-cell jobs
+// only) always simulates fresh — the trace must match the reported
+// result — but still populates the cache for untraced followers. A panicking cell (simulator bug on one
 // configuration) fails its job with the panic as the error; sibling
 // cells on other workers finish their in-flight work, and the daemon
 // keeps serving.
@@ -473,27 +473,24 @@ func (s *Server) runCell(j *job, i int) (err error) {
 	if err != nil {
 		return err // unreachable: validated at submit
 	}
-	if j.checkpoints {
-		return s.runCheckpointedCell(j, i, c, p, setup, key)
-	}
-	var wall time.Duration
+	var sink trace.Sink
 	var chrome bytes.Buffer
 	var cw *trace.ChromeWriter
-	var sink trace.Sink
 	if j.traceWanted {
 		cw = trace.NewChromeWriter(&chrome)
 		sink = cw
 	}
-	data, cycles, err := s.simulateCell(j.ctx, c, p, setup, key, sink, func(e experiments.RunEvent) {
-		if !e.Done {
-			j.emit(Event{
-				Type: "cell_start", Job: j.id, Cell: i + 1, Cells: len(j.cells),
-				Benchmark: c.Benchmark, Setup: c.Setup,
-			})
-			return
-		}
-		wall = e.Wall
-	})
+	started := func() {
+		j.emit(Event{
+			Type: "cell_start", Job: j.id, Cell: i + 1, Cells: len(j.cells),
+			Benchmark: c.Benchmark, Setup: c.Setup,
+		})
+	}
+	run := s.simulateCell
+	if j.checkpoints {
+		run = s.recordCell
+	}
+	st, wall, err := run(j, c, p, setup, sink, started)
 	if err != nil {
 		// A liveness failure carries a per-core dump of where every core
 		// was stuck; surface it in the daemon log (the job error string
@@ -505,86 +502,6 @@ func (s *Server) runCell(j *job, i int) (err error) {
 		return err
 	}
 	if cw != nil {
-		if err := cw.Close(); err != nil {
-			return fmt.Errorf("finalizing trace for %s/%s: %w", c.Benchmark, c.Setup, err)
-		}
-		j.setTrace(chrome.Bytes())
-	}
-	s.simRate.Observe(cycles, wall)
-	j.cellDone(i, CellResult{WallMS: wallMS(wall), Data: data}, Event{
-		Type: "cell_done", Job: j.id, Cell: i + 1, Cells: len(j.cells),
-		Benchmark: c.Benchmark, Setup: c.Setup,
-		Cycles: cycles, WallMS: wallMS(wall),
-	})
-	return nil
-}
-
-// simulateCell runs one cell fresh, caches the canonical payload, and
-// returns its bytes. tr, when non-nil, receives the run's trace events;
-// progress observes the run lifecycle.
-func (s *Server) simulateCell(ctx context.Context, c CellSpec, p workload.Profile, setup experiments.Setup, key string, tr trace.Sink, progress func(experiments.RunEvent)) (data []byte, cycles uint64, err error) {
-	co := experiments.Options{
-		Cores:       c.Cores,
-		CBEntries:   c.Entries,
-		Limit:       c.Limit,
-		Parallelism: 1, // a cell is a single simulation
-		Context:     ctx,
-		Metrics:     s.sim,
-		CycleStacks: c.Cycles,
-		Progress:    progress,
-	}
-	if tr != nil {
-		co.Trace = tr
-	}
-	res, err := experiments.RunBenchmark(p, setup, c.SyncStyle(), co)
-	if err != nil {
-		return nil, 0, err
-	}
-	data, err = json.Marshal(cellPayload{Spec: c, Stats: res.Stats, Energy: res.Energy})
-	if err != nil {
-		return nil, 0, fmt.Errorf("marshaling result for %s/%s: %w", c.Benchmark, c.Setup, err)
-	}
-	s.cache.Put(key, data)
-	s.cellsSimulated.Inc()
-	return data, res.Stats.Cycles, nil
-}
-
-// runCheckpointedCell resolves a cell by recording it for time-travel
-// debugging: the returned Stats (and so the cached payload) are
-// byte-identical to a plain run's — the replay contract — with the
-// recording retained on the job for GET /replay and /bisect. A requested
-// Chrome trace is produced by replaying the full window, which by the
-// same contract matches the trace a plain traced run would emit.
-func (s *Server) runCheckpointedCell(j *job, i int, c CellSpec, p workload.Profile, setup experiments.Setup, key string) error {
-	j.emit(Event{
-		Type: "cell_start", Job: j.id, Cell: i + 1, Cells: len(j.cells),
-		Benchmark: c.Benchmark, Setup: c.Setup,
-	})
-	co := experiments.Options{
-		Cores:     c.Cores,
-		CBEntries: c.Entries,
-		Limit:     c.Limit,
-		Context:   j.ctx,
-	}
-	start := time.Now()
-	rec, err := experiments.RecordBenchmark(p, setup, c.SyncStyle(), co,
-		replay.Options{Interval: j.ckInterval, Context: j.ctx})
-	if err != nil {
-		var npe *machine.NoProgressError
-		if errors.As(err, &npe) {
-			s.cfg.Logf("job %s cell %d (%s/%s) made no progress:\n%s", j.id, i+1, c.Benchmark, c.Setup, npe.Dump())
-		}
-		return err
-	}
-	wall := time.Since(start)
-	j.setRecording(rec)
-	st := rec.Stats()
-	if j.traceWanted {
-		var chrome bytes.Buffer
-		cw := trace.NewChromeWriter(&chrome)
-		if _, err := rec.ReplayContext(j.ctx, 0, rec.End(), cw); err != nil {
-			return fmt.Errorf("tracing recorded run %s/%s: %w", c.Benchmark, c.Setup, err)
-		}
 		if err := cw.Close(); err != nil {
 			return fmt.Errorf("finalizing trace for %s/%s: %w", c.Benchmark, c.Setup, err)
 		}
@@ -603,6 +520,63 @@ func (s *Server) runCheckpointedCell(j *job, i int, c CellSpec, p workload.Profi
 		Cycles: st.Cycles, WallMS: wallMS(wall),
 	})
 	return nil
+}
+
+// simulateCell runs one cell fresh and returns its Stats and the wall
+// time of the simulation. tr, when non-nil, receives the run's trace
+// events; started is called as the simulation starts.
+func (s *Server) simulateCell(j *job, c CellSpec, p workload.Profile, setup experiments.Setup, tr trace.Sink, started func()) (machine.Stats, time.Duration, error) {
+	var wall time.Duration
+	co := experiments.Options{
+		Cores:       c.Cores,
+		CBEntries:   c.Entries,
+		Limit:       c.Limit,
+		Parallelism: 1, // a cell is a single simulation
+		Context:     j.ctx,
+		Metrics:     s.sim,
+		CycleStacks: c.Cycles,
+		Progress: func(e experiments.RunEvent) {
+			if !e.Done {
+				started()
+				return
+			}
+			wall = e.Wall
+		},
+	}
+	if tr != nil {
+		co.Trace = tr
+	}
+	res, err := experiments.RunBenchmark(p, setup, c.SyncStyle(), co)
+	return res.Stats, wall, err
+}
+
+// recordCell is simulateCell for a checkpointed job: it records the
+// cell for time-travel debugging and keeps the recording on the job for
+// GET /replay and /bisect. The Stats are byte-identical to a plain
+// run's — the replay contract — and a requested trace comes from
+// replaying the full window, which by the same contract matches the
+// trace a plain traced run emits.
+func (s *Server) recordCell(j *job, c CellSpec, p workload.Profile, setup experiments.Setup, tr trace.Sink, started func()) (machine.Stats, time.Duration, error) {
+	started()
+	co := experiments.Options{
+		Cores:     c.Cores,
+		CBEntries: c.Entries,
+		Limit:     c.Limit,
+		Context:   j.ctx,
+	}
+	start := time.Now()
+	rec, err := experiments.RecordBenchmark(p, setup, c.SyncStyle(), co, j.ckInterval)
+	if err != nil {
+		return machine.Stats{}, 0, err
+	}
+	wall := time.Since(start)
+	j.setRecording(rec)
+	if tr != nil {
+		if _, err := rec.Replay(j.ctx, 0, rec.End(), tr); err != nil {
+			return machine.Stats{}, 0, fmt.Errorf("tracing recorded run %s/%s: %w", c.Benchmark, c.Setup, err)
+		}
+	}
+	return rec.Stats(), wall, nil
 }
 
 func wallMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
@@ -864,10 +838,11 @@ func queryU64(r *http.Request, name string, def uint64) (uint64, error) {
 // handleReplay re-executes a window [from,to) of a checkpointed job's
 // recording. Without trace=true it returns the mid-run Stats and energy
 // at the window's end boundary; with trace=true it returns the window's
-// Chrome trace-event JSON — the trace of any slice of the run, produced
-// without re-simulating the prefix when a parked replay cursor covers
-// it. Digest marks crossed during the re-execution are verified against
-// the recording, so a served window is evidence, not a guess.
+// Chrome trace-event JSON — the trace of any slice of the run. Each
+// request rebuilds the cell and re-runs it from cycle 0, at most the
+// cost of one plain run. Digest marks crossed during the re-execution
+// are verified against the recording, so a served window is evidence,
+// not a guess.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	j, rec, ok := s.checkpointedJob(w, r)
 	if !ok {
@@ -898,7 +873,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		cw = trace.NewChromeWriter(&chrome)
 		sinks = append(sinks, cw)
 	}
-	st, err := rec.ReplayContext(r.Context(), from, to, sinks...)
+	st, err := rec.Replay(r.Context(), from, to, sinks...)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
@@ -951,8 +926,7 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 		return // unreachable: validated at submit
 	}
 	o := experiments.Options{Cores: c.Cores, CBEntries: c.Entries, Limit: c.Limit, Context: r.Context()}
-	ro := replay.Options{Interval: rec.Interval(), Context: r.Context()}
-	rp, err := experiments.BisectBenchmark(p, c.SyncStyle(), sa, o, sb, o, ro)
+	rp, err := experiments.BisectBenchmark(p, c.SyncStyle(), sa, o, sb, o, rec.Interval())
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return

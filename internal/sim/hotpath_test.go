@@ -5,20 +5,6 @@ import "testing"
 // The kernel hot path must not allocate: every simulated cycle pops and
 // pushes events, so a single allocation per event dominates the profile.
 
-func TestScheduleStepNoAllocs(t *testing.T) {
-	k := New()
-	fn := func() {} // static: capturing nothing, allocated once
-	allocs := testing.AllocsPerRun(1000, func() {
-		k.Schedule(1, fn)
-		if !k.Step() {
-			t.Fatal("Step returned false with a pending event")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Schedule+Step allocated %.1f times per event, want 0", allocs)
-	}
-}
-
 type recordingActor struct {
 	data []any
 	args []uint64
@@ -35,8 +21,8 @@ func TestActorScheduling(t *testing.T) {
 	payload := &struct{ n int }{n: 7}
 	k.ScheduleActor(3, a, payload, 42)
 	k.AtActor(5, a, nil, 99)
-	var closureAt uint64
-	k.Schedule(4, func() { closureAt = k.Now() })
+	var callAt uint64
+	k.ScheduleActor(4, call(func() { callAt = k.Now() }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -46,8 +32,8 @@ func TestActorScheduling(t *testing.T) {
 	if a.data[0] != payload || a.data[1] != nil {
 		t.Fatalf("actor data not passed through verbatim: %v", a.data)
 	}
-	if closureAt != 4 {
-		t.Fatalf("interleaved closure fired at %d, want 4", closureAt)
+	if callAt != 4 {
+		t.Fatalf("interleaved actor event fired at %d, want 4", callAt)
 	}
 }
 
@@ -77,37 +63,35 @@ func TestActorScheduleNoAllocs(t *testing.T) {
 }
 
 // Popping must zero the vacated entry in both tiers: otherwise the
-// backing arrays pin the last-popped closure (and everything it captures)
-// forever.
+// backing arrays pin the last-popped actor and payload forever.
 func TestPopZeroesVacatedSlot(t *testing.T) {
 	k := New()
-	k.Schedule(1, func() {})
-	k.Schedule(2, func() {})
+	k.ScheduleActor(1, call(func() {}), nil, 0)
+	k.ScheduleActor(2, call(func() {}), nil, 0)
 	if !k.Step() {
 		t.Fatal("Step returned false")
 	}
 	// Cycle 1's wheel slot drained and rewound; its backing entry must
 	// not retain the fired event.
 	e := k.slots[1].ev[:1][0]
-	if e.fn != nil || e.actor != nil || e.data != nil {
+	if e.actor != nil || e.data != nil {
 		t.Fatalf("vacated wheel slot not zeroed: %+v", e)
 	}
 
 	kh := NewHeapOnly()
-	kh.Schedule(1, func() {})
-	kh.Schedule(2, func() {})
+	kh.ScheduleActor(1, call(func() {}), nil, 0)
+	kh.ScheduleActor(2, call(func() {}), nil, 0)
 	if !kh.Step() {
 		t.Fatal("Step returned false")
 	}
 	tail := kh.heap[:2][1]
-	if tail.fn != nil || tail.actor != nil || tail.data != nil {
+	if tail.actor != nil || tail.data != nil {
 		t.Fatalf("vacated heap slot not zeroed: %+v", tail)
 	}
 }
 
 // spinWaveActor models a parked core with a known next wake: it fires and
-// immediately reschedules itself period cycles out. No closures, no
-// allocations.
+// immediately reschedules itself period cycles out. No allocations.
 type spinWaveActor struct {
 	k      *Kernel
 	period uint64

@@ -1,10 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // All simulator components (cores, cache controllers, network routers)
-// schedule events at absolute or relative cycle times: pre-bound actors on
-// the hot paths, closures elsewhere. Events that share
-// a cycle fire in scheduling order, which makes every run bit-reproducible:
-// the queue is ordered by (time, sequence number).
+// schedule events at absolute or relative cycle times as pre-bound
+// actors. Events that share a cycle fire in scheduling order, which makes
+// every run bit-reproducible: the queue is ordered by (time, sequence
+// number). RunToBoundary is the one loop that fires a sequence of
+// events; Run wraps it, and Step fires a single event.
 //
 // The scheduler is two-tiered. Near-future events — the overwhelmingly
 // common case: NoC hops, cache latencies, spin retries, known next-wakes
@@ -17,11 +18,12 @@
 // — every core parked with a known wake cycle — costs one bitmap jump to
 // the next occupied slot instead of per-cycle scans. Both tiers keep
 // events in flat pre-grown arrays and perform zero heap allocations per
-// Schedule/Step in steady state.
+// schedule or step in steady state.
 package sim
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 )
 
@@ -29,15 +31,11 @@ import (
 // still pending. It usually indicates a deadlock or an undersized limit.
 var ErrLimit = errors.New("sim: cycle limit reached with pending events")
 
-// ErrDrained is returned by RunUntil when the queue drains before its
-// condition holds.
-var ErrDrained = errors.New("sim: event queue drained before condition held")
-
-// Actor is a pre-bound event target. Scheduling an actor instead of a
-// closure avoids the per-event closure allocation on hot paths that fire
-// many events against one long-lived object (e.g. per-hop message routing
-// in the NoC): the receiver, a pointer payload, and a small scalar are
-// stored inline in the event.
+// Actor is a pre-bound event target: every event is one. Scheduling an
+// actor needs no per-event closure on hot paths that fire many events
+// against one long-lived object (e.g. per-hop message routing in the
+// NoC): the receiver, a pointer payload, and a small scalar are stored
+// inline in the event.
 type Actor interface {
 	// Act fires the event. data and arg are the values passed to
 	// AtActor/ScheduleActor, verbatim.
@@ -45,10 +43,8 @@ type Actor interface {
 }
 
 type event struct {
-	when uint64
-	seq  uint64
-	fn   func()
-	// actor/data/arg describe an actor event (fn == nil).
+	when  uint64
+	seq   uint64
 	actor Actor
 	data  any
 	arg   uint64
@@ -115,9 +111,9 @@ type Kernel struct {
 	// single-tier scheduler for byte-identity tests and benchmarks.
 	heapOnly bool
 
-	// cached memoizes the earliest pending event between the limit check
-	// and the pop that fires it, so Run/RunUntil scan the wheel once per
-	// event. cachedSlot < 0 means the event is the heap top.
+	// cached memoizes the earliest pending event between the boundary
+	// check and the pop that fires it, so RunToBoundary scans the wheel
+	// once per event. cachedSlot < 0 means the event is the heap top.
 	cached     bool
 	cachedSlot int
 	cachedWhen uint64
@@ -168,39 +164,21 @@ func (k *Kernel) Pending() int { return k.nwheel + len(k.heap) }
 // Telemetry returns the scheduler-internal counters accumulated so far.
 func (k *Kernel) Telemetry() Telemetry { return k.tele }
 
-// Schedule runs fn delay cycles from now. A delay of zero fires later in
-// the current cycle, after all previously scheduled events for this cycle.
-//
-//cbsim:hotpath
-func (k *Kernel) Schedule(delay uint64, fn func()) {
-	k.At(k.now+delay, fn)
-}
-
-// At runs fn at the absolute cycle when. A when earlier than Now() is
-// clamped to now: the event fires later in the current cycle, after all
-// previously scheduled events, exactly like Schedule(0, fn). Protocol
-// layers compute absolute deadlines such as "FIFO floor + latency" whose
-// floor may already have passed; the clamp makes that well-defined
-// instead of a time-travel bug.
-//
-//cbsim:hotpath
-func (k *Kernel) At(when uint64, fn func()) {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	k.push(event{when: when, fn: fn})
-}
-
-// ScheduleActor runs a.Act(data, arg) delay cycles from now. It is the
-// allocation-free counterpart of Schedule: no closure is created.
+// ScheduleActor runs a.Act(data, arg) delay cycles from now. A delay of
+// zero fires later in the current cycle, after all previously scheduled
+// events for this cycle.
 //
 //cbsim:hotpath
 func (k *Kernel) ScheduleActor(delay uint64, a Actor, data any, arg uint64) {
 	k.AtActor(k.now+delay, a, data, arg)
 }
 
-// AtActor runs a.Act(data, arg) at the absolute cycle when. Like At, a
-// when earlier than Now() is clamped to now.
+// AtActor runs a.Act(data, arg) at the absolute cycle when. A when
+// earlier than Now() is clamped to now: the event fires later in the
+// current cycle, after all previously scheduled events, exactly like
+// ScheduleActor with delay 0. Protocol layers compute absolute deadlines
+// such as "FIFO floor + latency" whose floor may already have passed; the
+// clamp makes that well-defined instead of a time-travel bug.
 //
 //cbsim:hotpath
 func (k *Kernel) AtActor(when uint64, a Actor, data any, arg uint64) {
@@ -216,7 +194,7 @@ func (k *Kernel) AtActor(when uint64, a Actor, data any, arg uint64) {
 //cbsim:hotpath
 func (k *Kernel) push(e event) {
 	if e.when < k.now {
-		e.when = k.now // clamp: see At
+		e.when = k.now // clamp: see AtActor
 	}
 	e.seq = k.seq
 	k.seq++
@@ -277,8 +255,8 @@ func (k *Kernel) wheelPush(e event) {
 }
 
 // popSlot removes the earliest (lowest-sequence) event of slot si, zeroing
-// the vacated entry so the popped closure (and anything it captures) stays
-// collectable. A drained slot rewinds to reuse its backing.
+// the vacated entry so the popped actor and payload stay collectable. A
+// drained slot rewinds to reuse its backing.
 //
 //cbsim:hotpath
 func (k *Kernel) popSlot(si int) event {
@@ -376,7 +354,7 @@ func (k *Kernel) heapPush(e event) {
 }
 
 // heapPop removes and returns the heap's earliest event, zeroing the
-// vacated tail slot so the popped closure stays collectable.
+// vacated tail slot so the popped actor and payload stay collectable.
 //
 //cbsim:hotpath
 func (k *Kernel) heapPop() event {
@@ -406,7 +384,7 @@ func (k *Kernel) heapPop() event {
 
 // stepOne pops and fires the earliest event, advancing the clock to its
 // time. The caller must ensure events are pending. It is the single
-// shared pop-loop body of Step, Run, and RunUntil.
+// shared pop-loop body of Step and RunToBoundary.
 //
 //cbsim:hotpath
 func (k *Kernel) stepOne() {
@@ -434,10 +412,6 @@ func (k *Kernel) stepOne() {
 	}
 	k.now = e.when
 	k.nrun++
-	if e.fn != nil {
-		e.fn()
-		return
-	}
 	e.actor.Act(e.data, e.arg)
 }
 
@@ -454,40 +428,19 @@ func (k *Kernel) Step() bool {
 }
 
 // Run fires events until the queue drains or the clock would pass limit.
-// It returns nil when the queue drained, ErrLimit otherwise.
-// A limit of 0 means no limit.
+// It returns nil when the queue drained, ErrLimit otherwise, with the
+// clock resting on limit. A limit of 0 means no limit.
 func (k *Kernel) Run(limit uint64) error {
-	for k.Pending() > 0 {
-		if limit != 0 && k.earliest() > limit {
-			k.now = limit
-			return ErrLimit
-		}
-		k.stepOne()
+	end := limit + 1
+	if limit == 0 {
+		end = math.MaxUint64
+	}
+	k.RunToBoundary(end, nil)
+	if k.Pending() > 0 {
+		k.now = limit
+		return ErrLimit
 	}
 	return nil
-}
-
-// RunUntil fires events while cond returns false, stopping as soon as it
-// returns true (checked after each event) or the queue drains or the limit
-// is exceeded. It returns nil if cond became true.
-func (k *Kernel) RunUntil(limit uint64, cond func() bool) error {
-	if cond() {
-		return nil
-	}
-	for k.Pending() > 0 {
-		if limit != 0 && k.earliest() > limit {
-			k.now = limit
-			return ErrLimit
-		}
-		k.stepOne()
-		if cond() {
-			return nil
-		}
-	}
-	if cond() {
-		return nil
-	}
-	return ErrDrained
 }
 
 // AdvanceTo moves the clock forward to cycle t with nothing firing, for a
@@ -505,16 +458,17 @@ func (k *Kernel) AdvanceTo(t uint64) {
 
 // RunToBoundary fires every event scheduled strictly before cycle target
 // and none at or after it, pausing the kernel exactly at the boundary.
-// Unlike Run/RunUntil it never bumps the clock to the boundary: Now()
-// stays at the last fired event's time, so a run chopped into boundary
-// segments executes the identical event sequence — and leaves identical
-// state — as one uninterrupted run. This is the replay subsystem's
-// chunking primitive: checkpoints and state digests are only comparable
-// across runs when they are taken at exact cycle boundaries.
+// It is the kernel's one loop over events. Unlike Run it never bumps the
+// clock to the boundary: Now() stays at the last fired event's time, so
+// a run chopped into boundary segments executes the identical event
+// sequence — and leaves identical state — as one uninterrupted run. This
+// is the replay subsystem's chunking primitive: checkpoints and state
+// digests are only comparable across runs when they are taken at exact
+// cycle boundaries.
 //
 // It returns true when it paused at the boundary (or the queue drained),
-// false when cond stopped it first. cond, when non-nil, is checked after
-// each event, exactly like RunUntil's.
+// false when cond stopped it first. cond, when non-nil, is checked once
+// before the first event and after each event.
 //
 //cbsim:hotpath
 func (k *Kernel) RunToBoundary(target uint64, cond func() bool) bool {

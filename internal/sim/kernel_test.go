@@ -1,17 +1,33 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// call adapts a function to an actor, so a test can schedule an inline
+// body.
+type call func()
+
+func (c call) Act(any, uint64) { c() }
+
+// An event is at most 56 bytes: the actor, its payload, and the scalar
+// next to the time and sequence number, with no closure beside them.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 56 {
+		t.Fatalf("sizeof(event) = %d bytes, want <= 56", n)
+	}
+}
 
 func TestZeroValueUsable(t *testing.T) {
 	var k Kernel
 	fired := false
-	k.Schedule(5, func() { fired = true })
+	k.ScheduleActor(5, call(func() { fired = true }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -28,7 +44,7 @@ func TestFIFOWithinCycle(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(3, func() { order = append(order, i) })
+		k.ScheduleActor(3, call(func() { order = append(order, i) }), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -46,7 +62,7 @@ func TestTimeOrdering(t *testing.T) {
 	delays := []uint64{9, 2, 7, 2, 0, 100, 1}
 	for _, d := range delays {
 		d := d
-		k.Schedule(d, func() { times = append(times, k.Now()) })
+		k.ScheduleActor(d, call(func() { times = append(times, k.Now()) }), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -62,9 +78,9 @@ func TestTimeOrdering(t *testing.T) {
 func TestZeroDelayFiresSameCycle(t *testing.T) {
 	k := New()
 	var at uint64 = 999
-	k.Schedule(4, func() {
-		k.Schedule(0, func() { at = k.Now() })
-	})
+	k.ScheduleActor(4, call(func() {
+		k.ScheduleActor(0, call(func() { at = k.Now() }), nil, 0)
+	}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -80,10 +96,10 @@ func TestChainedScheduling(t *testing.T) {
 	step = func() {
 		count++
 		if count < 100 {
-			k.Schedule(1, step)
+			k.ScheduleActor(1, call(step), nil, 0)
 		}
 	}
-	k.Schedule(1, step)
+	k.ScheduleActor(1, call(step), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -98,7 +114,7 @@ func TestChainedScheduling(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	k := New()
 	fired := false
-	k.Schedule(50, func() { fired = true })
+	k.ScheduleActor(50, call(func() { fired = true }), nil, 0)
 	if err := k.Run(10); err != ErrLimit {
 		t.Fatalf("Run(10) err = %v, want ErrLimit", err)
 	}
@@ -117,15 +133,16 @@ func TestRunLimit(t *testing.T) {
 	}
 }
 
+// Running until a condition holds is RunToBoundary with a condition:
+// it stops right after the event that makes cond true.
 func TestRunUntil(t *testing.T) {
 	k := New()
 	n := 0
 	for i := 1; i <= 10; i++ {
-		k.Schedule(uint64(i), func() { n++ })
+		k.ScheduleActor(uint64(i), call(func() { n++ }), nil, 0)
 	}
-	err := k.RunUntil(0, func() bool { return n == 3 })
-	if err != nil {
-		t.Fatalf("RunUntil: %v", err)
+	if k.RunToBoundary(math.MaxUint64, func() bool { return n == 3 }) {
+		t.Fatal("RunToBoundary reported a pause, want a stop by its condition")
 	}
 	if n != 3 {
 		t.Fatalf("n = %d, want 3 (stop as soon as condition holds)", n)
@@ -135,33 +152,38 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// A queue that drains before the condition holds ends the loop as a
+// pause, which the caller tells from a stop.
 func TestRunUntilDrained(t *testing.T) {
 	k := New()
-	k.Schedule(1, func() {})
-	if err := k.RunUntil(0, func() bool { return false }); err == nil {
-		t.Fatal("expected error when queue drains before condition holds")
+	k.ScheduleActor(1, call(func() {}), nil, 0)
+	if !k.RunToBoundary(math.MaxUint64, func() bool { return false }) {
+		t.Fatal("RunToBoundary reported a stop by its condition when the queue drained")
+	}
+	if k.Pending() != 0 || k.Now() != 1 {
+		t.Fatalf("pending %d at cycle %d, want a drained queue at cycle 1", k.Pending(), k.Now())
 	}
 }
 
-// At/AtActor with when < Now() clamp to now: the event fires later in the
-// current cycle, after everything already scheduled for it — identical to
-// Schedule(0). Protocol layers compute absolute deadlines (FIFO floor +
-// latency) whose floor may already have passed; the clamp makes that
-// well-defined.
+// AtActor with when < Now() clamps to now: the event fires later in the
+// current cycle, after everything already scheduled for it — identical
+// to ScheduleActor with delay 0. Protocol layers compute absolute
+// deadlines (FIFO floor + latency) whose floor may already have passed;
+// the clamp makes that well-defined.
 func TestSchedulePastClampsToNow(t *testing.T) {
 	k := New()
 	var order []string
-	k.Schedule(10, func() {
-		k.Schedule(0, func() { order = append(order, "zero-delay") })
-		k.At(5, func() {
+	k.ScheduleActor(10, call(func() {
+		k.ScheduleActor(0, call(func() { order = append(order, "zero-delay") }), nil, 0)
+		k.AtActor(5, call(func() {
 			order = append(order, "clamped")
 			if k.Now() != 10 {
 				t.Errorf("clamped event fired at %d, want 10", k.Now())
 			}
-		})
-	})
+		}), nil, 0)
+	}), nil, 0)
 	a := &recordingActor{}
-	k.Schedule(20, func() { k.AtActor(3, a, nil, 77) })
+	k.ScheduleActor(20, call(func() { k.AtActor(3, a, nil, 77) }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -179,20 +201,11 @@ func TestSchedulePastClampsToNow(t *testing.T) {
 	}
 }
 
-func TestNilEventPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil event function did not panic")
-		}
-	}()
-	New().Schedule(1, nil)
-}
-
 func TestStep(t *testing.T) {
 	k := New()
 	n := 0
-	k.Schedule(2, func() { n++ })
-	k.Schedule(4, func() { n++ })
+	k.ScheduleActor(2, call(func() { n++ }), nil, 0)
+	k.ScheduleActor(4, call(func() { n++ }), nil, 0)
 	if !k.Step() {
 		t.Fatal("Step returned false with pending events")
 	}
@@ -222,7 +235,7 @@ func TestPropertyOrdering(t *testing.T) {
 		var got []rec
 		for i, d := range delays {
 			i, d := i, uint64(d)
-			k.Schedule(d, func() { got = append(got, rec{k.Now(), i}) })
+			k.ScheduleActor(d, call(func() { got = append(got, rec{k.Now(), i}) }), nil, 0)
 		}
 		if err := k.Run(0); err != nil {
 			return false
@@ -251,10 +264,10 @@ func TestPropertyOrdering(t *testing.T) {
 func TestMigrationPreservesSeqOrder(t *testing.T) {
 	k := New()
 	var order []int
-	k.At(2000, func() { order = append(order, 0) }) // seq 0: 2000 cycles out -> heap
-	k.At(1500, func() {                             // seq 1: also heap at push time
-		k.At(2000, func() { order = append(order, 1) }) // seq 2: 500 out -> wheel direct
-	})
+	k.AtActor(2000, call(func() { order = append(order, 0) }), nil, 0) // seq 0: 2000 cycles out -> heap
+	k.AtActor(1500, call(func() {                                      // seq 1: also heap at push time
+		k.AtActor(2000, call(func() { order = append(order, 1) }), nil, 0) // seq 2: 500 out -> wheel direct
+	}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -274,14 +287,14 @@ func TestWheelHeapIdenticalOrder(t *testing.T) {
 		var got [][2]uint64
 		for i, d := range delays {
 			i, d := uint64(i), uint64(d)
-			k.Schedule(d, func() {
+			k.ScheduleActor(d, call(func() {
 				got = append(got, [2]uint64{k.Now(), i})
 				if d%3 == 0 {
-					k.Schedule(d/2+1500, func() {
+					k.ScheduleActor(d/2+1500, call(func() {
 						got = append(got, [2]uint64{k.Now(), 1<<32 | i})
-					})
+					}), nil, 0)
 				}
-			})
+			}), nil, 0)
 		}
 		if err := k.Run(0); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -300,8 +313,8 @@ func TestWheelHeapIdenticalOrder(t *testing.T) {
 // those batch skips.
 func TestBatchSkipTelemetry(t *testing.T) {
 	k := New()
-	k.Schedule(100, func() {})
-	k.Schedule(700, func() {})
+	k.ScheduleActor(100, call(func() {}), nil, 0)
+	k.ScheduleActor(700, call(func() {}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -319,7 +332,7 @@ func TestRunLimitAcrossWheelHorizon(t *testing.T) {
 	k := New()
 	var times []uint64
 	for _, d := range []uint64{500, 1500, 3000, 3000, 9000} {
-		k.Schedule(d, func() { times = append(times, k.Now()) })
+		k.ScheduleActor(d, call(func() { times = append(times, k.Now()) }), nil, 0)
 	}
 	for _, limit := range []uint64{200, 600, 2500, 3000, 5000} {
 		if err := k.Run(limit); err != ErrLimit {
@@ -345,10 +358,10 @@ func BenchmarkKernelChain(b *testing.B) {
 	step = func() {
 		n++
 		if n < b.N {
-			k.Schedule(1, step)
+			k.ScheduleActor(1, call(step), nil, 0)
 		}
 	}
-	k.Schedule(1, step)
+	k.ScheduleActor(1, call(step), nil, 0)
 	b.ResetTimer()
 	if err := k.Run(0); err != nil {
 		b.Fatal(err)
