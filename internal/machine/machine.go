@@ -73,10 +73,9 @@ type Config struct {
 	// Defaults to 64 (8x8, Table 2).
 	Cores int
 	// BackoffLimit is the number of exponentiations before the back-off
-	// ceiling (BackOff-N); 0 means direct LLC spinning.
+	// ceiling (BackOff-N); 0 means direct LLC spinning. The initial
+	// interval is cpu.DefaultConfig's.
 	BackoffLimit int
-	// BackoffBase is the initial back-off interval in cycles.
-	BackoffBase uint64
 	// CBEntriesPerBank sizes the callback directories (default 4).
 	CBEntriesPerBank int
 	// WakePolicy selects the write_CB1 policy.
@@ -111,7 +110,6 @@ func Default(p Protocol) Config {
 		Protocol:         p,
 		Cores:            64,
 		BackoffLimit:     10,
-		BackoffBase:      1,
 		CBEntriesPerBank: core.DefaultEntries,
 	}
 }
@@ -234,7 +232,7 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 	bankOf := func(a memtypes.Addr) memtypes.NodeID {
 		return memtypes.NodeID(uint64(a.Line()) / memtypes.LineBytes % uint64(cfg.Cores))
 	}
-	coreCfg := cpu.Config{BackoffBase: cfg.BackoffBase, BackoffLimit: cfg.BackoffLimit}
+	coreCfg := cpu.DefaultConfig(cfg.BackoffLimit)
 	onDone := func(*cpu.Core) { m.finished++ }
 	for n := 0; n < cfg.Cores; n++ {
 		id := memtypes.NodeID(n)
