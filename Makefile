@@ -66,11 +66,12 @@ fuzz:
 
 # chaos-litmus is the fault-injection gate: the chaos sweep (litmus
 # programs and sync kernels under the fault matrix at fixed seeds must
-# match their fault-free outcomes), the eviction-storm litmus tests, and
-# the machine-level watchdog/invariant tests.
+# match their fault-free outcomes), the eviction-storm litmus tests, the
+# machine-level watchdog/invariant tests, and the watchdog over recorded
+# and bisected runs.
 chaos-litmus:
 	$(GO) test -count=1 -run 'TestRunChaos|Storm|TestWatchdog|TestCheckInvariants|TestChaosConfig' \
-		./internal/experiments/ ./internal/litmus/ ./internal/machine/
+		./internal/experiments/ ./internal/litmus/ ./internal/machine/ ./internal/replay/
 
 # replay-e2e is the time-travel gate over the wire: build the real
 # cbsimd binary, run a checkpointed job, replay windows of it over HTTP,

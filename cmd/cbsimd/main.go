@@ -33,10 +33,10 @@
 //
 // Jobs submitted with checkpoints=true (single-cell only) are recorded
 // for time-travel debugging: the daemon keeps digest marks every
-// checkpoint_interval cycles plus a bounded ring of live replay cursors,
-// so any [from,to) window of the run can be re-executed — and traced —
-// without re-simulating the prefix. Replayed windows are verified
-// against the recording's digest marks as they run.
+// checkpoint_interval cycles, so any [from,to) window of the run can be
+// re-executed — and traced — by rebuilding the cell and running it from
+// cycle 0. Replayed windows are verified against the recording's digest
+// marks as they run.
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: running cells finish,
 // queued jobs fail with a retryable status, and the process exits 0

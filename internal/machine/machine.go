@@ -484,7 +484,7 @@ func (m *Machine) advance(ctx context.Context, end uint64) (done bool, err error
 	}
 	m.mon.ctx = ctx
 	m.K.RunToBoundary(end, m.stop)
-	m.mon.ctx = nil
+	m.mon.ctx = nil // a paused machine keeps no caller's context
 	if err := m.mon.err; err != nil {
 		m.mon.err = nil
 		return false, err

@@ -44,9 +44,8 @@ func (m *Machine) Finished() bool {
 
 // DetachTrace removes every attached sink, cycle accounting included,
 // returning the machine to its unobserved (and observer-overhead-free)
-// state. The replay re-executor pairs it with AttachTrace: sinks are
-// attached at a window's start boundary and detached at its end, so a
-// parked replay cursor never drags a stale sink into a later window.
+// state. Parked spin loops settle first, so the detached sinks have
+// seen every event the machine fired.
 func (m *Machine) DetachTrace() {
 	m.cyc = nil
 	m.install(nil)

@@ -52,7 +52,8 @@ type Source struct {
 	// Label names the run in reports and errors.
 	Label string
 	// Build constructs the machine. Called once by Record, once per
-	// Replay, and twice per side by Bisect.
+	// Replay (concurrent replays call it concurrently), and at most
+	// twice per side by Bisect.
 	Build func() (*machine.Machine, error)
 	// Limit is the cycle budget (0 = DefaultLimit). A recording whose
 	// run does not complete within the budget fails.

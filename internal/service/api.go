@@ -59,9 +59,9 @@ type JobRequest struct {
 	// matches the reported result.
 	Trace bool `json:"trace,omitempty"`
 	// Checkpoints records the simulation for time-travel debugging:
-	// digest marks every CheckpointInterval cycles plus a live replay
-	// cursor ring, retrievable through GET /v1/jobs/{id}/replay (windowed
-	// re-execution, optionally traced) and GET /v1/jobs/{id}/bisect
+	// digest marks every CheckpointInterval cycles, used by GET
+	// /v1/jobs/{id}/replay (windowed re-execution from cycle 0,
+	// optionally traced) and GET /v1/jobs/{id}/bisect
 	// (first-divergence search against another setup). Only single-cell
 	// jobs may be checkpointed, and a checkpointed cell is always freshly
 	// simulated — the recording must be the run the result reports.

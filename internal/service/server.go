@@ -444,10 +444,10 @@ func (s *Server) runJob(j *job) {
 // runCell resolves one cell: cache hit, fresh simulation, or, for a
 // checkpointed job, a fresh recording. A traced cell (single-cell jobs
 // only) always simulates fresh — the trace must match the reported
-// result — but still populates the cache for untraced followers. A panicking cell (simulator bug on one
-// configuration) fails its job with the panic as the error; sibling
-// cells on other workers finish their in-flight work, and the daemon
-// keeps serving.
+// result — but still populates the cache for untraced followers. A
+// panicking cell (simulator bug on one configuration) fails its job with
+// the panic as the error; sibling cells on other workers finish their
+// in-flight work, and the daemon keeps serving.
 func (s *Server) runCell(j *job, i int) (err error) {
 	c := j.cells[i]
 	defer func() {
@@ -473,9 +473,9 @@ func (s *Server) runCell(j *job, i int) (err error) {
 	if err != nil {
 		return err // unreachable: validated at submit
 	}
-	var sink trace.Sink
 	var chrome bytes.Buffer
 	var cw *trace.ChromeWriter
+	var sink trace.Sink
 	if j.traceWanted {
 		cw = trace.NewChromeWriter(&chrome)
 		sink = cw
