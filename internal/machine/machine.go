@@ -444,14 +444,14 @@ func (m *Machine) RunContext(ctx context.Context, limit uint64) error {
 	}
 	// Paused: events remain past the limit, or only parked spin loops
 	// remain, and they would spin on to it.
-	if limit == 0 {
-		return fmt.Errorf("machine: %d/%d cores finished at cycle %d: %w\n%s",
-			m.finished, m.loaded, m.K.Now(), errSpinForever, m.Diagnose())
+	cause := errSpinForever
+	if limit != 0 {
+		m.K.AdvanceTo(limit)
+		m.passTo(limit + 1) // the limit cycle itself ran
+		cause = sim.ErrLimit
 	}
-	m.K.AdvanceTo(limit)
-	m.passTo(limit + 1) // the limit cycle itself ran
 	return fmt.Errorf("machine: %d/%d cores finished at cycle %d: %w\n%s",
-		m.finished, m.loaded, m.K.Now(), sim.ErrLimit, m.Diagnose())
+		m.finished, m.loaded, m.K.Now(), cause, m.Diagnose())
 }
 
 // monitor is the run loop's state between events: the context it polls,

@@ -246,6 +246,19 @@ func TestSpinForeverHitsLimit(t *testing.T) {
 	}
 }
 
+// Without a cycle limit, a queue that holds only parked spin loops ends
+// the run with errSpinForever and the diagnosis instead of spinning on.
+func TestSpinForeverWithoutLimit(t *testing.T) {
+	m := spinForeverMachine()
+	err := m.Run(0)
+	if !errors.Is(err, errSpinForever) {
+		t.Fatalf("err = %v, want errSpinForever", err)
+	}
+	if !strings.Contains(err.Error(), "core  0") {
+		t.Fatalf("error lacks the diagnosis:\n%v", err)
+	}
+}
+
 // spinWaitMachine: core 0 stores the flag after delay cycles of compute
 // while cores 1..3 spin on it under MESI.
 func spinWaitMachine(cfg Config, delay uint64) *Machine {
