@@ -34,23 +34,9 @@ func disasmHash(g *Generated) string {
 }
 
 func TestDisassemblyMatchesPins(t *testing.T) {
-	want := map[string]string{}
+	var want map[string]string
 	if !*updateDisasm {
-		raw, err := os.ReadFile(disasmPinsFile)
-		if err != nil {
-			t.Fatalf("%v (regenerate with -update-disasm)", err)
-		}
-		for _, line := range strings.Split(string(raw), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				t.Fatalf("%s: malformed line %q", disasmPinsFile, line)
-			}
-			want[fields[0]] = fields[1]
-		}
+		want = readPins(t, disasmPinsFile, "-update-disasm")
 	}
 	var b strings.Builder
 	b.WriteString("# Per profile/style/flavour at 16 cores: SHA-256 over the disassembly of\n")
@@ -83,4 +69,27 @@ func TestDisassemblyMatchesPins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// readPins parses a pin file of "<key> <hash>" lines, skipping blank and
+// # lines; updateFlag names the flag that regenerates it.
+func readPins(t *testing.T, file, updateFlag string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("%v (regenerate with %s)", err, updateFlag)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("%s: malformed line %q", file, line)
+		}
+		want[fields[0]] = fields[1]
+	}
+	return want
 }
