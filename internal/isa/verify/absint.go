@@ -12,9 +12,12 @@ import (
 // loading a pointer from memory (the CLH lock's queue nodes, vLoaded).
 // Arithmetic stays in the interval domain; anything else collapses to
 // vUnknown.
+//
+// A vRange is [lo,hi] with lo <= hi. The other kinds store their kind in
+// lo and zero in hi, so a value fits 16 bytes and equal values compare
+// equal.
 type absVal struct {
-	kind   uint8
-	lo, hi uint64 // valid for vRange (inclusive)
+	lo, hi uint64
 }
 
 const (
@@ -26,11 +29,18 @@ const (
 	vUnknown
 )
 
-func vConst(c uint64) absVal { return absVal{kind: vRange, lo: c, hi: c} }
-func loaded() absVal         { return absVal{kind: vLoaded} }
-func unknown() absVal        { return absVal{kind: vUnknown} }
+func vConst(c uint64) absVal { return absVal{lo: c, hi: c} }
+func loaded() absVal         { return absVal{lo: uint64(vLoaded)} }
+func unknown() absVal        { return absVal{lo: uint64(vUnknown)} }
 
-func (a absVal) isConst() bool { return a.kind == vRange && a.lo == a.hi }
+func (a absVal) kind() uint8 {
+	if a.lo <= a.hi {
+		return vRange
+	}
+	return uint8(a.lo)
+}
+
+func (a absVal) isConst() bool { return a.lo == a.hi }
 
 // joinVal merges two abstract values. widen collapses a growing
 // interval straight to vUnknown so the fixpoint terminates.
@@ -38,10 +48,10 @@ func joinVal(a, b absVal, widen bool) absVal {
 	if a == b {
 		return a
 	}
-	if a.kind == vUnknown || b.kind == vUnknown || a.kind != b.kind {
+	if a.kind() == vUnknown || b.kind() == vUnknown || a.kind() != b.kind() {
 		return unknown()
 	}
-	if a.kind == vLoaded {
+	if a.kind() == vLoaded {
 		return loaded()
 	}
 	nlo, nhi := a.lo, a.hi
@@ -54,7 +64,7 @@ func joinVal(a, b absVal, widen bool) absVal {
 	if widen || nhi-nlo > 1<<32 {
 		return unknown()
 	}
-	return absVal{kind: vRange, lo: nlo, hi: nhi}
+	return absVal{lo: nlo, hi: nhi}
 }
 
 // absState is the abstract machine state at one program point.
@@ -72,17 +82,12 @@ type absState struct {
 	barriers int
 }
 
-func entryState() *absState {
-	s := &absState{}
+func entryState() absState {
+	var s absState
 	for i := range s.regs {
 		s.regs[i] = vConst(0)
 	}
 	return s
-}
-
-func (s *absState) clone() *absState {
-	c := *s
-	return &c
 }
 
 // join merges other into s, reporting whether s changed. Structural
@@ -123,23 +128,31 @@ func (s *absState) join(other *absState, widen bool) (changed, stackMismatch, ho
 }
 
 // fixpoint runs the worklist abstract interpretation from instruction 0.
+// The worklist is a FIFO ring over v.work: a pc is queued at most once
+// at a time, so n slots always suffice. Each visit transfers a scratch
+// copy of in[pc], so no state is allocated.
 func (v *verifier) fixpoint() {
 	v.in[0] = entryState()
-	work := []int{0}
-	inWork := make([]bool, v.n)
-	inWork[0] = true
-	for len(work) > 0 {
-		pc := work[0]
-		work = work[1:]
-		inWork[pc] = false
+	v.reached[0] = true
+	work := v.work
+	work[0] = 0
+	v.inWork[0] = true
+	for head, size := 0, 1; size > 0; size-- {
+		pc := work[head]
+		if head++; head == v.n {
+			head = 0
+		}
+		v.inWork[pc] = false
 		v.visits[pc]++
 		widen := v.visits[pc] > 64
 
-		outs := v.transfer(pc, v.in[pc].clone())
-		for _, o := range outs {
+		v.cur = v.in[pc]
+		outs, nout := v.transfer(pc, &v.cur)
+		for _, o := range outs[:nout] {
 			succ := o.pc
-			if v.in[succ] == nil {
-				v.in[succ] = o.state.clone()
+			if !v.reached[succ] {
+				v.in[succ] = *o.state
+				v.reached[succ] = true
 			} else {
 				changed, stackMM, holdMM := v.in[succ].join(o.state, widen)
 				if stackMM {
@@ -152,9 +165,10 @@ func (v *verifier) fixpoint() {
 					continue
 				}
 			}
-			if !inWork[succ] {
-				work = append(work, succ)
-				inWork[succ] = true
+			if !v.inWork[succ] {
+				work[(head+size-1)%v.n] = succ
+				size++
+				v.inWork[succ] = true
 			}
 		}
 	}
@@ -168,9 +182,9 @@ type edgeOut struct {
 }
 
 // transfer applies instruction pc to state s (which it may mutate) and
-// returns the outgoing edges. It also performs the per-instruction
-// memory and sync checks.
-func (v *verifier) transfer(pc int, s *absState) []edgeOut {
+// returns the outgoing edges, outs[:nout]. It also performs the
+// per-instruction memory and sync checks.
+func (v *verifier) transfer(pc int, s *absState) (outs [2]edgeOut, nout int) {
 	in := &v.p.Ins[pc]
 
 	// Blocking operations must sit inside a synchronization region.
@@ -207,7 +221,7 @@ func (v *verifier) transfer(pc int, s *absState) []edgeOut {
 	case isa.Ld, isa.LdT, isa.LdCB, isa.RMW:
 		s.regs[in.Rd] = loaded()
 	case isa.ComputeR:
-		if rv := s.regs[in.Rs]; rv.kind != vRange || rv.hi > MaxComputeCycles {
+		if rv := s.regs[in.Rs]; rv.kind() != vRange || rv.hi > MaxComputeCycles {
 			v.diag(pc, "bound", "computer's cycle count (r%d) has no provable bound <= %d", in.Rs, MaxComputeCycles)
 		}
 	case isa.SyncBegin:
@@ -259,36 +273,40 @@ func (v *verifier) transfer(pc int, s *absState) []edgeOut {
 
 	// Successor states, with branch refinement: on the edge where a
 	// Beqi/Bnei's condition pins the register to its immediate, the
-	// register becomes that constant.
-	var outs []edgeOut
+	// register becomes that constant. Each edge of a two-way branch
+	// refines its own copy: the first takes v.alt, the second s.
 	switch in.Op {
 	case isa.Done:
 	case isa.Jmp:
-		outs = append(outs, edgeOut{in.Target, s})
+		outs[0], nout = edgeOut{in.Target, s}, 1
 	case isa.Beqi, isa.Bnei:
-		succ := v.successors(pc)
-		for _, sp := range succ {
+		var succ [2]int
+		succ, nout = v.successors(pc)
+		for i, sp := range succ[:nout] {
 			es := s
-			if len(succ) > 1 {
-				es = s.clone()
+			if nout > 1 && i == 0 {
+				v.alt = *s
+				es = &v.alt
 			}
 			eqEdge := (in.Op == isa.Beqi && sp == in.Target && sp != pc+1) ||
 				(in.Op == isa.Bnei && sp == pc+1 && sp != in.Target)
-			if eqEdge && es.regs[in.Rs].kind != vUnknown {
+			if eqEdge && es.regs[in.Rs].kind() != vUnknown {
 				es.regs[in.Rs] = vConst(in.ImmVal)
 			}
-			outs = append(outs, edgeOut{sp, es})
+			outs[i] = edgeOut{sp, es}
 		}
 	default:
-		for _, sp := range v.successors(pc) {
-			outs = append(outs, edgeOut{sp, s})
+		var succ [2]int
+		succ, nout = v.successors(pc)
+		for i, sp := range succ[:nout] {
+			outs[i] = edgeOut{sp, s}
 		}
 	}
-	return outs
+	return outs, nout
 }
 
 func addVals(a, b absVal, sub bool) absVal {
-	if a.kind != vRange || b.kind != vRange {
+	if a.kind() != vRange || b.kind() != vRange {
 		return unknown()
 	}
 	if sub {
@@ -297,18 +315,18 @@ func addVals(a, b absVal, sub bool) absVal {
 		if (lo > a.lo) != (hi > a.hi) || lo > hi {
 			return unknown()
 		}
-		return absVal{kind: vRange, lo: lo, hi: hi}
+		return absVal{lo: lo, hi: hi}
 	}
 	lo := a.lo + b.lo
 	hi := a.hi + b.hi
 	if (lo < a.lo) != (hi < a.hi) || lo > hi {
 		return unknown()
 	}
-	return absVal{kind: vRange, lo: lo, hi: hi}
+	return absVal{lo: lo, hi: hi}
 }
 
 func addConst(a absVal, imm uint64) absVal {
-	if a.kind != vRange {
+	if a.kind() != vRange {
 		return unknown()
 	}
 	lo, hi := a.lo+imm, a.hi+imm
@@ -316,11 +334,11 @@ func addConst(a absVal, imm uint64) absVal {
 		// The interval wraps around 2^64 non-uniformly.
 		return unknown()
 	}
-	return absVal{kind: vRange, lo: lo, hi: hi}
+	return absVal{lo: lo, hi: hi}
 }
 
 func xorConst(a absVal, imm uint64) absVal {
-	if a.kind != vRange {
+	if a.kind() != vRange {
 		return unknown()
 	}
 	if a.isConst() {
@@ -342,7 +360,7 @@ func xorConst(a absVal, imm uint64) absVal {
 				break
 			}
 		}
-		return absVal{kind: vRange, lo: lo, hi: hi}
+		return absVal{lo: lo, hi: hi}
 	}
 	return unknown()
 }
@@ -354,7 +372,7 @@ func (v *verifier) checkAccess(pc int, in *isa.Instr, s *absState) {
 		return
 	}
 	base := s.regs[in.Base]
-	switch base.kind {
+	switch base.kind() {
 	case vUnknown:
 		v.diag(pc, "memory", "address base r%d is statically unknown", in.Base)
 	case vLoaded:

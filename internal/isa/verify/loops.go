@@ -23,23 +23,20 @@ import (
 // are charged once (the spin itself is the protocol's cost, reported
 // separately as SpinSites).
 func (v *verifier) analyzeLoops() {
-	reach := make([]bool, v.n)
-	succs := make([][]int, v.n)
-	for pc := 0; pc < v.n; pc++ {
-		if v.in[pc] == nil {
-			continue
-		}
-		reach[pc] = true
-		succs[pc] = v.successors(pc)
-	}
+	lb := &v.loops
+	lb.build(v)
+	v.sccs()
 
-	sccs := v.sccs(reach, succs)
-	factor := make([]uint64, v.n)
+	factor := resize(lb.factor, v.n)
+	lb.factor = factor
 	for i := range factor {
 		factor[i] = 1
 	}
-	for _, scc := range sccs {
-		if !v.isCycle(scc, succs) {
+	lo := 0
+	for id, hi := range lb.sccEnd {
+		scc := lb.members[lo:hi]
+		lo = hi
+		if !lb.isCycle(scc) {
 			continue
 		}
 		if v.isSyncGuarded(scc) {
@@ -49,7 +46,7 @@ func (v *verifier) analyzeLoops() {
 			}
 			continue
 		}
-		trips, ok := v.tripBound(scc, succs)
+		trips, ok := v.tripBound(scc, id)
 		if !ok {
 			v.diag(scc[0], "bound", "unbounded loop: neither sync-guarded nor carrying a provable trip bound")
 			continue
@@ -65,7 +62,7 @@ func (v *verifier) analyzeLoops() {
 
 	var budget uint64
 	for pc := 0; pc < v.n; pc++ {
-		if !reach[pc] {
+		if !v.reached[pc] {
 			continue
 		}
 		in := &v.p.Ins[pc]
@@ -75,6 +72,63 @@ func (v *verifier) analyzeLoops() {
 		budget = satAdd(budget, satMul(v.instrCost(in), factor[pc]))
 	}
 	v.report.Budget = budget
+}
+
+// loopBufs is analyzeLoops' working memory, kept across the programs
+// one verifier checks.
+type loopBufs struct {
+	// The reachable CFG in CSR form: pc's successors are
+	// succ[succOff[pc]:succOff[pc+1]], its predecessors
+	// pred[predOff[pc]:predOff[pc+1]] in ascending order.
+	succOff, succ []int
+	predOff, pred []int
+
+	// sccOf is each reachable pc's SCC id, -1 for the rest. SCC id's
+	// members are members[sccEnd[id-1]:sccEnd[id]], its DFS root first.
+	sccOf, members, sccEnd []int
+
+	// Tarjan's working state.
+	index, low, stack []int
+	onStack           []bool
+	frames            []tarjanFrame
+
+	factor []uint64
+}
+
+type tarjanFrame struct {
+	pc, si int // si indexes succ
+}
+
+// build fills the successor and predecessor lists of v's reachable CFG.
+func (lb *loopBufs) build(v *verifier) {
+	n := v.n
+	lb.succOff = resize(lb.succOff, n+1)
+	lb.succ = lb.succ[:0]
+	for pc := 0; pc < n; pc++ {
+		lb.succOff[pc] = len(lb.succ)
+		if v.reached[pc] {
+			succ, k := v.successors(pc)
+			lb.succ = append(lb.succ, succ[:k]...)
+		}
+	}
+	lb.succOff[n] = len(lb.succ)
+
+	// Count in-degrees, turn them into list ends, then fill each list
+	// back to front so it ends up ascending and predOff[pc] its start.
+	lb.predOff = zeroed(lb.predOff, n+1)
+	for _, s := range lb.succ {
+		lb.predOff[s]++
+	}
+	for pc := 1; pc <= n; pc++ {
+		lb.predOff[pc] += lb.predOff[pc-1]
+	}
+	lb.pred = resize(lb.pred, len(lb.succ))
+	for pc := n - 1; pc >= 0; pc-- {
+		for _, s := range lb.succ[lb.succOff[pc]:lb.succOff[pc+1]] {
+			lb.predOff[s]--
+			lb.pred[lb.predOff[s]] = pc
+		}
+	}
 }
 
 // instrCost over-approximates one execution of in, in cycles.
@@ -95,28 +149,31 @@ func (v *verifier) instrCost(in *isa.Instr) uint64 {
 	}
 }
 
-// sccs returns the strongly connected components of the reachable CFG
-// (iterative Tarjan), in deterministic order.
-func (v *verifier) sccs(reach []bool, succs [][]int) [][]int {
+// sccs finds the strongly connected components of the reachable CFG
+// (iterative Tarjan), in deterministic order, into v.loops.
+func (v *verifier) sccs() {
+	lb := &v.loops
 	const unvisited = -1
-	index := make([]int, v.n)
-	low := make([]int, v.n)
-	onStack := make([]bool, v.n)
+	index := resize(lb.index, v.n)
+	low := resize(lb.low, v.n)
+	sccOf := resize(lb.sccOf, v.n)
+	onStack := zeroed(lb.onStack, v.n)
+	lb.index, lb.low, lb.sccOf, lb.onStack = index, low, sccOf, onStack
 	for i := range index {
 		index[i] = unvisited
+		sccOf[i] = -1
 	}
-	var stack []int
-	var out [][]int
+	stack := lb.stack[:0]
+	frames := lb.frames[:0]
+	lb.members = lb.members[:0]
+	lb.sccEnd = lb.sccEnd[:0]
 	next := 0
 
-	type frame struct {
-		pc, si int
-	}
 	for start := 0; start < v.n; start++ {
-		if !reach[start] || index[start] != unvisited {
+		if !v.reached[start] || index[start] != unvisited {
 			continue
 		}
-		frames := []frame{{start, 0}}
+		frames = append(frames, tarjanFrame{start, lb.succOff[start]})
 		index[start] = next
 		low[start] = next
 		next++
@@ -124,8 +181,8 @@ func (v *verifier) sccs(reach []bool, succs [][]int) [][]int {
 		onStack[start] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.si < len(succs[f.pc]) {
-				w := succs[f.pc][f.si]
+			if f.si < lb.succOff[f.pc+1] {
+				w := lb.succ[f.si]
 				f.si++
 				if index[w] == unvisited {
 					index[w] = next
@@ -133,7 +190,7 @@ func (v *verifier) sccs(reach []bool, succs [][]int) [][]int {
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{w, 0})
+					frames = append(frames, tarjanFrame{w, lb.succOff[w]})
 				} else if onStack[w] && index[w] < low[f.pc] {
 					low[f.pc] = index[w]
 				}
@@ -147,35 +204,34 @@ func (v *verifier) sccs(reach []bool, succs [][]int) [][]int {
 				}
 			}
 			if low[pc] == index[pc] {
-				var scc []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
+				// The SCC is the stack from pc up, in push order, so its
+				// DFS root comes first.
+				k := len(stack) - 1
+				for stack[k] != pc {
+					k--
+				}
+				id := len(lb.sccEnd)
+				for _, w := range stack[k:] {
 					onStack[w] = false
-					scc = append(scc, w)
-					if w == pc {
-						break
-					}
+					sccOf[w] = id
 				}
-				// Sort ascending for deterministic diagnostics.
-				for i, j := 0, len(scc)-1; i < j; i, j = i+1, j-1 {
-					scc[i], scc[j] = scc[j], scc[i]
-				}
-				out = append(out, scc)
+				lb.members = append(lb.members, stack[k:]...)
+				lb.sccEnd = append(lb.sccEnd, len(lb.members))
+				stack = stack[:k]
 			}
 		}
 	}
-	return out
+	lb.stack, lb.frames = stack, frames
 }
 
 // isCycle reports whether the SCC contains a control-flow cycle (more
 // than one node, or a self edge).
-func (v *verifier) isCycle(scc []int, succs [][]int) bool {
+func (lb *loopBufs) isCycle(scc []int) bool {
 	if len(scc) > 1 {
 		return true
 	}
 	pc := scc[0]
-	for _, s := range succs[pc] {
+	for _, s := range lb.succ[lb.succOff[pc]:lb.succOff[pc+1]] {
 		if s == pc {
 			return true
 		}
@@ -191,7 +247,7 @@ func (v *verifier) isSyncGuarded(scc []int) bool {
 		in := &v.p.Ins[pc]
 		waits := in.Op == isa.BackoffWait ||
 			(in.Op.IsMem() && in.Op != isa.SelfInvl && in.Op != isa.SelfDown)
-		if waits && v.in[pc] != nil && v.in[pc].syncDepth >= 1 {
+		if waits && v.reached[pc] && v.in[pc].syncDepth >= 1 {
 			return true
 		}
 	}
@@ -203,12 +259,11 @@ func (v *verifier) isSyncGuarded(scc []int) bool {
 // the exit condition must pin the tested register to an immediate
 // (beqi taken-exit, or bnei falling out), the register must be updated
 // by exactly one addi inside the SCC, and its value entering the SCC
-// must be a known constant stepping exactly onto the exit value.
-func (v *verifier) tripBound(scc []int, succs [][]int) (uint64, bool) {
-	inSCC := make(map[int]bool, len(scc))
-	for _, pc := range scc {
-		inSCC[pc] = true
-	}
+// must be a known constant stepping exactly onto the exit value. id is
+// the SCC's id in v.loops.sccOf.
+func (v *verifier) tripBound(scc []int, id int) (uint64, bool) {
+	lb := &v.loops
+	sccOf := lb.sccOf
 
 	// Find the exit branches.
 	exitPC := -1
@@ -218,8 +273,8 @@ func (v *verifier) tripBound(scc []int, succs [][]int) (uint64, bool) {
 		switch in.Op {
 		case isa.Beqi, isa.Bnei:
 			taken, fall := in.Target, pc+1
-			takenOut := !inSCC[taken]
-			fallOut := fall >= v.n || !inSCC[fall]
+			takenOut := sccOf[taken] != id
+			fallOut := fall >= v.n || sccOf[fall] != id
 			if !takenOut && !fallOut {
 				continue
 			}
@@ -232,12 +287,12 @@ func (v *verifier) tripBound(scc []int, succs [][]int) (uint64, bool) {
 			exitOnEqual = (in.Op == isa.Beqi && takenOut) || (in.Op == isa.Bnei && fallOut)
 		case isa.Beq, isa.Bne:
 			taken, fall := in.Target, pc+1
-			if !inSCC[taken] || fall >= v.n || !inSCC[fall] {
+			if sccOf[taken] != id || fall >= v.n || sccOf[fall] != id {
 				return 0, false // register-register exit: no bound
 			}
 		case isa.Jmp, isa.Done:
 		default:
-			if pc+1 < v.n && !inSCC[pc+1] {
+			if pc+1 < v.n && sccOf[pc+1] != id {
 				return 0, false // odd shape: fallthrough exit without branch
 			}
 		}
@@ -275,14 +330,11 @@ func (v *verifier) tripBound(scc []int, succs [][]int) (uint64, bool) {
 	}
 
 	// The counter's value entering the SCC from outside must be one
-	// known constant.
+	// known constant on every entry edge.
 	entry, haveEntry := uint64(0), false
-	for pc := 0; pc < v.n; pc++ {
-		if v.in[pc] == nil || inSCC[pc] {
-			continue
-		}
-		for _, s := range succs[pc] {
-			if !inSCC[s] {
+	for _, s := range scc {
+		for _, pc := range lb.pred[lb.predOff[s]:lb.predOff[s+1]] {
+			if sccOf[pc] == id {
 				continue
 			}
 			val := v.edgeValue(pc, s, ctr)
@@ -331,7 +383,7 @@ func (v *verifier) tripBound(scc []int, succs [][]int) (uint64, bool) {
 // diagnostics).
 func (v *verifier) edgeValue(pc, succ int, reg isa.Reg) absVal {
 	in := &v.p.Ins[pc]
-	s := v.in[pc]
+	s := &v.in[pc]
 	val := s.regs[reg]
 	switch in.Op {
 	case isa.Imm:

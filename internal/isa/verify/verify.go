@@ -34,8 +34,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/isa"
@@ -210,16 +211,17 @@ func (s *SetReport) Budget() uint64 {
 
 // Program verifies a single program.
 func Program(p *isa.Program, opts Options) *Report {
-	v := newVerifier(p, opts)
-	return v.run()
+	return newVerifier(opts).run(p)
 }
 
 // Threads verifies a thread set: each program individually, then
-// barrier-participation consistency across threads.
+// barrier-participation consistency across threads. One verifier
+// serves every thread, so its buffers grow once per set.
 func Threads(progs []*isa.Program, opts Options) *SetReport {
 	set := &SetReport{}
+	v := newVerifier(opts)
 	for tid, p := range progs {
-		r := Program(p, opts)
+		r := v.run(p)
 		for i := range r.Diags {
 			r.Diags[i].Thread = tid
 		}
@@ -245,7 +247,9 @@ func Threads(progs []*isa.Program, opts Options) *SetReport {
 	return set
 }
 
-// verifier holds the working state of one Program verification.
+// verifier holds the working state of a Program verification. It keeps
+// its buffers from one run to the next, so verifying a thread set
+// allocates little beyond the reports.
 type verifier struct {
 	p    *isa.Program
 	opts Options
@@ -254,15 +258,23 @@ type verifier struct {
 	report *Report
 	seen   map[diagKey]bool
 
-	// in[i] is the joined abstract state on entry to instruction i;
-	// nil means not yet reached.
-	in []*absState
+	// in[i] is the joined abstract state on entry to instruction i,
+	// valid once reached[i].
+	in      []absState
+	reached []bool
 	// visits counts fixpoint visits per PC, to trigger widening.
 	visits []int
+	// work is the fixpoint's worklist ring; inWork marks its members.
+	work   []int
+	inWork []bool
+	// cur and alt are the transfer function's scratch states.
+	cur, alt absState
 
 	// doneBarriers accumulates the barrier count at reachable done
 	// instructions; -2 = none seen yet, -1 = indeterminate.
 	doneBarriers int
+
+	loops loopBufs
 }
 
 type diagKey struct {
@@ -271,18 +283,38 @@ type diagKey struct {
 	msg   string
 }
 
-func newVerifier(p *isa.Program, opts Options) *verifier {
+func newVerifier(opts Options) *verifier {
 	if opts.MaxInstrs == 0 {
 		opts.MaxInstrs = 1 << 20
 	}
-	return &verifier{
-		p: p, opts: opts, n: len(p.Ins),
-		report:       &Report{Barriers: -1},
-		seen:         make(map[diagKey]bool),
-		in:           make([]*absState, len(p.Ins)),
-		visits:       make([]int, len(p.Ins)),
-		doneBarriers: -2,
+	return &verifier{opts: opts, seen: make(map[diagKey]bool)}
+}
+
+// sizeBuffers readies the fixpoint's per-instruction buffers for v.n
+// instructions, reusing their backing. in is not cleared: reached
+// guards every read of it.
+func (v *verifier) sizeBuffers() {
+	v.in = resize(v.in, v.n)
+	v.reached = zeroed(v.reached, v.n)
+	v.visits = zeroed(v.visits, v.n)
+	v.work = resize(v.work, v.n)
+	v.inWork = zeroed(v.inWork, v.n)
+}
+
+// resize returns s with length n, reusing its backing when large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
+}
+
+// zeroed is resize with every element zero.
+func zeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
 }
 
 func (v *verifier) diag(pc int, check, format string, args ...any) {
@@ -299,7 +331,12 @@ func (v *verifier) diag(pc int, check, format string, args ...any) {
 	v.report.Diags = append(v.report.Diags, d)
 }
 
-func (v *verifier) run() *Report {
+// run verifies p with a fresh report, keeping v's buffers.
+func (v *verifier) run(p *isa.Program) *Report {
+	v.p, v.n = p, len(p.Ins)
+	v.report = &Report{Barriers: -1}
+	clear(v.seen)
+	v.doneBarriers = -2
 	if v.n == 0 {
 		v.diag(-1, "structure", "empty program")
 		return v.report
@@ -315,6 +352,7 @@ func (v *verifier) run() *Report {
 		v.sortDiags()
 		return v.report
 	}
+	v.sizeBuffers()
 	v.fixpoint()
 	if v.doneBarriers == -2 {
 		v.diag(-1, "structure", "no reachable done instruction")
@@ -327,15 +365,14 @@ func (v *verifier) run() *Report {
 }
 
 func (v *verifier) sortDiags() {
-	sort.SliceStable(v.report.Diags, func(i, j int) bool {
-		a, b := v.report.Diags[i], v.report.Diags[j]
+	slices.SortStableFunc(v.report.Diags, func(a, b Diagnostic) int {
 		if a.PC != b.PC {
-			return a.PC < b.PC
+			return cmp.Compare(a.PC, b.PC)
 		}
 		if a.Check != b.Check {
-			return a.Check < b.Check
+			return strings.Compare(a.Check, b.Check)
 		}
-		return a.Msg < b.Msg
+		return strings.Compare(a.Msg, b.Msg)
 	})
 }
 
@@ -374,30 +411,30 @@ func (v *verifier) structural() {
 	}
 }
 
-// successors returns the control-flow successors of pc, diagnosing a
-// fallthrough off the end of the program.
-func (v *verifier) successors(pc int) []int {
+// successors returns the control-flow successors of pc, succ[:n],
+// diagnosing a fallthrough off the end of the program.
+func (v *verifier) successors(pc int) (succ [2]int, n int) {
 	in := &v.p.Ins[pc]
 	switch in.Op {
 	case isa.Done:
-		return nil
+		return succ, 0
 	case isa.Jmp:
-		return []int{in.Target}
+		return [2]int{in.Target}, 1
 	case isa.Beq, isa.Bne, isa.Beqi, isa.Bnei:
 		if pc+1 >= v.n {
 			v.diag(pc, "structure", "conditional branch falls through past the end of the program")
-			return []int{in.Target}
+			return [2]int{in.Target}, 1
 		}
 		if in.Target == pc+1 {
-			return []int{pc + 1}
+			return [2]int{pc + 1}, 1
 		}
-		return []int{pc + 1, in.Target}
+		return [2]int{pc + 1, in.Target}, 2
 	default:
 		if pc+1 >= v.n {
 			v.diag(pc, "structure", "falls through past the end of the program")
-			return nil
+			return succ, 0
 		}
-		return []int{pc + 1}
+		return [2]int{pc + 1}, 1
 	}
 }
 
