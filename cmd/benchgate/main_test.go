@@ -215,3 +215,24 @@ func TestGateMachineNewBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestGateVerifySetBytes pins the same 1% bytes/op rule on the program
+// verifier's entry, so a regrown abstract state fails the gate.
+func TestGateVerifySetBytes(t *testing.T) {
+	dir := t.TempDir()
+	base := snapshot{Benchmarks: ratioPairs()}
+	base.Benchmarks["verify_set_16"] = benchPerf{NsPerOp: 1e7, AllocsPerOp: 144, BytesPerOp: 6_053_600}
+	pr := snapshot{Benchmarks: ratioPairs()}
+	for bytes, want := range map[int64]bool{8_298_200: true, 6_053_650: false, 5_000_000: false} {
+		pr.Benchmarks["verify_set_16"] = benchPerf{NsPerOp: 1e7, AllocsPerOp: 144, BytesPerOp: bytes}
+		failures, err := gate(
+			writeSnapshot(t, dir, "base.json", base),
+			writeSnapshot(t, dir, "pr.json", pr), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(failures) == 1 && strings.Contains(failures[0], "verify_set_16: bytes/op"); got != want || len(failures) > 1 {
+			t.Fatalf("verify_set_16 at %d bytes/op: failures = %q, want flagged %v", bytes, failures, want)
+		}
+	}
+}

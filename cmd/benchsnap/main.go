@@ -28,6 +28,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/synclib"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -154,6 +155,24 @@ func run(out string, cores int, benches []string) error {
 			m := machine.New(machine.Default(machine.ProtocolCallback), nil)
 			if m.Mesh.Nodes() != 64 {
 				b.Fatal("bad machine")
+			}
+		}
+	}))
+
+	// Program verification of one 16-core thread set, as cbsimd checks
+	// each new combo at submit time. The set is generated once, outside
+	// the timed loop; the gate pins allocs/op and bounds bytes/op.
+	verP, err := workload.ByName("fluidanimate")
+	if err != nil {
+		return err
+	}
+	verSet := workload.Generate(verP, 16, workload.StyleScalable, synclib.FlavorCBOne)
+	snap.Benchmarks["verify_set_16"] = record(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := verSet.Verify().Err(); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}))
