@@ -28,11 +28,16 @@ type job struct {
 	ckInterval  uint64
 
 	// onFinish, when set, is called exactly once with the terminal state
-	// (outside j.mu) — the server uses it to journal the transition.
+	// (outside j.mu), before the state is published — the server uses
+	// it to journal the transition.
 	onFinish func(state string)
 
-	mu        sync.Mutex
-	state     string
+	mu    sync.Mutex
+	state string
+	// finishing is set by the finishFrom call that wins the terminal
+	// transition, before onFinish runs; the state stays unpublished
+	// until it returns.
+	finishing bool
 	err       string
 	retryable bool
 	cellsDone int
@@ -103,7 +108,7 @@ func (j *job) appendLocked(e Event) {
 // the worker that dequeues it skips it instead of resurrecting it.
 func (j *job) start() bool {
 	j.mu.Lock()
-	if terminalState(j.state) {
+	if j.finishing {
 		j.mu.Unlock()
 		return false
 	}
@@ -126,21 +131,28 @@ func (j *job) finish(state, errMsg string) {
 // worker touches it, or the worker already started it and the regular
 // cancellation path (context observed between kernel events) takes over
 // — never both, and never a zombie worker running a canceled job.
+//
+// The winning call journals before it publishes: onFinish runs before
+// the state and its final event become visible, so a client that sees
+// a terminal state can also read its journal record.
 func (j *job) finishFrom(from, state, errMsg string) bool {
 	j.mu.Lock()
-	if terminalState(j.state) || (from != "" && j.state != from) {
+	if j.finishing || (from != "" && j.state != from) {
 		j.mu.Unlock()
 		return false
 	}
+	j.finishing = true
+	j.mu.Unlock()
+	if j.onFinish != nil {
+		j.onFinish(state)
+	}
+	j.mu.Lock()
 	j.state = state
 	j.err = errMsg
 	j.retryable = state == StateRetryable
 	j.appendLocked(Event{Type: "job_" + state, Job: j.id, Cells: len(j.cells), Error: errMsg})
 	j.mu.Unlock()
 	j.cancel() // release the job context (and its timeout timer)
-	if j.onFinish != nil {
-		j.onFinish(state)
-	}
 	return true
 }
 

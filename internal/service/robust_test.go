@@ -206,3 +206,58 @@ func TestRetryableRejectionHeaders(t *testing.T) {
 	}
 	checkRetryable(postJob(JobRequest{Benchmark: "fft", Setup: "CB-One", Cores: 4}), http.StatusServiceUnavailable)
 }
+
+// TestFinishJournalsBeforePublishing pins the terminal transition's
+// order: onFinish (the journal's done record) runs before the terminal
+// state is published, so a client that sees a job finished can read its
+// journal record. While onFinish blocks, neither the status nor the
+// event stream shows a terminal state, and a competing transition loses.
+func TestFinishJournalsBeforePublishing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	j := newJob("job-000001", []CellSpec{{}}, 1, ctx, cancel)
+	entered, release := make(chan string, 1), make(chan struct{})
+	calls := 0
+	j.onFinish = func(state string) {
+		calls++
+		entered <- state
+		<-release
+	}
+	won := make(chan bool)
+	go func() { won <- j.finishFrom("", StateDone, "") }()
+	if state := <-entered; state != StateDone {
+		t.Fatalf("onFinish(%q), want %q", state, StateDone)
+	}
+	if st := j.status(); terminalState(st.State) {
+		t.Fatalf("status shows %q while the journal record is unwritten", st.State)
+	}
+	evs, terminal, _ := j.eventsSince(0)
+	if terminal {
+		t.Fatal("event stream is terminal while the journal record is unwritten")
+	}
+	for _, e := range evs {
+		if e.Type == "job_"+StateDone {
+			t.Fatalf("event %q published while the journal record is unwritten", e.Type)
+		}
+	}
+	if j.finishFrom("", StateCanceled, "late cancel") {
+		t.Fatal("a second terminal transition won while the first was journaling")
+	}
+	if j.start() {
+		t.Fatal("a finishing job started")
+	}
+
+	close(release)
+	if !<-won {
+		t.Fatal("the first terminal transition lost")
+	}
+	if st := j.status(); st.State != StateDone {
+		t.Fatalf("status after finish = %q, want %q", st.State, StateDone)
+	}
+	evs, terminal, _ = j.eventsSince(0)
+	if !terminal || evs[len(evs)-1].Type != "job_"+StateDone {
+		t.Fatalf("event stream after finish: terminal=%v, events %+v", terminal, evs)
+	}
+	if calls != 1 {
+		t.Fatalf("onFinish ran %d times, want 1", calls)
+	}
+}
