@@ -216,7 +216,7 @@ func Program(p *isa.Program, opts Options) *Report {
 
 // Threads verifies a thread set: each program individually, then
 // barrier-participation consistency across threads. One verifier
-// serves every thread, so its buffers grow once per set.
+// serves every thread and reuses its buffers.
 func Threads(progs []*isa.Program, opts Options) *SetReport {
 	set := &SetReport{}
 	v := newVerifier(opts)
