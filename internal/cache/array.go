@@ -25,19 +25,20 @@ type Line[P any] struct {
 // replacement. P is the per-line protocol state (MESI state, VIPS dirty
 // mask, ...).
 type Array[P any] struct {
-	sets    [][]Line[P]
-	assoc   int
-	setBits int
-	tick    uint64
+	// sets[s] is nil until Victim or Allocate first reaches set s (see
+	// victimWay). Lookup, Peek and Invalidate miss on a nil set and leave
+	// it nil, so only filled sets hold line storage: most sets of an LLC
+	// bank are never filled in a run.
+	sets  [][]Line[P]
+	assoc int
+	tick  uint64
 
 	// occ[s] is the set's valid-way bitmask (bit w = way w holds a valid
-	// line). It exists for the scans — Digest, CountValid — which would
-	// otherwise touch every way of every set: an LLC bank keeps 4096
-	// mostly-invalid line slots, and a replay digest scans every bank of
-	// the machine each mark. The mask lets those skip empty sets without
-	// pulling the line backing into cache. Maintained by
-	// Allocate/Invalidate and re-synced by ForEach (whose visitor may
-	// clear Valid).
+	// line). The scans — ForEach, CountValid, Digest — walk it instead of
+	// the ways, so they skip empty and unallocated sets alike without
+	// touching line storage; a replay digest scans every bank of the
+	// machine each mark. Maintained by Allocate/Invalidate and re-synced
+	// by ForEach (whose visitor may clear Valid).
 	occ []uint64
 
 	// Accesses counts Lookup calls; Hits counts those that hit.
@@ -63,16 +64,10 @@ func NewArray[P any](totalBytes, assoc int) *Array[P] {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: number of sets %d must be a power of two", numSets))
 	}
-	sets := make([][]Line[P], numSets)
-	backing := make([]Line[P], lines)
-	for i := range sets {
-		sets[i], backing = backing[:assoc:assoc], backing[assoc:]
-	}
 	return &Array[P]{
-		sets:    sets,
-		assoc:   assoc,
-		setBits: bits.TrailingZeros(uint(numSets)),
-		occ:     make([]uint64, numSets),
+		sets:  make([][]Line[P], numSets),
+		assoc: assoc,
+		occ:   make([]uint64, numSets),
 	}
 }
 
@@ -137,10 +132,15 @@ func (a *Array[P]) Peek(addr memtypes.Addr) *Line[P] {
 }
 
 // victimWay returns the (set, way) Allocate would replace for addr: an
-// invalid way if one exists, otherwise the LRU way.
+// invalid way if one exists, otherwise the LRU way. A nil set gets its
+// ways, all invalid, here; a set is never freed, so a *Line stays valid.
 func (a *Array[P]) victimWay(addr memtypes.Addr) (int, int) {
 	s := a.setIndex(addr)
 	set := a.sets[s]
+	if set == nil {
+		set = make([]Line[P], a.assoc)
+		a.sets[s] = set
+	}
 	victim := 0
 	for i := range set {
 		if !set[i].Valid {

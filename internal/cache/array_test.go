@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/digest"
 	"repro/internal/memtypes"
 )
 
@@ -57,6 +58,69 @@ func TestLookupMissThenHit(t *testing.T) {
 func TestTagOnlyLineLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Line[struct{}]{}); n > 24 {
 		t.Fatalf("Line[struct{}] is %d bytes, want at most 24", n)
+	}
+}
+
+// allocatedSets counts the sets that hold line storage.
+func allocatedSets[P any](a *Array[P]) int {
+	n := 0
+	for _, set := range a.sets {
+		if set != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// A set holds line storage only once a line is installed in it. Reads,
+// invalidations and scans of untouched sets miss without allocating and
+// leave them unallocated; Victim gives its own set ways and no other.
+func TestSetsAllocatedOnFirstFill(t *testing.T) {
+	a := NewArray[struct{}](256*1024, 16) // the paper's LLC bank
+	if n := allocatedSets(a); n != 0 {
+		t.Fatalf("fresh array holds %d allocated sets, want 0", n)
+	}
+	h := digest.New()
+	visited := 0
+	visit := func(*Line[struct{}]) { visited++ }
+	misses := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		for s := 0; s < a.Sets(); s++ {
+			addr := memtypes.Addr(s * memtypes.LineBytes)
+			if a.Lookup(addr) == nil && a.Peek(addr) == nil && !a.Invalidate(addr) {
+				misses++
+			}
+		}
+		visited += a.CountValid()
+		a.ForEach(visit)
+		a.Digest(h, nil)
+	})
+	if allocs != 0 {
+		t.Errorf("reads and scans of untouched sets allocate %.1f times per run, want 0", allocs)
+	}
+	if want := 11 * a.Sets(); misses != want || visited != 0 {
+		t.Errorf("%d of %d probes missed and %d lines were visited, want all misses and none", misses, want, visited)
+	}
+	if n := allocatedSets(a); n != 0 {
+		t.Fatalf("reads and scans allocated %d sets, want 0", n)
+	}
+
+	addr := memtypes.Addr(0x12340)
+	s := a.setIndex(addr)
+	if a.Victim(addr).Valid {
+		t.Fatal("victim in an untouched set is valid")
+	}
+	if n := allocatedSets(a); n != 1 || len(a.sets[s]) != a.Assoc() {
+		t.Fatalf("Victim left %d allocated sets (set %d has %d ways), want only set %d with %d",
+			n, s, len(a.sets[s]), s, a.Assoc())
+	}
+	a.Allocate(addr)
+	if !a.Invalidate(addr) {
+		t.Fatal("invalidate missed the installed line")
+	}
+	if n := allocatedSets(a); n != 1 || a.sets[s] == nil {
+		t.Fatalf("after Allocate and Invalidate %d sets are allocated (set %d: %v), want set %d kept",
+			n, s, a.sets[s] != nil, s)
 	}
 }
 

@@ -19,9 +19,9 @@ func (a *Array[P]) Digest(h *digest.Hash, state func(*digest.Hash, *P)) {
 	h.U64(a.tick)
 	h.U64(a.Accesses)
 	h.U64(a.Hits)
-	// Walk the occupancy masks rather than the line backing: the backing
-	// of a mostly-empty LLC bank is megabytes of invalid slots, and this
-	// scan runs on every replay digest mark.
+	// Walk the occupancy masks rather than the sets: most sets of an LLC
+	// bank are empty or unallocated, and this scan runs on every replay
+	// digest mark.
 	for s, m := range a.occ {
 		for ; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)

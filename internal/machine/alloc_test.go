@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cycles"
@@ -149,5 +150,27 @@ func TestZeroAllocCBOneSpinObserved(t *testing.T) {
 	requireZeroAllocWindows(t, m)
 	if st := m.Stats(); st.CBWakes == 0 || st.CBDirAccesses == 0 {
 		t.Fatalf("no callback traffic: %+v", st)
+	}
+}
+
+// A fresh machine holds no cache line storage: an L1 or LLC set gets its
+// ways on its first fill. Table 2's 64 LLC banks (256 KB) and 64 L1s
+// (32 KB) hold about 10 MB of lines at 64 cores, so building them eagerly
+// breaks the bound; the rest of the machine is about 1.4 MB.
+func TestNewAllocatesNoLineStorage(t *testing.T) {
+	const bound = 2_000_000
+	for _, p := range []Protocol{ProtocolMESI, ProtocolBackoff, ProtocolCallback, ProtocolQuiesce, ProtocolQueueLock} {
+		cfg := Default(p)
+		if cfg.Cores != 64 {
+			t.Fatalf("%s: default machine has %d cores, want 64", p, cfg.Cores)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := New(cfg, nil)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(m)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= bound {
+			t.Errorf("%s: machine.New at 64 cores allocates %d bytes, want under %d", p, n, bound)
+		}
 	}
 }
