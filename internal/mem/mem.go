@@ -84,6 +84,12 @@ type BankStats struct {
 // Bank models the data-presence and latency of one LLC bank (256KB,
 // 16-way per Table 2). Values come from the global Store; the bank's
 // cache array only determines whether an access pays the memory latency.
+//
+// A line's bank is its line index mod the core count and its set the
+// line index mod 256, so a bank reaches only 256/gcd(cores, 256) of its
+// sets: an effective 64 lines at 64 cores, 256 at 16 and 1,024 at 4, not
+// 4,096. No standard cell at 4, 16 or 64 cores fills an LLC set, so no
+// result depends on it yet.
 type Bank struct {
 	arr *cache.Array[struct{}]
 
