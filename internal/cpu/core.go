@@ -152,7 +152,7 @@ func (c *Core) CurrentInstr() *isa.Instr {
 	if c.prog == nil || c.done || c.pc < 0 || c.pc >= c.prog.Len() {
 		return nil
 	}
-	return &c.prog.Ins[c.pc]
+	return c.prog.At(c.pc)
 }
 
 // Disasm disassembles the instruction at the PC through the program, so
@@ -255,7 +255,7 @@ func (c *Core) step() {
 		if c.pc < 0 || c.pc >= c.prog.Len() {
 			panic(fmt.Sprintf("cpu: core %d pc %d out of range", c.id, c.pc))
 		}
-		in := &c.prog.Ins[c.pc]
+		in := c.prog.At(c.pc)
 		c.stats.Instructions++
 		switch in.Op {
 		case isa.Nop:

@@ -10,47 +10,60 @@ import (
 // Builder assembles a Program with symbolic labels. Methods append one
 // instruction each and return the builder for chaining. Label references
 // may precede their definition; Build resolves them.
+//
+// Every program a Builder builds shares its instruction table, which
+// later instructions extend. So build a whole thread set through one
+// Builder, and do not use a Builder while another goroutine runs a
+// program it built.
 type Builder struct {
-	ins    []Instr
-	labels map[string]int
-	fixups []branchName // every branch and its label, in pc order
+	interner interner
+	idx      []uint32 // the program being built: per pc, its table position
+	labels   map[string]int
+	fixups   []branchName // every branch and its label, in pc order
+	branches []Instr      // fixups[i]'s instruction, target unresolved
 }
 
 // NewBuilder returns an empty program builder.
 func NewBuilder() *Builder {
-	return &Builder{labels: make(map[string]int)}
+	return &Builder{interner: newInterner(), labels: make(map[string]int)}
 }
 
 // Reset empties the builder for the next program. It keeps the
-// instruction backing, so building many programs in turn through one
-// builder does not regrow it; programs already built are unaffected.
+// instruction table and its working backings, so the programs built
+// before and after share one table; programs already built are
+// unaffected.
 func (b *Builder) Reset() {
-	b.ins = b.ins[:0]
+	b.idx = b.idx[:0]
 	clear(b.labels)
 	b.fixups = b.fixups[:0]
+	b.branches = b.branches[:0]
 }
 
 // Pos returns the current instruction count, useful for generating
 // unique label names.
-func (b *Builder) Pos() int { return len(b.ins) }
+func (b *Builder) Pos() int { return len(b.idx) }
 
 // Label defines name at the current position. Redefinition panics.
 func (b *Builder) Label(name string) *Builder {
 	if _, ok := b.labels[name]; ok {
 		panic(fmt.Sprintf("isa: label %q redefined", name))
 	}
-	b.labels[name] = len(b.ins)
+	b.labels[name] = len(b.idx)
 	return b
 }
 
 func (b *Builder) emit(in Instr) *Builder {
-	b.ins = append(b.ins, in)
+	b.idx = append(b.idx, b.interner.intern(&in))
 	return b
 }
 
+// emitBranch holds a branch back from the table until Build knows its
+// target.
 func (b *Builder) emitBranch(in Instr, label string) *Builder {
-	b.fixups = append(b.fixups, branchName{pc: len(b.ins), name: label})
-	return b.emit(in)
+	b.fixups = append(b.fixups, branchName{pc: len(b.idx), name: label})
+	b.branches = append(b.branches, in)
+	b.idx = append(b.idx, 0)
+	return b
 }
 
 // Nop appends a no-op.
@@ -245,16 +258,16 @@ func (b *Builder) Done() *Builder { return b.emit(Instr{Op: Done}) }
 // error; with several unresolved labels the one at the lowest instruction
 // index is reported, deterministically.
 func (b *Builder) Build() (*Program, error) {
-	ins := make([]Instr, len(b.ins))
-	copy(ins, b.ins)
-	for _, f := range b.fixups {
+	for i, f := range b.fixups {
 		target, ok := b.labels[f.name]
 		if !ok {
 			return nil, fmt.Errorf("isa: undefined label %q at instruction %d", f.name, f.pc)
 		}
-		ins[f.pc].Target = target
+		in := b.branches[i]
+		in.Target = target
+		b.idx[f.pc] = b.interner.intern(&in)
 	}
-	return &Program{Ins: ins, names: slices.Clone(b.fixups)}, nil
+	return &Program{tab: b.interner.tab, idx: slices.Clone(b.idx), names: slices.Clone(b.fixups)}, nil
 }
 
 // MustBuild is Build that panics on error, for statically known programs.

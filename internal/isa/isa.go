@@ -202,9 +202,13 @@ func (in Instr) targetText(name string) string {
 	return name
 }
 
-// Program is an executable sequence of micro-ops.
+// Program is an executable sequence of micro-ops. Each pc holds an index
+// into an instruction table that every program built through the same
+// Builder shares, so a thread set stores each distinct instruction once:
+// threads differ mostly in the addresses their Imm operands load.
 type Program struct {
-	Ins []Instr
+	tab *table
+	idx []uint32 // per pc, the instruction's position in tab.ins
 
 	// names holds the label name of every branch a Builder resolved, in
 	// ascending pc order, for disassembly. Programs built otherwise
@@ -218,15 +222,30 @@ type branchName struct {
 	name string
 }
 
+// NewProgram returns a program of the instructions ins, branch targets
+// as given, with a table of its own. It copies ins.
+func NewProgram(ins []Instr) *Program {
+	t := newInterner()
+	idx := make([]uint32, len(ins))
+	for pc := range ins {
+		idx[pc] = t.intern(&ins[pc])
+	}
+	return &Program{tab: t.tab, idx: idx}
+}
+
+// At returns instruction pc. The instruction is shared with every other
+// pc and program that holds the same one, so callers must not modify it.
+func (p *Program) At(pc int) *Instr { return &p.tab.ins[p.idx[pc]] }
+
 // Len returns the instruction count.
-func (p *Program) Len() int { return len(p.Ins) }
+func (p *Program) Len() int { return len(p.idx) }
 
 // Disasm disassembles instruction pc, naming a branch target by the
 // label it was built with, or as @<target> when the program has none.
 func (p *Program) Disasm(pc int) string {
 	i := sort.Search(len(p.names), func(i int) bool { return p.names[i].pc >= pc })
 	if i < len(p.names) && p.names[i].pc == pc {
-		return p.Ins[pc].format(p.names[i].name)
+		return p.At(pc).format(p.names[i].name)
 	}
-	return p.Ins[pc].String()
+	return p.At(pc).String()
 }

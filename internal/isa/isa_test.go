@@ -23,11 +23,11 @@ func TestBuilderLabelsForwardAndBackward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Ins[2].Target != 1 {
-		t.Fatalf("backward branch target = %d, want 1", p.Ins[2].Target)
+	if p.At(2).Target != 1 {
+		t.Fatalf("backward branch target = %d, want 1", p.At(2).Target)
 	}
-	if p.Ins[3].Target != 5 {
-		t.Fatalf("forward jump target = %d, want 5", p.Ins[3].Target)
+	if p.At(3).Target != 5 {
+		t.Fatalf("forward jump target = %d, want 5", p.At(3).Target)
 	}
 }
 
@@ -78,22 +78,22 @@ func TestRMWHelpers(t *testing.T) {
 		TestDec(R6, R2, 24, memtypes.CBZero).
 		MustBuild()
 
-	tas := p.Ins[0]
+	tas := p.At(0)
 	if tas.RMWOp != memtypes.RMWTestAndSet || tas.Expect != 0 || tas.ArgImm != 1 || tas.ArgIsReg {
 		t.Fatalf("TAS encoded wrong: %+v", tas)
 	}
 	if tas.RMWSt != memtypes.CBZero {
 		t.Fatal("TAS store semantics lost")
 	}
-	fs := p.Ins[1]
+	fs := p.At(1)
 	if fs.RMWOp != memtypes.RMWSwap || !fs.ArgIsReg || fs.ArgReg != R4 {
 		t.Fatalf("FetchStore encoded wrong: %+v", fs)
 	}
-	fa := p.Ins[2]
+	fa := p.At(2)
 	if fa.RMWOp != memtypes.RMWFetchAdd || fa.ArgImm != ^uint64(0) {
 		t.Fatalf("FetchAdd encoded wrong: %+v", fa)
 	}
-	td := p.Ins[3]
+	td := p.At(3)
 	if td.RMWOp != memtypes.RMWTestAndDec {
 		t.Fatalf("TestDec encoded wrong: %+v", td)
 	}
@@ -154,7 +154,7 @@ func TestDisassembly(t *testing.T) {
 		Done().
 		MustBuild()
 	texts := make([]string, 0, p.Len())
-	for pc := range p.Ins {
+	for pc := 0; pc < p.Len(); pc++ {
 		texts = append(texts, p.Disasm(pc))
 	}
 	joined := strings.Join(texts, "\n")
@@ -165,7 +165,7 @@ func TestDisassembly(t *testing.T) {
 	}
 }
 
-// Reset keeps the instruction backing but forgets every label, and the
+// Reset keeps the instruction table but forgets every label, and the
 // programs built before it keep their instructions and names.
 func TestBuilderReset(t *testing.T) {
 	b := NewBuilder()
@@ -177,14 +177,100 @@ func TestBuilderReset(t *testing.T) {
 	}
 	b.Jmp("end").Imm(R2, 2).Label("top").Label("end").Done()
 	p2 := b.MustBuild()
-	if got := p1.Disasm(1); got != "bnei r1, 0, top" || p1.Ins[1].Target != 0 || p1.Ins[0].Op != Imm {
-		t.Fatalf("first program changed by Reset: pc 1 = %q, target %d", got, p1.Ins[1].Target)
+	if got := p1.Disasm(1); got != "bnei r1, 0, top" || p1.At(1).Target != 0 || p1.At(0).Op != Imm {
+		t.Fatalf("first program changed by Reset: pc 1 = %q, target %d", got, p1.At(1).Target)
 	}
-	if got := p2.Disasm(0); got != "jmp end" || p2.Ins[0].Target != 2 || p2.Len() != 3 {
-		t.Fatalf("second program: pc 0 = %q, target %d, len %d", got, p2.Ins[0].Target, p2.Len())
+	if got := p2.Disasm(0); got != "jmp end" || p2.At(0).Target != 2 || p2.Len() != 3 {
+		t.Fatalf("second program: pc 0 = %q, target %d, len %d", got, p2.At(0).Target, p2.Len())
 	}
 	if got := p2.Disasm(1); got != "imm r2, 2" {
 		t.Fatalf("second program pc 1 = %q", got)
+	}
+}
+
+// Programs built through one Builder, across Reset, share its table, so
+// an instruction both hold is stored once. A program built before a Reset
+// keeps its instructions while later builds grow the table and its index.
+func TestProgramsShareBuilderTable(t *testing.T) {
+	b := NewBuilder()
+	b.Label("top").Imm(R1, 1).Bnez(R1, "top").Done()
+	p1 := b.MustBuild()
+	want := make([]Instr, p1.Len())
+	for pc := range want {
+		want[pc] = *p1.At(pc)
+	}
+	b.Reset()
+	b.Label("top").Imm(R1, 1)
+	for i := uint64(0); i < 4*minSlots; i++ {
+		b.Imm(R2, i)
+	}
+	b.Bnez(R1, "top").Done()
+	p2 := b.MustBuild()
+	n := p2.Len()
+	if p1.At(0) != p2.At(0) || p1.At(1) != p2.At(n-2) || p1.At(2) != p2.At(n-1) {
+		t.Fatal("programs of one builder hold separate copies of the same instructions")
+	}
+	if p2.At(1) == p2.At(2) {
+		t.Fatal("distinct instructions share a table entry")
+	}
+	for pc := range want {
+		if got := *p1.At(pc); got != want[pc] {
+			t.Fatalf("pc %d of the first program became %+v after later builds, want %+v", pc, got, want[pc])
+		}
+	}
+	if len(p1.tab.ins) != 4*minSlots+3 {
+		t.Fatalf("table holds %d instructions, want %d distinct", len(p1.tab.ins), 4*minSlots+3)
+	}
+}
+
+// NewProgram copies its instructions into a table of its own, storing a
+// repeated instruction once and keeping branch targets as given.
+func TestNewProgram(t *testing.T) {
+	ins := []Instr{{Op: Imm, Rd: R1, ImmVal: 7}, {Op: Bnei, Rs: R1, Target: 0}, {Op: Imm, Rd: R1, ImmVal: 7}, {Op: Done}}
+	p := NewProgram(ins)
+	if p.Len() != len(ins) {
+		t.Fatalf("Len = %d, want %d", p.Len(), len(ins))
+	}
+	for pc := range ins {
+		if *p.At(pc) != ins[pc] {
+			t.Fatalf("pc %d = %+v, want %+v", pc, *p.At(pc), ins[pc])
+		}
+	}
+	if p.At(0) != p.At(2) || len(p.tab.ins) != 3 {
+		t.Fatalf("repeated instruction not shared: table of %d", len(p.tab.ins))
+	}
+	if got := p.Disasm(1); got != "bnei r1, 0, @0" {
+		t.Fatalf("Disasm(1) = %q", got)
+	}
+	ins[0].ImmVal = 9
+	if p.At(0).ImmVal != 7 {
+		t.Fatal("NewProgram aliases its argument")
+	}
+	if NewProgram(nil).Len() != 0 {
+		t.Fatal("empty program has instructions")
+	}
+}
+
+// hash reads every field of Instr: one it missed would put instructions
+// that differ only there on one probe chain.
+func TestHashCoversEveryField(t *testing.T) {
+	var zero Instr
+	typ := reflect.TypeOf(zero)
+	for i := 0; i < typ.NumField(); i++ {
+		var in Instr
+		switch f := reflect.ValueOf(&in).Elem().Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Uint8, reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		default:
+			t.Fatalf("Instr.%s has kind %s, which this test cannot set", typ.Field(i).Name, f.Kind())
+		}
+		if in.hash() == zero.hash() {
+			t.Errorf("hash ignores Instr.%s", typ.Field(i).Name)
+		}
 	}
 }
 
@@ -232,7 +318,7 @@ func TestBuildCopiesInstructions(t *testing.T) {
 	if p1.Len() == p2.Len() {
 		t.Fatal("programs should differ in length")
 	}
-	if p1.Ins[0].Target != 1 {
+	if p1.At(0).Target != 1 {
 		t.Fatal("first build corrupted by later emission")
 	}
 }
@@ -286,14 +372,14 @@ func TestRemainingBuilderMethods(t *testing.T) {
 		t.Fatalf("len=%d want %d", p.Len(), len(wantOps))
 	}
 	for i, op := range wantOps {
-		if p.Ins[i].Op != op {
-			t.Fatalf("ins %d = %s, want %s", i, p.Ins[i].Op, op)
+		if p.At(i).Op != op {
+			t.Fatalf("ins %d = %s, want %s", i, p.At(i).Op, op)
 		}
 	}
 	// Branch targets all resolve to the label.
 	for i := 4; i <= 7; i++ {
-		if p.Ins[i].Target != 8 {
-			t.Fatalf("branch %d target = %d, want 8", i, p.Ins[i].Target)
+		if p.At(i).Target != 8 {
+			t.Fatalf("branch %d target = %d, want 8", i, p.At(i).Target)
 		}
 	}
 }
@@ -310,8 +396,8 @@ func TestDisassemblyCoversEveryMemOp(t *testing.T) {
 		Label("end").
 		Done().
 		MustBuild()
-	for _, in := range p.Ins {
-		if in.String() == "" {
+	for pc := 0; pc < p.Len(); pc++ {
+		if in := p.At(pc); in.String() == "" {
 			t.Fatalf("empty disassembly for %v", in.Op)
 		}
 	}

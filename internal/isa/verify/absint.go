@@ -185,7 +185,7 @@ type edgeOut struct {
 // returns the outgoing edges, outs[:nout]. It also performs the
 // per-instruction memory and sync checks.
 func (v *verifier) transfer(pc int, s *absState) (outs [2]edgeOut, nout int) {
-	in := &v.p.Ins[pc]
+	in := v.p.At(pc)
 
 	// Blocking operations must sit inside a synchronization region.
 	blocking := in.Op == isa.LdCB || in.Op == isa.BackoffWait ||

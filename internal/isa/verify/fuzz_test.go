@@ -45,7 +45,7 @@ const fuzzFootprintSize = 4096
 // mod NumRegs, immediates and offsets stay inside the footprint, and a
 // trailing done is appended when the input lacks one.
 func decodeProgram(data []byte) *isa.Program {
-	var p isa.Program
+	var ins []isa.Instr
 	for len(data) >= 8 {
 		b := data[:8]
 		data = data[8:]
@@ -72,12 +72,12 @@ func decodeProgram(data []byte) *isa.Program {
 			in.Expect = 0
 			in.Target = 0
 		}
-		p.Ins = append(p.Ins, in)
+		ins = append(ins, in)
 	}
-	if n := len(p.Ins); n == 0 || p.Ins[n-1].Op != isa.Done {
-		p.Ins = append(p.Ins, isa.Instr{Op: isa.Done})
+	if n := len(ins); n == 0 || ins[n-1].Op != isa.Done {
+		ins = append(ins, isa.Instr{Op: isa.Done})
 	}
-	return &p
+	return isa.NewProgram(ins)
 }
 
 // enc packs one instruction of the decoder's 8-byte format, for seeds.
@@ -199,8 +199,8 @@ func concat(chunks ...[]byte) []byte {
 
 func disasm(p *isa.Program) string {
 	var b strings.Builder
-	for pc, in := range p.Ins {
-		fmt.Fprintf(&b, "  pc %d: %s\n", pc, in)
+	for pc := 0; pc < p.Len(); pc++ {
+		fmt.Fprintf(&b, "  pc %d: %s\n", pc, p.At(pc))
 	}
 	return b.String()
 }

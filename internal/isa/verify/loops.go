@@ -65,7 +65,7 @@ func (v *verifier) analyzeLoops() {
 		if !v.reached[pc] {
 			continue
 		}
-		in := &v.p.Ins[pc]
+		in := v.p.At(pc)
 		if in.Op.IsMem() {
 			v.report.MemOps++
 		}
@@ -244,7 +244,7 @@ func (lb *loopBufs) isCycle(scc []int) bool {
 // state has sync depth >= 1.
 func (v *verifier) isSyncGuarded(scc []int) bool {
 	for _, pc := range scc {
-		in := &v.p.Ins[pc]
+		in := v.p.At(pc)
 		waits := in.Op == isa.BackoffWait ||
 			(in.Op.IsMem() && in.Op != isa.SelfInvl && in.Op != isa.SelfDown)
 		if waits && v.reached[pc] && v.in[pc].syncDepth >= 1 {
@@ -269,7 +269,7 @@ func (v *verifier) tripBound(scc []int, id int) (uint64, bool) {
 	exitPC := -1
 	exitOnEqual := false
 	for _, pc := range scc {
-		in := &v.p.Ins[pc]
+		in := v.p.At(pc)
 		switch in.Op {
 		case isa.Beqi, isa.Bnei:
 			taken, fall := in.Target, pc+1
@@ -300,7 +300,7 @@ func (v *verifier) tripBound(scc []int, id int) (uint64, bool) {
 	if exitPC < 0 || !exitOnEqual {
 		return 0, false
 	}
-	br := &v.p.Ins[exitPC]
+	br := v.p.At(exitPC)
 	ctr := br.Rs
 	exitVal := br.ImmVal
 
@@ -309,7 +309,7 @@ func (v *verifier) tripBound(scc []int, id int) (uint64, bool) {
 	step := uint64(0)
 	updates := 0
 	for _, pc := range scc {
-		in := &v.p.Ins[pc]
+		in := v.p.At(pc)
 		writes := false
 		switch in.Op {
 		case isa.Imm, isa.Mov, isa.Add, isa.Addi, isa.Sub, isa.Xori,
@@ -382,7 +382,7 @@ func (v *verifier) tripBound(scc []int, id int) (uint64, bool) {
 // edge from pc to succ (re-running the transfer function without
 // diagnostics).
 func (v *verifier) edgeValue(pc, succ int, reg isa.Reg) absVal {
-	in := &v.p.Ins[pc]
+	in := v.p.At(pc)
 	s := &v.in[pc]
 	val := s.regs[reg]
 	switch in.Op {

@@ -333,7 +333,7 @@ func (v *verifier) diag(pc int, check, format string, args ...any) {
 
 // run verifies p with a fresh report, keeping v's buffers.
 func (v *verifier) run(p *isa.Program) *Report {
-	v.p, v.n = p, len(p.Ins)
+	v.p, v.n = p, p.Len()
 	v.report = &Report{Barriers: -1}
 	clear(v.seen)
 	v.doneBarriers = -2
@@ -379,8 +379,8 @@ func (v *verifier) sortDiags() {
 // structural validates every instruction's encoding independent of
 // reachability.
 func (v *verifier) structural() {
-	for pc := range v.p.Ins {
-		in := &v.p.Ins[pc]
+	for pc := range v.n {
+		in := v.p.At(pc)
 		if in.Op > isa.Done {
 			v.diag(pc, "structure", "unknown opcode %d", uint8(in.Op))
 			continue
@@ -414,7 +414,7 @@ func (v *verifier) structural() {
 // successors returns the control-flow successors of pc, succ[:n],
 // diagnosing a fallthrough off the end of the program.
 func (v *verifier) successors(pc int) (succ [2]int, n int) {
-	in := &v.p.Ins[pc]
+	in := v.p.At(pc)
 	switch in.Op {
 	case isa.Done:
 		return succ, 0

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,27 +56,27 @@ func TestCleanStraightLine(t *testing.T) {
 }
 
 func TestOutOfRangeJump(t *testing.T) {
-	p := &isa.Program{Ins: []isa.Instr{
+	p := isa.NewProgram([]isa.Instr{
 		{Op: isa.Jmp, Target: 99},
 		{Op: isa.Done},
-	}}
+	})
 	r := Program(p, Options{})
 	wantDiag(t, r, "structure", "target 99 out of range")
 }
 
 func TestBadRegister(t *testing.T) {
-	p := &isa.Program{Ins: []isa.Instr{
+	p := isa.NewProgram([]isa.Instr{
 		{Op: isa.Imm, Rd: 40},
 		{Op: isa.Done},
-	}}
+	})
 	r := Program(p, Options{})
 	wantDiag(t, r, "structure", "register r40 out of range")
 }
 
 func TestFallthroughOffEnd(t *testing.T) {
-	p := &isa.Program{Ins: []isa.Instr{
+	p := isa.NewProgram([]isa.Instr{
 		{Op: isa.Imm, Rd: 1, ImmVal: 1},
-	}}
+	})
 	r := Program(p, Options{})
 	wantDiag(t, r, "structure", "falls through past the end")
 }
@@ -90,19 +91,19 @@ func TestNoReachableDone(t *testing.T) {
 }
 
 func TestBadSyncKind(t *testing.T) {
-	p := &isa.Program{Ins: []isa.Instr{
+	p := isa.NewProgram([]isa.Instr{
 		{Op: isa.SyncBegin, ImmVal: 99},
 		{Op: isa.Done},
-	}}
+	})
 	r := Program(p, Options{})
 	wantDiag(t, r, "structure", "undefined sync kind")
 }
 
 func TestBadRMWFields(t *testing.T) {
-	p := &isa.Program{Ins: []isa.Instr{
+	p := isa.NewProgram([]isa.Instr{
 		{Op: isa.RMW, RMWOp: 77, RMWSt: 9, Base: 2},
 		{Op: isa.Done},
-	}}
+	})
 	r := Program(p, Options{})
 	wantDiag(t, r, "structure", "undefined RMW op")
 	wantDiag(t, r, "structure", "undefined RMW store half")
@@ -376,14 +377,16 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(progs) != 1 || len(progs[0].Ins) != len(orig.Ins) {
+	if len(progs) != 1 || progs[0].Len() != orig.Len() {
 		t.Fatalf("decode shape mismatch")
 	}
-	for i := range orig.Ins {
-		want := orig.Ins[i]
-		if progs[0].Ins[i] != want {
-			t.Fatalf("instr %d: got %+v want %+v", i, progs[0].Ins[i], want)
+	for i := 0; i < orig.Len(); i++ {
+		if got, want := *progs[0].At(i), *orig.At(i); got != want {
+			t.Fatalf("instr %d: got %+v want %+v", i, got, want)
 		}
+	}
+	if again := EncodeProgram(progs[0]); !reflect.DeepEqual(again, req.Threads[0]) {
+		t.Fatalf("re-encoded program differs:\n got %+v\nwant %+v", again, req.Threads[0])
 	}
 	if opts.Mode != ModeStrict || opts.Footprint == nil {
 		t.Fatalf("opts not decoded: %+v", opts)

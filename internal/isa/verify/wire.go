@@ -116,13 +116,13 @@ func (wr *WireRequest) Decode() ([]*isa.Program, Options, error) {
 
 	var progs []*isa.Program
 	for tid, wp := range wr.Threads {
-		p := &isa.Program{Ins: make([]isa.Instr, len(wp.Ins))}
+		ins := make([]isa.Instr, len(wp.Ins))
 		for pc, wi := range wp.Ins {
 			op, ok := opByName[wi.Op]
 			if !ok {
 				return nil, opts, fmt.Errorf("thread %d pc %d: unknown opcode %q", tid, pc, wi.Op)
 			}
-			in := &p.Ins[pc]
+			in := &ins[pc]
 			in.Op = op
 			var err error
 			if in.Rd, err = wireReg(wi.Rd, "rd", tid, pc); err != nil {
@@ -160,7 +160,7 @@ func (wr *WireRequest) Decode() ([]*isa.Program, Options, error) {
 				in.RMWSt = w
 			}
 		}
-		progs = append(progs, p)
+		progs = append(progs, isa.NewProgram(ins))
 	}
 	if len(progs) == 0 {
 		return nil, opts, fmt.Errorf("no threads in request")
@@ -171,9 +171,9 @@ func (wr *WireRequest) Decode() ([]*isa.Program, Options, error) {
 // EncodeProgram converts a program to wire form (for clients and
 // tests).
 func EncodeProgram(p *isa.Program) WireProgram {
-	wp := WireProgram{Ins: make([]WireInstr, len(p.Ins))}
-	for pc, in := range p.Ins {
-		wi := &wp.Ins[pc]
+	wp := WireProgram{Ins: make([]WireInstr, p.Len())}
+	for pc := range wp.Ins {
+		in, wi := p.At(pc), &wp.Ins[pc]
 		wi.Op = in.Op.String()
 		wi.Rd, wi.Rs, wi.Rt = int(in.Rd), int(in.Rs), int(in.Rt)
 		wi.Imm = in.ImmVal

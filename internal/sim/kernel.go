@@ -62,8 +62,13 @@ func (e *event) before(o *event) bool {
 // Because every wheel event satisfies now <= when < now+wheelSlots, two
 // distinct times can never map to the same slot, so each slot holds the
 // events of exactly one cycle, in sequence order.
+//
+// 256 cycles still cover main memory's 160-cycle latency. Every slot
+// keeps the backing it grew to for the kernel's lifetime, so the wheel
+// holds slots times the most events one cycle ever had; 1,024 slots
+// held 2.2 MB in a 64-core cell, and were no faster.
 const (
-	wheelSlots = 1024
+	wheelSlots = 256
 	wheelMask  = wheelSlots - 1
 	wheelWords = wheelSlots / 64
 )
@@ -79,9 +84,10 @@ type wheelSlot struct {
 	head int
 }
 
-// initialHeapCap pre-grows the overflow heap so steady-state far-future
-// scheduling never reallocates the backing array.
-const initialHeapCap = 4096
+// initialHeapCap pre-grows the overflow heap. A cell's whole queue, both
+// tiers, peaks at 30 to 130 events, so this rarely regrows; a heap that
+// does regrow keeps its backing, and steady state never reallocates.
+const initialHeapCap = 256
 
 // Telemetry counts scheduler-internal activity, for attributing kernel
 // speedups (cmd/benchsnap records it next to the benchmark numbers). The

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -310,19 +311,37 @@ func TestWheelHeapIdenticalOrder(t *testing.T) {
 }
 
 // Sparse wheels advance the clock in one jump per event; telemetry counts
-// those batch skips.
+// those batch skips. The second event sits in the wheel's last slot.
 func TestBatchSkipTelemetry(t *testing.T) {
+	near, far := uint64(wheelSlots/4), uint64(wheelSlots-1)
 	k := New()
-	k.ScheduleActor(100, call(func() {}), nil, 0)
-	k.ScheduleActor(700, call(func() {}), nil, 0)
+	k.ScheduleActor(near, call(func() {}), nil, 0)
+	k.ScheduleActor(far, call(func() {}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if tele := k.Telemetry(); tele.Skips != 2 {
-		t.Fatalf("Skips = %d, want 2 (0->100 and 100->700)", tele.Skips)
+		t.Fatalf("Skips = %d, want 2 (0->%d and %d->%d)", tele.Skips, near, near, far)
 	}
 	if tele := k.Telemetry(); tele.WheelPushes != 2 || tele.HeapPushes != 0 {
 		t.Fatalf("telemetry = %+v, want both events on the wheel", tele)
+	}
+}
+
+// New pre-grows the wheel and the heap for every machine, so their size
+// is paid per cell: 377 KB at 1,024 slots and 4,096 heap events.
+func TestNewPreallocatesUnder64KB(t *testing.T) {
+	const n = 16
+	var ks [n]*Kernel
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ks {
+		ks[i] = New()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ks)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+		t.Fatalf("New allocates %d bytes, want under %d", per, 64<<10)
 	}
 }
 

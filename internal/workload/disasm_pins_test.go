@@ -26,7 +26,7 @@ const disasmPinCores = 16
 func disasmHash(g *Generated) string {
 	h := sha256.New()
 	for tid, p := range g.Programs {
-		for pc := range p.Ins {
+		for pc := range p.Len() {
 			fmt.Fprintf(h, "t%d %d %s\n", tid, pc, p.Disasm(pc))
 		}
 	}
