@@ -259,3 +259,25 @@ func TestGateVerifySetBytes(t *testing.T) {
 		}
 	}
 }
+
+// generate_64 follows the same 1% rule: a thread set whose programs each
+// held their own instructions took 7,170,406 bytes/op, against 1,871,340
+// with one shared table.
+func TestGateGenerateBytes(t *testing.T) {
+	dir := t.TempDir()
+	base := snapshot{Benchmarks: ratioPairs()}
+	base.Benchmarks["generate_64"] = benchPerf{NsPerOp: 7e6, AllocsPerOp: 14206, BytesPerOp: 1_871_340}
+	pr := snapshot{Benchmarks: ratioPairs()}
+	for bytes, want := range map[int64]bool{7_170_406: true, 1_890_054: true, 1_890_053: false, 1_871_342: false, 1_000_000: false} {
+		pr.Benchmarks["generate_64"] = benchPerf{NsPerOp: 7e6, AllocsPerOp: 14206, BytesPerOp: bytes}
+		failures, err := gate(
+			writeSnapshot(t, dir, "base.json", base),
+			writeSnapshot(t, dir, "pr.json", pr), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(failures) == 1 && strings.Contains(failures[0], "generate_64: bytes/op"); got != want || len(failures) > 1 {
+			t.Fatalf("generate_64 at %d bytes/op: failures = %q, want flagged %v", bytes, failures, want)
+		}
+	}
+}

@@ -159,6 +159,22 @@ func run(out string, cores int, benches []string) error {
 		}
 	}))
 
+	// Generation of one 64-core thread set, as every fresh cell does
+	// before it builds its machine. Its programs share one instruction
+	// table; the gate pins allocs/op and bounds bytes/op.
+	genP, err := workload.ByName("radiosity")
+	if err != nil {
+		return err
+	}
+	snap.Benchmarks["generate_64"] = record(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if g := workload.Generate(genP, 64, workload.StyleScalable, synclib.FlavorCBOne); len(g.Programs) != 64 {
+				b.Fatal("bad thread set")
+			}
+		}
+	}))
+
 	// Program verification of one 16-core thread set, as cbsimd checks
 	// each new combo at submit time. The set is generated once, outside
 	// the timed loop; the gate pins allocs/op and bounds bytes/op.
