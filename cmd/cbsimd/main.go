@@ -81,16 +81,19 @@ func main() {
 	// A fresh cell builds its machine from scratch against a small live
 	// heap, so the default GC target collects every few cells. The
 	// 16-core machine was 3.2 MB when this target was chosen; it is
-	// 0.62 MB since cache sets get their lines on their first fill, and
-	// the cell's programs and filled sets come on top. Measured on the
-	// service-mix benchmark (2-vCPU VM, 10 paired runs) against the
-	// default target plus a warm-start pool of ~100 MB of idle machines:
-	// GOGC=400 kept wall time and fresh-cell latency level (median ratios
-	// 0.94 and 0.95) and cut peak RSS from 319 to 205 MB; GOGC=200 used
-	// 118 MB but ran ~5% slower. Tag-only cache lines, the
-	// allocation-free program verifier and lazy cache sets have since
-	// brought the median peak RSS at GOGC=400 to 59 MB. An explicit GOGC
-	// wins.
+	// 0.31 MB since cache sets get their lines on their first fill and
+	// the event queues shrank. The cell's programs (0.62 MB to generate
+	// a 16-core radiosity set, whose threads share one instruction
+	// table) and filled sets come on top. Measured on the service-mix
+	// benchmark (2-vCPU VM, 10 paired runs) against the default target
+	// plus a warm-start pool of ~100 MB of idle machines: GOGC=400 kept
+	// wall time and fresh-cell latency level (median ratios 0.94 and
+	// 0.95) and cut peak RSS from 319 to 205 MB; GOGC=200 used 118 MB
+	// but ran ~5% slower. Tag-only cache lines, the allocation-free
+	// program verifier, lazy cache sets and shared instruction tables
+	// have since brought the median peak RSS at GOGC=400 to 43 MB. The
+	// live heap after a 4,000-job session is 5.5 MB, 4.75 MB of it the
+	// finished jobs' records. An explicit GOGC wins.
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(400)
 	}
