@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
@@ -26,14 +25,21 @@ var updateIdentity = flag.Bool("update-identity", false,
 const identityFile = "testdata/mesi_identity.txt"
 
 type identityCell struct {
+	setup  string
 	bench  string
 	style  workload.SyncStyle
 	cores  int
 	cycles bool
 }
 
+// key names the cell in its pin file; Invalidation cells, the first
+// pinned, omit the setup.
 func (c identityCell) key() string {
-	return fmt.Sprintf("%s/%s/%d/cycles=%v", c.bench, c.style, c.cores, c.cycles)
+	k := fmt.Sprintf("%s/%s/%d/cycles=%v", c.bench, c.style, c.cores, c.cycles)
+	if c.setup != "Invalidation" {
+		k = c.setup + "/" + k
+	}
+	return k
 }
 
 // identityCells lists every 16-core Invalidation cell of the suite, with
@@ -44,14 +50,14 @@ func identityCells(short bool) []identityCell {
 	for _, p := range workload.Profiles() {
 		for _, style := range []workload.SyncStyle{workload.StyleScalable, workload.StyleNaive} {
 			for _, cyc := range []bool{false, true} {
-				cells = append(cells, identityCell{p.Name, style, 16, cyc})
+				cells = append(cells, identityCell{"Invalidation", p.Name, style, 16, cyc})
 			}
 		}
 	}
 	if !short {
 		for _, name := range []string{"radiosity", "fft", "dedup"} {
 			for _, style := range []workload.SyncStyle{workload.StyleScalable, workload.StyleNaive} {
-				cells = append(cells, identityCell{name, style, 64, false})
+				cells = append(cells, identityCell{"Invalidation", name, style, 64, false})
 			}
 		}
 	}
@@ -60,26 +66,38 @@ func identityCells(short bool) []identityCell {
 
 func identityHash(t *testing.T, c identityCell) string {
 	t.Helper()
-	p, err := workload.ByName(c.bench)
+	h, err := cellHash(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Setup{Name: "Invalidation", Protocol: machine.ProtocolMESI}
+	return h
+}
+
+// cellHash runs c and hashes its Result.
+func cellHash(c identityCell) (string, error) {
+	p, err := workload.ByName(c.bench)
+	if err != nil {
+		return "", err
+	}
+	s, err := SetupByName(c.setup)
+	if err != nil {
+		return "", err
+	}
 	r, err := RunBenchmark(p, s, c.style, Options{Cores: c.cores, Parallelism: 1, CycleStacks: c.cycles})
 	if err != nil {
-		t.Fatalf("%s: %v", c.key(), err)
+		return "", fmt.Errorf("%s: %w", c.key(), err)
 	}
 	b, err := json.Marshal(r)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), nil
 }
 
-func readIdentity(t *testing.T) map[string]string {
+func readIdentity(t *testing.T, file string) map[string]string {
 	t.Helper()
-	f, err := os.Open(identityFile)
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +111,7 @@ func readIdentity(t *testing.T) map[string]string {
 		}
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
-			t.Fatalf("%s: malformed line %q", identityFile, line)
+			t.Fatalf("%s: malformed line %q", file, line)
 		}
 		want[fields[0]] = fields[1]
 	}
@@ -119,7 +137,7 @@ func TestInvalidationCellsMatchPinnedHashes(t *testing.T) {
 		}
 		return
 	}
-	want := readIdentity(t)
+	want := readIdentity(t, identityFile)
 	for _, c := range cells {
 		w, ok := want[c.key()]
 		if !ok {
