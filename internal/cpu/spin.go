@@ -73,7 +73,7 @@ func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
 	s.parked, s.settled = true, 0
 	s.start = c.k.Now() + elapsed
 	s.exec, s.lat, s.instrs = elapsed, lat, instrs
-	c.k.Haunt(&s.ghost, elapsed, [2]uint64{lat, elapsed})
+	c.k.Haunt(&s.ghost, elapsed, sim.GhostCycle{Delays: [sim.MaxGhostPhases]uint64{lat, elapsed}, Len: 2})
 	return true
 }
 

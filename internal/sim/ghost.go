@@ -3,16 +3,17 @@ package sim
 import "math/bits"
 
 // Ghosts. An actor that parks a chain of self-scheduled events — each a
-// fixed delay after the one before, the delays alternating between two
-// values — may hand the chain to the kernel as a Ghost instead of
-// scheduling it. A ghost event is never queued or executed: the kernel
-// passes it at the exact point of the (time, sequence) order where the
-// real event would have fired, and there takes the sequence number the
-// real event would have given its successor. Every real event therefore
-// keeps the sequence number, and the queue the order, it would have had
-// with the chain scheduled. When the actor needs its chain back,
-// WakeGhost schedules the pending event at its own cycle and sequence
-// number, and the run continues exactly as if it had never parked.
+// fixed delay after the one before, the delays repeating in a cycle of
+// up to MaxGhostPhases phases — may hand the chain to the kernel as a
+// Ghost instead of scheduling it. A ghost event is never queued or
+// executed: the kernel passes it at the exact point of the (time,
+// sequence) order where the real event would have fired, and there takes
+// the sequence number the real event would have given its successor.
+// Every real event therefore keeps the sequence number, and the queue the
+// order, it would have had with the chain scheduled. When the actor needs
+// its chain back, WakeGhost schedules the pending event at its own cycle
+// and sequence number, and the run continues exactly as if it had never
+// parked.
 //
 // The owner learns what the passed events would have done from Passed
 // and applies their effects itself, whenever its state is next read.
@@ -32,42 +33,62 @@ const MaxGhostDelay = ghostSlots - 1
 
 const ghostSlots = 64
 
+// MaxGhostPhases bounds the length of a ghost's cycle of delays.
+const MaxGhostPhases = 8
+
+// GhostCycle is the repeating part of a parked chain: the event of phase
+// p leads to the next after Delays[p] cycles, for p < Len, and the event
+// of phase Len-1 leads back to phase 0. Each delay is at most
+// MaxGhostDelay and may be 0 (the next event then fires later in the same
+// cycle); the delays of one cycle sum to at least 1.
+type GhostCycle struct {
+	Delays [MaxGhostPhases]uint64
+	Len    int
+}
+
+// ghostCycle is a GhostCycle packed into one comparable word and a length.
+type ghostCycle struct {
+	d [MaxGhostPhases]uint8
+	k uint8
+}
+
 // Ghost is a parked chain of self-scheduled events. The zero value is
 // ready to use; the owner embeds it.
 type Ghost struct {
-	blk    *ghostBlock // nil once woken
-	idx    int         // position in blk; its sequence number is blk.base+idx
-	start  uint64      // cycle of the chain's first event
-	delays [2]uint64   // an event of phase p leads to the next after delays[p]
+	blk   *ghostBlock // nil once woken
+	idx   int         // position in blk; its sequence number is blk.base+idx
+	start uint64      // cycle of the chain's first event, of phase 0
 }
 
 // Seq reports the sequence number of the ghost's pending event.
 func (g *Ghost) Seq() uint64 { return g.blk.base + uint64(g.idx) }
 
 // Passed reports how many of the ghost's events the kernel has passed.
-// The events alternate phases from start, so the pending one's cycle
-// says how many came before it.
+// The chain's first event is of phase 0, so the pending event's cycle
+// and phase say how many came before it.
 func (g *Ghost) Passed() uint64 {
-	e := g.blk.when - g.start
-	period := g.delays[0] + g.delays[1]
-	n := 2 * (e / period)
-	if e%period != 0 {
-		n++
+	b := g.blk
+	var period, off uint64
+	for p := uint8(0); p < b.cyc.k; p++ {
+		if p == b.phase {
+			off = period
+		}
+		period += uint64(b.cyc.d[p])
 	}
-	return n
+	return (b.when-g.start-off)/period*uint64(b.cyc.k) + uint64(b.phase)
 }
 
 // ghostBlock is a run of ghosts pending in one cycle with consecutive
 // sequence numbers base, base+1, ...: g[i] holds base+i, or is nil when
 // woken (its number now belongs to the real event that replaced it).
-// All share delays and the phase of their pending event.
+// All share a cycle and the phase of their pending event.
 type ghostBlock struct {
-	when   uint64
-	base   uint64
-	delays [2]uint64
-	phase  uint8
-	g      []*Ghost
-	holes  int
+	when  uint64
+	base  uint64
+	cyc   ghostCycle
+	phase uint8
+	g     []*Ghost
+	holes int
 }
 
 // ghostSlot holds the blocks pending in one cycle, in sequence order:
@@ -93,17 +114,28 @@ type ghostRing struct {
 }
 
 // Haunt parks a chain in g in place of scheduling its next event delay
-// cycles from now: the event takes the sequence number a Schedule would
-// give it now, and each one passed leads to the next after delays[0],
-// delays[1], delays[0], ... cycles. Every delay is at least 1 and at
-// most MaxGhostDelay.
+// cycles from now: the event, of phase 0, takes the sequence number a
+// Schedule would give it now, and each one passed leads to the next as c
+// says. delay is at most MaxGhostDelay.
 //
 //cbsim:hotpath
-func (k *Kernel) Haunt(g *Ghost, delay uint64, delays [2]uint64) {
-	if delay < 1 || delay > MaxGhostDelay || delays[0] < 1 || delays[0] > MaxGhostDelay ||
-		delays[1] < 1 || delays[1] > MaxGhostDelay {
-		panic("sim: ghost delay out of range")
+func (k *Kernel) Haunt(g *Ghost, delay uint64, c GhostCycle) {
+	if delay > MaxGhostDelay || c.Len < 1 || c.Len > MaxGhostPhases {
+		panic("sim: ghost delay or cycle length out of range")
 	}
+	var cyc ghostCycle
+	var period uint64
+	for p, d := range c.Delays[:c.Len] {
+		if d > MaxGhostDelay {
+			panic("sim: ghost delay out of range")
+		}
+		cyc.d[p] = uint8(d)
+		period += d
+	}
+	if period == 0 {
+		panic("sim: ghost cycle of zero length")
+	}
+	cyc.k = uint8(c.Len)
 	r := &k.ghosts
 	if r.slots == nil {
 		//cbvet:alloc-ok one-time ring allocation on the first parked chain
@@ -114,9 +146,8 @@ func (k *Kernel) Haunt(g *Ghost, delay uint64, delays [2]uint64) {
 	}
 	r.n++
 	g.start = k.now + delay
-	g.delays = delays
 	b := k.newBlock()
-	b.when, b.base, b.delays, b.phase = g.start, k.seq, delays, 0
+	b.when, b.base, b.cyc, b.phase = g.start, k.seq, cyc, 0
 	k.seq++
 	g.blk, g.idx = b, 0
 	b.g = append(b.g, g)
@@ -157,7 +188,7 @@ func (k *Kernel) fileBlock(b *ghostBlock) {
 	s := &r.slots[i]
 	if n := len(s.b); n > s.head {
 		last := s.b[n-1]
-		if last.base+uint64(len(last.g)) == b.base && last.delays == b.delays && last.phase == b.phase {
+		if last.base+uint64(len(last.g)) == b.base && last.cyc == b.cyc && last.phase == b.phase {
 			for _, g := range b.g {
 				if g != nil {
 					g.blk, g.idx = last, len(last.g)
@@ -268,7 +299,7 @@ func (k *Kernel) passGhosts(when, seq uint64) {
 //cbsim:hotpath
 func (k *Kernel) splitBlock(b *ghostBlock, cut int) *ghostBlock {
 	p := k.newBlock()
-	p.when, p.base, p.delays, p.phase = b.when, b.base, b.delays, b.phase
+	p.when, p.base, p.cyc, p.phase = b.when, b.base, b.cyc, b.phase
 	for i, g := range b.g[:cut] {
 		if g != nil {
 			g.blk, g.idx = p, i
@@ -291,7 +322,8 @@ func (k *Kernel) splitBlock(b *ghostBlock, cut int) *ghostBlock {
 }
 
 // passBlock passes every live ghost of b, in order: they take the next
-// sequence numbers and move on together to their next cycle.
+// sequence numbers and move on together to their next event, which a
+// zero delay files later in the same cycle.
 //
 //cbsim:hotpath
 func (k *Kernel) passBlock(b *ghostBlock) {
@@ -313,7 +345,9 @@ func (k *Kernel) passBlock(b *ghostBlock) {
 	}
 	b.base = k.seq
 	k.seq += uint64(len(b.g))
-	b.when += b.delays[b.phase]
-	b.phase ^= 1
+	b.when += uint64(b.cyc.d[b.phase])
+	if b.phase++; b.phase == b.cyc.k {
+		b.phase = 0
+	}
 	k.fileBlock(b)
 }
