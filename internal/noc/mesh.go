@@ -76,6 +76,13 @@ type Mesh struct {
 	// incoming holds the handlers that are Incomers (nil elsewhere).
 	//cbvet:ephemeral wiring: installed by Attach at construction
 	incoming []Incomer
+	// route[at*nodes+dst] is the direction of the X-Y hop out of node at
+	// toward dst, and step[dir] the node-number offset of that hop:
+	// routing a hop costs two loads instead of four divisions.
+	//cbvet:ephemeral geometry fixed at construction, never changed mid-run
+	route []uint8
+	//cbvet:ephemeral geometry fixed at construction, never changed mid-run
+	step [numDirs]memtypes.NodeID
 	// linkFree[node][dir] is the first cycle the outgoing link of node
 	// in direction dir is idle.
 	linkFree [][numDirs]uint64
@@ -129,17 +136,40 @@ func New(k *sim.Kernel, width, height int) *Mesh {
 	if width <= 0 || height <= 0 {
 		panic("noc: mesh dimensions must be positive")
 	}
-	return &Mesh{
+	n := width * height
+	m := &Mesh{
 		k:         k,
 		width:     width,
 		height:    height,
 		switchLat: DefaultSwitchLatency,
 		localLat:  DefaultLocalLatency,
-		handlers:  make([]Handler, width*height),
-		incoming:  make([]Incomer, width*height),
-		linkFree:  make([][numDirs]uint64, width*height),
-		linkBusy:  make([][numDirs]uint64, width*height),
+		handlers:  make([]Handler, n),
+		incoming:  make([]Incomer, n),
+		route:     make([]uint8, n*n),
+		step:      [numDirs]memtypes.NodeID{dirEast: 1, dirWest: -1, dirNorth: memtypes.NodeID(-width), dirSouth: memtypes.NodeID(width)},
+		linkFree:  make([][numDirs]uint64, n),
+		linkBusy:  make([][numDirs]uint64, n),
 	}
+	for at := 0; at < n; at++ {
+		x, y := m.coords(memtypes.NodeID(at))
+		for dst := 0; dst < n; dst++ {
+			dx, dy := m.coords(memtypes.NodeID(dst))
+			var dir direction
+			switch {
+			// Deterministic X-Y routing: fully resolve X before moving in Y.
+			case dx > x:
+				dir = dirEast
+			case dx < x:
+				dir = dirWest
+			case dy > y:
+				dir = dirSouth
+			default:
+				dir = dirNorth
+			}
+			m.route[at*n+dst] = uint8(dir)
+		}
+	}
+	return m
 }
 
 // SetSwitchLatency overrides the per-hop switch latency.
@@ -272,10 +302,6 @@ func (m *Mesh) coords(n memtypes.NodeID) (x, y int) {
 	return int(n) % m.width, int(n) / m.width
 }
 
-func (m *Mesh) node(x, y int) memtypes.NodeID {
-	return memtypes.NodeID(y*m.width + x)
-}
-
 // HopCount returns the number of switch-to-switch hops between two nodes
 // under X-Y routing (the Manhattan distance).
 func (m *Mesh) HopCount(src, dst memtypes.NodeID) int {
@@ -358,21 +384,8 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 		m.deliver(msg)
 		return
 	}
-	x, y := m.coords(at)
-	dx, dy := m.coords(msg.Dst)
-	var dir direction
-	var next memtypes.NodeID
-	switch {
-	// Deterministic X-Y routing: fully resolve X before moving in Y.
-	case dx > x:
-		dir, next = dirEast, m.node(x+1, y)
-	case dx < x:
-		dir, next = dirWest, m.node(x-1, y)
-	case dy > y:
-		dir, next = dirSouth, m.node(x, y+1)
-	default:
-		dir, next = dirNorth, m.node(x, y-1)
-	}
+	dir := direction(m.route[int(at)*len(m.handlers)+int(msg.Dst)])
+	next := at + m.step[dir]
 
 	flits := uint64(msg.Flits())
 	now := m.k.Now()

@@ -242,3 +242,36 @@ func TestIdealModeSkipsContention(t *testing.T) {
 		t.Fatalf("ideal stats = %+v", s)
 	}
 }
+
+// The routing table walks every (source, destination) pair of meshes of
+// several shapes along the X-Y route: all X hops first, then all Y hops,
+// in HopCount steps, each to a neighbour.
+func TestRouteTableIsXY(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {8, 8}} {
+		m := New(sim.New(), dims[0], dims[1])
+		n := m.Nodes()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				at, hops, turned := memtypes.NodeID(src), 0, false
+				for at != memtypes.NodeID(dst) {
+					dir := direction(m.route[int(at)*n+dst])
+					next := at + m.step[dir]
+					x, y := m.coords(at)
+					nx, ny := m.coords(next)
+					if next < 0 || int(next) >= n || abs(nx-x)+abs(ny-y) != 1 {
+						t.Fatalf("%v: hop %d->%d toward %d leaves the mesh or skips", dims, at, next, dst)
+					}
+					if ny != y {
+						turned = true
+					} else if turned {
+						t.Fatalf("%v: route %d->%d moves in X after Y", dims, src, dst)
+					}
+					at, hops = next, hops+1
+				}
+				if want := m.HopCount(memtypes.NodeID(src), memtypes.NodeID(dst)); hops != want {
+					t.Fatalf("%v: route %d->%d takes %d hops, want %d", dims, src, dst, hops, want)
+				}
+			}
+		}
+	}
+}
