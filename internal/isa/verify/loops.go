@@ -95,6 +95,24 @@ type loopBufs struct {
 	factor []uint64
 }
 
+// reserve gives the buffers room for a CFG of n instructions, each with
+// at most two successors.
+func (lb *loopBufs) reserve(n int) {
+	lb.succOff = resize(lb.succOff, n+1)
+	lb.predOff = resize(lb.predOff, n+1)
+	lb.succ = resize(lb.succ, 2*n)
+	lb.pred = resize(lb.pred, 2*n)
+	lb.sccOf = resize(lb.sccOf, n)
+	lb.members = resize(lb.members, n)
+	lb.sccEnd = resize(lb.sccEnd, n)
+	lb.index = resize(lb.index, n)
+	lb.low = resize(lb.low, n)
+	lb.stack = resize(lb.stack, n)
+	lb.onStack = resize(lb.onStack, n)
+	lb.frames = resize(lb.frames, n)
+	lb.factor = resize(lb.factor, n)
+}
+
 type tarjanFrame struct {
 	pc, si int // si indexes succ
 }

@@ -216,10 +216,16 @@ func Program(p *isa.Program, opts Options) *Report {
 
 // Threads verifies a thread set: each program individually, then
 // barrier-participation consistency across threads. One verifier
-// serves every thread and reuses its buffers.
+// serves every thread, with its buffers sized once for the set's
+// longest program.
 func Threads(progs []*isa.Program, opts Options) *SetReport {
 	set := &SetReport{}
 	v := newVerifier(opts)
+	longest := 0
+	for _, p := range progs {
+		longest = max(longest, p.Len())
+	}
+	v.reserve(min(longest, v.opts.MaxInstrs))
 	for tid, p := range progs {
 		r := v.run(p)
 		for i := range r.Diags {
@@ -299,6 +305,18 @@ func (v *verifier) sizeBuffers() {
 	v.visits = zeroed(v.visits, v.n)
 	v.work = resize(v.work, v.n)
 	v.inWork = zeroed(v.inWork, v.n)
+}
+
+// reserve gives every per-instruction buffer room for programs of n
+// instructions, so verifying a set whose programs grow in length
+// allocates each buffer once rather than at every new longest program.
+func (v *verifier) reserve(n int) {
+	v.in = resize(v.in, n)
+	v.reached = resize(v.reached, n)
+	v.visits = resize(v.visits, n)
+	v.work = resize(v.work, n)
+	v.inWork = resize(v.inWork, n)
+	v.loops.reserve(n)
 }
 
 // resize returns s with length n, reusing its backing when large

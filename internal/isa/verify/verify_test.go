@@ -452,3 +452,27 @@ func TestFootprintCoverage(t *testing.T) {
 		t.Fatalf("normalize left %d ranges, want 2", len(fp.Ranges()))
 	}
 }
+
+// Threads sizes its buffers once for the set's longest program: a set
+// whose programs grow in length allocates no more than the same set with
+// the longest program first.
+func TestThreadsSizesBuffersOnce(t *testing.T) {
+	var progs []*isa.Program
+	for n := 1; n <= 16; n++ {
+		b := isa.NewBuilder()
+		for i := 0; i < 40*n; i++ {
+			b.Addi(isa.R1, isa.R1, 1)
+		}
+		b.Done()
+		progs = append(progs, b.MustBuild())
+	}
+	desc := make([]*isa.Program, len(progs))
+	for i, p := range progs {
+		desc[len(progs)-1-i] = p
+	}
+	grow := testing.AllocsPerRun(100, func() { Threads(progs, Options{}) })
+	once := testing.AllocsPerRun(100, func() { Threads(desc, Options{}) })
+	if grow != once {
+		t.Fatalf("growing programs: %.0f allocations, longest first: %.0f", grow, once)
+	}
+}
