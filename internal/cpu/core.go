@@ -67,9 +67,11 @@ type Core struct {
 	id   memtypes.NodeID
 	port memtypes.Port
 	// sp is port when it lets spin loops park (nil otherwise, and then
-	// the core never looks for them).
-	sp  memtypes.SpinPort
-	cfg Config
+	// the core never looks for them); seenSpins is sp.SeenSpins().
+	sp memtypes.SpinPort
+	//cbvet:ephemeral wiring: a property of the port, fixed at construction
+	seenSpins bool
+	cfg       Config
 
 	// prog is the loaded program: immutable input, not evolving state.
 	// The digest deliberately skips it — hashing the program text would
@@ -127,6 +129,7 @@ func New(k *sim.Kernel, id memtypes.NodeID, port memtypes.Port, cfg Config,
 	}
 	c := &Core{k: k, id: id, port: port, cfg: cfg, isPrivate: classify, onDone: onDone}
 	c.sp, _ = port.(memtypes.SpinPort)
+	c.seenSpins = c.sp != nil && c.sp.SeenSpins()
 	c.spinPC = -1
 	return c
 }
@@ -344,9 +347,14 @@ func (c *Core) step() {
 			c.backoffCount = 0
 			c.pc++
 		case isa.BackoffWait:
-			c.spinPC = -1
+			saturated := c.cfg.BackoffLimit <= 0 || c.backoffCount > c.cfg.BackoffLimit
 			c.pc++
 			wait := c.backoffInterval()
+			if c.seenSpins {
+				c.spinWait(saturated, elapsed, wait)
+			} else {
+				c.spinPC = -1
+			}
 			c.stats.BackoffCycles += wait
 			c.flushExec(elapsed, &rep)
 			c.obs.Emit(trace.Event{Kind: trace.EvWait, Core: c.id, Cycle: c.k.Now() + elapsed,
@@ -493,8 +501,8 @@ func (c *Core) Complete(resp memtypes.Response) {
 	if resp.Stale {
 		c.stats.StaleResponses++
 	}
-	if !resp.Hit {
-		c.spinPC = -1 // a spin loop's loads all hit
+	if !resp.Hit && !c.seenSpins {
+		c.spinPC = -1 // a spin loop's loads all hit (a seen loop's port checks its every answer)
 	}
 	c.pc++
 	c.step()

@@ -29,8 +29,17 @@ func (c *Core) Digest(h *digest.Hash) {
 	h.Int(int(c.memRd))
 	h.Bool(c.memLoad)
 	h.U64(c.issuedAt)
-	h.Int(c.spinPC)
-	c.spin.digest(h)
+	if c.seenSpins {
+		// Whether and when a seen loop parks cannot show in a machine
+		// digest, which wakes the loop and counts its passed events, so
+		// the detector folds as the idle one.
+		var idle spinLoop
+		h.Int(-1)
+		idle.digest(h)
+	} else {
+		h.Int(c.spinPC)
+		c.spin.digest(h)
+	}
 	c.stats.Digest(h)
 }
 
@@ -50,8 +59,8 @@ func (s *spinLoop) digest(h *digest.Hash) {
 		h.U64(s.ghost.Passed())
 		h.U64(s.settled)
 		h.U64(s.start)
-		h.U64(s.exec)
-		h.U64(s.lat)
+		h.U64(s.exec())
+		h.U64(s.lat())
 		h.U64(s.instrs)
 	}
 }

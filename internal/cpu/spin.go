@@ -6,50 +6,122 @@ import (
 	"repro/internal/trace"
 )
 
-// Spin parking. A pure spin loop reaches the same Ld again with an
+// Spin parking. A pure spin loop reaches the same read again with an
 // identical register file, having run only side-effect-free ALU and
-// branch ops in between, and its loads hit. On a SpinPort (the MESI L1)
-// nothing can change such a loop until a message is sent to the L1, so
-// the core parks it: instead of scheduling the loop's issue and response
-// events it hands them to the kernel as a ghost (sim.Ghost), which keeps
-// their place in the event order without queueing or running them.
-// Settle applies the passed events' effects in bulk whenever the core's
-// state is read; Wake, which the port calls before a message to it is
-// scheduled, settles and schedules the pending event where it would have
-// been. Stats come out exactly as if every iteration had run.
+// branch ops in between, and at most one back-off wait whose interval no
+// longer grows. On a SpinPort (the MESI L1, or the VIPS L1 for an
+// ld_through of a line homed on its own tile) nothing can change such a
+// loop until a message is sent to the port, so the core parks it:
+// instead of scheduling the loop's events — its issue, the port's
+// events up to the response, and the step after the wait — it hands
+// them to the kernel as a ghost (sim.Ghost), which keeps their place in
+// the event order without queueing or running them. Settle applies the
+// passed events' effects in bulk whenever the core's state is read;
+// Wake, which the port calls before a message to it is scheduled,
+// settles and schedules the pending event where it would have been.
+// Stats come out exactly as if every iteration had run.
+//
+// The ghost's phases are: 0 the issue, 1 to ports the port's events
+// (phase ports is the response, whose event runs Complete and the loop
+// body up to the wait or the next issue), and, for a loop with a wait,
+// phase ports+1 the step the wait schedules.
 
 // spinLoop is the cold part of a core's spin-loop detector (the hot
 // part, Core.spinPC, is touched on every memory op) and its park record.
 type spinLoop struct {
-	// instr is Instructions at the issue of the Ld at Core.spinPC, regs
-	// the register file then (valid when seen).
+	// instr is Instructions at the issue of the last memory op, regs
+	// the register file at the last issue of the read at Core.spinPC
+	// (valid when seen).
 	instr uint64
 	seen  bool
 	regs  [isa.NumRegs]uint64
 
-	// The park record. ghost carries the loop's events, which alternate
-	// the load's issue and its response: event i is the issue of
-	// iteration i/2 when i is even, its response when odd. settled counts
-	// the events applied so far. Every iteration retires instrs
-	// instructions in exec cycles before the load, which hits after lat
-	// cycles; the first issue is at cycle start.
+	// waited records a back-off wait on the path since the last issue:
+	// its interval wait, resume the cycles from the response to the step
+	// it schedules, resumePC where that step starts, and waitInstrs the
+	// instructions retired from the issue through the wait. They decide
+	// only whether and how the loop parks, which changes no result.
+	//cbvet:ephemeral decides only how a loop parks; a woken loop sets it as the simulated one had it
+	waited bool
+	//cbvet:ephemeral constant of a periodic loop; decides only how it parks
+	wait uint64
+	//cbvet:ephemeral constant of a periodic loop; decides only how it parks
+	resume uint64
+	//cbvet:ephemeral constant of a periodic loop; decides only how it parks
+	resumePC int
+	//cbvet:ephemeral constant of a periodic loop; decides only how it parks
+	waitInstrs uint64
+
+	// The park record. ghost carries the loop's events, k of them per
+	// iteration with the delays cyc (phases as above); event i has phase
+	// i%k and fires at start + i/k*period + off[i%k]. settled counts the
+	// events applied so far. Every iteration retires instrs
+	// instructions; a loop with a wait (hasWait) retires waitInstrs of
+	// them in its response event and the rest in its step.
 	parked  bool
 	ghost   sim.Ghost
 	settled uint64
 	start   uint64
-	exec    uint64
-	lat     uint64
 	instrs  uint64
+	//cbvet:ephemeral the loop's shape, folded through exec and lat
+	period uint64
+	//cbvet:ephemeral the loop's shape, folded through exec and lat
+	k uint64
+	//cbvet:ephemeral the loop's shape, folded through exec and lat
+	ports uint64
+	//cbvet:ephemeral the loop's shape, folded through exec and lat
+	hasWait bool
+	//cbvet:ephemeral the loop's shape, folded through exec and lat
+	cyc [sim.MaxGhostPhases]uint64
+	//cbvet:ephemeral prefix sums of cyc
+	off [sim.MaxGhostPhases]uint64
+	// ghosted counts the events the kernel passed for the loops of a
+	// port whose spins are seen (memtypes.SpinPort.SeenSpins) over the
+	// core's lifetime. A machine digest wakes such loops and folds the
+	// executed events plus ghosted, so it reads the same whether a loop
+	// was parked.
+	//cbvet:ephemeral folded into the machine digest's event count instead
+	ghosted uint64
+}
+
+// at is the cycle of the parked loop's event i.
+func (s *spinLoop) at(i uint64) uint64 {
+	return s.start + i/s.k*s.period + s.off[i%s.k]
+}
+
+// lat is the parked loop's cycles from an issue to its response.
+func (s *spinLoop) lat() uint64 { return s.off[s.ports] }
+
+// exec is the parked loop's cycles from a response to the next issue.
+func (s *spinLoop) exec() uint64 { return s.period - s.lat() }
+
+// spinWait runs the detector at a back-off wait retiring elapsed cycles
+// of the batch and then waiting wait cycles: a loop accepts one wait
+// whose interval no longer grows (saturated) with the register file it
+// had at its read's last issue.
+func (c *Core) spinWait(saturated bool, elapsed, wait uint64) {
+	s := &c.spin
+	if c.spinPC < 0 {
+		return
+	}
+	if s.waited || !saturated || (s.seen && s.regs != c.regs) {
+		c.spinPC = -1
+		return
+	}
+	s.waited, s.wait, s.resume, s.resumePC = true, wait, elapsed+wait, c.pc
+	s.waitInstrs = c.stats.Instructions - s.instr
 }
 
 // spinPark runs the detector at the issue of in, elapsed cycles from
-// now, and parks the core when in closes a pure spin loop whose load
-// the port reports as a hit with nothing in flight to it.
+// now, and parks the core when in closes a pure spin loop whose read
+// the port can answer the same way with nothing in flight to it.
 //
 //cbsim:hotpath
 func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
 	s := &c.spin
-	if in.Op != isa.Ld || elapsed == 0 {
+	waited := s.waited
+	s.waited = false
+	if (in.Op != isa.Ld && (in.Op != isa.LdT || !c.seenSpins)) || elapsed == 0 {
 		c.spinPC = -1
 		return false
 	}
@@ -63,27 +135,47 @@ func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
 		s.seen, s.regs = true, c.regs
 		return false
 	}
-	if elapsed > sim.MaxGhostDelay {
+	if elapsed > sim.MaxGhostDelay || (waited && s.resume > sim.MaxGhostDelay) {
 		return false // too long a loop body for a ghost
 	}
-	lat, ok := c.sp.Park(&c.req, c)
+	sh, ok := c.sp.Park(&c.req, c)
 	if !ok {
 		return false
 	}
-	s.parked, s.settled = true, 0
+	ports := uint64(sh.Events)
+	s.cyc = [sim.MaxGhostPhases]uint64{}
+	copy(s.cyc[:ports], sh.Delays[:ports])
+	s.k = ports + 1
+	if waited {
+		s.cyc[ports], s.cyc[ports+1] = s.resume, elapsed
+		s.k++
+	} else {
+		s.cyc[ports] = elapsed
+	}
+	s.period = 0
+	for p := uint64(0); p < s.k; p++ {
+		s.off[p] = s.period
+		s.period += s.cyc[p]
+	}
+	s.parked, s.settled, s.ports, s.hasWait = true, 0, ports, waited
 	s.start = c.k.Now() + elapsed
-	s.exec, s.lat, s.instrs = elapsed, lat, instrs
-	c.k.Haunt(&s.ghost, elapsed, sim.GhostCycle{Delays: [sim.MaxGhostPhases]uint64{lat, elapsed}, Len: 2})
+	s.instrs = instrs
+	c.k.Haunt(&s.ghost, elapsed, sim.GhostCycle{Delays: s.cyc, Len: int(s.k)})
 	return true
 }
 
-// spinKinds are the kinds a settled iteration emits from the core. Only
-// when one is wanted do parked loops settle event by event; otherwise
-// any attached observer leaves them settling in bulk.
+// spinKinds are the core's accounting kinds a settled iteration emits.
+// Only when one is wanted do parked loops settle event by event;
+// otherwise any attached observer leaves them settling in bulk.
 var spinKinds = trace.Of(trace.EvExec, trace.EvStallBegin, trace.EvStallEnd)
 
 // Parked reports whether the core is parked in a spin loop.
 func (c *Core) Parked() bool { return c.spin.parked }
+
+// Ghosted reports how many events the kernel has passed for the core's
+// seen loops (see memtypes.SpinPort.SeenSpins): they did not execute,
+// but the simulated loop would have fired them.
+func (c *Core) Ghosted() uint64 { return c.spin.ghosted }
 
 // Settle applies the effects of the parked loop's events the kernel has
 // passed since the last call: the core's and its port's counters, state
@@ -100,72 +192,121 @@ func (c *Core) Settle() {
 		return
 	}
 	s.settled = to
+	if c.seenSpins {
+		s.ghosted += to - from
+	}
 	if c.obs.Wants(spinKinds) {
 		for i := from; i < to; i++ {
 			c.spinEvent(i)
 		}
-		return
+	} else {
+		for p := uint64(0); p < s.k; p++ {
+			// The first event of phase p at or after from.
+			first := from + (p+s.k-from%s.k)%s.k
+			if first < to {
+				c.spinPhase(p, (to-1-first)/s.k+1, first)
+			}
+		}
 	}
-	// Even events are issues: iterations (from+1)/2 .. (to+1)/2-1.
-	first, end := (from+1)/2, (to+1)/2
-	if n := end - first; n > 0 {
-		period := s.exec + s.lat
-		c.sp.SpinHits(&c.req, n, s.start+first*period, period)
-		c.issuedAt = s.start + (end-1)*period
+	// The program counter and the detector's issue mark as the last
+	// passed event left them: a response runs the body up to the wait.
+	c.pc, s.instr = c.spinPC, c.stats.Instructions
+	if s.hasWait && (to-1)%s.k == s.ports {
+		c.pc, s.instr = s.resumePC, c.stats.Instructions-s.waitInstrs
 	}
-	c.spinRetire(to/2 - from/2)
 }
 
-// spinEvent applies event i of a parked loop, with the observer events
-// it emits when it fires: the load's issue (and the port's hit), or its
-// response and the next iteration's batch.
+// spinPhase applies n events of phase p of the parked loop, the first
+// being event first: the port's effects, and the core's counters for a
+// response or the step after a wait (with its back-off waits' events
+// when wanted).
+//
+//cbsim:hotpath
+func (c *Core) spinPhase(p, n, first uint64) {
+	s := &c.spin
+	at := s.at(first)
+	if p <= s.ports {
+		c.sp.SpinEvents(&c.req, int(p), n, at, s.period)
+	}
+	switch {
+	case p == 0:
+		c.issuedAt = at + (n-1)*s.period
+	case p == s.ports:
+		if s.lat() >= IdleGateThreshold {
+			c.stats.MemStallCycles += n * s.lat()
+		}
+		if !s.hasWait {
+			c.spinRetire(n, s.instrs)
+			return
+		}
+		c.stats.Instructions += n * s.waitInstrs
+		c.stats.BackoffCycles += n * s.wait
+		if c.obs.On(trace.EvWait) {
+			pre := s.resume - s.wait
+			for i := uint64(0); i < n; i++ {
+				c.obs.Emit(trace.Event{Kind: trace.EvWait, Core: c.id, Cycle: at + i*s.period + pre,
+					A: s.wait, B: uint64(c.curKind())})
+			}
+		}
+	case p == s.ports+1:
+		c.spinRetire(n, s.instrs-s.waitInstrs)
+	}
+}
+
+// spinEvent applies event i of a parked loop with the observer events
+// it emits when it fires: the read's issue (and the port's effects),
+// the port's events, the response and the batch after it, or the step
+// after the wait.
 //
 //cbsim:hotpath
 func (c *Core) spinEvent(i uint64) {
 	s := &c.spin
-	at := s.start + i/2*(s.exec+s.lat)
-	if i%2 == 1 {
-		at += s.lat
+	p, at := i%s.k, s.at(i)
+	switch {
+	case p == 0:
+		c.obs.Emit(trace.Event{Kind: trace.EvStallBegin, Core: c.id, Cycle: at,
+			A: uint64(c.req.SyncKind), B: uint64(stallCategory(c.req.Kind))})
+	case p == s.ports:
 		c.obs.Emit(trace.Event{Kind: trace.EvStallEnd, Core: c.id, Cycle: at})
-		c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: s.exec, B: uint64(c.curKind())})
-		c.spinRetire(1)
-		return
+		if pre := s.exec(); !s.hasWait {
+			c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: pre, B: uint64(c.curKind())})
+		} else if pre = s.resume - s.wait; pre > 0 {
+			c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: pre, B: uint64(c.curKind())})
+		}
+	case p == s.ports+1:
+		c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: s.cyc[p], B: uint64(c.curKind())})
 	}
-	c.issuedAt = at
-	c.obs.Emit(trace.Event{Kind: trace.EvStallBegin, Core: c.id, Cycle: at,
-		A: uint64(c.req.SyncKind), B: uint64(stallCategory(c.req.Kind))})
-	c.sp.SpinHits(&c.req, 1, at, s.exec+s.lat)
+	c.spinPhase(p, 1, i)
 }
 
-// spinRetire books n responses of the parked loop's load, each followed
-// by the batch that re-issues it: the register file and PC come back
-// unchanged, so only counters, the request serial and the detector's
-// instruction mark move.
+// spinRetire books n batches of the parked loop that end in the read's
+// re-issue, each retiring instrs instructions: the register file comes
+// back unchanged, so only counters and the request serial move.
 //
 //cbsim:hotpath
-func (c *Core) spinRetire(n uint64) {
-	s := &c.spin
-	if s.lat >= IdleGateThreshold {
-		c.stats.MemStallCycles += n * s.lat
-	}
-	c.stats.Instructions += n * s.instrs
+func (c *Core) spinRetire(n, instrs uint64) {
+	c.stats.Instructions += n * instrs
 	c.stats.MemOps += n
 	c.req.Serial = c.stats.MemOps
-	s.instr = c.stats.Instructions
 }
 
 // Wake implements memtypes.Spinner: a message is being sent to the
-// port, so the loop resumes as scheduled events. The passed events are
-// settled, and the pending one is scheduled in the ghost's place.
+// port, or the loop is to be observed, so it resumes as scheduled
+// events. The passed events are settled, and the pending one is
+// scheduled in the ghost's place.
 //
 //cbsim:hotpath
 func (c *Core) Wake() {
 	c.Settle()
 	s := &c.spin
 	s.parked = false
-	if s.settled%2 == 1 { // the pending event is a response
-		c.sp.SpinRespond(&c.req, c, &s.ghost)
-		return
+	switch p := s.settled % s.k; {
+	case p == 0:
+		c.k.WakeGhost(&s.ghost, c, nil, stageIssue)
+	case p <= s.ports:
+		c.sp.SpinResume(&c.req, int(p), c, &s.ghost)
+	default: // the step after the wait, which the response's body recorded
+		s.waited = true
+		c.k.WakeGhost(&s.ghost, c, nil, stageStep)
 	}
-	c.k.WakeGhost(&s.ghost, c, nil, stageIssue)
 }

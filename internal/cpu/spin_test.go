@@ -10,8 +10,8 @@ import (
 )
 
 // hitPort is a SpinPort whose reads always hit after lat cycles and may
-// always park; it records the n of every SpinHits call. No message ever
-// reaches it, so a parked core is never woken.
+// always park; it records the n of every issue-phase SpinEvents call. No
+// message ever reaches it, so a parked core is never woken.
 type hitPort struct {
 	k     *sim.Kernel
 	lat   uint64
@@ -22,19 +22,25 @@ func (p *hitPort) Access(req *memtypes.Request, done memtypes.Completer) {
 	p.k.ScheduleActor(p.lat, call(func() { done.Complete(memtypes.Response{Hit: true}) }), nil, 0)
 }
 
-func (p *hitPort) Park(req *memtypes.Request, _ memtypes.Spinner) (uint64, bool) {
-	return p.lat, req.Kind == memtypes.OpRead
+func (p *hitPort) Park(req *memtypes.Request, _ memtypes.Spinner) (memtypes.SpinShape, bool) {
+	return memtypes.SpinShape{Delays: [6]uint64{p.lat}, Events: 1}, req.Kind == memtypes.OpRead
 }
 
-func (p *hitPort) SpinHits(_ *memtypes.Request, n, _, _ uint64) { p.spins = append(p.spins, n) }
+func (p *hitPort) SpinEvents(_ *memtypes.Request, phase int, n, _, _ uint64) {
+	if phase == 0 {
+		p.spins = append(p.spins, n)
+	}
+}
 
-func (p *hitPort) SpinRespond(*memtypes.Request, memtypes.Completer, *sim.Ghost) {
+func (p *hitPort) SeenSpins() bool { return false }
+
+func (p *hitPort) SpinResume(*memtypes.Request, int, memtypes.Completer, *sim.Ghost) {
 	panic("hitPort: a parked core was woken")
 }
 
 // spinSettle runs a core spinning forever on one flag for 2000 cycles
-// with an observer wanting kinds, settles it, and returns the SpinHits
-// calls and the events the observer saw.
+// with an observer wanting kinds, settles it, and returns the
+// issue-phase SpinEvents calls and the events the observer saw.
 func spinSettle(t *testing.T, kinds trace.Mask) (spins []uint64, events int) {
 	t.Helper()
 	k := sim.New()
@@ -53,7 +59,7 @@ func spinSettle(t *testing.T, kinds trace.Mask) (spins []uint64, events int) {
 	return p.spins, events
 }
 
-// A parked loop settles its skipped hits in one SpinHits call unless an
+// A parked loop settles its skipped hits in one SpinEvents call unless an
 // accounting kind a settled iteration emits is wanted: an observer of
 // other kinds (a metrics collector, a trace) keeps bulk settling, and an
 // accounting one gets every iteration's events.
@@ -71,11 +77,11 @@ func TestSpinSettlesInBulkUnlessAccountingWanted(t *testing.T) {
 		spins, events := spinSettle(t, tc.kinds)
 		if tc.perEvent {
 			if len(spins) < 100 {
-				t.Errorf("%s: %d SpinHits calls, want one per skipped iteration", tc.name, len(spins))
+				t.Errorf("%s: %d SpinEvents calls, want one per skipped iteration", tc.name, len(spins))
 			}
 			for _, n := range spins {
 				if n != 1 {
-					t.Fatalf("%s: SpinHits(%d), want 1 per call", tc.name, n)
+					t.Fatalf("%s: SpinEvents(%d), want 1 per call", tc.name, n)
 				}
 			}
 			if events < len(spins) {
@@ -84,7 +90,7 @@ func TestSpinSettlesInBulkUnlessAccountingWanted(t *testing.T) {
 			continue
 		}
 		if len(spins) != 1 || spins[0] < 100 {
-			t.Errorf("%s: SpinHits calls %v, want one bulk call", tc.name, spins)
+			t.Errorf("%s: SpinEvents calls %v, want one bulk call", tc.name, spins)
 		}
 	}
 }

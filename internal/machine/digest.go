@@ -22,6 +22,12 @@ import (
 //     fired event's cycle, which two otherwise-identical runs can reach
 //     through different empty-cycle gaps. Scheduled and executed event
 //     counts are included instead.
+//   - Whether a back-off spin on a core's own bank is parked. Such a loop
+//     stays parked only while no trace sees its events (see
+//     memtypes.SpinShape), so a traced replay window runs it simulated
+//     where its recording had it parked. A full digest therefore wakes
+//     those loops first and counts the events the kernel passed for them
+//     as executed.
 //   - Chaos-engine internals (PRNG position, fault counters, FIFO
 //     floors). A chaos run digest-diverges from its fault-free twin at
 //     the first fault that perturbs machine state — not at the first
@@ -93,9 +99,16 @@ func (m *Machine) ComponentDigests(scope DigestScope) []ComponentDigest {
 		return out
 	}
 
+	for _, t := range m.vipsTiles {
+		t.L1.WakeSpinner()
+	}
 	add("kernel", func(h *digest.Hash) {
 		h.U64(m.K.Scheduled())
-		h.U64(m.K.Executed())
+		executed := m.K.Executed()
+		for _, c := range m.Cores {
+			executed += c.Ghosted()
+		}
+		h.U64(executed)
 	})
 	add("run", func(h *digest.Hash) {
 		h.Int(m.loaded)

@@ -267,10 +267,8 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 			if cfg.Protocol == ProtocolQueueLock {
 				vcfg.Mode = vips.ModeQueueLock
 			}
-			tile := &vips.Tile{
-				L1:   vips.NewL1(k, id, m.Mesh, bankOf),
-				Bank: vips.NewBank(k, id, m.Mesh, m.Store, cfg.Cores, vcfg),
-			}
+			tile := vips.NewTile(vips.NewL1(k, id, m.Mesh, bankOf),
+				vips.NewBank(k, id, m.Mesh, m.Store, cfg.Cores, vcfg))
 			if m.chaos != nil {
 				tile.Bank.SetChaos(m.chaos)
 			}

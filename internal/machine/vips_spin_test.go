@@ -168,6 +168,9 @@ func spinWakeRun(t *testing.T, m *Machine, collect bool) []byte {
 		m.AttachTrace(trace.NewMetricsCollector(sm))
 	}
 	out := spinRunStats(t, m)
+	if m.Cores[0].Ghosted() == 0 {
+		t.Fatal("the spinner never parked")
+	}
 	if collect {
 		out = fmt.Appendf(out, " spin.wait count=%d sum=%g", sm.SpinWait.Count(), sm.SpinWait.Sum())
 	}

@@ -138,5 +138,20 @@ func (b *Bank) Access(addr memtypes.Addr, needData bool, syncKind uint8) uint64 
 	return lat
 }
 
-// Present reports whether addr's line is resident (for tests).
+// CreditHits accounts n accesses of addr's resident line at once: the
+// counters, the LRU clock and the line's stamp end exactly as after n
+// Access calls that hit.
+func (b *Bank) CreditHits(addr memtypes.Addr, n uint64, needData bool, syncKind uint8) {
+	b.stats.Accesses += n
+	if syncKind != 0 {
+		b.stats.SyncAccesses += n
+		b.stats.SyncByKind[syncKind%memtypes.NumSyncKinds] += n
+	}
+	if needData {
+		b.stats.DataAccesses += n
+	}
+	b.arr.CreditHits(addr, n)
+}
+
+// Present reports whether addr's line is resident.
 func (b *Bank) Present(addr memtypes.Addr) bool { return b.arr.Peek(addr) != nil }

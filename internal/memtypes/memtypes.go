@@ -308,28 +308,54 @@ type Port interface {
 
 // Spinner is a core parked in a pure spin loop on a SpinPort.
 type Spinner interface {
-	// Wake tells the core that a message is being sent to its port. The
-	// port calls it before anything is scheduled for the message, so the
-	// core can settle the iterations it skipped and schedule its pending
-	// event where it would have been.
+	// Wake tells the core that its loop must resume as scheduled events:
+	// a message is being sent to its port, or the loop's events are to
+	// be observed. The port calls it before anything is scheduled for
+	// the message, so the core can settle the iterations it skipped and
+	// schedule its pending event where it would have been.
 	Wake()
 }
 
+// SpinShape is the port's part of one iteration of a parked spin loop:
+// the events from the core's issue of the read to the response that
+// completes it.
+type SpinShape struct {
+	// Delays[i] is the delay from the loop's port-side event i to event
+	// i+1, where event 0 is the core's issue and event Events is the
+	// response, which runs the core's Complete.
+	Delays [6]uint64
+	Events int
+}
+
 // SpinPort is a Port on which a core may park a pure spin loop: a loop
-// whose every iteration is the same read hit, which cannot change until
-// a message reaches the port. While the core is parked it schedules
-// nothing; the port credits the skipped hits when asked and wakes the
+// whose every iteration issues the same read, answered with the same
+// value after the same events, which cannot change until a message
+// reaches the port. While the core is parked it schedules nothing; the
+// port applies the skipped iterations' effects when asked and wakes the
 // core before any message is sent to it.
 type SpinPort interface {
 	Port
-	// Park reports whether req, a read, would hit now with no message
-	// in flight to the port, and returns the hit latency. On true the
-	// port holds s and calls s.Wake before the next message sent to it.
-	Park(req *Request, s Spinner) (latency uint64, ok bool)
-	// SpinHits credits n skipped hits of req, the first issued at cycle
-	// first and each next one period cycles later.
-	SpinHits(req *Request, n, first, period uint64)
-	// SpinRespond schedules, in place of g's pending event, the
-	// response to the skipped hit of req issued one hit latency earlier.
-	SpinRespond(req *Request, done Completer, g *sim.Ghost)
+	// Park reports whether req, a read answered last time with the value
+	// the port holds now, would be answered the same way, after the same
+	// events, on every iteration until a message is sent to the port,
+	// with nothing in flight to it. On true it returns the iteration's
+	// shape, holds s and calls s.Wake before the next message sent to
+	// the port.
+	Park(req *Request, s Spinner) (SpinShape, bool)
+	// SpinEvents applies the effects of n skipped port-side events of
+	// phase p of req's loop (0 the issue, i the port's event i), the
+	// first at cycle first and each next one period cycles later.
+	SpinEvents(req *Request, p int, n, first, period uint64)
+	// SpinResume schedules, in place of g's pending event, the port-side
+	// event p (1 to Events) of req's skipped iteration, rebuilding the
+	// state the events before it left; done is the core the response
+	// completes.
+	SpinResume(req *Request, p int, done Completer, g *sim.Ghost)
+	// SeenSpins reports whether the loops the port parks are seen: a
+	// trace would have to see their skipped events in order beside the
+	// other tiles' (messages, not just the core's own accounting). Such
+	// a loop is a back-off loop of ld_through, parks only while nothing
+	// observes its events, and reads as the simulated loop to a machine
+	// digest, which wakes it and counts its passed events.
+	SeenSpins() bool
 }

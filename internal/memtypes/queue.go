@@ -34,6 +34,9 @@ func (lq *LineQueues) Push(line Addr, msg *Message) {
 	lq.q[line] = append(q, msg)
 }
 
+// Empty reports whether no message is queued on any line.
+func (lq *LineQueues) Empty() bool { return len(lq.q) == 0 }
+
 // Pop removes and returns the oldest message queued on line, or nil when
 // the queue is empty.
 //

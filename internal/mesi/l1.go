@@ -373,23 +373,32 @@ func (l *L1) incoming() {
 
 // Park implements memtypes.SpinPort: a read of a resident line, with no
 // message on its way to the L1, hits now and keeps hitting until a
-// message is sent here.
+// message is sent here. Its one port-side event is the response, a hit
+// latency after the issue.
 //
 //cbsim:hotpath
-func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (uint64, bool) {
+func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (memtypes.SpinShape, bool) {
 	if req.Kind != memtypes.OpRead || l.inbound != 0 || l.arr.Peek(req.Addr) == nil {
-		return 0, false
+		return memtypes.SpinShape{}, false
 	}
 	l.spinner = s
-	return mem.DefaultL1Latency, true
+	return memtypes.SpinShape{Delays: [6]uint64{mem.DefaultL1Latency}, Events: 1}, true
 }
 
-// SpinHits implements memtypes.SpinPort: it books n read hits of req's
-// line exactly as n Access calls would, cycle-accounting spans
-// included.
+// SeenSpins implements memtypes.SpinPort: a parked hit loop emits only
+// the core's accounting events, which Settle replays in order.
+func (l *L1) SeenSpins() bool { return false }
+
+// SpinEvents implements memtypes.SpinPort: it books n issues (phase 0)
+// of req as n read hits of its line, exactly as n Access calls would,
+// cycle-accounting spans included. The response (phase 1) has no
+// effect on the L1.
 //
 //cbsim:hotpath
-func (l *L1) SpinHits(req *memtypes.Request, n, first, period uint64) {
+func (l *L1) SpinEvents(req *memtypes.Request, p int, n, first, period uint64) {
+	if p != 0 {
+		return
+	}
 	l.stats.Accesses += n
 	l.stats.Hits += n
 	l.arr.CreditHits(req.Addr, n)
@@ -401,12 +410,12 @@ func (l *L1) SpinHits(req *memtypes.Request, n, first, period uint64) {
 	}
 }
 
-// SpinRespond implements memtypes.SpinPort: it schedules, in place of
-// g's pending event, the response to the read hit of req a woken spinner
-// issued one hit latency earlier, as finish would have.
+// SpinResume implements memtypes.SpinPort: it schedules, in place of g's
+// pending event, the response (p is 1) to the read hit of req a woken
+// spinner issued one hit latency earlier, as finish would have.
 //
 //cbsim:hotpath
-func (l *L1) SpinRespond(req *memtypes.Request, done memtypes.Completer, g *sim.Ghost) {
+func (l *L1) SpinResume(req *memtypes.Request, _ int, done memtypes.Completer, g *sim.Ghost) {
 	if l.respTo != nil {
 		panic(fmt.Sprintf("mesi: core %d woke while a response is in flight", l.id))
 	}

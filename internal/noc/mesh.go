@@ -231,6 +231,12 @@ func (m *Mesh) Stats() Stats { return m.stats }
 // message.
 func (m *Mesh) SetObserver(fn func(trace.Event), kinds trace.Mask) { m.obs.Set(fn, kinds) }
 
+// Observes reports whether the mesh's observer wants any kind of k.
+func (m *Mesh) Observes(k trace.Mask) bool { return m.obs.Wants(k) }
+
+// LocalLatency reports the cycles a message to its own node takes.
+func (m *Mesh) LocalLatency() uint64 { return m.localLat }
+
 // ResetStats zeroes the traffic counters (used to scope measurement to a
 // parallel section).
 func (m *Mesh) ResetStats() {

@@ -73,6 +73,22 @@ type L1 struct {
 	// guaranteeing release-to-acquire visibility.
 	wtOutstanding int
 
+	// Spin parking (see Park). bank is the tile's bank controller;
+	// inbound counts the messages sent to the tile and not yet
+	// delivered; lastRacy is the value of the last racy response;
+	// spinner is the core parked in a back-off spin on the bank, woken
+	// when the next message is sent to the tile. A digest wakes the
+	// spinner first, and the rest decides only whether a spin parks,
+	// which changes no result.
+	//cbvet:ephemeral wiring: the tile's bank, installed by NewTile
+	bank *Bank
+	//cbvet:ephemeral decides only whether a spin parks
+	inbound int
+	//cbvet:ephemeral decides only whether a spin parks
+	lastRacy uint64
+	//cbvet:ephemeral nil whenever a digest is taken: the machine wakes the spinner first
+	spinner memtypes.Spinner
+
 	// obs receives cycle-accounting legs of the core's in-flight
 	// operation (observational only).
 	obs trace.Hook
@@ -88,8 +104,15 @@ func NewL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, bankOf func(memtyp
 	}
 }
 
-// SetObserver installs the hook the L1 emits the given kinds to.
-func (l *L1) SetObserver(fn func(trace.Event), kinds trace.Mask) { l.obs.Set(fn, kinds) }
+// SetObserver installs the hook the L1 emits the given kinds to. A spin
+// parked on the tile's bank resumes as scheduled events when a kind its
+// iterations emit is wanted (see Park).
+func (l *L1) SetObserver(fn func(trace.Event), kinds trace.Mask) {
+	l.obs.Set(fn, kinds)
+	if l.obs.Wants(spinSeenKinds) {
+		l.WakeSpinner()
+	}
+}
 
 // Stats returns the L1 counters.
 func (l *L1) Stats() L1Stats { return l.stats }
@@ -289,8 +312,16 @@ func (l *L1) handleWTAck(msg *memtypes.Message) {
 //
 //cbsim:hotpath
 func (l *L1) issueRacy() {
-	req := l.pending.req
 	l.stats.RacyOps++
+	l.mesh.Send(l.racyMessage(l.pending.req))
+	l.obs.Open(l.id, l.k.Now(), uint64(cycles.CatNoC))
+}
+
+// racyMessage builds the message carrying racy operation req to its
+// bank.
+//
+//cbsim:hotpath
+func (l *L1) racyMessage(req *memtypes.Request) *memtypes.Message {
 	class := memtypes.ClassControl
 	switch req.Kind {
 	case memtypes.OpWriteThrough, memtypes.OpWriteCB1, memtypes.OpWriteCB0, memtypes.OpRMW:
@@ -301,8 +332,7 @@ func (l *L1) issueRacy() {
 		Src: l.id, Dst: l.bankOf(req.Addr), Kind: MsgRacy,
 		Class: class, Addr: req.Addr, Core: l.id, Req: req,
 	}
-	l.mesh.Send(msg)
-	l.obs.Open(l.id, l.k.Now(), uint64(cycles.CatNoC))
+	return msg
 }
 
 // handleRacyResp completes the outstanding racy operation. The core
@@ -333,8 +363,122 @@ func (l *L1) handleRacyResp(msg *memtypes.Message) {
 		}
 	}
 	resp := memtypes.Response{Value: msg.Value, Stale: msg.Stale}
+	l.lastRacy = msg.Value
 	l.mesh.Free(msg)
 	l.respond(0, resp)
+}
+
+// Spin parking. A back-off loop of ld_through on a line homed on the
+// core's own tile never touches the mesh: each iteration is the issue,
+// the request's delivery to the bank one cycle later, the bank's load an
+// LLC hit later, the response's delivery one cycle after that, and the
+// L1's response in the same cycle. While the bank is idle and no message
+// is on its way to the tile, nothing can change the line's value, so
+// every iteration answers as the last did and the core may park the
+// loop. The first message sent to the tile wakes it.
+
+// spinSeenKinds are the kinds an own-bank spin iteration emits, but for
+// the back-off wait, which the core settles in bulk. While one is
+// wanted the loop stays simulated.
+var spinSeenKinds = trace.Of(trace.EvExec, trace.EvStallBegin, trace.EvStallEnd,
+	trace.EvOpen, trace.EvClose, trace.EvSpan, trace.EvNoCSend, trace.EvNoCDeliver)
+
+// Park implements memtypes.SpinPort: an ld_through of a line homed on
+// this tile parks when its value is the one the last racy response
+// carried, its line is resident in the LLC (so the load hits), no
+// message is in flight to the tile, the bank holds no line lock and
+// queues nothing, it has neither a callback directory nor fault
+// injection, and no observer wants the iteration's events.
+//
+//cbsim:hotpath
+func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (memtypes.SpinShape, bool) {
+	b := l.bank
+	if req.Kind != memtypes.OpReadThrough || b == nil || l.inbound != 0 ||
+		b.cbdir != nil || b.chaos != nil || len(b.busy) != 0 || !b.deferq.Empty() ||
+		l.obs.Wants(spinSeenKinds) || b.obs.Wants(spinSeenKinds) || l.mesh.Observes(spinSeenKinds) ||
+		l.bankOf(req.Addr) != l.id || b.store.Load(req.Addr) != l.lastRacy || !b.data.Present(req.Addr) {
+		return memtypes.SpinShape{}, false
+	}
+	l.spinner = s
+	hop := l.mesh.LocalLatency()
+	return memtypes.SpinShape{Delays: [6]uint64{hop, b.data.DataLatency, hop, 0}, Events: 4}, true
+}
+
+// SeenSpins implements memtypes.SpinPort: an own-bank iteration sends
+// messages, which a trace shows beside the other tiles'.
+func (l *L1) SeenSpins() bool { return true }
+
+// Spin phases of an own-bank ld_through (see Park).
+const (
+	spinIssue   = iota // the core's issue: the L1 forwards the request
+	spinRacy           // its delivery: the bank locks the line and reads the LLC
+	spinLoad           // the bank's load: it responds and unlocks the line
+	spinResp           // the response's delivery at the L1
+	spinRespond        // the L1's response to the core
+)
+
+// SpinEvents implements memtypes.SpinPort: it books n skipped events of
+// phase p, exactly as the events would have: the L1's racy operations at
+// the issue, and at the request's delivery the bank's racy reads and LLC
+// hits (counters, LRU clock and stamp).
+//
+//cbsim:hotpath
+func (l *L1) SpinEvents(req *memtypes.Request, p int, n, _, _ uint64) {
+	switch p {
+	case spinIssue:
+		l.stats.RacyOps += n
+	case spinRacy:
+		l.bank.stats.RacyReads += n
+		l.bank.data.CreditHits(req.Addr, n, true, reqSyncKind(req))
+	}
+}
+
+// SpinResume implements memtypes.SpinPort: it schedules, in place of g's
+// pending event, event p of the skipped iteration, rebuilding what the
+// events before it left: the L1's pending operation, the request or
+// response message in flight, or the bank's line lock.
+//
+//cbsim:hotpath
+func (l *L1) SpinResume(req *memtypes.Request, p int, done memtypes.Completer, g *sim.Ghost) {
+	b := l.bank
+	if p != spinRespond {
+		l.pending = pendingOp{req: req, done: done}
+	}
+	switch p {
+	case spinRacy:
+		l.inbound++
+		l.k.WakeGhost(g, l.mesh, l.racyMessage(req), uint64(l.id))
+	case spinLoad:
+		b.busy[req.Addr.Line()] = true
+		l.k.WakeGhost(g, b, l.racyMessage(req), stageLoad)
+	case spinResp:
+		resp := l.mesh.NewMessage()
+		*resp = memtypes.Message{
+			Src: l.id, Dst: l.id, Kind: MsgRacyResp,
+			Class: memtypes.ClassWordData, Addr: req.Addr,
+			Core: l.id, Value: b.store.Load(req.Addr), Req: req,
+			Serial: req.Serial,
+		}
+		l.inbound++
+		l.k.WakeGhost(g, l.mesh, resp, uint64(l.id))
+	case spinRespond:
+		l.resp, l.respTo = memtypes.Response{Value: b.store.Load(req.Addr)}, done
+		l.k.WakeGhost(g, l, nil, 0)
+	default:
+		panic(fmt.Sprintf("vips: core %d resumed a spin at phase %d", l.id, p))
+	}
+}
+
+// WakeSpinner resumes a core parked in a spin on the tile's bank as
+// scheduled events, exactly where its loop stands: a machine digest
+// wakes it so that it reads the same whether the loop was parked.
+//
+//cbsim:hotpath
+func (l *L1) WakeSpinner() {
+	if s := l.spinner; s != nil {
+		l.spinner = nil
+		s.Wake()
+	}
 }
 
 // Deliver routes bank-to-L1 messages.

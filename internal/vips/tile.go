@@ -11,12 +11,31 @@ type Tile struct {
 	Bank *Bank
 }
 
+// NewTile bundles l1 and bank, the L1 and bank controller of one node,
+// and lets the L1 see its bank: a back-off spin on a line homed on the
+// tile parks only while the bank is idle (see L1.Park).
+func NewTile(l1 *L1, bank *Bank) *Tile {
+	l1.bank = bank
+	return &Tile{L1: l1, Bank: bank}
+}
+
 // Deliver implements noc.Handler.
 func (t *Tile) Deliver(msg *memtypes.Message) {
+	t.L1.inbound--
 	switch msg.Kind {
 	case MsgGetLine, MsgWTLine, MsgRacy:
 		t.Bank.Deliver(msg)
 	default:
 		t.L1.Deliver(msg)
 	}
+}
+
+// Incoming implements noc.Incomer: the tile counts the messages in
+// flight to it, and the first one sent wakes a core parked in a spin on
+// its bank before anything is scheduled for the message.
+//
+//cbsim:hotpath
+func (t *Tile) Incoming(*memtypes.Message) {
+	t.L1.inbound++
+	t.L1.WakeSpinner()
 }
