@@ -32,6 +32,8 @@ func ratioPairs() map[string]benchPerf {
 
 		"mesi_spin_cell":          {NsPerOp: 1e6},
 		"mesi_spin_cell_observed": {NsPerOp: 1.1e6},
+		"vips_spin_cell":          {NsPerOp: 1e6},
+		"vips_spin_cell_observed": {NsPerOp: 1.1e6},
 	}
 }
 
@@ -177,6 +179,40 @@ func TestGateObservedSpinRatio(t *testing.T) {
 	}
 	if len(failures) != 1 || !strings.Contains(failures[0], "overhead 1.50x, want <= 1.2x") {
 		t.Fatalf("failures = %q, want one observed-spin ratio failure", failures)
+	}
+}
+
+// The observed VIPS back-off cell is held to the same 1.2x: parked
+// own-bank loops settle their back-off waits in bulk for a metrics
+// collector instead of waking for it.
+func TestGateObservedVIPSSpinRatio(t *testing.T) {
+	dir := t.TempDir()
+	base := snapshot{Benchmarks: ratioPairs()}
+	pr := snapshot{Benchmarks: ratioPairs()}
+	pr.Benchmarks["vips_spin_cell_observed"] = benchPerf{NsPerOp: 1.3e6}
+	delete(pr.Benchmarks, "mesi_spin_cell_observed")
+	failures, err := gate(
+		writeSnapshot(t, dir, "base.json", base),
+		writeSnapshot(t, dir, "pr.json", pr), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := []string{
+		"observed vips_spin_cell: 1.30 ms/run vs 1.00 ms plain — overhead 1.30x, want <= 1.2x",
+		"mesi_spin_cell/mesi_spin_cell_observed missing from PR snapshot",
+		"mesi_spin_cell_observed: present in baseline but missing",
+	}
+	if len(failures) != len(wants) {
+		t.Fatalf("failures = %q, want %d", failures, len(wants))
+	}
+	for _, want := range wants {
+		found := false
+		for _, f := range failures {
+			found = found || strings.Contains(f, want)
+		}
+		if !found {
+			t.Errorf("failures missing %q:\n%s", want, strings.Join(failures, "\n"))
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/synclib"
 	"repro/internal/trace"
@@ -253,8 +254,7 @@ func run(out string, cores int, benches []string) error {
 	if err != nil {
 		return err
 	}
-	spinSrc := experiments.BenchmarkSource(spinP, inv, workload.StyleNaive, experiments.Options{Cores: 16})
-	spinCell := func(observe func(*machine.Machine)) benchPerf {
+	spinCell := func(spinSrc replay.Source, observe func(*machine.Machine)) benchPerf {
 		var events uint64
 		r := record(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -273,15 +273,26 @@ func run(out string, cores int, benches []string) error {
 		r.EventsPerOp = events
 		return r
 	}
-	snap.Benchmarks["mesi_spin_cell"] = spinCell(func(*machine.Machine) {})
+	mesiSrc := experiments.BenchmarkSource(spinP, inv, workload.StyleNaive, experiments.Options{Cores: 16})
+	snap.Benchmarks["mesi_spin_cell"] = spinCell(mesiSrc, func(*machine.Machine) {})
 	// The same cell with a metrics collector attached, as cbsimd runs
 	// every fresh cell: the gate pins its events and allocations and
 	// bounds its time against the plain cell, so observing neither
 	// formats per message nor forces parked loops to settle per event.
 	sm := obs.NewSimMetrics(obs.NewRegistry())
-	snap.Benchmarks["mesi_spin_cell_observed"] = spinCell(func(m *machine.Machine) {
-		m.AttachTrace(trace.NewMetricsCollector(sm))
-	})
+	collect := func(m *machine.Machine) { m.AttachTrace(trace.NewMetricsCollector(sm)) }
+	snap.Benchmarks["mesi_spin_cell_observed"] = spinCell(mesiSrc, collect)
+	// A whole BackOff-0 cell whose back-off spins mostly read flags
+	// homed on the spinner's own bank: its event count pins the parking
+	// of those loops, and with a metrics collector attached they still
+	// park, settling one back-off wait per skipped iteration in bulk.
+	backoff, err := experiments.SetupByName("BackOff-0")
+	if err != nil {
+		return err
+	}
+	vipsSrc := experiments.BenchmarkSource(spinP, backoff, workload.StyleScalable, experiments.Options{Cores: 16})
+	snap.Benchmarks["vips_spin_cell"] = spinCell(vipsSrc, func(*machine.Machine) {})
+	snap.Benchmarks["vips_spin_cell_observed"] = spinCell(vipsSrc, collect)
 
 	cells, cycles, wall := rate.Snapshot()
 	snap.SimRate = simRate{

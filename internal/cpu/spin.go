@@ -53,8 +53,9 @@ type spinLoop struct {
 	waitInstrs uint64
 
 	// The park record. ghost carries the loop's events, k of them per
-	// iteration with the delays cyc (phases as above); event i has phase
-	// i%k and fires at start + i/k*period + off[i%k]. settled counts the
+	// iteration with the delays cyc (phases as above), period cycles in
+	// all; event i has phase i%k and fires i/k periods after start plus
+	// the delays of the phases before i%k. settled counts the
 	// events applied so far. Every iteration retires instrs
 	// instructions; a loop with a wait (hasWait) retires waitInstrs of
 	// them in its response event and the rest in its step.
@@ -72,9 +73,7 @@ type spinLoop struct {
 	//cbvet:ephemeral the loop's shape, folded through exec and lat
 	hasWait bool
 	//cbvet:ephemeral the loop's shape, folded through exec and lat
-	cyc [sim.MaxGhostPhases]uint64
-	//cbvet:ephemeral prefix sums of cyc
-	off [sim.MaxGhostPhases]uint64
+	cyc [sim.MaxGhostPhases]uint8
 	// ghosted counts the events the kernel passed for the loops of a
 	// port whose spins are seen (memtypes.SpinPort.SeenSpins) over the
 	// core's lifetime. A machine digest wakes such loops and folds the
@@ -86,11 +85,21 @@ type spinLoop struct {
 
 // at is the cycle of the parked loop's event i.
 func (s *spinLoop) at(i uint64) uint64 {
-	return s.start + i/s.k*s.period + s.off[i%s.k]
+	return s.start + i/s.k*s.period + s.span(i%s.k)
+}
+
+// span is the cycles from the parked loop's issue to its event of phase
+// p.
+func (s *spinLoop) span(p uint64) uint64 {
+	var t uint64
+	for _, d := range s.cyc[:p] {
+		t += uint64(d)
+	}
+	return t
 }
 
 // lat is the parked loop's cycles from an issue to its response.
-func (s *spinLoop) lat() uint64 { return s.off[s.ports] }
+func (s *spinLoop) lat() uint64 { return s.span(s.ports) }
 
 // exec is the parked loop's cycles from a response to the next issue.
 func (s *spinLoop) exec() uint64 { return s.period - s.lat() }
@@ -143,24 +152,22 @@ func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
 		return false
 	}
 	ports := uint64(sh.Events)
-	s.cyc = [sim.MaxGhostPhases]uint64{}
-	copy(s.cyc[:ports], sh.Delays[:ports])
-	s.k = ports + 1
+	cyc := sim.GhostCycle{Len: sh.Events + 1}
+	copy(cyc.Delays[:ports], sh.Delays[:ports])
+	cyc.Delays[ports] = elapsed
 	if waited {
-		s.cyc[ports], s.cyc[ports+1] = s.resume, elapsed
-		s.k++
-	} else {
-		s.cyc[ports] = elapsed
+		cyc.Delays[ports], cyc.Delays[ports+1] = s.resume, elapsed
+		cyc.Len++
 	}
-	s.period = 0
-	for p := uint64(0); p < s.k; p++ {
-		s.off[p] = s.period
-		s.period += s.cyc[p]
+	s.k, s.period = uint64(cyc.Len), 0
+	for p, d := range cyc.Delays[:cyc.Len] {
+		s.cyc[p] = uint8(d) // at most MaxGhostDelay
+		s.period += d
 	}
 	s.parked, s.settled, s.ports, s.hasWait = true, 0, ports, waited
 	s.start = c.k.Now() + elapsed
 	s.instrs = instrs
-	c.k.Haunt(&s.ghost, elapsed, sim.GhostCycle{Delays: s.cyc, Len: int(s.k)})
+	c.k.Haunt(&s.ghost, elapsed, cyc)
 	return true
 }
 
@@ -274,7 +281,7 @@ func (c *Core) spinEvent(i uint64) {
 			c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: pre, B: uint64(c.curKind())})
 		}
 	case p == s.ports+1:
-		c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: s.cyc[p], B: uint64(c.curKind())})
+		c.obs.Emit(trace.Event{Kind: trace.EvExec, Core: c.id, A: uint64(s.cyc[p]), B: uint64(c.curKind())})
 	}
 	c.spinPhase(p, 1, i)
 }
