@@ -150,23 +150,29 @@ func New(k *sim.Kernel, width, height int) *Mesh {
 		linkFree:  make([][numDirs]uint64, n),
 		linkBusy:  make([][numDirs]uint64, n),
 	}
-	for at := 0; at < n; at++ {
-		x, y := m.coords(memtypes.NodeID(at))
-		for dst := 0; dst < n; dst++ {
-			dx, dy := m.coords(memtypes.NodeID(dst))
-			var dir direction
-			switch {
-			// Deterministic X-Y routing: fully resolve X before moving in Y.
-			case dx > x:
-				dir = dirEast
-			case dx < x:
-				dir = dirWest
-			case dy > y:
-				dir = dirSouth
-			default:
-				dir = dirNorth
+	// Node y*width+x is at (x, y); route[at*n:] runs over the
+	// destinations in the same order.
+	next := m.route
+	for y := 0; y < height; y++ {
+		for x := 0; x < width; x++ {
+			for dy := 0; dy < height; dy++ {
+				for dx := 0; dx < width; dx++ {
+					var dir direction
+					switch {
+					// Deterministic X-Y routing: fully resolve X before moving in Y.
+					case dx > x:
+						dir = dirEast
+					case dx < x:
+						dir = dirWest
+					case dy > y:
+						dir = dirSouth
+					default:
+						dir = dirNorth
+					}
+					next[0] = uint8(dir)
+					next = next[1:]
+				}
 			}
-			m.route[at*n+dst] = uint8(dir)
 		}
 	}
 	return m
