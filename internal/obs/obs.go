@@ -80,9 +80,14 @@ func newHistogram(buckets []float64) *Histogram {
 	}
 }
 
-// Observe records one sample.
+// Observe records one sample in the first bucket whose bound is at
+// least v. The bucket lists are short (at most a dozen bounds), so a
+// scan from the smallest beats a binary search.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -297,6 +299,25 @@ func TestAddCycles(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// Observe files each sample where a binary search over the bounds would:
+// the first bucket whose bound is at least the sample, +Inf for the rest
+// (NaN included).
+func TestObserveBucketsLikeSearch(t *testing.T) {
+	bounds := ExpBuckets(1, 4, 12)
+	h := newHistogram(bounds)
+	vals := []float64{math.Inf(-1), -1, 0, 0.5, 1, 2, 4, 5, 1 << 22, 1 << 23, math.Inf(1), math.NaN()}
+	want := make([]uint64, len(bounds)+1)
+	for _, v := range vals {
+		h.Observe(v)
+		want[sort.SearchFloat64s(h.bounds, v)]++
+	}
+	for i := range want {
+		if got := h.counts[i].Load(); got != want[i] {
+			t.Fatalf("bucket %d holds %d samples, want %d", i, got, want[i])
 		}
 	}
 }
