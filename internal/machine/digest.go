@@ -24,10 +24,10 @@ import (
 //     counts are included instead.
 //   - Whether a back-off spin on a core's own bank is parked. Such a loop
 //     stays parked only while no trace sees its events (see
-//     memtypes.SpinShape), so a traced replay window runs it simulated
-//     where its recording had it parked. A full digest therefore wakes
-//     those loops first and counts the events the kernel passed for them
-//     as executed.
+//     memtypes.SpinPort.SeenSpins), so a traced replay window runs it
+//     simulated where its recording had it parked. A full digest
+//     therefore wakes those loops first and counts the events the kernel
+//     passed for them as executed.
 //   - Chaos-engine internals (PRNG position, fault counters, FIFO
 //     floors). A chaos run digest-diverges from its fault-free twin at
 //     the first fault that perturbs machine state — not at the first

@@ -60,15 +60,15 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // -------------------------------------------------------------- histograms
 
 // Histogram counts observations into fixed buckets (cumulative at
-// exposition, like Prometheus). Observe is a few atomic adds: safe for
-// concurrent use from sweep workers, allocation-free.
+// exposition, like Prometheus). Observe is two atomic updates: safe for
+// concurrent use from sweep workers, allocation-free. The count is the
+// buckets' sum, read at exposition.
 type Histogram struct {
 	// bounds are the inclusive upper bounds of each bucket; an implicit
 	// +Inf bucket follows.
 	bounds  []float64
 	counts  []atomic.Uint64 // len(bounds)+1
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-updated
+	sumBits atomic.Uint64   // float64 bits, CAS-updated
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -89,7 +89,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		new := math.Float64bits(math.Float64frombits(old) + v)
@@ -100,7 +99,13 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
