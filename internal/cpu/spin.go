@@ -130,7 +130,11 @@ func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
 	s := &c.spin
 	waited := s.waited
 	s.waited = false
-	if (in.Op != isa.Ld && (in.Op != isa.LdT || !c.seenSpins)) || elapsed == 0 {
+	read := isa.Ld // a hit loop; a seen loop is a back-off loop of ld_through
+	if c.seenSpins {
+		read = isa.LdT
+	}
+	if in.Op != read || elapsed == 0 {
 		c.spinPC = -1
 		return false
 	}
