@@ -100,7 +100,7 @@ func (m *Machine) ComponentDigests(scope DigestScope) []ComponentDigest {
 	}
 
 	for _, t := range m.vipsTiles {
-		t.L1.WakeSpinner()
+		t.WakeSpinner()
 	}
 	add("kernel", func(h *digest.Hash) {
 		h.U64(m.K.Scheduled())

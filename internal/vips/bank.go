@@ -53,8 +53,9 @@ type Bank struct {
 	queueLocks map[memtypes.Addr]*qlState
 
 	// busy and deferq implement the per-line LLC MSHR lock: operations
-	// on a locked line queue FIFO until the holder releases.
-	busy   map[memtypes.Addr]bool
+	// on a locked line queue FIFO until the holder releases. busy lists
+	// the locked lines, in no order; a bank rarely holds more than two.
+	busy   []memtypes.Addr
 	deferq memtypes.LineQueues
 
 	// parked holds callback reads (and RMWs) blocked in the callback
@@ -85,7 +86,6 @@ func NewBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store
 		k: k, id: id, mesh: mesh, store: store,
 		mode:       cfg.Mode,
 		data:       mem.NewBank(),
-		busy:       make(map[memtypes.Addr]bool),
 		parked:     make(map[memtypes.Addr]map[memtypes.NodeID]*memtypes.Message),
 		queueLocks: make(map[memtypes.Addr]*qlState),
 	}
@@ -213,12 +213,14 @@ func (b *Bank) Act(data any, stage uint64) {
 //cbsim:hotpath
 func (b *Bank) withLine(msg *memtypes.Message) {
 	line := msg.Addr.Line()
-	if b.busy[line] {
-		b.stats.Deferred++
-		b.deferq.Push(line, msg)
-		return
+	for _, l := range b.busy {
+		if l == line {
+			b.stats.Deferred++
+			b.deferq.Push(line, msg)
+			return
+		}
 	}
-	b.busy[line] = true
+	b.busy = append(b.busy, line)
 	b.locked(msg)
 }
 
@@ -230,7 +232,14 @@ func (b *Bank) release(line memtypes.Addr) {
 		b.locked(next)
 		return
 	}
-	delete(b.busy, line)
+	for i, l := range b.busy {
+		if l == line {
+			last := len(b.busy) - 1
+			b.busy[i] = b.busy[last]
+			b.busy = b.busy[:last]
+			return
+		}
+	}
 }
 
 // locked starts msg's operation once it holds the line lock: the LLC

@@ -78,10 +78,7 @@ func (b *Bank) Digest(h *digest.Hash) {
 		}
 	}
 
-	busyAddrs := make([]memtypes.Addr, 0, len(b.busy))
-	for a := range b.busy { //cbvet:unordered — keys are sorted before hashing
-		busyAddrs = append(busyAddrs, a)
-	}
+	busyAddrs := append([]memtypes.Addr(nil), b.busy...)
 	sort.Slice(busyAddrs, func(i, j int) bool { return busyAddrs[i] < busyAddrs[j] })
 	h.Int(len(busyAddrs))
 	for _, a := range busyAddrs {

@@ -73,21 +73,13 @@ type L1 struct {
 	// guaranteeing release-to-acquire visibility.
 	wtOutstanding int
 
-	// Spin parking (see Park). bank is the tile's bank controller;
-	// inbound counts the messages sent to the tile and not yet
-	// delivered; lastRacy is the value of the last racy response;
-	// spinner is the core parked in a back-off spin on the bank, woken
-	// when the next message is sent to the tile. A digest wakes the
-	// spinner first, and the rest decides only whether a spin parks,
-	// which changes no result.
-	//cbvet:ephemeral wiring: the tile's bank, installed by NewTile
-	bank *Bank
-	//cbvet:ephemeral decides only whether a spin parks
-	inbound int
+	// Spin parking (see Park): tile is the L1's tile, and lastRacy the
+	// value of the last racy response, which decides only whether a
+	// spin parks, changing no result.
+	//cbvet:ephemeral wiring: installed by NewTile
+	tile *Tile
 	//cbvet:ephemeral decides only whether a spin parks
 	lastRacy uint64
-	//cbvet:ephemeral nil whenever a digest is taken: the machine wakes the spinner first
-	spinner memtypes.Spinner
 
 	// obs receives cycle-accounting legs of the core's in-flight
 	// operation (observational only).
@@ -109,8 +101,8 @@ func NewL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, bankOf func(memtyp
 // iterations emit is wanted (see Park).
 func (l *L1) SetObserver(fn func(trace.Event), kinds trace.Mask) {
 	l.obs.Set(fn, kinds)
-	if l.obs.Wants(spinSeenKinds) {
-		l.WakeSpinner()
+	if l.tile != nil && l.obs.Wants(spinSeenKinds) {
+		l.tile.WakeSpinner()
 	}
 }
 
@@ -392,14 +384,17 @@ var spinSeenKinds = trace.Of(trace.EvExec, trace.EvStallBegin, trace.EvStallEnd,
 //
 //cbsim:hotpath
 func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (memtypes.SpinShape, bool) {
-	b := l.bank
-	if req.Kind != memtypes.OpReadThrough || b == nil || l.inbound != 0 ||
-		b.cbdir != nil || b.chaos != nil || len(b.busy) != 0 || !b.deferq.Empty() ||
+	t := l.tile
+	if req.Kind != memtypes.OpReadThrough || t == nil || t.inbound != 0 {
+		return memtypes.SpinShape{}, false
+	}
+	b := t.Bank
+	if b.cbdir != nil || b.chaos != nil || len(b.busy) != 0 || !b.deferq.Empty() ||
 		l.obs.Wants(spinSeenKinds) || b.obs.Wants(spinSeenKinds) || l.mesh.Observes(spinSeenKinds) ||
 		l.bankOf(req.Addr) != l.id || b.store.Load(req.Addr) != l.lastRacy || !b.data.Present(req.Addr) {
 		return memtypes.SpinShape{}, false
 	}
-	l.spinner = s
+	t.spinner = s
 	hop := l.mesh.LocalLatency()
 	return memtypes.SpinShape{Delays: [6]uint64{hop, b.data.DataLatency, hop, 0}, Events: 4}, true
 }
@@ -428,8 +423,9 @@ func (l *L1) SpinEvents(req *memtypes.Request, p int, n, _, _ uint64) {
 	case spinIssue:
 		l.stats.RacyOps += n
 	case spinRacy:
-		l.bank.stats.RacyReads += n
-		l.bank.data.CreditHits(req.Addr, n, true, reqSyncKind(req))
+		b := l.tile.Bank
+		b.stats.RacyReads += n
+		b.data.CreditHits(req.Addr, n, true, reqSyncKind(req))
 	}
 }
 
@@ -440,16 +436,17 @@ func (l *L1) SpinEvents(req *memtypes.Request, p int, n, _, _ uint64) {
 //
 //cbsim:hotpath
 func (l *L1) SpinResume(req *memtypes.Request, p int, done memtypes.Completer, g *sim.Ghost) {
-	b := l.bank
+	t := l.tile
+	b := t.Bank
 	if p != spinRespond {
 		l.pending = pendingOp{req: req, done: done}
 	}
 	switch p {
 	case spinRacy:
-		l.inbound++
+		t.inbound++
 		l.k.WakeGhost(g, l.mesh, l.racyMessage(req), uint64(l.id))
 	case spinLoad:
-		b.busy[req.Addr.Line()] = true
+		b.busy = append(b.busy, req.Addr.Line())
 		l.k.WakeGhost(g, b, l.racyMessage(req), stageLoad)
 	case spinResp:
 		resp := l.mesh.NewMessage()
@@ -459,25 +456,13 @@ func (l *L1) SpinResume(req *memtypes.Request, p int, done memtypes.Completer, g
 			Core: l.id, Value: b.store.Load(req.Addr), Req: req,
 			Serial: req.Serial,
 		}
-		l.inbound++
+		t.inbound++
 		l.k.WakeGhost(g, l.mesh, resp, uint64(l.id))
 	case spinRespond:
 		l.resp, l.respTo = memtypes.Response{Value: b.store.Load(req.Addr)}, done
 		l.k.WakeGhost(g, l, nil, 0)
 	default:
 		panic(fmt.Sprintf("vips: core %d resumed a spin at phase %d", l.id, p))
-	}
-}
-
-// WakeSpinner resumes a core parked in a spin on the tile's bank as
-// scheduled events, exactly where its loop stands: a machine digest
-// wakes it so that it reads the same whether the loop was parked.
-//
-//cbsim:hotpath
-func (l *L1) WakeSpinner() {
-	if s := l.spinner; s != nil {
-		l.spinner = nil
-		s.Wake()
 	}
 }
 
