@@ -89,6 +89,9 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
+	if v == 0 && !math.Signbit(v) && h.sumBits.Load() != math.Float64bits(math.Copysign(0, -1)) {
+		return // adding +0 leaves any sum but -0 as it is
+	}
 	for {
 		old := h.sumBits.Load()
 		new := math.Float64bits(math.Float64frombits(old) + v)

@@ -321,3 +321,20 @@ func TestObserveBucketsLikeSearch(t *testing.T) {
 		}
 	}
 }
+
+// A +0 sample counts but leaves the sum as adding it would: unchanged,
+// or +0 where the sum was -0.
+func TestObserveZeroKeepsSum(t *testing.T) {
+	h := newHistogram(ExpBuckets(1, 4, 12))
+	h.Observe(3)
+	h.Observe(0)
+	if h.Count() != 2 || h.Sum() != 3 {
+		t.Fatalf("count %d sum %g, want 2 and 3", h.Count(), h.Sum())
+	}
+	n := newHistogram(ExpBuckets(1, 4, 12))
+	n.Observe(math.Copysign(0, -1))
+	n.Observe(0)
+	if s := n.Sum(); s != 0 || math.Signbit(s) {
+		t.Fatalf("sum %g after -0 and +0, want +0", s)
+	}
+}
