@@ -67,11 +67,9 @@ type Core struct {
 	id   memtypes.NodeID
 	port memtypes.Port
 	// sp is port when it lets spin loops park (nil otherwise, and then
-	// the core never looks for them); seenSpins is sp.SeenSpins().
-	sp memtypes.SpinPort
-	//cbvet:ephemeral wiring: a property of the port, fixed at construction
-	seenSpins bool
-	cfg       Config
+	// the core never looks for them).
+	sp  memtypes.SpinPort
+	cfg Config
 
 	// prog is the loaded program: immutable input, not evolving state.
 	// The digest deliberately skips it — hashing the program text would
@@ -80,9 +78,10 @@ type Core struct {
 	prog *isa.Program
 	regs [isa.NumRegs]uint64
 	pc   int
-	// spinPC is the Ld issued last, reached along a pure path that
-	// started at a hit of the same Ld, or -1 (the spin-loop detector's
-	// hot half; the rest is spin, see spin.go).
+	// spinPC is the read issued last, reached along a pure path that
+	// started at the same read, or -1 (the spin-loop detector's hot
+	// half; the rest is spin, see spin.go).
+	//cbvet:ephemeral decides only whether a loop parks; a digest folds the idle detector
 	spinPC int
 
 	// isPrivate classifies addresses as thread-private (excluded from
@@ -112,6 +111,7 @@ type Core struct {
 
 	// spin holds the spin-loop detector's register snapshot and the
 	// park record (spin.go).
+	//cbvet:ephemeral decides only whether and how a loop parks; a digest folds the idle detector
 	spin spinLoop
 }
 
@@ -129,7 +129,6 @@ func New(k *sim.Kernel, id memtypes.NodeID, port memtypes.Port, cfg Config,
 	}
 	c := &Core{k: k, id: id, port: port, cfg: cfg, isPrivate: classify, onDone: onDone}
 	c.sp, _ = port.(memtypes.SpinPort)
-	c.seenSpins = c.sp != nil && c.sp.SeenSpins()
 	c.spinPC = -1
 	return c
 }
@@ -350,11 +349,7 @@ func (c *Core) step() {
 			saturated := c.cfg.BackoffLimit <= 0 || c.backoffCount > c.cfg.BackoffLimit
 			c.pc++
 			wait := c.backoffInterval()
-			if c.seenSpins {
-				c.spinWait(saturated, elapsed, wait)
-			} else {
-				c.spinPC = -1
-			}
+			c.spinWait(saturated, elapsed, wait)
 			c.stats.BackoffCycles += wait
 			c.flushExec(elapsed, &rep)
 			c.obs.Emit(trace.Event{Kind: trace.EvWait, Core: c.id, Cycle: c.k.Now() + elapsed,
@@ -501,8 +496,8 @@ func (c *Core) Complete(resp memtypes.Response) {
 	if resp.Stale {
 		c.stats.StaleResponses++
 	}
-	if !resp.Hit && !c.seenSpins {
-		c.spinPC = -1 // a spin loop's loads all hit (a seen loop's port checks its every answer)
+	if c.req.Kind == memtypes.OpRead && !resp.Hit {
+		c.spinPC = -1 // a spin loop's plain reads all hit
 	}
 	c.pc++
 	c.step()

@@ -21,6 +21,12 @@ import (
 // settles and schedules the pending event where it would have been.
 // Stats come out exactly as if every iteration had run.
 //
+// Nothing of this shows in a machine digest or replay mark: the machine
+// wakes every parked loop before a full digest, the core folds its
+// detector as the idle one, and the events the kernel passed for the
+// loop (Ghosted) count as executed, so a digest reads the same whether
+// and when a loop parked.
+//
 // The ghost's phases are: 0 the issue, 1 to ports the port's events
 // (phase ports is the response, whose event runs Complete and the loop
 // body up to the wait or the next issue), and, for a loop with a wait,
@@ -29,9 +35,9 @@ import (
 // spinLoop is the cold part of a core's spin-loop detector (the hot
 // part, Core.spinPC, is touched on every memory op) and its park record.
 type spinLoop struct {
-	// instr is Instructions at the issue of the last memory op, regs
-	// the register file at the last issue of the read at Core.spinPC
-	// (valid when seen).
+	// instr is Instructions at the issue of the last candidate read,
+	// regs the register file at the last issue of the read at
+	// Core.spinPC (valid when seen).
 	instr uint64
 	seen  bool
 	regs  [isa.NumRegs]uint64
@@ -39,17 +45,11 @@ type spinLoop struct {
 	// waited records a back-off wait on the path since the last issue:
 	// its interval wait, resume the cycles from the response to the step
 	// it schedules, resumePC where that step starts, and waitInstrs the
-	// instructions retired from the issue through the wait. They decide
-	// only whether and how the loop parks, which changes no result.
-	//cbvet:ephemeral decides only how a loop parks; a woken loop sets it as the simulated one had it
-	waited bool
-	//cbvet:ephemeral constant of a periodic loop; decides only how it parks
-	wait uint64
-	//cbvet:ephemeral constant of a periodic loop; decides only how it parks
-	resume uint64
-	//cbvet:ephemeral constant of a periodic loop; decides only how it parks
-	resumePC int
-	//cbvet:ephemeral constant of a periodic loop; decides only how it parks
+	// instructions retired from the issue through the wait.
+	waited     bool
+	wait       uint64
+	resume     uint64
+	resumePC   int
 	waitInstrs uint64
 
 	// The park record. ghost carries the loop's events, k of them per
@@ -64,22 +64,13 @@ type spinLoop struct {
 	settled uint64
 	start   uint64
 	instrs  uint64
-	//cbvet:ephemeral the loop's shape, folded through exec and lat
-	period uint64
-	//cbvet:ephemeral the loop's shape, folded through exec and lat
-	k uint64
-	//cbvet:ephemeral the loop's shape, folded through exec and lat
-	ports uint64
-	//cbvet:ephemeral the loop's shape, folded through exec and lat
+	period  uint64
+	k       uint64
+	ports   uint64
 	hasWait bool
-	//cbvet:ephemeral the loop's shape, folded through exec and lat
-	cyc [sim.MaxGhostPhases]uint8
-	// ghosted counts the events the kernel passed for the loops of a
-	// port whose spins are seen (memtypes.SpinPort.SeenSpins) over the
-	// core's lifetime. A machine digest wakes such loops and folds the
-	// executed events plus ghosted, so it reads the same whether a loop
-	// was parked.
-	//cbvet:ephemeral folded into the machine digest's event count instead
+	cyc     [sim.MaxGhostPhases]uint8
+	// ghosted counts the events the kernel passed for the core's parked
+	// loops over its lifetime.
 	ghosted uint64
 }
 
@@ -130,11 +121,7 @@ func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
 	s := &c.spin
 	waited := s.waited
 	s.waited = false
-	read := isa.Ld // a hit loop; a seen loop is a back-off loop of ld_through
-	if c.seenSpins {
-		read = isa.LdT
-	}
-	if in.Op != read || elapsed == 0 {
+	if (in.Op != isa.Ld && in.Op != isa.LdT) || elapsed == 0 {
 		c.spinPC = -1
 		return false
 	}
@@ -151,18 +138,17 @@ func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
 	if elapsed > sim.MaxGhostDelay || (waited && s.resume > sim.MaxGhostDelay) {
 		return false // too long a loop body for a ghost
 	}
-	sh, ok := c.sp.Park(&c.req, c)
+	cyc, ok := c.sp.Park(&c.req, c)
 	if !ok {
 		return false
 	}
-	ports := uint64(sh.Events)
-	cyc := sim.GhostCycle{Len: sh.Events + 1}
-	copy(cyc.Delays[:ports], sh.Delays[:ports])
-	cyc.Delays[ports] = elapsed
+	ports := uint64(cyc.Len)
 	if waited {
-		cyc.Delays[ports], cyc.Delays[ports+1] = s.resume, elapsed
+		cyc.Delays[cyc.Len] = s.resume
 		cyc.Len++
 	}
+	cyc.Delays[cyc.Len] = elapsed
+	cyc.Len++
 	s.k, s.period = uint64(cyc.Len), 0
 	for p, d := range cyc.Delays[:cyc.Len] {
 		s.cyc[p] = uint8(d) // at most MaxGhostDelay
@@ -184,8 +170,8 @@ var spinKinds = trace.Of(trace.EvExec, trace.EvStallBegin, trace.EvStallEnd)
 func (c *Core) Parked() bool { return c.spin.parked }
 
 // Ghosted reports how many events the kernel has passed for the core's
-// seen loops (see memtypes.SpinPort.SeenSpins): they did not execute,
-// but the simulated loop would have fired them.
+// parked loops, as of the last Settle: they did not execute, but the
+// simulated loops would have fired them.
 func (c *Core) Ghosted() uint64 { return c.spin.ghosted }
 
 // Settle applies the effects of the parked loop's events the kernel has
@@ -202,10 +188,7 @@ func (c *Core) Settle() {
 	if from == to {
 		return
 	}
-	s.settled = to
-	if c.seenSpins {
-		s.ghosted += to - from
-	}
+	s.settled, s.ghosted = to, s.ghosted+to-from
 	if c.obs.Wants(spinKinds) {
 		for i := from; i < to; i++ {
 			c.spinEvent(i)
@@ -302,14 +285,18 @@ func (c *Core) spinRetire(n, instrs uint64) {
 }
 
 // Wake implements memtypes.Spinner: a message is being sent to the
-// port, or the loop is to be observed, so it resumes as scheduled
-// events. The passed events are settled, and the pending one is
-// scheduled in the ghost's place.
+// port, the loop is to be observed, or a machine digest is taken, so it
+// resumes as scheduled events. The passed events are settled, and the
+// pending one is scheduled in the ghost's place. A core that is not
+// parked ignores it.
 //
 //cbsim:hotpath
 func (c *Core) Wake() {
-	c.Settle()
 	s := &c.spin
+	if !s.parked {
+		return
+	}
+	c.Settle()
 	s.parked = false
 	switch p := s.settled % s.k; {
 	case p == 0:

@@ -22,8 +22,8 @@ func (p *hitPort) Access(req *memtypes.Request, done memtypes.Completer) {
 	p.k.ScheduleActor(p.lat, call(func() { done.Complete(memtypes.Response{Hit: true}) }), nil, 0)
 }
 
-func (p *hitPort) Park(req *memtypes.Request, _ memtypes.Spinner) (memtypes.SpinShape, bool) {
-	return memtypes.SpinShape{Delays: [6]uint64{p.lat}, Events: 1}, req.Kind == memtypes.OpRead
+func (p *hitPort) Park(req *memtypes.Request, _ memtypes.Spinner) (sim.GhostCycle, bool) {
+	return sim.GhostCycle{Delays: [sim.MaxGhostPhases]uint64{p.lat}, Len: 1}, req.Kind == memtypes.OpRead
 }
 
 func (p *hitPort) SpinEvents(_ *memtypes.Request, phase int, n, _, _ uint64) {
@@ -31,8 +31,6 @@ func (p *hitPort) SpinEvents(_ *memtypes.Request, phase int, n, _, _ uint64) {
 		p.spins = append(p.spins, n)
 	}
 }
-
-func (p *hitPort) SeenSpins() bool { return false }
 
 func (p *hitPort) SpinResume(*memtypes.Request, int, memtypes.Completer, *sim.Ghost) {
 	panic("hitPort: a parked core was woken")

@@ -16,18 +16,20 @@ import (
 // message counts), represented as data. Each component's Digest is its
 // state manifest; the statecov analyzer keeps it complete.
 //
-// Two deliberate exclusions:
+// Three deliberate exclusions:
 //
 //   - The kernel clock. At a boundary pause the clock rests on the last
 //     fired event's cycle, which two otherwise-identical runs can reach
 //     through different empty-cycle gaps. Scheduled and executed event
 //     counts are included instead.
-//   - Whether a back-off spin on a core's own bank is parked. Such a loop
-//     stays parked only while no trace sees its events (see
-//     memtypes.SpinPort.SeenSpins), so a traced replay window runs it
-//     simulated where its recording had it parked. A full digest
-//     therefore wakes those loops first and counts the events the kernel
-//     passed for them as executed.
+//   - Whether and when a spin loop parked (see cpu.Core.Settle). A full
+//     digest reads a parked loop as the simulated one: it wakes every
+//     parked loop first, each core folds its spin-loop detector as the
+//     idle one, no L1 or tile folds the core parked on it, and the
+//     executed count is Executed, which includes the events the kernel
+//     passed for parked loops. A digest, and so a replay mark, is
+//     therefore the same as on a machine whose loops never park, such as
+//     a traced replay window whose recording had them parked.
 //   - Chaos-engine internals (PRNG position, fault counters, FIFO
 //     floors). A chaos run digest-diverges from its fault-free twin at
 //     the first fault that perturbs machine state — not at the first
@@ -99,16 +101,12 @@ func (m *Machine) ComponentDigests(scope DigestScope) []ComponentDigest {
 		return out
 	}
 
-	for _, t := range m.vipsTiles {
-		t.WakeSpinner()
+	for _, c := range m.Cores {
+		c.Wake()
 	}
 	add("kernel", func(h *digest.Hash) {
 		h.U64(m.K.Scheduled())
-		executed := m.K.Executed()
-		for _, c := range m.Cores {
-			executed += c.Ghosted()
-		}
-		h.U64(executed)
+		h.U64(m.Executed())
 	})
 	add("run", func(h *digest.Hash) {
 		h.Int(m.loaded)
@@ -134,6 +132,19 @@ func (m *Machine) ComponentDigests(scope DigestScope) []ComponentDigest {
 		})
 	}
 	return out
+}
+
+// Executed reports the events the simulated machine has fired: the
+// kernel's executed events plus the events it passed for parked spin
+// loops, which the simulated loops fire. It reads the same whether and
+// when a loop parked.
+func (m *Machine) Executed() uint64 {
+	m.settle()
+	n := m.K.Executed()
+	for _, c := range m.Cores {
+		n += c.Ghosted()
+	}
+	return n
 }
 
 // Digest folds the component digests into one machine digest.

@@ -309,22 +309,12 @@ type Port interface {
 // Spinner is a core parked in a pure spin loop on a SpinPort.
 type Spinner interface {
 	// Wake tells the core that its loop must resume as scheduled events:
-	// a message is being sent to its port, or the loop's events are to
-	// be observed. The port calls it before anything is scheduled for
-	// the message, so the core can settle the iterations it skipped and
-	// schedule its pending event where it would have been.
+	// a message is being sent to its port, the loop's events are to be
+	// observed, or a machine digest is taken. The port calls it before
+	// anything is scheduled for the message, so the core can settle the
+	// iterations it skipped and schedule its pending event where it
+	// would have been. A core that is not parked ignores it.
 	Wake()
-}
-
-// SpinShape is the port's part of one iteration of a parked spin loop:
-// the events from the core's issue of the read to the response that
-// completes it.
-type SpinShape struct {
-	// Delays[i] is the delay from the loop's port-side event i to event
-	// i+1, where event 0 is the core's issue and event Events is the
-	// response, which runs the core's Complete.
-	Delays [6]uint64
-	Events int
 }
 
 // SpinPort is a Port on which a core may park a pure spin loop: a loop
@@ -338,24 +328,19 @@ type SpinPort interface {
 	// Park reports whether req, a read answered last time with the value
 	// the port holds now, would be answered the same way, after the same
 	// events, on every iteration until a message is sent to the port,
-	// with nothing in flight to it. On true it returns the iteration's
-	// shape, holds s and calls s.Wake before the next message sent to
-	// the port.
-	Park(req *Request, s Spinner) (SpinShape, bool)
+	// with nothing in flight to it. On true it holds s, calls s.Wake
+	// before the next message sent to the port, and returns the port's
+	// phases of one iteration: Delays[i] leads from its event i to event
+	// i+1, where event 0 is the core's issue and event Len the response,
+	// which runs the core's Complete. The core appends its own phases.
+	Park(req *Request, s Spinner) (sim.GhostCycle, bool)
 	// SpinEvents applies the effects of n skipped port-side events of
 	// phase p of req's loop (0 the issue, i the port's event i), the
 	// first at cycle first and each next one period cycles later.
 	SpinEvents(req *Request, p int, n, first, period uint64)
 	// SpinResume schedules, in place of g's pending event, the port-side
-	// event p (1 to Events) of req's skipped iteration, rebuilding the
-	// state the events before it left; done is the core the response
-	// completes.
+	// event p (1 to the Len Park returned) of req's skipped iteration,
+	// rebuilding the state the events before it left; done is the core
+	// the response completes.
 	SpinResume(req *Request, p int, done Completer, g *sim.Ghost)
-	// SeenSpins reports whether the loops the port parks are seen: a
-	// trace would have to see their skipped events in order beside the
-	// other tiles' (messages, not just the core's own accounting). Such
-	// a loop is a back-off loop of ld_through, parks only while nothing
-	// observes its events, and reads as the simulated loop to a machine
-	// digest, which wakes it and counts its passed events.
-	SeenSpins() bool
 }

@@ -16,7 +16,7 @@ import (
 
 // Digest folds the L1's cache array (data words and MESI line states),
 // any pending miss, the monitor extension's armed state, the messages in
-// flight to it, whether a spinner is parked on it, and the counters.
+// flight to it, and the counters.
 func (l *L1) Digest(h *digest.Hash) {
 	l.arr.Digest(h, func(h *digest.Hash, s *l1Line) {
 		for _, word := range s.data {
@@ -41,7 +41,6 @@ func (l *L1) Digest(h *digest.Hash) {
 		l.monitor.req.Digest(h)
 	}
 	h.Int(l.inbound)
-	h.Bool(l.spinner != nil)
 	l.monStats.Digest(h)
 	l.stats.Digest(h)
 }

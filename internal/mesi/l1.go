@@ -79,9 +79,10 @@ type L1 struct {
 	respTo memtypes.Completer
 
 	// inbound counts the messages sent to this L1 and not yet delivered;
-	// spinner is the core parked on a hit here (see Park), woken when the
-	// next message is sent to the L1.
+	// spinner is the core last parked on a hit here (see Park), woken
+	// when the next message is sent to the L1.
 	inbound int
+	//cbvet:ephemeral whether a loop is parked changes no result; the machine wakes it before a digest
 	spinner memtypes.Spinner
 
 	// Monitor (quiesce/MWAIT) extension state; see monitor.go.
@@ -377,17 +378,13 @@ func (l *L1) incoming() {
 // latency after the issue.
 //
 //cbsim:hotpath
-func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (memtypes.SpinShape, bool) {
+func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (sim.GhostCycle, bool) {
 	if req.Kind != memtypes.OpRead || l.inbound != 0 || l.arr.Peek(req.Addr) == nil {
-		return memtypes.SpinShape{}, false
+		return sim.GhostCycle{}, false
 	}
 	l.spinner = s
-	return memtypes.SpinShape{Delays: [6]uint64{mem.DefaultL1Latency}, Events: 1}, true
+	return sim.GhostCycle{Delays: [sim.MaxGhostPhases]uint64{mem.DefaultL1Latency}, Len: 1}, true
 }
-
-// SeenSpins implements memtypes.SpinPort: a parked hit loop emits only
-// the core's accounting events, which Settle replays in order.
-func (l *L1) SeenSpins() bool { return false }
 
 // SpinEvents implements memtypes.SpinPort: it books n issues (phase 0)
 // of req as n read hits of its line, exactly as n Access calls would,

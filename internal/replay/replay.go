@@ -64,9 +64,12 @@ type Source struct {
 // at an exact cycle boundary (all events below Cycle fired, none at or
 // above).
 type Mark struct {
-	Cycle    uint64 `json:"cycle"`
-	Digest   uint64 `json:"digest"`
-	Executed uint64 `json:"executed"` // events fired so far
+	Cycle  uint64 `json:"cycle"`
+	Digest uint64 `json:"digest"`
+	// Executed counts the events the simulated machine fired so far
+	// (machine.Machine.Executed), those the kernel passed for parked spin
+	// loops included.
+	Executed uint64 `json:"executed"`
 }
 
 // Recording is a completed, replayable run: the source recipe, the
@@ -122,7 +125,7 @@ func record(ctx context.Context, m *machine.Machine, src Source, interval uint64
 		if done {
 			break
 		}
-		r.marks = append(r.marks, Mark{Cycle: next, Digest: m.Digest(scope), Executed: m.K.Executed()})
+		r.marks = append(r.marks, Mark{Cycle: next, Digest: m.Digest(scope), Executed: m.Executed()})
 		if next >= limit {
 			return nil, fmt.Errorf("replay: record %s: no completion within %d cycles", src.Label, limit)
 		}

@@ -102,7 +102,7 @@ func NewL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, bankOf func(memtyp
 func (l *L1) SetObserver(fn func(trace.Event), kinds trace.Mask) {
 	l.obs.Set(fn, kinds)
 	if l.tile != nil && l.obs.Wants(spinSeenKinds) {
-		l.tile.WakeSpinner()
+		l.tile.wakeSpinner()
 	}
 }
 
@@ -383,25 +383,21 @@ var spinSeenKinds = trace.Of(trace.EvExec, trace.EvStallBegin, trace.EvStallEnd,
 // injection, and no observer wants the iteration's events.
 //
 //cbsim:hotpath
-func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (memtypes.SpinShape, bool) {
+func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (sim.GhostCycle, bool) {
 	t := l.tile
 	if req.Kind != memtypes.OpReadThrough || t == nil || t.inbound != 0 {
-		return memtypes.SpinShape{}, false
+		return sim.GhostCycle{}, false
 	}
 	b := t.Bank
 	if b.cbdir != nil || b.chaos != nil || len(b.busy) != 0 || !b.deferq.Empty() ||
 		l.obs.Wants(spinSeenKinds) || b.obs.Wants(spinSeenKinds) || l.mesh.Observes(spinSeenKinds) ||
 		l.bankOf(req.Addr) != l.id || b.store.Load(req.Addr) != l.lastRacy || !b.data.Present(req.Addr) {
-		return memtypes.SpinShape{}, false
+		return sim.GhostCycle{}, false
 	}
 	t.spinner = s
-	hop := l.mesh.LocalLatency()
-	return memtypes.SpinShape{Delays: [6]uint64{hop, b.data.DataLatency, hop, 0}, Events: 4}, true
+	const hop = noc.DefaultLocalLatency
+	return sim.GhostCycle{Delays: [sim.MaxGhostPhases]uint64{hop, b.data.DataLatency, hop, 0}, Len: 4}, true
 }
-
-// SeenSpins implements memtypes.SpinPort: an own-bank iteration sends
-// messages, which a trace shows beside the other tiles'.
-func (l *L1) SeenSpins() bool { return true }
 
 // Spin phases of an own-bank ld_through (see Park).
 const (

@@ -11,13 +11,12 @@ type Tile struct {
 	Bank *Bank
 
 	// inbound counts the messages sent to the tile and not yet
-	// delivered; spinner is the core parked in a back-off spin on the
-	// bank (see L1.Park), woken when the next message is sent here. A
-	// machine digest wakes the spinner first, and inbound decides only
-	// whether a spin parks, which changes no result.
+	// delivered; spinner is the core last parked in a back-off spin on
+	// the bank (see L1.Park), woken when the next message is sent here.
+	// Both decide only whether a spin parks, which changes no result.
 	//cbvet:ephemeral decides only whether a spin parks
 	inbound int
-	//cbvet:ephemeral nil whenever a digest is taken: the machine wakes the spinner first
+	//cbvet:ephemeral whether a loop is parked changes no result; the machine wakes it before a digest
 	spinner memtypes.Spinner
 }
 
@@ -49,16 +48,15 @@ func (t *Tile) Deliver(msg *memtypes.Message) {
 //cbsim:hotpath
 func (t *Tile) Incoming(*memtypes.Message) {
 	t.inbound++
-	t.WakeSpinner()
+	t.wakeSpinner()
 }
 
-// WakeSpinner resumes a core parked in a spin on the tile's bank as
+// wakeSpinner resumes a core parked in a spin on the tile's bank as
 // scheduled events, exactly where its loop stands: a message is being
-// sent here, a trace wants the loop's events, or a machine digest is
-// taken, which must read the same whether the loop was parked.
+// sent here, or a trace wants the loop's events.
 //
 //cbsim:hotpath
-func (t *Tile) WakeSpinner() {
+func (t *Tile) wakeSpinner() {
 	if s := t.spinner; s != nil {
 		t.spinner = nil
 		s.Wake()
