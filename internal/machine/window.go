@@ -37,11 +37,6 @@ func (m *Machine) NextEventCycle() (uint64, bool) {
 	return m.K.NextEventTime()
 }
 
-// Finished reports whether every loaded core has executed its Done op.
-func (m *Machine) Finished() bool {
-	return m.loaded > 0 && m.finished == m.loaded
-}
-
 // DetachTrace removes every attached sink, cycle accounting included,
 // returning the machine to its unobserved (and observer-overhead-free)
 // state. Parked spin loops settle first, so the detached sinks have

@@ -30,8 +30,8 @@ type Handler interface {
 }
 
 // An Incomer is a Handler that hears of every message sent to its node
-// before the mesh schedules anything for it (the MESI tile wakes a core
-// parked in a spin loop on its L1 there).
+// before the mesh schedules anything for it (the MESI and VIPS tiles
+// wake a core parked in a spin loop there).
 type Incomer interface {
 	Handler
 	Incoming(msg *memtypes.Message)
@@ -66,9 +66,6 @@ type Stats struct {
 type Mesh struct {
 	k             *sim.Kernel
 	width, height int
-	//cbvet:ephemeral configuration fixed at wiring time, never changed mid-run
-	switchLat uint64
-	localLat  uint64
 	// handlers holds the per-node delivery endpoints installed by
 	// Attach during machine wiring.
 	//cbvet:ephemeral wiring: delivery endpoints attached at construction
@@ -138,17 +135,15 @@ func New(k *sim.Kernel, width, height int) *Mesh {
 	}
 	n := width * height
 	m := &Mesh{
-		k:         k,
-		width:     width,
-		height:    height,
-		switchLat: DefaultSwitchLatency,
-		localLat:  DefaultLocalLatency,
-		handlers:  make([]Handler, n),
-		incoming:  make([]Incomer, n),
-		route:     make([]uint8, n*n),
-		step:      [numDirs]memtypes.NodeID{dirEast: 1, dirWest: -1, dirNorth: memtypes.NodeID(-width), dirSouth: memtypes.NodeID(width)},
-		linkFree:  make([][numDirs]uint64, n),
-		linkBusy:  make([][numDirs]uint64, n),
+		k:        k,
+		width:    width,
+		height:   height,
+		handlers: make([]Handler, n),
+		incoming: make([]Incomer, n),
+		route:    make([]uint8, n*n),
+		step:     [numDirs]memtypes.NodeID{dirEast: 1, dirWest: -1, dirNorth: memtypes.NodeID(-width), dirSouth: memtypes.NodeID(width)},
+		linkFree: make([][numDirs]uint64, n),
+		linkBusy: make([][numDirs]uint64, n),
 	}
 	// Node y*width+x is at (x, y); route[at*n:] runs over the
 	// destinations in the same order.
@@ -177,9 +172,6 @@ func New(k *sim.Kernel, width, height int) *Mesh {
 	}
 	return m
 }
-
-// SetSwitchLatency overrides the per-hop switch latency.
-func (m *Mesh) SetSwitchLatency(cycles uint64) { m.switchLat = cycles }
 
 // SetIdeal toggles contentionless mode: no link serialization or
 // queueing, pure hops x switch latency. Traffic is still accounted in
@@ -239,9 +231,6 @@ func (m *Mesh) SetObserver(fn func(trace.Event), kinds trace.Mask) { m.obs.Set(f
 
 // Observes reports whether the mesh's observer wants any kind of k.
 func (m *Mesh) Observes(k trace.Mask) bool { return m.obs.Wants(k) }
-
-// LocalLatency reports the cycles a message to its own node takes.
-func (m *Mesh) LocalLatency() uint64 { return m.localLat }
 
 // ResetStats zeroes the traffic counters (used to scope measurement to a
 // parallel section).
@@ -347,11 +336,11 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 	}
 	if msg.Src == msg.Dst {
 		if m.chaos != nil {
-			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+m.localLat+delay)
+			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+DefaultLocalLatency+delay)
 			m.k.AtActor(t, m, msg, uint64(msg.Dst))
 			return
 		}
-		m.k.ScheduleActor(m.localLat, m, msg, uint64(msg.Dst))
+		m.k.ScheduleActor(DefaultLocalLatency, m, msg, uint64(msg.Dst))
 		return
 	}
 	m.stats.Messages++
@@ -361,11 +350,11 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 		m.stats.FlitHops += uint64(msg.Flits()) * hops
 		m.stats.Hops += hops
 		if m.chaos != nil {
-			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+hops*m.switchLat+delay)
+			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+hops*DefaultSwitchLatency+delay)
 			m.k.AtActor(t, m, msg, uint64(msg.Dst))
 			return
 		}
-		m.k.ScheduleActor(hops*m.switchLat, m, msg, uint64(msg.Dst))
+		m.k.ScheduleActor(hops*DefaultSwitchLatency, m, msg, uint64(msg.Dst))
 		return
 	}
 	if m.chaos != nil {
@@ -413,7 +402,7 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 	m.stats.FlitHops += flits
 	m.stats.Hops++
 
-	arrive := depart + m.switchLat
+	arrive := depart + DefaultSwitchLatency
 	if m.chaos != nil {
 		arrive = m.chaosClamp(at, int(dir), arrive+m.chaos.HopJitter())
 	}
