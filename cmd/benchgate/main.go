@@ -32,7 +32,10 @@
 //     lost fast path), and each spin cell (MESI and VIPS back-off) with
 //     a metrics collector attached must stay within 1.2x of the plain
 //     cell (on a 2-vCPU VM, formatting a string per message cost 1.7x,
-//     and settling parked spin loops event by event 1.6x).
+//     and settling parked spin loops event by event 1.6x). That ratio
+//     is the median of alternating rounds benchsnap records with the
+//     observed cell (ratio_to_plain): the host's drift alone read the
+//     same code at 1.09-1.21x across two back-to-back benchmarks.
 //
 // Usage:
 //
@@ -56,6 +59,9 @@ type benchPerf struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
 	EventsPerOp uint64  `json:"events_per_op,omitempty"`
+	// RatioToPlain is an observed spin cell's median per-round time
+	// ratio to the plain cell.
+	RatioToPlain float64 `json:"ratio_to_plain,omitempty"`
 }
 
 type snapshot struct {
@@ -147,13 +153,11 @@ func gate(baselinePath, prPath string, tolerance float64) ([]string, error) {
 			on.NsPerOp/1e6, off.NsPerOp/1e6, on.NsPerOp/off.NsPerOp))
 	}
 	for _, cell := range []string{"mesi_spin_cell", "vips_spin_cell"} {
-		plain, observed := cur.Benchmarks[cell], cur.Benchmarks[cell+"_observed"]
-		if plain.NsPerOp <= 0 || observed.NsPerOp <= 0 {
+		if r := cur.Benchmarks[cell+"_observed"].RatioToPlain; r <= 0 {
 			failures = append(failures, fmt.Sprintf("%s/%s_observed missing from PR snapshot", cell, cell))
-		} else if observed.NsPerOp > plain.NsPerOp*1.2 {
+		} else if r > 1.2 {
 			failures = append(failures, fmt.Sprintf(
-				"observed %s: %.2f ms/run vs %.2f ms plain — overhead %.2fx, want <= 1.2x",
-				cell, observed.NsPerOp/1e6, plain.NsPerOp/1e6, observed.NsPerOp/plain.NsPerOp))
+				"observed %s: median per-round overhead %.2fx, want <= 1.2x", cell, r))
 		}
 	}
 

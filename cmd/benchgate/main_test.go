@@ -31,9 +31,9 @@ func ratioPairs() map[string]benchPerf {
 		"replay_record_on":  {NsPerOp: 1.8e6},
 
 		"mesi_spin_cell":          {NsPerOp: 1e6},
-		"mesi_spin_cell_observed": {NsPerOp: 1.1e6},
+		"mesi_spin_cell_observed": {NsPerOp: 1.1e6, RatioToPlain: 1.1},
 		"vips_spin_cell":          {NsPerOp: 1e6},
-		"vips_spin_cell_observed": {NsPerOp: 1.1e6},
+		"vips_spin_cell_observed": {NsPerOp: 1.1e6, RatioToPlain: 1.1},
 	}
 }
 
@@ -170,7 +170,7 @@ func TestGateObservedSpinRatio(t *testing.T) {
 	dir := t.TempDir()
 	base := snapshot{Benchmarks: ratioPairs()}
 	pr := snapshot{Benchmarks: ratioPairs()}
-	pr.Benchmarks["mesi_spin_cell_observed"] = benchPerf{NsPerOp: 1.5e6}
+	pr.Benchmarks["mesi_spin_cell_observed"] = benchPerf{NsPerOp: 1.5e6, RatioToPlain: 1.5}
 	failures, err := gate(
 		writeSnapshot(t, dir, "base.json", base),
 		writeSnapshot(t, dir, "pr.json", pr), 4)
@@ -189,7 +189,7 @@ func TestGateObservedVIPSSpinRatio(t *testing.T) {
 	dir := t.TempDir()
 	base := snapshot{Benchmarks: ratioPairs()}
 	pr := snapshot{Benchmarks: ratioPairs()}
-	pr.Benchmarks["vips_spin_cell_observed"] = benchPerf{NsPerOp: 1.3e6}
+	pr.Benchmarks["vips_spin_cell_observed"] = benchPerf{NsPerOp: 1.3e6, RatioToPlain: 1.3}
 	delete(pr.Benchmarks, "mesi_spin_cell_observed")
 	failures, err := gate(
 		writeSnapshot(t, dir, "base.json", base),
@@ -198,7 +198,7 @@ func TestGateObservedVIPSSpinRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	wants := []string{
-		"observed vips_spin_cell: 1.30 ms/run vs 1.00 ms plain — overhead 1.30x, want <= 1.2x",
+		"observed vips_spin_cell: median per-round overhead 1.30x, want <= 1.2x",
 		"mesi_spin_cell/mesi_spin_cell_observed missing from PR snapshot",
 		"mesi_spin_cell_observed: present in baseline but missing",
 	}
@@ -212,6 +212,40 @@ func TestGateObservedVIPSSpinRatio(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("failures missing %q:\n%s", want, strings.Join(failures, "\n"))
+		}
+	}
+}
+
+// The observed-cell gate reads the median per-round ratio benchsnap
+// records, not the two entries' ns/op: those come from back-to-back
+// benchmarks, which read the host's drift as overhead. An observed cell
+// without the ratio fails as missing.
+func TestGateObservedRatioIsPerRound(t *testing.T) {
+	dir := t.TempDir()
+	base := snapshot{Benchmarks: ratioPairs()}
+	for _, tc := range []struct {
+		name   string
+		entry  benchPerf
+		failed string
+	}{
+		{"drift only", benchPerf{NsPerOp: 1.25e6, RatioToPlain: 1.05}, ""},
+		{"overhead", benchPerf{NsPerOp: 1e6, RatioToPlain: 1.21}, "median per-round overhead 1.21x, want <= 1.2x"},
+		{"no ratio", benchPerf{NsPerOp: 1e6}, "mesi_spin_cell/mesi_spin_cell_observed missing from PR snapshot"},
+	} {
+		pr := snapshot{Benchmarks: ratioPairs()}
+		pr.Benchmarks["mesi_spin_cell_observed"] = tc.entry
+		failures, err := gate(
+			writeSnapshot(t, dir, "base.json", base),
+			writeSnapshot(t, dir, "pr.json", pr), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.failed == "" {
+			if len(failures) != 0 {
+				t.Errorf("%s: failures = %q, want none", tc.name, failures)
+			}
+		} else if len(failures) != 1 || !strings.Contains(failures[0], tc.failed) {
+			t.Errorf("%s: failures = %q, want one %q", tc.name, failures, tc.failed)
 		}
 	}
 }

@@ -15,10 +15,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +57,9 @@ type benchPerf struct {
 	// EventsPerOp is the kernel events one op executes, for whole-cell
 	// benchmarks (deterministic, so the gate pins it exactly).
 	EventsPerOp uint64 `json:"events_per_op,omitempty"`
+	// RatioToPlain is, for an observed spin cell, the median per-round
+	// ratio of its time to the plain cell's (see alternate).
+	RatioToPlain float64 `json:"ratio_to_plain,omitempty"`
 }
 
 // kernelTelemetry is the two-tier scheduler's internal counters over the
@@ -254,16 +259,20 @@ func run(out string, cores int, benches []string) error {
 	if err != nil {
 		return err
 	}
-	spinCell := func(spinSrc replay.Source, observe func(*machine.Machine)) benchPerf {
+	runCell := func(src replay.Source, observe func(*machine.Machine)) (*machine.Machine, error) {
+		m, err := src.Build()
+		if err == nil {
+			observe(m)
+			err = m.Run(src.Limit)
+		}
+		return m, err
+	}
+	spinCell := func(src replay.Source, observe func(*machine.Machine)) benchPerf {
 		var events uint64
 		r := record(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m, err := spinSrc.Build()
-				if err == nil {
-					observe(m)
-					err = m.Run(spinSrc.Limit)
-				}
+				m, err := runCell(src, observe)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -273,15 +282,41 @@ func run(out string, cores int, benches []string) error {
 		r.EventsPerOp = events
 		return r
 	}
-	mesiSrc := experiments.BenchmarkSource(spinP, inv, workload.StyleNaive, experiments.Options{Cores: 16})
-	snap.Benchmarks["mesi_spin_cell"] = spinCell(mesiSrc, func(*machine.Machine) {})
-	// The same cell with a metrics collector attached, as cbsimd runs
-	// every fresh cell: the gate pins its events and allocations and
-	// bounds its time against the plain cell, so observing neither
-	// formats per message nor forces parked loops to settle per event.
+	// timed runs a cell spinRuns times and reports the time taken.
+	timed := func(src replay.Source, observe func(*machine.Machine)) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
+			start := time.Now()
+			for i := 0; i < spinRuns; i++ {
+				if _, err := runCell(src, observe); err != nil {
+					return 0, err
+				}
+			}
+			return time.Since(start), nil
+		}
+	}
+	// The observed twin of a spin cell has a metrics collector attached,
+	// as cbsimd runs every fresh cell: the gate pins its events and
+	// allocations and bounds its time against the plain cell's, so
+	// observing neither formats per message nor forces parked loops to
+	// settle per event.
 	sm := obs.NewSimMetrics(obs.NewRegistry())
 	collect := func(m *machine.Machine) { m.AttachTrace(trace.NewMetricsCollector(sm)) }
-	snap.Benchmarks["mesi_spin_cell_observed"] = spinCell(mesiSrc, collect)
+	spinPair := func(name string, src replay.Source) error {
+		plain := func(*machine.Machine) {}
+		snap.Benchmarks[name] = spinCell(src, plain)
+		observed := spinCell(src, collect)
+		ratio, err := alternate(spinRounds, timed(src, plain), timed(src, collect))
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		observed.RatioToPlain = ratio
+		snap.Benchmarks[name+"_observed"] = observed
+		return nil
+	}
+	if err := spinPair("mesi_spin_cell",
+		experiments.BenchmarkSource(spinP, inv, workload.StyleNaive, experiments.Options{Cores: 16})); err != nil {
+		return err
+	}
 	// A whole BackOff-0 cell whose back-off spins mostly read flags
 	// homed on the spinner's own bank: its event count pins the parking
 	// of those loops, and with a metrics collector attached they still
@@ -290,9 +325,10 @@ func run(out string, cores int, benches []string) error {
 	if err != nil {
 		return err
 	}
-	vipsSrc := experiments.BenchmarkSource(spinP, backoff, workload.StyleScalable, experiments.Options{Cores: 16})
-	snap.Benchmarks["vips_spin_cell"] = spinCell(vipsSrc, func(*machine.Machine) {})
-	snap.Benchmarks["vips_spin_cell_observed"] = spinCell(vipsSrc, collect)
+	if err := spinPair("vips_spin_cell",
+		experiments.BenchmarkSource(spinP, backoff, workload.StyleScalable, experiments.Options{Cores: 16})); err != nil {
+		return err
+	}
 
 	cells, cycles, wall := rate.Snapshot()
 	snap.SimRate = simRate{
@@ -318,6 +354,36 @@ func run(out string, cores int, benches []string) error {
 		snap.Benchmarks["kernel_hot_path"].AllocsPerOp,
 		snap.SimRate.CyclesPerSecond)
 	return nil
+}
+
+// spinRounds and spinRuns shape the observed spin cells' time ratio:
+// rounds of spinRuns runs of each side, about 60 ms a side.
+const spinRounds, spinRuns = 10, 10
+
+// alternate times a and b in rounds, a first in even rounds and b first
+// in odd ones, and returns the median of the per-round ratios b/a. The
+// host's speed drifts over seconds: one back-to-back pair of runs reads
+// that drift as a ratio, while here it biases alternate rounds up and
+// down, and the median cancels it. rounds must be even and positive.
+func alternate(rounds int, a, b func() (time.Duration, error)) (float64, error) {
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		var ta, tb time.Duration
+		var errA, errB error
+		if r%2 == 0 {
+			ta, errA = a()
+			tb, errB = b()
+		} else {
+			tb, errB = b()
+			ta, errA = a()
+		}
+		if err := errors.Join(errA, errB); err != nil {
+			return 0, err
+		}
+		ratios[r] = float64(tb) / float64(ta)
+	}
+	sort.Float64s(ratios)
+	return (ratios[rounds/2-1] + ratios[rounds/2]) / 2, nil
 }
 
 // nopActor is an event that does nothing.
