@@ -15,7 +15,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -282,16 +281,16 @@ func run(out string, cores int, benches []string) error {
 		r.EventsPerOp = events
 		return r
 	}
-	// timed runs a cell spinRuns times and reports the time taken.
-	timed := func(src replay.Source, observe func(*machine.Machine)) func() (time.Duration, error) {
-		return func() (time.Duration, error) {
+	// timed runs a cell spinRuns times and returns the time taken.
+	timed := func(src replay.Source, observe func(*machine.Machine)) func() time.Duration {
+		return func() time.Duration {
 			start := time.Now()
 			for i := 0; i < spinRuns; i++ {
 				if _, err := runCell(src, observe); err != nil {
-					return 0, err
+					panic(err) // the same cell ran clean in spinCell
 				}
 			}
-			return time.Since(start), nil
+			return time.Since(start)
 		}
 	}
 	// The observed twin of a spin cell has a metrics collector attached,
@@ -301,22 +300,14 @@ func run(out string, cores int, benches []string) error {
 	// settle per event.
 	sm := obs.NewSimMetrics(obs.NewRegistry())
 	collect := func(m *machine.Machine) { m.AttachTrace(trace.NewMetricsCollector(sm)) }
-	spinPair := func(name string, src replay.Source) error {
+	spinPair := func(name string, src replay.Source) {
 		plain := func(*machine.Machine) {}
 		snap.Benchmarks[name] = spinCell(src, plain)
 		observed := spinCell(src, collect)
-		ratio, err := alternate(spinRounds, timed(src, plain), timed(src, collect))
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		observed.RatioToPlain = ratio
+		observed.RatioToPlain = alternate(spinRounds, timed(src, plain), timed(src, collect))
 		snap.Benchmarks[name+"_observed"] = observed
-		return nil
 	}
-	if err := spinPair("mesi_spin_cell",
-		experiments.BenchmarkSource(spinP, inv, workload.StyleNaive, experiments.Options{Cores: 16})); err != nil {
-		return err
-	}
+	spinPair("mesi_spin_cell", experiments.BenchmarkSource(spinP, inv, workload.StyleNaive, experiments.Options{Cores: 16}))
 	// A whole BackOff-0 cell whose back-off spins mostly read flags
 	// homed on the spinner's own bank: its event count pins the parking
 	// of those loops, and with a metrics collector attached they still
@@ -325,10 +316,7 @@ func run(out string, cores int, benches []string) error {
 	if err != nil {
 		return err
 	}
-	if err := spinPair("vips_spin_cell",
-		experiments.BenchmarkSource(spinP, backoff, workload.StyleScalable, experiments.Options{Cores: 16})); err != nil {
-		return err
-	}
+	spinPair("vips_spin_cell", experiments.BenchmarkSource(spinP, backoff, workload.StyleScalable, experiments.Options{Cores: 16}))
 
 	cells, cycles, wall := rate.Snapshot()
 	snap.SimRate = simRate{
@@ -357,7 +345,7 @@ func run(out string, cores int, benches []string) error {
 }
 
 // spinRounds and spinRuns shape the observed spin cells' time ratio:
-// rounds of spinRuns runs of each side, about 60 ms a side.
+// spinRounds rounds of spinRuns runs of each side.
 const spinRounds, spinRuns = 10, 10
 
 // alternate times a and b in rounds, a first in even rounds and b first
@@ -365,25 +353,19 @@ const spinRounds, spinRuns = 10, 10
 // host's speed drifts over seconds: one back-to-back pair of runs reads
 // that drift as a ratio, while here it biases alternate rounds up and
 // down, and the median cancels it. rounds must be even and positive.
-func alternate(rounds int, a, b func() (time.Duration, error)) (float64, error) {
+func alternate(rounds int, a, b func() time.Duration) float64 {
 	ratios := make([]float64, rounds)
 	for r := range ratios {
 		var ta, tb time.Duration
-		var errA, errB error
 		if r%2 == 0 {
-			ta, errA = a()
-			tb, errB = b()
+			ta, tb = a(), b()
 		} else {
-			tb, errB = b()
-			ta, errA = a()
-		}
-		if err := errors.Join(errA, errB); err != nil {
-			return 0, err
+			tb, ta = b(), a()
 		}
 		ratios[r] = float64(tb) / float64(ta)
 	}
 	sort.Float64s(ratios)
-	return (ratios[rounds/2-1] + ratios[rounds/2]) / 2, nil
+	return (ratios[rounds/2-1] + ratios[rounds/2]) / 2
 }
 
 // nopActor is an event that does nothing.

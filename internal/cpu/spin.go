@@ -21,11 +21,8 @@ import (
 // settles and schedules the pending event where it would have been.
 // Stats come out exactly as if every iteration had run.
 //
-// Nothing of this shows in a machine digest or replay mark: the machine
-// wakes every parked loop before a full digest, the core folds its
-// detector as the idle one, and the events the kernel passed for the
-// loop (Ghosted) count as executed, so a digest reads the same whether
-// and when a loop parked.
+// A machine digest or replay mark reads a parked loop as the simulated
+// one (see machine.Machine.ComponentDigests).
 //
 // The ghost's phases are: 0 the issue, 1 to ports the port's events
 // (phase ports is the response, whose event runs Complete and the loop

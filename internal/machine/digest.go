@@ -23,13 +23,11 @@ import (
 //     through different empty-cycle gaps. Scheduled and executed event
 //     counts are included instead.
 //   - Whether and when a spin loop parked (see cpu.Core.Settle). A full
-//     digest reads a parked loop as the simulated one: it wakes every
-//     parked loop first, each core folds its spin-loop detector as the
-//     idle one, no L1 or tile folds the core parked on it, and the
-//     executed count is Executed, which includes the events the kernel
-//     passed for parked loops. A digest, and so a replay mark, is
-//     therefore the same as on a machine whose loops never park, such as
-//     a traced replay window whose recording had them parked.
+//     digest wakes every parked loop first, each core folds its spin-loop
+//     detector as the idle one, no L1 or tile folds the core parked on
+//     it, and the executed count (Executed) includes the events the
+//     kernel passed for parked loops. A digest, and so a replay mark,
+//     reads the same as on a machine whose loops never park.
 //   - Chaos-engine internals (PRNG position, fault counters, FIFO
 //     floors). A chaos run digest-diverges from its fault-free twin at
 //     the first fault that perturbs machine state — not at the first

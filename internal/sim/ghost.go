@@ -60,9 +60,6 @@ type Ghost struct {
 	start uint64      // cycle of the chain's first event, of phase 0
 }
 
-// Seq reports the sequence number of the ghost's pending event.
-func (g *Ghost) Seq() uint64 { return g.blk.base + uint64(g.idx) }
-
 // Passed reports how many of the ghost's events the kernel has passed.
 // The chain's first event is of phase 0, so the pending event's cycle
 // and phase say how many came before it.
