@@ -36,7 +36,10 @@
 // checkpoint_interval cycles, so any [from,to) window of the run can be
 // re-executed — and traced — by rebuilding the cell and running it from
 // cycle 0. Replayed windows are verified against the recording's digest
-// marks as they run.
+// marks as they run. A mark holds the machine's full digest and the
+// events the simulated machine fired by then, the events passed for
+// parked spin loops included, so a traced window, whose loops stay
+// simulated, verifies marks recorded with them parked.
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: running cells finish,
 // queued jobs fail with a retryable status, and the process exits 0

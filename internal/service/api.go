@@ -299,7 +299,9 @@ type ReplayResponse struct {
 	To   uint64 `json:"to"`
 	// End is the recording's exclusive end boundary [0,End).
 	End uint64 `json:"end"`
-	// Interval is the digest-mark cadence K; Marks the mark count.
+	// Interval is the digest-mark cadence K; Marks the mark count. Each
+	// mark holds a full digest and the events the simulated machine
+	// fired by then, those passed for parked spin loops included.
 	Interval uint64           `json:"interval"`
 	Marks    int              `json:"marks"`
 	Stats    machine.Stats    `json:"stats"`
