@@ -55,9 +55,19 @@ func TestParkingIsInvisibleToRecordings(t *testing.T) {
 				g := workload.Generate(p, cores, style, s.Flavor())
 				src := experiments.GeneratedSource(g, s, o)
 				key := src.Label + "/" + style.String()
+				var m *machine.Machine
+				build := src.Build
+				src.Build = func() (*machine.Machine, error) {
+					var err error
+					m, err = build()
+					return m, err
+				}
 				parked, err := replay.Record(nil, src, interval)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
+				}
+				if m.Executed() == m.K.Executed() {
+					t.Errorf("%s: no spin loop parked", key)
 				}
 				unparked, err := replay.Record(nil, unparkedSource(src, g, s, cores), interval)
 				if err != nil {
