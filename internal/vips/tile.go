@@ -11,9 +11,9 @@ type Tile struct {
 	Bank *Bank
 
 	// inbound counts the messages sent to the tile and not yet
-	// delivered; spinner is the core last parked in a back-off spin on
-	// the bank (see L1.Park), woken when the next message is sent here.
-	// Both decide only whether a spin parks, which changes no result.
+	// delivered, and decides only whether a spin parks, which changes no
+	// result; spinner is the core last parked in a back-off spin on the
+	// bank (see L1.Park), woken when the next message is sent here.
 	//cbvet:ephemeral decides only whether a spin parks
 	inbound int
 	//cbvet:ephemeral whether a loop is parked changes no result; the machine wakes it before a digest
