@@ -117,9 +117,10 @@ type Kernel struct {
 	// single-tier scheduler for byte-identity tests and benchmarks.
 	heapOnly bool
 
-	// cached memoizes the earliest pending event between the boundary
-	// check and the pop that fires it, so RunToBoundary scans the wheel
-	// once per event. cachedSlot < 0 means the event is the heap top.
+	// cached memoizes the earliest pending event: its slot and cycle.
+	// The boundary check and the pop share it, and it outlives a pop
+	// that leaves events in the slot, so the wheel is scanned once per
+	// occupied cycle. cachedSlot < 0 means the event is the heap top.
 	cached     bool
 	cachedSlot int
 	cachedWhen uint64
@@ -186,28 +187,52 @@ func (k *Kernel) ScheduleActor(delay uint64, a Actor, data any, arg uint64) {
 // such as "FIFO floor + latency" whose floor may already have passed; the
 // clamp makes that well-defined instead of a time-travel bug.
 //
+// The event takes the largest sequence number yet, so on the wheel it
+// belongs at the tail of its slot, and its fields are written there in
+// place. It also queues behind the memoized earliest event unless it
+// lands in an earlier cycle.
+//
 //cbsim:hotpath
 func (k *Kernel) AtActor(when uint64, a Actor, data any, arg uint64) {
 	if a == nil {
 		panic("sim: nil event actor")
 	}
-	k.push(event{when: when, actor: a, data: data, arg: arg})
-}
-
-// push assigns an event its sequence number and inserts it into the
-// wheel (near future) or the overflow heap (far future).
-//
-//cbsim:hotpath
-func (k *Kernel) push(e event) {
-	if e.when < k.now {
-		e.when = k.now // clamp: see AtActor
+	if when < k.now {
+		when = k.now
 	}
-	e.seq = k.seq
+	seq := k.seq
 	k.seq++
-	k.insert(e)
+	if when < k.cachedWhen {
+		k.cached = false
+	}
+	if k.heapOnly || when-k.now >= wheelSlots {
+		k.tele.HeapPushes++
+		k.heapPush(event{when: when, seq: seq, actor: a, data: data, arg: arg})
+	} else {
+		if k.slots == nil {
+			k.initWheel()
+		}
+		k.tele.WheelPushes++
+		si := int(when) & wheelMask
+		s := &k.slots[si]
+		n := len(s.ev)
+		if n == 0 {
+			k.occ[si>>6] |= 1 << uint(si&63)
+		}
+		if n == cap(s.ev) {
+			s.ev = append(s.ev, event{})
+		} else {
+			s.ev = s.ev[:n+1]
+		}
+		e := &s.ev[n]
+		e.when, e.seq, e.actor, e.data, e.arg = when, seq, a, data, arg
+		k.nwheel++
+	}
+	k.notePending()
 }
 
-// insert queues an event that already has its sequence number.
+// insert queues an event that already has its sequence number, which
+// may be below the memoized event's: a woken ghost's.
 //
 //cbsim:hotpath
 func (k *Kernel) insert(e event) {
@@ -221,16 +246,23 @@ func (k *Kernel) insert(e event) {
 		k.tele.HeapPushes++
 		k.heapPush(e)
 	}
+	k.notePending()
+}
+
+// notePending raises the pending-event high-water mark.
+//
+//cbsim:hotpath
+func (k *Kernel) notePending() {
 	if p := uint64(k.nwheel + len(k.heap)); p > k.tele.MaxPending {
 		k.tele.MaxPending = p
 	}
 }
 
 // wheelPush inserts an event with now <= e.when < now+wheelSlots into its
-// slot, keeping the slot in sequence order. Direct pushes append (their
-// sequence numbers are monotone); only a heap->wheel migration can arrive
-// with a sequence number below an already-slotted event, taking the
-// binary-insert path.
+// slot, keeping the slot in sequence order. Only a migration or a woken
+// ghost comes here (AtActor writes its events in place), and either can
+// arrive with a sequence number below an already-slotted event, taking
+// the binary-insert path.
 //
 //cbsim:hotpath
 func (k *Kernel) wheelPush(e event) {
@@ -258,25 +290,6 @@ func (k *Kernel) wheelPush(e event) {
 		k.occ[si>>6] |= 1 << uint(si&63)
 	}
 	k.nwheel++
-}
-
-// popSlot removes the earliest (lowest-sequence) event of slot si, zeroing
-// the vacated entry so the popped actor and payload stay collectable. A
-// drained slot rewinds to reuse its backing.
-//
-//cbsim:hotpath
-func (k *Kernel) popSlot(si int) event {
-	s := &k.slots[si]
-	e := s.ev[s.head]
-	s.ev[s.head] = event{}
-	s.head++
-	if s.head == len(s.ev) {
-		s.ev = s.ev[:0]
-		s.head = 0
-		k.occ[si>>6] &^= 1 << uint(si&63)
-	}
-	k.nwheel--
-	return e
 }
 
 // nextOccupied returns the occupied slot closest to the current cycle,
@@ -392,33 +405,47 @@ func (k *Kernel) heapPop() event {
 // time. The caller must ensure events are pending. It is the single
 // shared pop-loop body of Step and RunToBoundary.
 //
+// A wheel event is read through a pointer to its slot entry, and only the
+// entry's actor and payload are cleared, so the slot's backing does not
+// keep them alive. A slot that still holds events after the pop holds the
+// next earliest one, in the same cycle, so the memo stays.
+//
 //cbsim:hotpath
 func (k *Kernel) stepOne() {
 	if !k.cached {
 		k.locate()
 	}
-	if k.ghosts.n > 0 {
-		var seq uint64
-		if si := k.cachedSlot; si >= 0 {
-			seq = k.slots[si].ev[k.slots[si].head].seq
-		} else {
-			seq = k.heap[0].seq
-		}
-		k.passGhosts(k.cachedWhen, seq)
-	}
-	var e event
+	var when, arg uint64
+	var a Actor
+	var data any
 	if si := k.cachedSlot; si >= 0 {
-		e = k.popSlot(si)
+		s := &k.slots[si]
+		e := &s.ev[s.head]
+		if k.ghosts.n > 0 {
+			k.passGhosts(e.when, e.seq)
+		}
+		when, a, data, arg = e.when, e.actor, e.data, e.arg
+		e.actor, e.data = nil, nil
+		k.nwheel--
+		if s.head++; s.head == len(s.ev) {
+			s.ev, s.head = s.ev[:0], 0
+			k.occ[si>>6] &^= 1 << uint(si&63)
+			k.cached = false
+		}
 	} else {
-		e = k.heapPop()
+		if k.ghosts.n > 0 {
+			k.passGhosts(k.cachedWhen, k.heap[0].seq)
+		}
+		e := k.heapPop()
+		k.cached = false
+		when, a, data, arg = e.when, e.actor, e.data, e.arg
 	}
-	k.cached = false
-	if e.when > k.now+1 {
+	if when > k.now+1 {
 		k.tele.Skips++
 	}
-	k.now = e.when
+	k.now = when
 	k.nrun++
-	e.actor.Act(e.data, e.arg)
+	a.Act(data, arg)
 }
 
 // Step fires the single earliest pending event and advances the clock to
