@@ -1,27 +1,38 @@
 package mem
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/digest"
-
 	"repro/internal/memtypes"
 )
 
-// Digest folds the authoritative word store in ascending address order.
-// StoreWord deletes zero-valued words, so the map's contents are already
-// canonical: two stores holding the same values digest equal regardless
-// of write history.
+// Digest folds the authoritative word store: the number of non-zero
+// words, then each one's address and value in ascending address order.
+// A zero word is folded like a word never written, so two stores
+// holding the same values digest equal regardless of write history.
 func (s *Store) Digest(h *digest.Hash) {
-	addrs := make([]memtypes.Addr, 0, len(s.words))
-	for a := range s.words { //cbvet:unordered — keys are sorted before hashing
-		addrs = append(addrs, a)
+	nums := make([]uint64, 0, len(s.pages))
+	for n := range s.pages { //cbvet:unordered — page numbers are sorted before hashing
+		nums = append(nums, n)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	h.Int(len(addrs))
-	for _, a := range addrs {
-		h.U64(uint64(a))
-		h.U64(s.words[a])
+	slices.Sort(nums)
+	words := 0
+	for _, n := range nums {
+		for _, v := range s.pages[n] {
+			if v != 0 {
+				words++
+			}
+		}
+	}
+	h.Int(words)
+	for _, n := range nums {
+		for i, v := range s.pages[n] {
+			if v != 0 {
+				h.U64(n*memtypes.PageBytes + uint64(i)*memtypes.WordBytes)
+				h.U64(v)
+			}
+		}
 	}
 }
 

@@ -17,45 +17,106 @@ import (
 	"repro/internal/memtypes"
 )
 
-// Store is the authoritative word-granular value store.
+// Store is the authoritative word-granular value store. Words live in
+// pages of pageWords, one per memtypes.PageBytes of address space, in a
+// map keyed by page number; a page is allocated by the first non-zero
+// store into it, and every word outside the pages reads zero. A run's
+// accesses cluster on a few pages, so the store memoizes the last page
+// it looked up, as a missing page's zeroPage too.
 type Store struct {
-	words map[memtypes.Addr]uint64
+	pages map[uint64]*page
+	//cbvet:ephemeral memo of the page numbered lastNum, which pages holds or zeroPage stands for; the digest folds pages
+	last *page
+	//cbvet:ephemeral number of the memoized page; the digest folds pages
+	lastNum uint64
 }
+
+const pageWords = memtypes.PageBytes / memtypes.WordBytes
+
+type page [pageWords]uint64
+
+// zeroPage stands for every page not yet allocated. It is only read.
+var zeroPage page
 
 // NewStore returns an empty store; all addresses read as zero.
 func NewStore() *Store {
-	return &Store{words: make(map[memtypes.Addr]uint64)}
+	return &Store{pages: make(map[uint64]*page), last: &zeroPage, lastNum: pageOf(0)}
+}
+
+func pageOf(a memtypes.Addr) uint64 { return uint64(a) / memtypes.PageBytes }
+
+// wordOf returns the index of a's word within its page.
+func wordOf(a memtypes.Addr) int { return int(a%memtypes.PageBytes) / memtypes.WordBytes }
+
+// find returns the page holding a, or zeroPage when none is allocated.
+//
+//cbsim:hotpath
+func (s *Store) find(a memtypes.Addr) *page {
+	n := pageOf(a)
+	if n == s.lastNum {
+		return s.last
+	}
+	p := s.pages[n]
+	if p == nil {
+		p = &zeroPage
+	}
+	s.last, s.lastNum = p, n
+	return p
+}
+
+// grow allocates the page holding a, which find returned as zeroPage.
+func (s *Store) grow(a memtypes.Addr) *page {
+	p := new(page)
+	s.pages[pageOf(a)] = p
+	s.last = p
+	return p
 }
 
 // Load returns the current value of the word holding a.
-func (s *Store) Load(a memtypes.Addr) uint64 { return s.words[a.Word()] }
+//
+//cbsim:hotpath
+func (s *Store) Load(a memtypes.Addr) uint64 { return s.find(a)[wordOf(a)] }
 
 // StoreWord sets the word holding a to v.
+//
+//cbsim:hotpath
 func (s *Store) StoreWord(a memtypes.Addr, v uint64) {
-	if v == 0 {
-		delete(s.words, a.Word())
-		return
+	p := s.find(a)
+	if p == &zeroPage {
+		if v == 0 {
+			return
+		}
+		p = s.grow(a)
 	}
-	s.words[a.Word()] = v
+	p[wordOf(a)] = v
 }
 
-// LoadLine returns the full line holding a.
+// LoadLine returns the full line holding a. A line never straddles a
+// page.
+//
+//cbsim:hotpath
 func (s *Store) LoadLine(a memtypes.Addr) memtypes.Line {
-	base := a.Line()
-	var l memtypes.Line
-	for i := 0; i < memtypes.WordsPerLine; i++ {
-		l[i] = s.words[base+memtypes.Addr(i*memtypes.WordBytes)]
-	}
-	return l
+	i := wordOf(a.Line())
+	return memtypes.Line(s.find(a)[i : i+memtypes.WordsPerLine])
 }
 
 // StoreLineWords writes the words of l selected by mask into a's line.
+//
+//cbsim:hotpath
 func (s *Store) StoreLineWords(a memtypes.Addr, l memtypes.Line, mask [memtypes.WordsPerLine]bool) {
-	base := a.Line()
-	for i := 0; i < memtypes.WordsPerLine; i++ {
-		if mask[i] {
-			s.StoreWord(base+memtypes.Addr(i*memtypes.WordBytes), l[i])
+	p := s.find(a)
+	base := wordOf(a.Line())
+	for i, on := range mask {
+		if !on {
+			continue
 		}
+		if p == &zeroPage {
+			if l[i] == 0 {
+				continue
+			}
+			p = s.grow(a)
+		}
+		p[base+i] = l[i]
 	}
 }
 
