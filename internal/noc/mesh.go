@@ -343,11 +343,12 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 		m.k.ScheduleActor(DefaultLocalLatency, m, msg, uint64(msg.Dst))
 		return
 	}
+	flits := uint64(msg.Flits())
 	m.stats.Messages++
-	m.stats.Flits += uint64(msg.Flits())
+	m.stats.Flits += flits
 	if m.ideal {
 		hops := uint64(m.HopCount(msg.Src, msg.Dst))
-		m.stats.FlitHops += uint64(msg.Flits()) * hops
+		m.stats.FlitHops += flits * hops
 		m.stats.Hops += hops
 		if m.chaos != nil {
 			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+hops*DefaultSwitchLatency+delay)
@@ -359,28 +360,35 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 	}
 	if m.chaos != nil {
 		if t := m.chaosClamp(msg.Src, floorInject, m.k.Now()+delay); t > m.k.Now() {
-			m.k.AtActor(t, m, msg, uint64(msg.Src))
+			m.k.AtActor(t, m, msg, hopArg(msg.Src, flits))
 			return
 		}
 	}
-	m.hop(msg, msg.Src)
+	m.hop(msg, msg.Src, flits)
 }
 
-// Act implements sim.Actor: it resumes a message at node arg, either
-// forwarding it one more hop or delivering it. Scheduling the mesh itself
-// as the actor (with the message as payload) makes per-hop routing free of
-// closure allocations.
+// A hop event's arg is the node the message is at, with the message's
+// flit count, which Send computes once, in the bits above flitShift. A
+// delivery's arg is the destination alone: it needs no flits.
+const flitShift = 32
+
+func hopArg(at memtypes.NodeID, flits uint64) uint64 { return uint64(at) | flits<<flitShift }
+
+// Act implements sim.Actor: it resumes a message at the node in arg,
+// either forwarding it one more hop or delivering it. Scheduling the mesh
+// itself as the actor (with the message as payload) makes per-hop
+// routing free of closure allocations.
 //
 //cbsim:hotpath
 func (m *Mesh) Act(data any, arg uint64) {
-	m.hop(data.(*memtypes.Message), memtypes.NodeID(arg))
+	m.hop(data.(*memtypes.Message), memtypes.NodeID(uint32(arg)), arg>>flitShift)
 }
 
-// hop routes msg one step from node at, scheduling the arrival at the next
-// router (or the final delivery).
+// hop routes msg, of the given flits, one step from node at, scheduling
+// the arrival at the next router (or the final delivery).
 //
 //cbsim:hotpath
-func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
+func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID, flits uint64) {
 	if at == msg.Dst {
 		m.deliver(msg)
 		return
@@ -388,7 +396,6 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 	dir := direction(m.route[int(at)*len(m.handlers)+int(msg.Dst)])
 	next := at + m.step[dir]
 
-	flits := uint64(msg.Flits())
 	now := m.k.Now()
 	free := m.linkFree[at][dir]
 	depart := now
@@ -406,7 +413,7 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 	if m.chaos != nil {
 		arrive = m.chaosClamp(at, int(dir), arrive+m.chaos.HopJitter())
 	}
-	m.k.AtActor(arrive, m, msg, uint64(next))
+	m.k.AtActor(arrive, m, msg, hopArg(next, flits))
 }
 
 //cbsim:hotpath
