@@ -37,7 +37,7 @@ func main() {
 	cores := flag.Int("cores", 64, "simulated cores (perfect square, <= 64)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines per sweep (1 = serial; results are identical either way)")
-	verbose := flag.Bool("v", false, "log each simulation run")
+	verbose := flag.Bool("v", false, "log each simulation run, and end with the host time per setup")
 	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all 19)")
 	csv := flag.String("csv", "", "directory to also write each table as CSV")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
@@ -88,16 +88,21 @@ func main() {
 	if *benchList != "" {
 		o.Benchmarks = strings.Split(*benchList, ",")
 	}
+	var host ledger
 	if *verbose {
 		o.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
+		o.Progress = host.observe
 	}
 
 	start := time.Now()
 	if err := run(*fig, o); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
+	}
+	if *verbose {
+		fmt.Fprint(os.Stderr, "\n", host.table())
 	}
 	fmt.Printf("\n[total wall time %v]\n", time.Since(start).Round(time.Millisecond))
 }

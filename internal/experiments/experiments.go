@@ -79,10 +79,14 @@ type RunEvent struct {
 	Benchmark string
 	Setup     string
 	// Done distinguishes the completion event (true) from the start
-	// event (false). Cycles, Wall, and Err are only set on completion.
+	// event (false). Cycles, Events, Wall, and Err are only set on
+	// completion.
 	Done bool
 	// Cycles is the simulated parallel-section execution time.
 	Cycles uint64
+	// Events is the number of kernel events the simulation fired
+	// (sim.Kernel.Executed): with Wall, the host time per event.
+	Events uint64
 	// Wall is the wall-clock time the simulation took — together with
 	// Cycles it gives the simulated-vs-wall rate exported by the daemon.
 	Wall time.Duration
@@ -347,7 +351,7 @@ func runGenerated(g *workload.Generated, s Setup, o Options) (Result, error) {
 	}
 	if o.Progress != nil {
 		o.Progress(RunEvent{Benchmark: g.Profile.Name, Setup: s.Name,
-			Done: true, Cycles: m.K.Now(), Wall: wall, Err: err})
+			Done: true, Cycles: m.K.Now(), Events: m.K.Executed(), Wall: wall, Err: err})
 	}
 	if err != nil {
 		return Result{}, err
