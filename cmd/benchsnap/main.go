@@ -266,7 +266,7 @@ func run(out string, cores int, benches []string) error {
 		}
 		return m, err
 	}
-	spinCell := func(src replay.Source, observe func(*machine.Machine)) benchPerf {
+	wholeCell := func(src replay.Source, observe func(*machine.Machine)) benchPerf {
 		var events uint64
 		r := record(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -287,7 +287,7 @@ func run(out string, cores int, benches []string) error {
 			start := time.Now()
 			for i := 0; i < spinRuns; i++ {
 				if _, err := runCell(src, observe); err != nil {
-					panic(err) // the same cell ran clean in spinCell
+					panic(err) // the same cell ran clean in wholeCell
 				}
 			}
 			return time.Since(start)
@@ -302,8 +302,8 @@ func run(out string, cores int, benches []string) error {
 	collect := func(m *machine.Machine) { m.AttachTrace(trace.NewMetricsCollector(sm)) }
 	spinPair := func(name string, src replay.Source) {
 		plain := func(*machine.Machine) {}
-		snap.Benchmarks[name] = spinCell(src, plain)
-		observed := spinCell(src, collect)
+		snap.Benchmarks[name] = wholeCell(src, plain)
+		observed := wholeCell(src, collect)
 		observed.RatioToPlain = alternate(spinRounds, timed(src, plain), timed(src, collect))
 		snap.Benchmarks[name+"_observed"] = observed
 	}
@@ -317,6 +317,20 @@ func run(out string, cores int, benches []string) error {
 		return err
 	}
 	spinPair("vips_spin_cell", experiments.BenchmarkSource(spinP, backoff, workload.StyleScalable, experiments.Options{Cores: 16}))
+
+	// A whole CB-All cell with 1-entry callback directories: the install,
+	// evict and stale-wake path of callback-64, with no spinning. Its
+	// event count pins the kernel's events on that path.
+	cbAll, err := experiments.SetupByName("CB-All")
+	if err != nil {
+		return err
+	}
+	cbP, err := workload.ByName("radiosity")
+	if err != nil {
+		return err
+	}
+	snap.Benchmarks["cb_cell"] = wholeCell(experiments.BenchmarkSource(cbP, cbAll, workload.StyleScalable,
+		experiments.Options{Cores: 16, CBEntries: 1}), func(*machine.Machine) {})
 
 	cells, cycles, wall := rate.Snapshot()
 	snap.SimRate = simRate{
