@@ -78,7 +78,8 @@ const (
 const slotCap = 2
 
 // wheelSlot holds the pending events of one cycle. ev[head:] are live, in
-// sequence order; entries before head have fired and are zeroed.
+// sequence order; entries before head have fired and hold no actor or
+// payload.
 type wheelSlot struct {
 	ev   []event
 	head int
@@ -212,21 +213,8 @@ func (k *Kernel) AtActor(when uint64, a Actor, data any, arg uint64) {
 		if k.slots == nil {
 			k.initWheel()
 		}
-		k.tele.WheelPushes++
-		si := int(when) & wheelMask
-		s := &k.slots[si]
-		n := len(s.ev)
-		if n == 0 {
-			k.occ[si>>6] |= 1 << uint(si&63)
-		}
-		if n == cap(s.ev) {
-			s.ev = append(s.ev, event{})
-		} else {
-			s.ev = s.ev[:n+1]
-		}
-		e := &s.ev[n]
+		e := k.slotTail(int(when) & wheelMask)
 		e.when, e.seq, e.actor, e.data, e.arg = when, seq, a, data, arg
-		k.nwheel++
 	}
 	k.notePending()
 }
@@ -258,6 +246,26 @@ func (k *Kernel) notePending() {
 	}
 }
 
+// slotTail grows slot si by one entry and returns it, marking the slot
+// occupied.
+//
+//cbsim:hotpath
+func (k *Kernel) slotTail(si int) *event {
+	k.tele.WheelPushes++
+	k.nwheel++
+	s := &k.slots[si]
+	n := len(s.ev)
+	if n == 0 {
+		k.occ[si>>6] |= 1 << uint(si&63)
+	}
+	if n == cap(s.ev) {
+		s.ev = append(s.ev, event{})
+	} else {
+		s.ev = s.ev[:n+1]
+	}
+	return &s.ev[n]
+}
+
 // wheelPush inserts an event with now <= e.when < now+wheelSlots into its
 // slot, keeping the slot in sequence order. Only a migration or a woken
 // ghost comes here (AtActor writes its events in place), and either can
@@ -266,30 +274,24 @@ func (k *Kernel) notePending() {
 //
 //cbsim:hotpath
 func (k *Kernel) wheelPush(e event) {
-	k.tele.WheelPushes++
 	si := int(e.when) & wheelMask
+	*k.slotTail(si) = e
 	s := &k.slots[si]
-	wasEmpty := s.head == len(s.ev)
-	if n := len(s.ev); wasEmpty || s.ev[n-1].seq < e.seq {
-		s.ev = append(s.ev, e)
-	} else {
-		s.ev = append(s.ev, event{})
-		lo, hi := s.head, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s.ev[mid].seq < e.seq {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	n := len(s.ev) - 1
+	if n == s.head || s.ev[n-1].seq < e.seq {
+		return
+	}
+	lo, hi := s.head, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.ev[mid].seq < e.seq {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		copy(s.ev[lo+1:], s.ev[lo:n])
-		s.ev[lo] = e
 	}
-	if wasEmpty {
-		k.occ[si>>6] |= 1 << uint(si&63)
-	}
-	k.nwheel++
+	copy(s.ev[lo+1:], s.ev[lo:n])
+	s.ev[lo] = e
 }
 
 // nextOccupied returns the occupied slot closest to the current cycle,
