@@ -22,7 +22,7 @@ import (
 // map keyed by page number; a page is allocated by the first non-zero
 // store into it, and every word outside the pages reads zero. A run's
 // accesses cluster on a few pages, so the store memoizes the last page
-// it looked up, as a missing page's zeroPage too.
+// it looked up, and a page not yet allocated as zeroPage.
 type Store struct {
 	pages map[uint64]*page
 	//cbvet:ephemeral memo of the page numbered lastNum, which pages holds or zeroPage stands for; the digest folds pages
@@ -66,9 +66,9 @@ func (s *Store) find(a memtypes.Addr) *page {
 
 // grow allocates the page holding a, which find returned as zeroPage.
 func (s *Store) grow(a memtypes.Addr) *page {
-	p := new(page)
-	s.pages[pageOf(a)] = p
-	s.last = p
+	p, n := new(page), pageOf(a)
+	s.pages[n] = p
+	s.last, s.lastNum = p, n
 	return p
 }
 
