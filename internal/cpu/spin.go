@@ -11,15 +11,15 @@ import (
 // branch ops in between, and at most one back-off wait whose interval no
 // longer grows. On a SpinPort (the MESI L1, or the VIPS L1 for an
 // ld_through of a line homed on its own tile) nothing can change such a
-// loop until a message is sent to the port, so the core parks it:
+// loop until a message is delivered to the port, so the core parks it:
 // instead of scheduling the loop's events — its issue, the port's
 // events up to the response, and the step after the wait — it hands
 // them to the kernel as a ghost (sim.Ghost), which keeps their place in
 // the event order without queueing or running them. Settle applies the
 // passed events' effects in bulk whenever the core's state is read;
-// Wake, which the port calls before a message to it is scheduled,
-// settles and schedules the pending event where it would have been.
-// Stats come out exactly as if every iteration had run.
+// Wake, which the port calls when a message is delivered to it, before
+// handling it, settles and schedules the pending event where it would
+// have been. Stats come out exactly as if every iteration had run.
 //
 // A machine digest or replay mark reads a parked loop as the simulated
 // one (see machine.Machine.ComponentDigests).
@@ -111,7 +111,7 @@ func (c *Core) spinWait(saturated bool, elapsed, wait uint64) {
 
 // spinPark runs the detector at the issue of in, elapsed cycles from
 // now, and parks the core when in closes a pure spin loop whose read
-// the port can answer the same way with nothing in flight to it.
+// the port can answer the same way until a message is delivered to it.
 //
 //cbsim:hotpath
 func (c *Core) spinPark(in *isa.Instr, elapsed uint64) bool {
@@ -281,8 +281,8 @@ func (c *Core) spinRetire(n, instrs uint64) {
 	c.req.Serial = c.stats.MemOps
 }
 
-// Wake implements memtypes.Spinner: a message is being sent to the
-// port, the loop is to be observed, or a machine digest is taken, so it
+// Wake implements memtypes.Spinner: a message is delivered to the port,
+// the loop is to be observed, or a machine digest is taken, so it
 // resumes as scheduled events. The passed events are settled, and the
 // pending one is scheduled in the ghost's place. A core that is not
 // parked ignores it.

@@ -309,30 +309,32 @@ type Port interface {
 // Spinner is a core parked in a pure spin loop on a SpinPort.
 type Spinner interface {
 	// Wake tells the core that its loop must resume as scheduled events:
-	// a message is being sent to its port, the loop's events are to be
+	// a message is delivered to its port, the loop's events are to be
 	// observed, or a machine digest is taken. The port calls it before
-	// anything is scheduled for the message, so the core can settle the
-	// iterations it skipped and schedule its pending event where it
-	// would have been. A core that is not parked ignores it.
+	// it handles the message, so the core can settle the iterations it
+	// skipped and schedule its pending event where it would have been.
+	// A core that is not parked ignores it.
 	Wake()
 }
 
 // SpinPort is a Port on which a core may park a pure spin loop: a loop
 // whose every iteration issues the same read, answered with the same
-// value after the same events, which cannot change until a message
-// reaches the port. While the core is parked it schedules nothing; the
-// port applies the skipped iterations' effects when asked and wakes the
-// core before any message is sent to it.
+// value after the same events, which cannot change until a message is
+// delivered to the port. While the core is parked it schedules nothing;
+// the port applies the skipped iterations' effects when asked, and the
+// core is woken when the next message is delivered to the port, before
+// it is handled.
 type SpinPort interface {
 	Port
 	// Park reports whether req, a read answered last time with the value
 	// the port holds now, would be answered the same way, after the same
-	// events, on every iteration until a message is sent to the port,
-	// with nothing in flight to it. On true it holds s, calls s.Wake
-	// before the next message sent to the port, and returns the port's
-	// phases of one iteration: Delays[i] leads from its event i to event
-	// i+1, where event 0 is the core's issue and event Len the response,
-	// which runs the core's Complete. The core appends its own phases.
+	// events, on every iteration until a message is delivered to the
+	// port. On true it holds s, calls s.Wake when the next message is
+	// delivered to the port, before it is handled, and returns the
+	// port's phases of one iteration: Delays[i] leads from its event i
+	// to event i+1, where event 0 is the core's issue and event Len the
+	// response, which runs the core's Complete. The core appends its own
+	// phases.
 	Park(req *Request, s Spinner) (sim.GhostCycle, bool)
 	// SpinEvents applies the effects of n skipped port-side events of
 	// phase p of req's loop (0 the issue, i the port's event i), the

@@ -15,8 +15,8 @@ import (
 // deferred request its message.
 
 // Digest folds the L1's cache array (data words and MESI line states),
-// any pending miss, the monitor extension's armed state, the messages in
-// flight to it, and the counters.
+// any pending miss, the monitor extension's armed state, and the
+// counters.
 func (l *L1) Digest(h *digest.Hash) {
 	l.arr.Digest(h, func(h *digest.Hash, s *l1Line) {
 		for _, word := range s.data {
@@ -40,7 +40,6 @@ func (l *L1) Digest(h *digest.Hash) {
 	if l.monitor.req != nil {
 		l.monitor.req.Digest(h)
 	}
-	h.Int(l.inbound)
 	l.monStats.Digest(h)
 	l.stats.Digest(h)
 }

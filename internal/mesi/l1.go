@@ -78,10 +78,8 @@ type L1 struct {
 	resp   memtypes.Response
 	respTo memtypes.Completer
 
-	// inbound counts the messages sent to this L1 and not yet delivered;
 	// spinner is the core last parked on a hit here (see Park), woken
-	// when the next message is sent to the L1.
-	inbound int
+	// when the next message is delivered to the L1.
 	//cbvet:ephemeral whether a loop is parked changes no result; the machine wakes it before a digest
 	spinner memtypes.Spinner
 
@@ -359,27 +357,13 @@ func (l *L1) handleFwd(msg *memtypes.Message) {
 	l.mesh.Send(wb)
 }
 
-// incoming notes a message sent to the L1 and wakes the parked spinner
-// before the mesh schedules anything for it: the message is the first
-// thing since the park that can change the spin line.
-//
-//cbsim:hotpath
-func (l *L1) incoming() {
-	l.inbound++
-	if s := l.spinner; s != nil {
-		l.spinner = nil
-		s.Wake()
-	}
-}
-
-// Park implements memtypes.SpinPort: a read of a resident line, with no
-// message on its way to the L1, hits now and keeps hitting until a
-// message is sent here. Its one port-side event is the response, a hit
-// latency after the issue.
+// Park implements memtypes.SpinPort: a read of a resident line hits now
+// and keeps hitting until a message is delivered here. Its one port-side
+// event is the response, a hit latency after the issue.
 //
 //cbsim:hotpath
 func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (sim.GhostCycle, bool) {
-	if req.Kind != memtypes.OpRead || l.inbound != 0 || l.arr.Peek(req.Addr) == nil {
+	if req.Kind != memtypes.OpRead || l.arr.Peek(req.Addr) == nil {
 		return sim.GhostCycle{}, false
 	}
 	l.spinner = s
@@ -422,9 +406,14 @@ func (l *L1) SpinResume(req *memtypes.Request, _ int, done memtypes.Completer, g
 	l.k.WakeGhost(g, l, nil, stageRespond)
 }
 
-// Deliver routes directory-to-L1 messages.
+// Deliver routes directory-to-L1 messages. A parked spinner wakes
+// first: the message is the first thing since the park that can change
+// the spin line.
 func (l *L1) Deliver(msg *memtypes.Message) {
-	l.inbound--
+	if s := l.spinner; s != nil {
+		l.spinner = nil
+		s.Wake()
+	}
 	switch msg.Kind {
 	case MsgDataS, MsgDataE, MsgDataX:
 		l.handleData(msg)

@@ -76,13 +76,3 @@ func (t *Tile) Deliver(msg *memtypes.Message) {
 	}
 	t.L1.Deliver(msg)
 }
-
-// Incoming implements noc.Incomer: the L1 counts the messages in flight
-// to it and wakes its parked spinner before the first one is scheduled.
-//
-//cbsim:hotpath
-func (t *Tile) Incoming(msg *memtypes.Message) {
-	if !toDir(msg.Kind) {
-		t.L1.incoming()
-	}
-}

@@ -29,14 +29,6 @@ type Handler interface {
 	Deliver(msg *memtypes.Message)
 }
 
-// An Incomer is a Handler that hears of every message sent to its node
-// before the mesh schedules anything for it (the MESI and VIPS tiles
-// wake a core parked in a spin loop there).
-type Incomer interface {
-	Handler
-	Incoming(msg *memtypes.Message)
-}
-
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(*memtypes.Message)
 
@@ -70,9 +62,6 @@ type Mesh struct {
 	// Attach during machine wiring.
 	//cbvet:ephemeral wiring: delivery endpoints attached at construction
 	handlers []Handler
-	// incoming holds the handlers that are Incomers (nil elsewhere).
-	//cbvet:ephemeral wiring: installed by Attach at construction
-	incoming []Incomer
 	// route[at*nodes+dst] is the direction of the X-Y hop out of node at
 	// toward dst, and step[dir] the node-number offset of that hop:
 	// routing a hop costs two loads instead of four divisions.
@@ -139,7 +128,6 @@ func New(k *sim.Kernel, width, height int) *Mesh {
 		width:    width,
 		height:   height,
 		handlers: make([]Handler, n),
-		incoming: make([]Incomer, n),
 		route:    make([]uint8, n*n),
 		step:     [numDirs]memtypes.NodeID{dirEast: 1, dirWest: -1, dirNorth: memtypes.NodeID(-width), dirSouth: memtypes.NodeID(width)},
 		linkFree: make([][numDirs]uint64, n),
@@ -214,11 +202,9 @@ func (m *Mesh) LiveMessages() int { return m.live }
 // Nodes returns the number of nodes in the mesh.
 func (m *Mesh) Nodes() int { return m.width * m.height }
 
-// Attach registers the message handler for node n. A handler that is
-// an Incomer also hears of each message at its Send.
+// Attach registers the message handler for node n.
 func (m *Mesh) Attach(n memtypes.NodeID, h Handler) {
 	m.handlers[m.check(n)] = h
-	m.incoming[n], _ = h.(Incomer)
 }
 
 // Stats returns a copy of the accumulated traffic counters.
@@ -312,16 +298,13 @@ func (m *Mesh) HopCount(src, dst memtypes.NodeID) int {
 }
 
 // Send injects msg into the network. The destination handler's Deliver is
-// invoked when the message arrives; an Incomer destination hears of it
-// first, before anything is scheduled. Sends to the local node bypass
-// the network with a fixed small latency and are not counted as traffic.
+// invoked when the message arrives. Sends to the local node bypass the
+// network with a fixed small latency and are not counted as traffic.
 //
 //cbsim:hotpath
 func (m *Mesh) Send(msg *memtypes.Message) {
 	m.check(msg.Src)
-	if in := m.incoming[m.check(msg.Dst)]; in != nil {
-		in.Incoming(msg)
-	}
+	m.check(msg.Dst)
 	if m.obs.On(trace.EvNoCSend) {
 		m.emit(trace.EvNoCSend, msg)
 	}

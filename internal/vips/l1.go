@@ -364,10 +364,10 @@ func (l *L1) handleRacyResp(msg *memtypes.Message) {
 // core's own tile never touches the mesh: each iteration is the issue,
 // the request's delivery to the bank one cycle later, the bank's load an
 // LLC hit later, the response's delivery one cycle after that, and the
-// L1's response in the same cycle. While the bank is idle and no message
-// is on its way to the tile, nothing can change the line's value, so
-// every iteration answers as the last did and the core may park the
-// loop. The first message sent to the tile wakes it.
+// L1's response in the same cycle. While the bank is idle, nothing but a
+// message delivered to the tile can change the line's value, so every
+// iteration answers as the last did and the core may park the loop. The
+// next message delivered to the tile wakes it, before it is handled.
 
 // spinSeenKinds are the kinds an own-bank spin iteration emits, but for
 // the back-off wait, which the core settles in bulk. While one is
@@ -377,15 +377,15 @@ var spinSeenKinds = trace.Of(trace.EvExec, trace.EvStallBegin, trace.EvStallEnd,
 
 // Park implements memtypes.SpinPort: an ld_through of a line homed on
 // this tile parks when its value is the one the last racy response
-// carried, its line is resident in the LLC (so the load hits), no
-// message is in flight to the tile, the bank holds no line lock and
-// queues nothing, it has neither a callback directory nor fault
-// injection, and no observer wants the iteration's events.
+// carried, its line is resident in the LLC (so the load hits), the bank
+// holds no line lock and queues nothing, it has neither a callback
+// directory nor fault injection, and no observer wants the iteration's
+// events.
 //
 //cbsim:hotpath
 func (l *L1) Park(req *memtypes.Request, s memtypes.Spinner) (sim.GhostCycle, bool) {
 	t := l.tile
-	if req.Kind != memtypes.OpReadThrough || t == nil || t.inbound != 0 {
+	if req.Kind != memtypes.OpReadThrough || t == nil {
 		return sim.GhostCycle{}, false
 	}
 	b := t.Bank
@@ -432,14 +432,12 @@ func (l *L1) SpinEvents(req *memtypes.Request, p int, n, _, _ uint64) {
 //
 //cbsim:hotpath
 func (l *L1) SpinResume(req *memtypes.Request, p int, done memtypes.Completer, g *sim.Ghost) {
-	t := l.tile
-	b := t.Bank
+	b := l.tile.Bank
 	if p != spinRespond {
 		l.pending = pendingOp{req: req, done: done}
 	}
 	switch p {
 	case spinRacy:
-		t.inbound++
 		l.k.WakeGhost(g, l.mesh, l.racyMessage(req), uint64(l.id))
 	case spinLoad:
 		b.busy = append(b.busy, req.Addr.Line())
@@ -452,7 +450,6 @@ func (l *L1) SpinResume(req *memtypes.Request, p int, done memtypes.Completer, g
 			Core: l.id, Value: b.store.Load(req.Addr), Req: req,
 			Serial: req.Serial,
 		}
-		t.inbound++
 		l.k.WakeGhost(g, l.mesh, resp, uint64(l.id))
 	case spinRespond:
 		l.resp, l.respTo = memtypes.Response{Value: b.store.Load(req.Addr)}, done
