@@ -271,6 +271,16 @@ type Request struct {
 	Serial uint64
 }
 
+// PhaseKind is the synchronization-phase kind an LLC access by r is
+// attributed to: SyncKind inside a synchronization phase, and 0 outside
+// one or for a nil request.
+func (r *Request) PhaseKind() uint8 {
+	if r == nil || !r.Sync {
+		return 0
+	}
+	return r.SyncKind
+}
+
 // NumSyncKinds mirrors isa.NumSyncKinds for counter array sizing without
 // an import cycle.
 const NumSyncKinds = 8

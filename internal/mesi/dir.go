@@ -24,15 +24,6 @@ type DirStats struct {
 	EGrants    uint64 // DataE responses
 }
 
-// reqSyncKind extracts the synchronization-phase kind of a request (0
-// when absent or not synchronizing).
-func reqSyncKind(req *memtypes.Request) uint8 {
-	if req == nil || !req.Sync {
-		return 0
-	}
-	return req.SyncKind
-}
-
 // dirLine is the directory state for one line: an owner pointer (E or M
 // copy) or a sharer bit-vector. Lines absent from the map are uncached.
 type dirLine struct {
@@ -232,7 +223,7 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 //
 //cbsim:hotpath
 func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
-	lat := d.accessLat(msg.Addr, true, reqSyncKind(msg.Req))
+	lat := d.accessLat(msg.Addr, true, msg.Req.PhaseKind())
 	d.obs.Span(msg.Core, d.k.Now(), d.k.Now()+lat, uint64(cycles.CatLLCStall))
 	d.k.ScheduleActor(lat, d, msg, uint64(kind))
 }

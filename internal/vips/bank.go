@@ -126,15 +126,6 @@ func (b *Bank) DataStats() mem.BankStats { return b.data.Stats() }
 // CBDir exposes the callback directory (nil in back-off mode) for stats.
 func (b *Bank) CBDir() *core.Directory { return b.cbdir }
 
-// reqSyncKind extracts the synchronization-phase kind of a request (0
-// when absent or not synchronizing).
-func reqSyncKind(req *memtypes.Request) uint8 {
-	if req == nil || !req.Sync {
-		return 0
-	}
-	return req.SyncKind
-}
-
 // Bank event stages: the arg of the kernel events the bank schedules on
 // itself. Every stage but stageWake carries the operation's message as
 // the event data; stageWake carries a *wakeBatch.
@@ -271,7 +262,7 @@ func (b *Bank) locked(msg *memtypes.Message) {
 //
 //cbsim:hotpath
 func (b *Bank) readLLC(msg *memtypes.Message, addr memtypes.Addr, stage uint64) {
-	lat := b.accessLat(addr, true, reqSyncKind(msg.Req))
+	lat := b.accessLat(addr, true, msg.Req.PhaseKind())
 	b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
 	b.k.ScheduleActor(lat, b, msg, stage)
 }
@@ -393,7 +384,7 @@ func (b *Bank) writeWord(msg *memtypes.Message) {
 		b.observeOcc(req.Addr)
 		b.wakeAfter(b.cbdirLat, wb)
 	}
-	lat := b.accessLat(req.Addr, true, reqSyncKind(req))
+	lat := b.accessLat(req.Addr, true, req.PhaseKind())
 	b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
 	b.k.ScheduleActor(lat, b, msg, stageStoreAck)
 }

@@ -421,7 +421,7 @@ func (l *L1) SpinEvents(req *memtypes.Request, p int, n, _, _ uint64) {
 	case spinRacy:
 		b := l.tile.Bank
 		b.stats.RacyReads += n
-		b.data.CreditHits(req.Addr, n, true, reqSyncKind(req))
+		b.data.CreditHits(req.Addr, n, true, req.PhaseKind())
 	}
 }
 
