@@ -256,7 +256,6 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 			vcfg := vips.Config{
 				Mode:             vips.ModeBackoff,
 				CBEntriesPerBank: cfg.CBEntriesPerBank,
-				CBDirLatency:     1,
 				WakePolicy:       cfg.WakePolicy,
 				CBEvict:          cfg.CBEvict,
 				CBLineGranular:   cfg.CBLineGranular,

@@ -13,6 +13,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/memtypes"
+	"repro/internal/vips"
 )
 
 // TestTable2Defaults pins the simulated system parameters to Table 2 of
@@ -42,6 +43,9 @@ func TestTable2Defaults(t *testing.T) {
 	}
 	if core.DefaultEntries != 4 {
 		t.Errorf("callback dir default entries = %d, want 4", core.DefaultEntries)
+	}
+	if vips.CBDirLatency != 1 {
+		t.Errorf("callback dir access time = %d, want 1", vips.CBDirLatency)
 	}
 	m := New(cfg, nil)
 	if m.Mesh.Nodes() != 64 {

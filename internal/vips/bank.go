@@ -38,9 +38,8 @@ type Bank struct {
 	store *mem.Store
 	data  *mem.Bank
 
-	mode     Mode
-	cbdir    *core.Directory
-	cbdirLat uint64
+	mode  Mode
+	cbdir *core.Directory
 
 	// chaos, when non-nil, injects directory-level faults (forced
 	// evictions, spurious wakes, delayed wake visibility) and LLC
@@ -94,7 +93,6 @@ func NewBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store
 		b.cbdir.SetWakePolicy(cfg.WakePolicy)
 		b.cbdir.SetEvictPolicy(cfg.CBEvict)
 		b.cbdir.SetLineGranular(cfg.CBLineGranular)
-		b.cbdirLat = cfg.CBDirLatency
 	}
 	return b
 }
@@ -364,8 +362,8 @@ func (b *Bank) readThrough(msg *memtypes.Message) {
 //cbsim:hotpath
 func (b *Bank) callbackRead(msg *memtypes.Message) {
 	b.stats.CBDirAccesses++
-	b.cycSpan(msg.Core, b.cbdirLat, cycles.CatCoherenceStall)
-	b.k.ScheduleActor(b.cbdirLat, b, msg, stageCBRead)
+	b.cycSpan(msg.Core, CBDirLatency, cycles.CatCoherenceStall)
+	b.k.ScheduleActor(CBDirLatency, b, msg, stageCBRead)
 }
 
 // writeWord serves st_through / st_cb1 / st_cb0 under the line lock:
@@ -382,7 +380,7 @@ func (b *Bank) writeWord(msg *memtypes.Message) {
 		wb := b.newWakes(req.Addr, req.Value)
 		wb.cores = b.cbdir.Write(wb.cores, req.Addr, cbWriteMode(req.Kind))
 		b.observeOcc(req.Addr)
-		b.wakeAfter(b.cbdirLat, wb)
+		b.wakeAfter(CBDirLatency, wb)
 	}
 	lat := b.accessLat(req.Addr, true, req.PhaseKind())
 	b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
@@ -411,8 +409,8 @@ func (b *Bank) rmw(msg *memtypes.Message) {
 	req := msg.Req
 	if b.cbdir != nil && req.RMWLdCB {
 		b.stats.CBDirAccesses++
-		b.cycSpan(msg.Core, b.cbdirLat, cycles.CatCoherenceStall)
-		b.k.ScheduleActor(b.cbdirLat, b, msg, stageCBRead)
+		b.cycSpan(msg.Core, CBDirLatency, cycles.CatCoherenceStall)
+		b.k.ScheduleActor(CBDirLatency, b, msg, stageCBRead)
 		return
 	}
 	if b.cbdir != nil {

@@ -63,15 +63,16 @@ func (m Mode) String() string {
 	return "vips-mode?"
 }
 
+// CBDirLatency is the callback-directory access time in cycles (Table
+// 2), paid by callback reads before the LLC and by the wakes of a write.
+const CBDirLatency = 1
+
 // Config parameterizes the protocol.
 type Config struct {
 	Mode Mode
 	// CBEntriesPerBank sizes each bank's callback directory
 	// (core.DefaultEntries when zero; Table 2 uses 4).
 	CBEntriesPerBank int
-	// CBDirLatency is the callback-directory access time in cycles
-	// (Table 2: 1 cycle), paid by callback reads before the LLC.
-	CBDirLatency uint64
 	// WakePolicy selects the write_CB1 victim policy.
 	WakePolicy core.WakePolicy
 	// CBEvict selects the directory replacement policy.
@@ -79,9 +80,4 @@ type Config struct {
 	// CBLineGranular switches the directory to line-granular tags
 	// (ablation; the paper uses word granularity).
 	CBLineGranular bool
-}
-
-// DefaultConfig returns the Table 2 configuration for the given mode.
-func DefaultConfig(mode Mode) Config {
-	return Config{Mode: mode, CBEntriesPerBank: core.DefaultEntries, CBDirLatency: 1}
 }

@@ -77,7 +77,7 @@ func (r *rig) start(n int, req *memtypes.Request, done func(memtypes.Response)) 
 }
 
 func TestDRFReadWriteHitMiss(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	// Store allocates and writes the L1 line; read hits locally.
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpWrite, Addr: 0x100, Value: 42})
 	resp := r.access(t, 0, &memtypes.Request{Kind: memtypes.OpRead, Addr: 0x100})
@@ -91,7 +91,7 @@ func TestDRFReadWriteHitMiss(t *testing.T) {
 }
 
 func TestWriteInvisibleUntilDowngrade(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	// Core 0 writes DRF data but does not fence: the store (and hence
 	// other cores) must not see it.
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpWrite, Addr: 0x100, Value: 7})
@@ -106,7 +106,7 @@ func TestWriteInvisibleUntilDowngrade(t *testing.T) {
 }
 
 func TestSelfInvalidationRefetches(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	// Core 1 caches the line while it is 0.
 	if resp := r.access(t, 1, &memtypes.Request{Kind: memtypes.OpRead, Addr: 0x200}); resp.Value != 0 {
 		t.Fatal("initial read should be 0")
@@ -128,7 +128,7 @@ func TestSelfInvalidationRefetches(t *testing.T) {
 
 func TestSelfInvlFlushesDirtyFirst(t *testing.T) {
 	// Footnote 7: self_invl also downgrades transient dirty data.
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpWrite, Addr: 0x300, Value: 5})
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpFenceSelfInvl})
 	if got := r.store.Load(0x300); got != 5 {
@@ -140,7 +140,7 @@ func TestSelfInvlFlushesDirtyFirst(t *testing.T) {
 }
 
 func TestPrivateDataSurvivesFences(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpWrite, Addr: 0x400, Value: 3, Private: true})
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpFenceSelfInvl})
 	if r.tiles[0].L1.ValidLines() != 1 {
@@ -157,7 +157,7 @@ func TestPrivateDataSurvivesFences(t *testing.T) {
 }
 
 func TestRacyOpsBypassL1(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpWriteThrough, Addr: 0x500, Value: 11})
 	if got := r.store.Load(0x500); got != 11 {
 		t.Fatalf("st_through not visible at LLC: %d", got)
@@ -174,7 +174,7 @@ func TestRacyOpsBypassL1(t *testing.T) {
 func TestRMWAtomicity(t *testing.T) {
 	// Two t&s on the same free lock: exactly one wins, regardless of
 	// arrival interleaving at the bank.
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	wins := 0
 	reqs := 0
 	for _, c := range []int{1, 2} {
@@ -201,7 +201,7 @@ func TestRMWAtomicity(t *testing.T) {
 }
 
 func TestCallbackReadBlocksUntilWrite(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeCallback))
+	r := newRig(t, 4, Config{Mode: ModeCallback})
 	// Drain the F/E bit: install via a first callback read (satisfied).
 	if resp := r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: 0x700}); resp.Stale {
 		t.Fatal("install read should not be stale")
@@ -234,7 +234,7 @@ func TestCallbackConsumesPrecedingWrite(t *testing.T) {
 	// A write that precedes the callback is consumed immediately: the
 	// F/E mechanism ("a callback can consume a single write, whether it
 	// happens before or after it").
-	r := newRig(t, 4, DefaultConfig(ModeCallback))
+	r := newRig(t, 4, Config{Mode: ModeCallback})
 	r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: 0x700}) // install+consume
 	r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: 0x740}) // different word, own entry
 	r.access(t, 2, &memtypes.Request{Kind: memtypes.OpWriteThrough, Addr: 0x700, Value: 5})
@@ -245,7 +245,7 @@ func TestCallbackConsumesPrecedingWrite(t *testing.T) {
 }
 
 func TestWriteCB1WakesExactlyOne(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeCallback))
+	r := newRig(t, 4, Config{Mode: ModeCallback})
 	addr := memtypes.Addr(0x800)
 	// Install and drain all F/E bits for cores 1..3.
 	for _, c := range []int{1, 2, 3} {
@@ -280,7 +280,7 @@ func TestWriteCB1WakesExactlyOne(t *testing.T) {
 }
 
 func TestWriteCB0WakesNobody(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeCallback))
+	r := newRig(t, 4, Config{Mode: ModeCallback})
 	addr := memtypes.Addr(0x900)
 	r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: addr})
 	woken := false
@@ -302,7 +302,7 @@ func TestWriteCB0WakesNobody(t *testing.T) {
 func TestBlockedRMWWokenByRelease(t *testing.T) {
 	// The {ld_cb}&{st_cb0} T&S spin of Figure 9 (right): a blocked RMW
 	// is woken by the lock release and acquires atomically.
-	r := newRig(t, 4, DefaultConfig(ModeCallback))
+	r := newRig(t, 4, Config{Mode: ModeCallback})
 	lock := memtypes.Addr(0xA00)
 
 	// Core 1 takes the lock with {ld}&{st_cb0}.
@@ -353,7 +353,7 @@ func TestBlockedRMWWokenByRelease(t *testing.T) {
 }
 
 func TestDirectoryEvictionAnswersStale(t *testing.T) {
-	cfg := DefaultConfig(ModeCallback)
+	cfg := Config{Mode: ModeCallback}
 	cfg.CBEntriesPerBank = 1
 	r := newRig(t, 4, cfg)
 	// 0x40 and 0x140 both map to bank 1 (line index mod 4 == 1).
@@ -383,7 +383,7 @@ func TestDirectoryEvictionAnswersStale(t *testing.T) {
 func TestWTLineWakesCallbacks(t *testing.T) {
 	// An ordinary DRF write-through (self-downgrade) to a word with a
 	// callback entry behaves as a normal write: wakes everyone.
-	r := newRig(t, 4, DefaultConfig(ModeCallback))
+	r := newRig(t, 4, Config{Mode: ModeCallback})
 	addr := memtypes.Addr(0xB00)
 	r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: addr})
 	var got *memtypes.Response
@@ -403,7 +403,7 @@ func TestWTLineWakesCallbacks(t *testing.T) {
 }
 
 func TestBankLineLockSerializes(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	// Two RMW fetch&adds issued the same cycle must both apply.
 	results := []uint64{}
 	for _, c := range []int{1, 2} {
@@ -428,7 +428,7 @@ func TestBankLineLockSerializes(t *testing.T) {
 }
 
 func TestLdCBInBackoffModeDegenerates(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	r := newRig(t, 4, Config{Mode: ModeBackoff})
 	resp := r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: 0xD00})
 	if resp.Value != 0 {
 		t.Fatal("ld_cb in backoff mode should behave as ld_through")
@@ -439,7 +439,7 @@ func TestLdCBInBackoffModeDegenerates(t *testing.T) {
 }
 
 func TestEvictionWriteThrough(t *testing.T) {
-	r := newRig(t, 1, DefaultConfig(ModeBackoff))
+	r := newRig(t, 1, Config{Mode: ModeBackoff})
 	// Fill one set (4 ways) plus one more line: set index repeats every
 	// 128 lines (32KB/4-way = 128 sets), so stride 128*64 bytes.
 	stride := uint64(128 * 64)
@@ -456,7 +456,7 @@ func TestEvictionWriteThrough(t *testing.T) {
 }
 
 func TestCallbackStats(t *testing.T) {
-	r := newRig(t, 4, DefaultConfig(ModeCallback))
+	r := newRig(t, 4, Config{Mode: ModeCallback})
 	addr := memtypes.Addr(0xE00)
 	r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: addr})
 	r.start(1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: addr}, func(memtypes.Response) {})
@@ -478,7 +478,7 @@ func TestCallbackStats(t *testing.T) {
 }
 
 func TestQueueLockBlocksFailingTAS(t *testing.T) {
-	cfg := DefaultConfig(ModeQueueLock)
+	cfg := Config{Mode: ModeQueueLock}
 	r := newRig(t, 4, cfg)
 	lock := memtypes.Addr(0x40) // bank 1
 
@@ -524,7 +524,7 @@ func TestQueueLockBlocksFailingTAS(t *testing.T) {
 }
 
 func TestQueueLockFIFOOrder(t *testing.T) {
-	cfg := DefaultConfig(ModeQueueLock)
+	cfg := Config{Mode: ModeQueueLock}
 	r := newRig(t, 4, cfg)
 	lock := memtypes.Addr(0x40)
 	r.access(t, 1, &memtypes.Request{
@@ -558,7 +558,7 @@ func TestQueueLockFIFOOrder(t *testing.T) {
 func TestQueueLockUnconditionalAtomicsPass(t *testing.T) {
 	// Swap and fetch&add never queue; a fetch&add release also wakes
 	// queued waiters (signal semantics).
-	cfg := DefaultConfig(ModeQueueLock)
+	cfg := Config{Mode: ModeQueueLock}
 	r := newRig(t, 4, cfg)
 	c := memtypes.Addr(0x40)
 	if resp := r.access(t, 1, &memtypes.Request{
@@ -592,7 +592,7 @@ func TestQueueLockUnconditionalAtomicsPass(t *testing.T) {
 // callers that do not reuse.
 func TestDuplicatedRacyResponsePanics(t *testing.T) {
 	for _, reuse := range []bool{true, false} {
-		r := newRig(t, 4, DefaultConfig(ModeCallback))
+		r := newRig(t, 4, Config{Mode: ModeCallback})
 		const addr = memtypes.Addr(0x300)
 		first := &memtypes.Request{Kind: memtypes.OpReadThrough, Addr: addr, Serial: 1}
 		r.access(t, 0, first)
