@@ -24,7 +24,7 @@ var updateSpin = flag.Bool("update-spin", false,
 	"rewrite the spin golden files in testdata from the current simulator")
 
 // Invalidation spin loops are parked: a core spinning on a resident L1
-// line schedules nothing until a message is sent to its L1. The golden
+// line schedules nothing until a message is delivered to its L1. The golden
 // files these tests compare against were recorded before parking
 // existed, so they pin the behaviour parking must reproduce exactly.
 
@@ -49,12 +49,20 @@ func spinProgram(flag memtypes.Addr, pad int, pre uint64) *isa.Program {
 }
 
 // spinInvMachine builds a 4-core MESI machine in which core 0 spins on
-// flag and the writer core first loads flag (so both end up sharing it)
-// and stores 1 after delay cycles: the store's GetX sends core 0 an Inv.
+// flag and the writer core runs spinInvWriter.
 func spinInvMachine(flag memtypes.Addr, writer, pad int, delay uint64) *Machine {
 	cfg := Default(ProtocolMESI)
 	cfg.Cores = 4
 	m := New(cfg, nil)
+	m.Load(writer, spinInvWriter(flag, delay), nil)
+	m.Load(0, spinProgram(flag, pad, 40), nil) // the writer takes the line first
+	return m
+}
+
+// spinInvWriter first loads flag (so it ends up sharing the line with
+// the spinner) and stores 1 after delay cycles: the store's GetX sends
+// the spinner an Inv.
+func spinInvWriter(flag memtypes.Addr, delay uint64) *isa.Program {
 	wb := isa.NewBuilder()
 	wb.Imm(isa.R1, uint64(flag))
 	wb.Ld(isa.R2, isa.R1, 0)
@@ -62,9 +70,7 @@ func spinInvMachine(flag memtypes.Addr, writer, pad int, delay uint64) *Machine 
 	wb.Imm(isa.R3, 1)
 	wb.St(isa.R1, 0, isa.R3)
 	wb.Done()
-	m.Load(writer, wb.MustBuild(), nil)
-	m.Load(0, spinProgram(flag, pad, 40), nil) // the writer takes the line first
-	return m
+	return wb.MustBuild()
 }
 
 // spinInvCases place the Inv's sender relative to the spinner (tile 0 of

@@ -17,10 +17,10 @@ import (
 
 // Back-off spins on a core's own bank are parked under VIPS: a core whose
 // ld_through loop reads a line homed on its own tile schedules nothing
-// until a message is sent to the tile. The golden file these tests
+// until a message is delivered to the tile. The golden file these tests
 // compare against was recorded before that parking existed, so it pins
 // the behaviour parking must reproduce exactly whichever of the loop's
-// six events is pending when the message is sent.
+// events is pending when the message is delivered.
 
 // ownFlag is homed on tile 0 of the 2x2 mesh (line index 64 mod 4 = 0).
 const ownFlag memtypes.Addr = 0x1000
@@ -121,9 +121,10 @@ func (allKinds) Kinds() trace.Mask    { return ^trace.Mask(0) }
 func (f allKinds) Emit(e trace.Event) { f(e) }
 
 // wakePhases runs m with every kind observed and returns the phases of
-// core 0's loop pending at each message another tile sends tile 0:
-// 1 the step after the wait, 2 the issue, 3 the ld_through's delivery,
-// 4 the bank's load, 5 the response's delivery, 6 the L1's response.
+// core 0's loop pending at each delivery to tile 0 of a message from
+// another tile, where a parked loop wakes: 1 the step after the wait,
+// 2 the issue, 3 the ld_through's delivery, 4 the bank's load, 5 the
+// response's delivery, 6 the L1's response.
 func wakePhases(t *testing.T, m *Machine) []int {
 	t.Helper()
 	var phases []int
@@ -132,7 +133,7 @@ func wakePhases(t *testing.T, m *Machine) []int {
 		kind := memtypes.MsgKind(e.B >> 8)
 		src, dst := memtypes.NodeID(e.A>>32), memtypes.NodeID(uint32(e.A))
 		switch {
-		case e.Kind == trace.EvNoCSend && dst == 0 && src != 0:
+		case e.Kind == trace.EvNoCDeliver && dst == 0 && src != 0:
 			phases = append(phases, last%6+1)
 		case e.Core != 0:
 		case e.Kind == trace.EvWait:
@@ -198,17 +199,25 @@ func spinWakeHashes(t *testing.T) map[string]string {
 				}
 			}
 		}
-		for p := 1; p <= 6; p++ {
+		// The L1's response (6) fires in the cycle of the response's
+		// delivery (5), which schedules it. A message from another tile
+		// delivered in that cycle was scheduled at least a switch
+		// latency earlier, so it fires before both: no such delivery
+		// finds phase 6 pending.
+		for p := 1; p <= 5; p++ {
 			if !covered[p] {
 				t.Errorf("BackOff-%d: no message reaches the spinner's tile while phase %d is pending", limit, p)
 			}
+		}
+		if covered[6] {
+			t.Errorf("BackOff-%d: a message from another tile was delivered between the response's delivery and the L1's response", limit)
 		}
 	}
 	return out
 }
 
-// A message sent to the tile of a parked back-off spinner while any of
-// its loop's six events is pending — a release, a ld_through that
+// A message delivered to the tile of a parked back-off spinner while
+// any of its loop's events is pending — a release, a ld_through that
 // contends for the flag's line lock, a release sent between two events
 // of one cycle — leaves Stats, and the spin-wait histogram a metrics
 // collector fills, identical to the unparked simulator's.
