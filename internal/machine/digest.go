@@ -12,8 +12,8 @@ import (
 // their Full digest if and only if they are behaviorally
 // indistinguishable from that boundary on — the digest folds all mutable
 // machine state, including the transient mid-run state (pending L1
-// operations, busy directory lines, parked callback reads, in-flight
-// message counts), represented as data. Each component's Digest is its
+// operations, busy directory lines, parked callback reads, the mesh's
+// live-message count), represented as data. Each component's Digest is its
 // state manifest; the statecov analyzer keeps it complete.
 //
 // Three deliberate exclusions:
