@@ -24,8 +24,8 @@ var updateSpin = flag.Bool("update-spin", false,
 	"rewrite the spin golden files in testdata from the current simulator")
 
 // Invalidation spin loops are parked: a core spinning on a resident L1
-// line schedules nothing until a message is delivered to its L1. The golden
-// files these tests compare against were recorded before parking
+// line schedules nothing until a message is delivered to its L1. The
+// golden files these tests compare against were recorded before parking
 // existed, so they pin the behaviour parking must reproduce exactly.
 
 // spinProgram emits "spin until [flag] != 0" with pad Nops in the loop
