@@ -78,9 +78,9 @@ var spinWakeWriters = []struct {
 		return b.MustBuild()
 	}},
 	// hits: three L1 hits on a line homed off the spinner's tile, then
-	// the release issued in the last hit's response event (no cycle
-	// between them), so it can fall between two same-cycle events of
-	// the spinner.
+	// the release, issued in the last hit's response event rather than
+	// at a core step. Like the plain release's, its delivery finds each
+	// of phases 1 to 5 pending somewhere in the sweep.
 	{"hits", func(delay uint64) *isa.Program {
 		b := isa.NewBuilder()
 		b.Imm(isa.R1, uint64(ownFlag))
@@ -203,7 +203,8 @@ func spinWakeHashes(t *testing.T) map[string]string {
 		// delivery (5), which schedules it. A message from another tile
 		// delivered in that cycle was scheduled at least a switch
 		// latency earlier, so it fires before both: no such delivery
-		// finds phase 6 pending.
+		// finds phase 6 pending, and vips.L1.SpinResume, which would
+		// panic there, has no case for it.
 		for p := 1; p <= 5; p++ {
 			if !covered[p] {
 				t.Errorf("BackOff-%d: no message reaches the spinner's tile while phase %d is pending", limit, p)
@@ -216,11 +217,12 @@ func spinWakeHashes(t *testing.T) map[string]string {
 	return out
 }
 
-// A message delivered to the tile of a parked back-off spinner while
-// any of its loop's events is pending — a release, a ld_through that
-// contends for the flag's line lock, a release sent between two events
-// of one cycle — leaves Stats, and the spin-wait histogram a metrics
-// collector fills, identical to the unparked simulator's.
+// A message delivered to the tile of a parked back-off spinner,
+// whichever of its loop's phases 1 to 5 is pending — a release, a
+// ld_through that contends for the flag's line lock, a release issued
+// in an L1 hit's response event — leaves Stats, and the spin-wait
+// histogram a metrics collector fills, identical to the unparked
+// simulator's.
 func TestSpinWakeInEveryPhaseMatchesPinned(t *testing.T) {
 	const file = "testdata/spin_wake.txt"
 	got := spinWakeHashes(t)

@@ -353,6 +353,8 @@ type SpinPort interface {
 	// SpinResume schedules, in place of g's pending event, the port-side
 	// event p (1 to the Len Park returned) of req's skipped iteration,
 	// rebuilding the state the events before it left; done is the core
-	// the response completes.
+	// the response completes. A wake comes at a delivery to the port or
+	// at a cycle boundary, so a port need not resume an event that
+	// neither finds pending.
 	SpinResume(req *Request, p int, done Completer, g *sim.Ghost)
 }

@@ -367,7 +367,8 @@ func (l *L1) handleRacyResp(msg *memtypes.Message) {
 // L1's response in the same cycle. While the bank is idle, nothing but a
 // message delivered to the tile can change the line's value, so every
 // iteration answers as the last did and the core may park the loop. The
-// next message delivered to the tile wakes it, before it is handled.
+// next message delivered to the tile wakes it, before it is handled; no
+// wake lands on the L1's response (see SpinResume).
 
 // spinSeenKinds are the kinds an own-bank spin iteration emits, but for
 // the back-off wait, which the core settles in bulk. While one is
@@ -430,12 +431,18 @@ func (l *L1) SpinEvents(req *memtypes.Request, p int, n, _, _ uint64) {
 // events before it left: the L1's pending operation, the request or
 // response message in flight, or the bank's line lock.
 //
+// A wake never lands on the L1's response (spinRespond), which fires in
+// the cycle of the response's delivery and is scheduled by it. A trace
+// attach or a digest wakes the loop at a cycle boundary, where both have
+// fired or neither. A message from another tile is scheduled at least a
+// switch latency before its delivery, and one from this tile was sent
+// before the loop parked (nothing on the tile runs while it is parked),
+// so either is delivered before both.
+//
 //cbsim:hotpath
 func (l *L1) SpinResume(req *memtypes.Request, p int, done memtypes.Completer, g *sim.Ghost) {
 	b := l.tile.Bank
-	if p != spinRespond {
-		l.pending = pendingOp{req: req, done: done}
-	}
+	l.pending = pendingOp{req: req, done: done}
 	switch p {
 	case spinRacy:
 		l.k.WakeGhost(g, l.mesh, l.racyMessage(req), uint64(l.id))
@@ -451,9 +458,6 @@ func (l *L1) SpinResume(req *memtypes.Request, p int, done memtypes.Completer, g
 			Serial: req.Serial,
 		}
 		l.k.WakeGhost(g, l.mesh, resp, uint64(l.id))
-	case spinRespond:
-		l.resp, l.respTo = memtypes.Response{Value: b.store.Load(req.Addr)}, done
-		l.k.WakeGhost(g, l, nil, 0)
 	default:
 		panic(fmt.Sprintf("vips: core %d resumed a spin at phase %d", l.id, p))
 	}
