@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -159,10 +157,8 @@ func replayJournal(recs []JournalRecord) (pending []pendingJob, maxSeq uint64) {
 		case "done":
 			done[r.ID] = true
 		}
-		if n, ok := strings.CutPrefix(r.ID, "job-"); ok {
-			if seq, err := strconv.ParseUint(n, 10, 64); err == nil && seq > maxSeq {
-				maxSeq = seq
-			}
+		if seq, ok := jobSeq(r.ID); ok && seq > maxSeq {
+			maxSeq = seq
 		}
 	}
 	for _, id := range order {

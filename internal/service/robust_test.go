@@ -74,17 +74,9 @@ func TestPanicIsolatedToJob(t *testing.T) {
 
 	// Build the poisoned job directly (the HTTP API validates cores).
 	cells := []CellSpec{{Benchmark: "fft", Setup: "CB-One", Cores: 7, Style: "scalable", Entries: 4, Limit: 1_000_000}}
-	j, err := func() (*job, error) {
-		req := JobRequest{Benchmark: "fft", Setup: "CB-One", Cores: 4}
-		return s.makeJob("job-poison", req)
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.cells = cells
+	j := s.makeJob("job-poison", JobRequest{Benchmark: "fft", Setup: "CB-One", Cores: 4}, cells)
 	s.mu.Lock()
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	s.jobsCh <- j
 

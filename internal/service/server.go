@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,9 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,6 +74,14 @@ func (c Config) fill() Config {
 	return c
 }
 
+// keepFinished bounds the finished jobs a Server holds. When one more
+// job finishes, the job that finished longest ago is forgotten, and its
+// routes answer 410 Gone; queued and running jobs are always held. A
+// finished job's record (event log, request, context) is about 1.2 KB,
+// so the bound costs about 0.3 MB where keeping every job grew without
+// limit.
+const keepFinished = 256
+
 // Server is the simulation daemon: a bounded job queue drained by a
 // worker pool, a content-addressed result cache, and the HTTP/JSON API
 // in front of them. Create with New, serve Handler(), stop with Drain.
@@ -85,10 +96,17 @@ type Server struct {
 	draining atomic.Bool
 	busy     atomic.Int64
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string // submission order, for listing
-	nextID atomic.Uint64
+	mu   sync.Mutex
+	jobs map[string]*job // queued, running and retained finished jobs
+	// issued is the sequence number of the last job ID issued. IDs are
+	// issued only to accepted jobs, so job-000001 up to it name jobs
+	// this daemon (or the journal it replayed) accepted.
+	issued uint64
+	// finished rings the IDs of the last keepFinished jobs to finish;
+	// nfinished counts every finish, so the next slot to overwrite,
+	// finished[nfinished%keepFinished], holds the oldest.
+	finished  [keepFinished]string
+	nfinished uint64
 
 	// journal is the crash-consistency log (nil without JournalPath).
 	journal *journal
@@ -140,18 +158,18 @@ func New(cfg Config) (*Server, error) {
 			s.journalTorn.Add(uint64(torn))
 		}
 		pending, maxSeq := replayJournal(recs)
-		s.nextID.Store(maxSeq)
+		s.issued = maxSeq
 		for _, p := range pending {
-			j, err := s.makeJob(p.id, p.req)
+			cells, err := s.checkRequest(p.req)
 			if err != nil {
 				// A journaled request that no longer validates (profile
 				// renamed across versions): drop it, loudly.
 				cfg.Logf("journal replay: dropping job %s: %v", p.id, err)
 				continue
 			}
+			j := s.makeJob(p.id, p.req, cells)
 			s.mu.Lock()
 			s.jobs[p.id] = j
-			s.order = append(s.order, p.id)
 			s.mu.Unlock()
 			select {
 			case s.jobsCh <- j:
@@ -179,12 +197,14 @@ type verifyKey struct {
 // verifyError is a submission rejected by static program verification;
 // it carries the per-instruction diagnostics for the structured 400.
 type verifyError struct {
-	combo string
+	combo verifyKey
 	diags []string
 }
 
 func (e *verifyError) Error() string {
-	return fmt.Sprintf("programs for %s failed static verification (%d finding(s))", e.combo, len(e.diags))
+	k := e.combo
+	return fmt.Sprintf("programs for %s/%s/%d-core/%v failed static verification (%d finding(s))",
+		k.bench, k.style, k.cores, k.flavor, len(e.diags))
 }
 
 // verifyCells statically verifies the programs every cell will run,
@@ -204,10 +224,9 @@ func (s *Server) verifyCells(cells []CellSpec) error {
 			continue
 		}
 		checked[k] = true
-		combo := fmt.Sprintf("%s/%s/%d-core/%v", c.Benchmark, c.Style, c.Cores, k.flavor)
 		if v, ok := s.verified.Load(k); ok {
 			if diags := v.([]string); len(diags) > 0 {
-				return &verifyError{combo: combo, diags: diags}
+				return &verifyError{combo: k, diags: diags}
 			}
 			continue
 		}
@@ -222,15 +241,14 @@ func (s *Server) verifyCells(cells []CellSpec) error {
 		}
 		s.verified.Store(k, diags)
 		if len(diags) > 0 {
-			return &verifyError{combo: combo, diags: diags}
+			return &verifyError{combo: k, diags: diags}
 		}
 	}
 	return nil
 }
 
-// makeJob validates and normalizes req into a job with the given ID,
-// wired to journal its terminal transition.
-func (s *Server) makeJob(id string, req JobRequest) (*job, error) {
+// checkRequest validates and normalizes req into the cells it runs.
+func (s *Server) checkRequest(req JobRequest) ([]CellSpec, error) {
 	cells, err := req.Cells()
 	if err != nil {
 		return nil, err
@@ -247,6 +265,12 @@ func (s *Server) makeJob(id string, req JobRequest) (*job, error) {
 	if req.Cycles && req.Checkpoints {
 		return nil, fmt.Errorf("cycles and checkpoints cannot be combined (the replay contract pins the recorded run's exact payload)")
 	}
+	return cells, nil
+}
+
+// makeJob builds the job for a checked request under the given ID,
+// wired to journal its terminal transition and then retire it.
+func (s *Server) makeJob(id string, req JobRequest, cells []CellSpec) *job {
 	par := req.Parallelism
 	if par <= 0 || par > s.cfg.Parallelism {
 		par = s.cfg.Parallelism
@@ -262,12 +286,46 @@ func (s *Server) makeJob(id string, req JobRequest) (*job, error) {
 	j.traceWanted = req.Trace
 	j.checkpoints = req.Checkpoints
 	j.ckInterval = req.CheckpointInterval
-	if s.journal != nil {
-		j.onFinish = func(state string) {
+	j.onFinish = func(state string) {
+		if s.journal != nil {
 			s.recordJournal(JournalRecord{Op: "done", ID: id, State: state})
 		}
+		s.retire(id)
 	}
-	return j, nil
+	return j
+}
+
+// retire records that job id finished and forgets the job that
+// finished keepFinished finishes before it, if any.
+func (s *Server) retire(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot := &s.finished[s.nfinished%keepFinished]
+	if *slot != "" {
+		delete(s.jobs, *slot)
+	}
+	*slot = id
+	s.nfinished++
+}
+
+// jobID formats the ID of the job with sequence number seq.
+func jobID(seq uint64) string { return fmt.Sprintf("job-%06d", seq) }
+
+// jobSeq parses the sequence number out of a job ID.
+func jobSeq(id string) (uint64, bool) {
+	n, ok := strings.CutPrefix(id, "job-")
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(n, 10, 64)
+	return seq, err == nil
+}
+
+// issuedLocked reports whether id is one of the IDs issued so far.
+// The caller holds s.mu.
+func (s *Server) issuedLocked(id string) bool {
+	seq, ok := jobSeq(id)
+	return ok && seq >= 1 && seq <= s.issued && id == jobID(seq)
 }
 
 // recordJournal appends rec to the journal (when configured). A journal
@@ -662,29 +720,23 @@ func (s *Server) SubmitJob(req JobRequest) (JobStatus, error) {
 	if s.draining.Load() {
 		return JobStatus{}, ErrDraining
 	}
-	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
-	j, err := s.makeJob(id, req)
+	cells, err := s.checkRequest(req)
 	if err != nil {
 		return JobStatus{}, err
 	}
-
+	// The ID is issued together with the enqueue, under s.mu, so a
+	// rejected submission takes none and every issued ID names a job
+	// that was accepted. A worker that finishes the job at once waits
+	// for s.mu to retire it, so it finds the job registered.
 	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-
+	id := jobID(s.issued + 1)
+	j := s.makeJob(id, req, cells)
 	select {
 	case s.jobsCh <- j:
+		s.issued++
+		s.jobs[id] = j
+		s.mu.Unlock()
 	default:
-		// Queue full: reject with backpressure and forget the job.
-		s.mu.Lock()
-		delete(s.jobs, id)
-		for k, v := range s.order {
-			if v == id {
-				s.order = append(s.order[:k], s.order[k+1:]...)
-				break
-			}
-		}
 		s.mu.Unlock()
 		j.cancel()
 		s.jobsRejected.Inc()
@@ -724,25 +776,42 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// jobFor resolves the path's job ID, writing a 404 if unknown.
+// jobFor resolves the path's job ID. For a job it does not hold it
+// writes 410 Gone if the ID was issued (the job was forgotten, or
+// finished before a restart) and 404 if it never was.
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	j := s.jobs[id]
+	j, issued := s.jobs[id], s.issuedLocked(id)
 	s.mu.Unlock()
-	if j == nil {
+	switch {
+	case j != nil:
+	case issued:
+		writeJSON(w, http.StatusGone, apiError{Error: fmt.Sprintf(
+			"job %q is no longer held: the daemon keeps the last %d finished jobs, and none across a restart", id, keepFinished)})
+	default:
 		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown job %q", id)})
 	}
 	return j
 }
 
+// handleList lists the held jobs in submission order: job IDs share one
+// prefix and zero-pad their sequence numbers, so ordering them by
+// length and then bytes orders them by sequence.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	statuses := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		statuses = append(statuses, s.jobs[id].status())
+	held := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		held = append(held, j)
 	}
 	s.mu.Unlock()
+	slices.SortFunc(held, func(a, b *job) int {
+		return cmp.Or(cmp.Compare(len(a.id), len(b.id)), strings.Compare(a.id, b.id))
+	})
+	statuses := make([]JobStatus, len(held))
+	for i, j := range held {
+		statuses[i] = j.status()
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": statuses})
 }
 
