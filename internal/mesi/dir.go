@@ -236,11 +236,9 @@ func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
 func (d *Dir) Act(data any, kind uint64) {
 	msg := data.(*memtypes.Message)
 	out := d.mesh.NewMessage()
-	*out = memtypes.Message{
-		Src: d.id, Dst: msg.Src, Kind: memtypes.MsgKind(kind),
-		Class: memtypes.ClassLineData, Addr: msg.Addr, Core: msg.Core,
-		LineData: d.store.LoadLine(msg.Addr),
-	}
+	out.Src, out.Dst, out.Kind, out.Class = d.id, msg.Src, memtypes.MsgKind(kind), memtypes.ClassLineData
+	out.Addr, out.Core = msg.Addr, msg.Core
+	out.LineData = d.store.LoadLine(msg.Addr)
 	d.mesh.Send(out)
 	d.obs.Open(out.Core, d.k.Now(), uint64(cycles.CatNoC))
 	d.end(msg.Addr)
@@ -272,10 +270,8 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 		d.stats.Forwards++
 		owner := l.owner
 		fwd := d.mesh.NewMessage()
-		*fwd = memtypes.Message{
-			Src: d.id, Dst: memtypes.NodeID(owner), Kind: MsgFwdGetS,
-			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-		}
+		fwd.Src, fwd.Dst, fwd.Kind, fwd.Class = d.id, memtypes.NodeID(owner), MsgFwdGetS, memtypes.ClassControl
+		fwd.Addr, fwd.Core = msg.Addr, msg.Core
 		d.mesh.Send(fwd)
 		// The owner round trip is coherence work.
 		d.obs.Open(msg.Core, d.k.Now(), uint64(cycles.CatCoherenceStall))
@@ -305,10 +301,8 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 		t := d.begin(msg.Addr)
 		d.stats.Forwards++
 		fwd := d.mesh.NewMessage()
-		*fwd = memtypes.Message{
-			Src: d.id, Dst: memtypes.NodeID(l.owner), Kind: MsgFwdGetX,
-			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-		}
+		fwd.Src, fwd.Dst, fwd.Kind, fwd.Class = d.id, memtypes.NodeID(l.owner), MsgFwdGetX, memtypes.ClassControl
+		fwd.Addr, fwd.Core = msg.Addr, msg.Core
 		d.mesh.Send(fwd)
 		// The owner round trip is coherence work.
 		d.obs.Open(msg.Core, d.k.Now(), uint64(cycles.CatCoherenceStall))
@@ -332,10 +326,8 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 			if toInv&1 != 0 {
 				d.stats.InvsSent++
 				inv := d.mesh.NewMessage()
-				*inv = memtypes.Message{
-					Src: d.id, Dst: memtypes.NodeID(n), Kind: MsgInv,
-					Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-				}
+				inv.Src, inv.Dst, inv.Kind, inv.Class = d.id, memtypes.NodeID(n), MsgInv, memtypes.ClassControl
+				inv.Addr, inv.Core = msg.Addr, msg.Core
 				d.mesh.Send(inv)
 			}
 			toInv >>= 1
@@ -367,10 +359,8 @@ func (d *Dir) handlePut(msg *memtypes.Message) {
 	// A Put from a non-owner is stale (the line was forwarded away in
 	// the meantime): ack and ignore.
 	ack := d.mesh.NewMessage()
-	*ack = memtypes.Message{
-		Src: d.id, Dst: msg.Src, Kind: MsgWBAck,
-		Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-	}
+	ack.Src, ack.Dst, ack.Kind, ack.Class = d.id, msg.Src, MsgWBAck, memtypes.ClassControl
+	ack.Addr, ack.Core = msg.Addr, msg.Core
 	d.mesh.Free(msg)
 	d.mesh.Send(ack)
 }

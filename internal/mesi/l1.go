@@ -186,11 +186,8 @@ func (l *L1) Access(req *memtypes.Request, done memtypes.Completer) {
 
 func (l *L1) request(kind memtypes.MsgKind, req *memtypes.Request) {
 	msg := l.mesh.NewMessage()
-	*msg = memtypes.Message{
-		Src: l.id, Dst: l.bankOf(req.Addr), Kind: kind,
-		Class: memtypes.ClassControl, Addr: req.Addr.Line(),
-		Core: l.id, Req: req,
-	}
+	msg.Src, msg.Dst, msg.Kind, msg.Class = l.id, l.bankOf(req.Addr), kind, memtypes.ClassControl
+	msg.Addr, msg.Core, msg.Req = req.Addr.Line(), l.id, req
 	l.mesh.Send(msg)
 	l.obs.Open(l.id, l.k.Now(), uint64(cycles.CatNoC))
 }
@@ -296,18 +293,14 @@ func (l *L1) evictFor(addr memtypes.Addr) {
 	case StateM:
 		l.stats.Writebacks++
 		msg := l.mesh.NewMessage()
-		*msg = memtypes.Message{
-			Src: l.id, Dst: l.bankOf(v.Addr), Kind: MsgPutM,
-			Class: memtypes.ClassLineData, Addr: v.Addr, Core: l.id,
-			LineData: v.State.data,
-		}
+		msg.Src, msg.Dst, msg.Kind, msg.Class = l.id, l.bankOf(v.Addr), MsgPutM, memtypes.ClassLineData
+		msg.Addr, msg.Core = v.Addr, l.id
+		msg.LineData = v.State.data
 		l.mesh.Send(msg)
 	case StateE:
 		msg := l.mesh.NewMessage()
-		*msg = memtypes.Message{
-			Src: l.id, Dst: l.bankOf(v.Addr), Kind: MsgPutE,
-			Class: memtypes.ClassControl, Addr: v.Addr, Core: l.id,
-		}
+		msg.Src, msg.Dst, msg.Kind, msg.Class = l.id, l.bankOf(v.Addr), MsgPutE, memtypes.ClassControl
+		msg.Addr, msg.Core = v.Addr, l.id
 		l.mesh.Send(msg)
 	case StateS:
 		// Silent eviction: the directory's sharer bit goes stale and a
@@ -323,10 +316,8 @@ func (l *L1) handleInv(msg *memtypes.Message) {
 	}
 	l.monitorInvalidated(msg.Addr)
 	ack := l.mesh.NewMessage()
-	*ack = memtypes.Message{
-		Src: l.id, Dst: msg.Src, Kind: MsgInvAck,
-		Class: memtypes.ClassControl, Addr: msg.Addr, Core: l.id,
-	}
+	ack.Src, ack.Dst, ack.Kind, ack.Class = l.id, msg.Src, MsgInvAck, memtypes.ClassControl
+	ack.Addr, ack.Core = msg.Addr, l.id
 	l.mesh.Free(msg)
 	l.mesh.Send(ack)
 }
@@ -348,11 +339,9 @@ func (l *L1) handleFwd(msg *memtypes.Message) {
 		}
 	}
 	wb := l.mesh.NewMessage()
-	*wb = memtypes.Message{
-		Src: l.id, Dst: msg.Src, Kind: MsgDataWB,
-		Class: memtypes.ClassLineData, Addr: msg.Addr, Core: msg.Core,
-		LineData: data,
-	}
+	wb.Src, wb.Dst, wb.Kind, wb.Class = l.id, msg.Src, MsgDataWB, memtypes.ClassLineData
+	wb.Addr, wb.Core = msg.Addr, msg.Core
+	wb.LineData = data
 	l.mesh.Free(msg)
 	l.mesh.Send(wb)
 }

@@ -152,11 +152,9 @@ func (b *Bank) Act(data any, stage uint64) {
 	case stageFill:
 		line := msg.Addr.Line()
 		out := b.mesh.NewMessage()
-		*out = memtypes.Message{
-			Src: b.id, Dst: msg.Src, Kind: MsgDataLine,
-			Class: memtypes.ClassLineData, Addr: msg.Addr,
-			Core: msg.Core, LineData: b.store.LoadLine(msg.Addr),
-		}
+		out.Src, out.Dst, out.Kind, out.Class = b.id, msg.Src, MsgDataLine, memtypes.ClassLineData
+		out.Addr, out.Core = msg.Addr, msg.Core
+		out.LineData = b.store.LoadLine(msg.Addr)
 		b.mesh.Free(msg)
 		b.mesh.Send(out)
 		b.obs.Open(out.Core, b.k.Now(), uint64(cycles.CatNoC))
@@ -164,10 +162,8 @@ func (b *Bank) Act(data any, stage uint64) {
 	case stageWTAck:
 		line := msg.Addr.Line()
 		ack := b.mesh.NewMessage()
-		*ack = memtypes.Message{
-			Src: b.id, Dst: msg.Src, Kind: MsgWTAck,
-			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-		}
+		ack.Src, ack.Dst, ack.Kind, ack.Class = b.id, msg.Src, MsgWTAck, memtypes.ClassControl
+		ack.Addr, ack.Core = msg.Addr, msg.Core
 		b.mesh.Free(msg)
 		b.mesh.Send(ack)
 		b.release(line)
@@ -537,12 +533,9 @@ func (b *Bank) answerEviction(ev *core.Eviction) {
 //cbsim:hotpath
 func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
 	resp := b.mesh.NewMessage()
-	*resp = memtypes.Message{
-		Src: b.id, Dst: msg.Src, Kind: MsgRacyResp,
-		Class: memtypes.ClassWordData, Addr: msg.Req.Addr,
-		Core: msg.Core, Value: value, Stale: stale, Req: msg.Req,
-		Serial: msg.Req.Serial,
-	}
+	resp.Src, resp.Dst, resp.Kind, resp.Class = b.id, msg.Src, MsgRacyResp, memtypes.ClassWordData
+	resp.Addr, resp.Core, resp.Value, resp.Stale = msg.Req.Addr, msg.Core, value, stale
+	resp.Req, resp.Serial = msg.Req, msg.Req.Serial
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
 	b.obs.Open(resp.Core, b.k.Now(), uint64(cycles.CatNoC))
@@ -554,12 +547,9 @@ func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
 //cbsim:hotpath
 func (b *Bank) ack(msg *memtypes.Message) {
 	resp := b.mesh.NewMessage()
-	*resp = memtypes.Message{
-		Src: b.id, Dst: msg.Src, Kind: MsgRacyResp,
-		Class: memtypes.ClassControl, Addr: msg.Req.Addr,
-		Core: msg.Core, Value: msg.Req.Value, Req: msg.Req,
-		Serial: msg.Req.Serial,
-	}
+	resp.Src, resp.Dst, resp.Kind, resp.Class = b.id, msg.Src, MsgRacyResp, memtypes.ClassControl
+	resp.Addr, resp.Core, resp.Value = msg.Req.Addr, msg.Core, msg.Req.Value
+	resp.Req, resp.Serial = msg.Req, msg.Req.Serial
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
 	b.obs.Open(resp.Core, b.k.Now(), uint64(cycles.CatNoC))

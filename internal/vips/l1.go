@@ -170,11 +170,8 @@ func (l *L1) accessDRF() {
 	}
 	l.stats.Misses++
 	msg := l.mesh.NewMessage()
-	*msg = memtypes.Message{
-		Src: l.id, Dst: l.bankOf(req.Addr), Kind: MsgGetLine,
-		Class: memtypes.ClassControl, Addr: req.Addr.Line(),
-		Core: l.id, Req: req,
-	}
+	msg.Src, msg.Dst, msg.Kind, msg.Class = l.id, l.bankOf(req.Addr), MsgGetLine, memtypes.ClassControl
+	msg.Addr, msg.Core, msg.Req = req.Addr.Line(), l.id, req
 	l.mesh.Send(msg)
 	l.obs.Open(l.id, l.k.Now(), uint64(cycles.CatNoC))
 }
@@ -233,10 +230,8 @@ func (l *L1) evictFor(addr memtypes.Addr) {
 // dirty bits.
 func (l *L1) writeThrough(line *cache.Line[l1Line]) {
 	msg := l.mesh.NewMessage()
-	*msg = memtypes.Message{
-		Src: l.id, Dst: l.bankOf(line.Addr), Kind: MsgWTLine,
-		Class: memtypes.ClassWordData, Addr: line.Addr, Core: l.id,
-	}
+	msg.Src, msg.Dst, msg.Kind, msg.Class = l.id, l.bankOf(line.Addr), MsgWTLine, memtypes.ClassWordData
+	msg.Addr, msg.Core = line.Addr, l.id
 	words := 0
 	for i, d := range line.State.dirty {
 		if d {
@@ -320,10 +315,8 @@ func (l *L1) racyMessage(req *memtypes.Request) *memtypes.Message {
 		class = memtypes.ClassWordData
 	}
 	msg := l.mesh.NewMessage()
-	*msg = memtypes.Message{
-		Src: l.id, Dst: l.bankOf(req.Addr), Kind: MsgRacy,
-		Class: class, Addr: req.Addr, Core: l.id, Req: req,
-	}
+	msg.Src, msg.Dst, msg.Kind, msg.Class = l.id, l.bankOf(req.Addr), MsgRacy, class
+	msg.Addr, msg.Core, msg.Req = req.Addr, l.id, req
 	return msg
 }
 
@@ -451,12 +444,9 @@ func (l *L1) SpinResume(req *memtypes.Request, p int, done memtypes.Completer, g
 		l.k.WakeGhost(g, b, l.racyMessage(req), stageLoad)
 	case spinResp:
 		resp := l.mesh.NewMessage()
-		*resp = memtypes.Message{
-			Src: l.id, Dst: l.id, Kind: MsgRacyResp,
-			Class: memtypes.ClassWordData, Addr: req.Addr,
-			Core: l.id, Value: b.store.Load(req.Addr), Req: req,
-			Serial: req.Serial,
-		}
+		resp.Src, resp.Dst, resp.Kind, resp.Class = l.id, l.id, MsgRacyResp, memtypes.ClassWordData
+		resp.Addr, resp.Core, resp.Value = req.Addr, l.id, b.store.Load(req.Addr)
+		resp.Req, resp.Serial = req, req.Serial
 		l.k.WakeGhost(g, l.mesh, resp, uint64(l.id))
 	default:
 		panic(fmt.Sprintf("vips: core %d resumed a spin at phase %d", l.id, p))
