@@ -377,7 +377,7 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(boolInt(s.draining.Load())) })
 	for _, st := range []string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateRetryable} {
 		st := st
-		r.GaugeFunc("cbsimd_jobs", "Jobs by state.", func() float64 {
+		r.GaugeFunc("cbsimd_jobs", "Held jobs by state: every queued and running job and the last 256 finished ones.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			n := 0
@@ -788,7 +788,7 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 	case j != nil:
 	case issued:
 		writeJSON(w, http.StatusGone, apiError{Error: fmt.Sprintf(
-			"job %q is no longer held: the daemon keeps the last %d finished jobs, and none across a restart", id, keepFinished)})
+			"job %q is no longer held (the daemon keeps the last %d finished jobs, and none from before a restart)", id, keepFinished)})
 	default:
 		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown job %q", id)})
 	}
