@@ -14,7 +14,7 @@
 // API:
 //
 //	POST   /v1/jobs             submit a job (JSON body; 429 when the queue is full)
-//	GET    /v1/jobs             list jobs
+//	GET    /v1/jobs             list the held jobs
 //	GET    /v1/jobs/{id}        job status
 //	DELETE /v1/jobs/{id}        cancel a job
 //	GET    /v1/jobs/{id}/events stream progress (NDJSON)
@@ -30,6 +30,12 @@
 //	GET    /metrics             Prometheus text: queue/worker/cache gauges + simulator histograms
 //	GET    /healthz             liveness + draining flag
 //	GET    /debug/pprof/        Go profiling endpoints (only with -pprof)
+//
+// The daemon holds every queued and running job and the last 256 jobs
+// to finish; when one more job finishes, the one that finished longest
+// ago is forgotten. Per-job routes answer 410 Gone for an ID the daemon
+// issued but no longer holds (a forgotten job, or one that finished
+// before a restart) and 404 for an ID it never issued.
 //
 // Jobs submitted with checkpoints=true (single-cell only) are recorded
 // for time-travel debugging: the daemon keeps digest marks every
@@ -84,8 +90,11 @@ func main() {
 	// A fresh cell builds its machine from scratch against a small live
 	// heap, so the default GC target collects every few cells. At 200
 	// the heap goal is three times the live heap, which the daemon keeps
-	// small by holding only the last 256 finished jobs. An explicit
-	// GOGC wins.
+	// small by holding only the last 256 finished jobs. On the
+	// service-mix benchmark (2-vCPU VM, 10 alternating pairs against 400
+	// with every finished job held) the daemon's median peak RSS was
+	// 26.1 MB against 33.6, with 3.56 s a pass against 3.53 and 14.7 ms
+	// a fresh cell against 14.7. An explicit GOGC wins.
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(200)
 	}

@@ -78,8 +78,7 @@ func (c Config) fill() Config {
 // job finishes, the job that finished longest ago is forgotten, and its
 // routes answer 410 Gone; queued and running jobs are always held. A
 // finished job's record (event log, request, context) is about 1.2 KB,
-// so the bound costs about 0.3 MB where keeping every job grew without
-// limit.
+// so the bound costs about 0.3 MB.
 const keepFinished = 256
 
 // Server is the simulation daemon: a bounded job queue drained by a
