@@ -17,10 +17,9 @@
 //     none, and a regrown cache line shows only in a cell that fills
 //     lines: 8 more bytes a line adds 46,528 bytes/op to mesi_spin_cell
 //     and nothing to machine_new_64. machine_new_64 bounds what a machine builds
-//     eagerly, verify_set_16 what verifying a set allocates besides the
-//     buffers of the verifier kept between calls (a verifier no longer
-//     kept adds its 2 MB of abstract states), and generate_64 a thread
-//     set's programs. ns/op would hide each inside the tolerance.
+//     eagerly, verify_set_16 the verifier's abstract states, and
+//     generate_64 a thread set's programs. ns/op would hide each inside
+//     the tolerance.
 //   - ns/op may drift up to -tolerance x the baseline (default 4x). CI
 //     runners and dev laptops differ by small integer factors; an
 //     order-of-magnitude cliff is a lost fast path, not a slow machine.

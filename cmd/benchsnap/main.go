@@ -182,9 +182,7 @@ func run(out string, cores int, benches []string) error {
 
 	// Program verification of one 16-core thread set, as cbsimd checks
 	// each new combo at submit time. The set is generated once, outside
-	// the timed loop, and the verifier Threads keeps between calls holds
-	// its buffers from the first call on; the gate pins allocs/op and
-	// bounds bytes/op.
+	// the timed loop; the gate pins allocs/op and bounds bytes/op.
 	verP, err := workload.ByName("fluidanimate")
 	if err != nil {
 		return err

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/memtypes"
@@ -218,11 +217,10 @@ func Program(p *isa.Program, opts Options) *Report {
 // Threads verifies a thread set: each program individually, then
 // barrier-participation consistency across threads. One verifier
 // serves every thread, with its buffers sized once for the set's
-// longest program, and may be kept for the next call afterwards.
+// longest program.
 func Threads(progs []*isa.Program, opts Options) *SetReport {
 	set := &SetReport{}
-	v := takeVerifier(opts)
-	defer keepVerifier(v)
+	v := newVerifier(opts)
 	longest := 0
 	for _, p := range progs {
 		longest = max(longest, p.Len())
@@ -292,52 +290,10 @@ type diagKey struct {
 }
 
 func newVerifier(opts Options) *verifier {
-	return &verifier{opts: opts.withDefaults(), seen: make(map[diagKey]bool)}
-}
-
-// withDefaults fills opts' zero fields with their defaults.
-func (opts Options) withDefaults() Options {
 	if opts.MaxInstrs == 0 {
 		opts.MaxInstrs = 1 << 20
 	}
-	return opts
-}
-
-// spare is an idle verifier kept between calls of Threads, so a process
-// that verifies set after set (cbsimd, at each new generation combo)
-// reuses its per-pc buffers instead of allocating them again: 2 MB for
-// the longest 16-core set. It keeps one verifier, not one per call that
-// ever ran at once: with cbsimd's two clients, keeping two raised the
-// daemon's peak RSS by about 9 MB where one raised it by about 4 MB. It
-// is a guarded slot, not a sync.Pool, which empties at GC time and would
-// make the allocations of a call depend on when the collector last ran.
-var spare struct {
-	mu sync.Mutex
-	v  *verifier
-}
-
-// takeVerifier returns the spare verifier set up for opts, or a new one.
-func takeVerifier(opts Options) *verifier {
-	spare.mu.Lock()
-	v := spare.v
-	spare.v = nil
-	spare.mu.Unlock()
-	if v == nil {
-		return newVerifier(opts)
-	}
-	v.opts = opts.withDefaults()
-	return v
-}
-
-// keepVerifier makes v the spare unless another call's verifier already
-// is, dropping what v holds of the set it verified.
-func keepVerifier(v *verifier) {
-	v.p, v.report, v.opts = nil, nil, Options{}
-	spare.mu.Lock()
-	if spare.v == nil {
-		spare.v = v
-	}
-	spare.mu.Unlock()
+	return &verifier{opts: opts, seen: make(map[diagKey]bool)}
 }
 
 // sizeBuffers readies the fixpoint's per-instruction buffers for v.n

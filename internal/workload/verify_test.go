@@ -1,11 +1,8 @@
 package workload
 
 import (
-	"encoding/json"
-	"sync"
 	"testing"
 
-	"repro/internal/isa/verify"
 	"repro/internal/synclib"
 )
 
@@ -100,54 +97,4 @@ func TestThreadsAllocations(t *testing.T) {
 			len(g.Programs), allocs, limit, perThread)
 	}
 	t.Logf("%d threads: %.0f allocations", len(g.Programs), allocs)
-}
-
-// TestThreadsFromManyGoroutines verifies thread sets of different
-// lengths and modes from several goroutines at once, so the verifier
-// that Threads keeps between calls passes between sets and callers, and
-// requires every report to equal the one the same set got alone.
-func TestThreadsFromManyGoroutines(t *testing.T) {
-	type job struct {
-		g    *Generated
-		opts verify.Options
-		want string
-	}
-	var jobs []job
-	for _, name := range []string{"fluidanimate", "fft", "barnes", "dedup"} {
-		p, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cores := range []int{4, 16} {
-			g := Generate(p, cores, StyleScalable, synclib.FlavorCBOne)
-			for _, mode := range []verify.Mode{verify.ModeTrusted, verify.ModeStrict} {
-				jobs = append(jobs, job{g: g, opts: verify.Options{Footprint: g.Footprint(), Mode: mode}})
-			}
-		}
-	}
-	report := func(j job) string {
-		data, err := json.Marshal(verify.Threads(j.g.Programs, j.opts))
-		if err != nil {
-			t.Error(err)
-		}
-		return string(data)
-	}
-	for i := range jobs {
-		jobs[i].want = report(jobs[i])
-	}
-	var wg sync.WaitGroup
-	for w := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 2 * len(jobs) {
-				j := jobs[(i+3*w)%len(jobs)]
-				if got := report(j); got != j.want {
-					t.Errorf("goroutine %d, set %d: report differs from the set's own", w, (i+3*w)%len(jobs))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
