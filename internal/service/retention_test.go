@@ -75,17 +75,34 @@ func listedIDs(t *testing.T, ts *httptest.Server) []string {
 	return ids
 }
 
-// TestRetainsLastFinishedJobs runs keepFinished+k single-cell jobs one
-// after another. The k that finished first are forgotten: every per-job
-// route answers 410 Gone for them, while the retained jobs answer as
-// before and IDs never issued answer 404. The list holds exactly the
-// retained jobs. A running job and a job queued behind it then outlive
-// keepFinished more finishes.
+// longSweep runs every benchmark under the four BackOff setups at 64
+// cores: 76 cells, which hold their worker far longer than the tests
+// that submit them run, so it stays running until they cancel it.
+var longSweep = JobRequest{Setups: []string{"BackOff-0", "BackOff-5", "BackOff-10", "BackOff-15"}, Cores: 64}
+
+// TestRetainsLastFinishedJobs runs keep+k single-cell jobs one after
+// another on one worker while the other runs a long sweep submitted
+// first. The k that finished first are forgotten: every per-job route
+// answers 410 Gone for them, while the retained jobs answer as before
+// and IDs never issued answer 404. The list holds exactly the sweep and
+// the retained jobs. With a second sweep running and a job queued
+// behind it, jobs canceled while queued then push out the next oldest
+// finished jobs, and the sweeps and the queued job stay.
 func TestRetainsLastFinishedJobs(t *testing.T) {
-	const k = 3
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: keepFinished + 8, Parallelism: 1})
+	const k, depth = 3, 8
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: depth, Parallelism: 1})
+	keep := len(s.finished)
+	if keep != keepFinished {
+		t.Fatalf("server keeps %d finished jobs, want %d", keep, keepFinished)
+	}
+	first, code := submit(t, ts, longSweep)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit sweep = %d", code)
+	}
+	waitState(t, ts, first.ID, StateRunning)
+
 	plain := JobRequest{Benchmark: "fft", Setup: "CB-One", Cores: 4}
-	n := keepFinished + k
+	n := keep + k
 	var ids []string
 	for i := range n {
 		req := plain
@@ -139,25 +156,28 @@ func TestRetainsLastFinishedJobs(t *testing.T) {
 			t.Errorf("retained GET %s%s = %d, want 200", c.id, c.suffix, code)
 		}
 	}
-	if got := listedIDs(t, ts); !slices.Equal(got, ids[k:]) {
-		t.Fatalf("GET /v1/jobs lists %d jobs %v, want the %d retained %v", len(got), got, n-k, ids[k:])
+	if st := getStatus(t, ts, first.ID); st.State != StateRunning {
+		t.Fatalf("first sweep = %+v after %d later finishes, want still running", st, n)
+	}
+	if got, want := listedIDs(t, ts), append([]string{first.ID}, ids[k:]...); !slices.Equal(got, want) {
+		t.Fatalf("GET /v1/jobs lists %d jobs %v, want the sweep and the %d retained %v", len(got), got, n-k, ids[k:])
 	}
 
-	// With the one worker pinned by a long sweep and one job queued
-	// behind it, keepFinished jobs canceled while queued finish without
-	// a worker and push every earlier job out; the sweep and the queued
-	// job stay.
-	running, code := submit(t, ts, JobRequest{Setups: []string{"BackOff-0"}, Cores: 64})
+	// With both workers pinned and one job queued behind them, the
+	// queue's other slots take jobs canceled while queued: each finishes
+	// without a worker and pushes out the oldest finished job.
+	second, code := submit(t, ts, longSweep)
 	if code != http.StatusAccepted {
-		t.Fatalf("submit sweep = %d", code)
+		t.Fatalf("submit second sweep = %d", code)
 	}
-	waitState(t, ts, running.ID, StateRunning)
+	waitState(t, ts, second.ID, StateRunning)
 	queued, code := submit(t, ts, plain)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit queued = %d", code)
 	}
-	want := []string{running.ID, queued.ID}
-	for i := range keepFinished {
+	want := append([]string{first.ID}, ids[k+depth-1:]...)
+	want = append(want, second.ID, queued.ID)
+	for i := range depth - 1 {
 		st, code := submit(t, ts, plain)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit canceled %d = %d", i, code)
@@ -167,22 +187,66 @@ func TestRetainsLastFinishedJobs(t *testing.T) {
 		}
 		want = append(want, st.ID)
 	}
-	if st := getStatus(t, ts, running.ID); st.State != StateRunning {
-		t.Fatalf("sweep = %+v, want still running", st)
+	for _, c := range []struct{ id, state string }{
+		{first.ID, StateRunning}, {second.ID, StateRunning}, {queued.ID, StateQueued},
+	} {
+		if st := getStatus(t, ts, c.id); st.State != c.state {
+			t.Fatalf("%s = %+v, want still %s", c.id, st, c.state)
+		}
 	}
-	if st := getStatus(t, ts, queued.ID); st.State != StateQueued {
-		t.Fatalf("queued job = %+v, want still queued", st)
-	}
-	for _, id := range ids {
+	for _, id := range ids[:k+depth-1] {
 		if code := call(t, ts, http.MethodGet, "/v1/jobs/"+id); code != http.StatusGone {
-			t.Errorf("GET %s = %d after %d later finishes, want 410", id, code, keepFinished)
+			t.Errorf("GET %s = %d after %d later finishes, want 410", id, code, keep)
 		}
 	}
 	if got := listedIDs(t, ts); !slices.Equal(got, want) {
-		t.Fatalf("GET /v1/jobs lists %d jobs, want the sweep, the queued job and %d canceled ones", len(got), keepFinished)
+		t.Fatalf("GET /v1/jobs lists %v, want %v", got, want)
 	}
-	if code := call(t, ts, http.MethodDelete, "/v1/jobs/"+running.ID); code != http.StatusOK {
+	for _, id := range []string{first.ID, second.ID} {
+		if code := call(t, ts, http.MethodDelete, "/v1/jobs/"+id); code != http.StatusOK {
+			t.Fatalf("cancel sweep %s = %d", id, code)
+		}
+	}
+}
+
+// TestRetentionCoversFullQueue fills a queue deeper than keepFinished
+// behind a running sweep, cancels the sweep and lets the queue drain:
+// a server holds as many finished jobs as its queue and workers hold
+// at once, so every job admitted together still has its result.
+func TestRetentionCoversFullQueue(t *testing.T) {
+	const depth = keepFinished + 8
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: depth, Parallelism: 1})
+	if keep := len(s.finished); keep != depth+1 {
+		t.Fatalf("server keeps %d finished jobs, want %d", keep, depth+1)
+	}
+	sweep, code := submit(t, ts, longSweep)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit sweep = %d", code)
+	}
+	waitState(t, ts, sweep.ID, StateRunning)
+	plain := JobRequest{Benchmark: "fft", Setup: "CB-One", Cores: 4}
+	var ids []string
+	for i := range depth {
+		st, code := submit(t, ts, plain)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d", i, code)
+		}
+		ids = append(ids, st.ID)
+	}
+	if _, code := submit(t, ts, plain); code != http.StatusTooManyRequests {
+		t.Fatalf("submit to a full queue = %d, want 429", code)
+	}
+	if code := call(t, ts, http.MethodDelete, "/v1/jobs/"+sweep.ID); code != http.StatusOK {
 		t.Fatalf("cancel sweep = %d", code)
+	}
+	runToEnd(t, ts, ids[depth-1])
+	if st := getStatus(t, ts, sweep.ID); st.State != StateCanceled {
+		t.Fatalf("sweep = %+v, want canceled", st)
+	}
+	for _, id := range ids {
+		if code := call(t, ts, http.MethodGet, "/v1/jobs/"+id+"/result"); code != http.StatusOK {
+			t.Errorf("GET %s/result = %d once the queue drained, want 200", id, code)
+		}
 	}
 }
 
@@ -193,6 +257,9 @@ func TestRetainsLastFinishedJobs(t *testing.T) {
 func TestRetentionBoundedOverManyJobs(t *testing.T) {
 	const jobs, clients = 20_000, 2
 	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 8, Parallelism: 1})
+	if keep := len(s.finished); keep != keepFinished {
+		t.Fatalf("server keeps %d finished jobs, want %d", keep, keepFinished)
+	}
 	req := JobRequest{Benchmark: "fft", Setup: "CB-One", Cores: 4}
 	// held counts the jobs s holds and those of them not yet finished.
 	held := func() (all, inFlight int) {

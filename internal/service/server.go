@@ -74,11 +74,13 @@ func (c Config) fill() Config {
 	return c
 }
 
-// keepFinished bounds the finished jobs a Server holds. When one more
-// job finishes, the job that finished longest ago is forgotten, and its
-// routes answer 410 Gone; queued and running jobs are always held. A
-// finished job's record (event log, request, context) is about 1.2 KB,
-// so the bound costs about 0.3 MB.
+// keepFinished is the least number of finished jobs a Server holds.
+// When one more job finishes, the job that finished longest ago is
+// forgotten, and its routes answer 410 Gone; queued and running jobs
+// are always held. A Server whose queue and workers hold more jobs at
+// once keeps that many, so a client that fills the queue can read every
+// result once it drains. A finished job's record (event log, request,
+// context) is about 1.2 KB, so 256 cost about 0.3 MB.
 const keepFinished = 256
 
 // Server is the simulation daemon: a bounded job queue drained by a
@@ -101,10 +103,10 @@ type Server struct {
 	// issued only to accepted jobs, so job-000001 up to it name jobs
 	// this daemon (or the journal it replayed) accepted.
 	issued uint64
-	// finished rings the IDs of the last keepFinished jobs to finish;
+	// finished rings the IDs of the last len(finished) jobs to finish;
 	// nfinished counts every finish, so the next slot to overwrite,
-	// finished[nfinished%keepFinished], holds the oldest.
-	finished  [keepFinished]string
+	// finished[nfinished%len(finished)], holds the oldest.
+	finished  []string
 	nfinished uint64
 
 	// journal is the crash-consistency log (nil without JournalPath).
@@ -138,11 +140,12 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.fill()
 	s := &Server{
-		cfg:    cfg,
-		cache:  NewCache(cfg.CacheBytes),
-		jobsCh: make(chan *job, cfg.QueueDepth),
-		quit:   make(chan struct{}),
-		jobs:   make(map[string]*job),
+		cfg:      cfg,
+		cache:    NewCache(cfg.CacheBytes),
+		jobsCh:   make(chan *job, cfg.QueueDepth),
+		quit:     make(chan struct{}),
+		jobs:     make(map[string]*job),
+		finished: make([]string, max(keepFinished, cfg.QueueDepth+cfg.Workers)),
 	}
 	s.registerMetrics()
 	s.routes()
@@ -295,11 +298,11 @@ func (s *Server) makeJob(id string, req JobRequest, cells []CellSpec) *job {
 }
 
 // retire records that job id finished and forgets the job that
-// finished keepFinished finishes before it, if any.
+// finished len(s.finished) finishes before it, if any.
 func (s *Server) retire(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot := &s.finished[s.nfinished%keepFinished]
+	slot := &s.finished[s.nfinished%uint64(len(s.finished))]
 	if *slot != "" {
 		delete(s.jobs, *slot)
 	}
@@ -374,9 +377,10 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.busy.Load()) })
 	r.GaugeFunc("cbsimd_draining", "1 while graceful drain is in progress.",
 		func() float64 { return float64(boolInt(s.draining.Load())) })
+	help := fmt.Sprintf("Held jobs by state: every queued and running job and the last %d finished ones.", len(s.finished))
 	for _, st := range []string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateRetryable} {
 		st := st
-		r.GaugeFunc("cbsimd_jobs", "Held jobs by state: every queued and running job and the last 256 finished ones.", func() float64 {
+		r.GaugeFunc("cbsimd_jobs", help, func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			n := 0
@@ -787,7 +791,7 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 	case j != nil:
 	case issued:
 		writeJSON(w, http.StatusGone, apiError{Error: fmt.Sprintf(
-			"job %q is no longer held (the daemon keeps the last %d finished jobs, and none from before a restart)", id, keepFinished)})
+			"job %q is no longer held (the daemon keeps the last %d finished jobs, and none from before a restart)", id, len(s.finished))})
 	default:
 		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("unknown job %q", id)})
 	}
