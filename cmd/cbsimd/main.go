@@ -32,10 +32,11 @@
 //	GET    /debug/pprof/        Go profiling endpoints (only with -pprof)
 //
 // The daemon holds every queued and running job and the last 256 jobs
-// to finish; when one more job finishes, the one that finished longest
-// ago is forgotten. Per-job routes answer 410 Gone for an ID the daemon
-// issued but no longer holds (a forgotten job, or one that finished
-// before a restart) and 404 for an ID it never issued.
+// to finish, or the last -queue plus -workers if that is more; when one
+// more job finishes, the one that finished longest ago is forgotten.
+// Per-job routes answer 410 Gone for an ID the daemon issued but no
+// longer holds (a forgotten job, or one that finished before a restart)
+// and 404 for an ID it never issued.
 //
 // Jobs submitted with checkpoints=true (single-cell only) are recorded
 // for time-travel debugging: the daemon keeps digest marks every
@@ -90,11 +91,12 @@ func main() {
 	// A fresh cell builds its machine from scratch against a small live
 	// heap, so the default GC target collects every few cells. At 200
 	// the heap goal is three times the live heap, which the daemon keeps
-	// small by holding only the last 256 finished jobs. On the
-	// service-mix benchmark (2-vCPU VM, 10 alternating pairs against 400
-	// with every finished job held) the daemon's median peak RSS was
-	// 26.1 MB against 33.6, with 3.56 s a pass against 3.53 and 14.7 ms
-	// a fresh cell against 14.7. An explicit GOGC wins.
+	// small by holding only its last finished jobs. On the service-mix
+	// benchmark (2-vCPU VM, 10 alternating pairs against 400 with every
+	// finished job held) the daemon's median peak RSS was 23.5 MB
+	// against 34.0; a pass took 3.29 s against 3.07 and a fresh cell
+	// 14.0 ms against 12.7, likely because the collector runs more
+	// often over the same allocations. An explicit GOGC wins.
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(200)
 	}
