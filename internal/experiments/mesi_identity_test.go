@@ -30,14 +30,20 @@ type identityCell struct {
 	style  workload.SyncStyle
 	cores  int
 	cycles bool
+	// entries sizes the callback directories; 0 keeps the default.
+	entries int
 }
 
 // key names the cell in its pin file; Invalidation cells, the first
-// pinned, omit the setup.
+// pinned, omit the setup, and cells at the default directory size omit
+// the entries.
 func (c identityCell) key() string {
 	k := fmt.Sprintf("%s/%s/%d/cycles=%v", c.bench, c.style, c.cores, c.cycles)
 	if c.setup != "Invalidation" {
 		k = c.setup + "/" + k
+	}
+	if c.entries != 0 {
+		k += fmt.Sprintf("/entries=%d", c.entries)
 	}
 	return k
 }
@@ -50,14 +56,14 @@ func identityCells(short bool) []identityCell {
 	for _, p := range workload.Profiles() {
 		for _, style := range []workload.SyncStyle{workload.StyleScalable, workload.StyleNaive} {
 			for _, cyc := range []bool{false, true} {
-				cells = append(cells, identityCell{"Invalidation", p.Name, style, 16, cyc})
+				cells = append(cells, identityCell{"Invalidation", p.Name, style, 16, cyc, 0})
 			}
 		}
 	}
 	if !short {
 		for _, name := range []string{"radiosity", "fft", "dedup"} {
 			for _, style := range []workload.SyncStyle{workload.StyleScalable, workload.StyleNaive} {
-				cells = append(cells, identityCell{"Invalidation", name, style, 64, false})
+				cells = append(cells, identityCell{"Invalidation", name, style, 64, false, 0})
 			}
 		}
 	}
@@ -83,7 +89,7 @@ func cellHash(c identityCell) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	r, err := RunBenchmark(p, s, c.style, Options{Cores: c.cores, Parallelism: 1, CycleStacks: c.cycles})
+	r, err := RunBenchmark(p, s, c.style, Options{Cores: c.cores, Parallelism: 1, CycleStacks: c.cycles, CBEntries: c.entries})
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", c.key(), err)
 	}
