@@ -214,13 +214,22 @@ func FuzzDirectory(f *testing.F) {
 	f.Add([]byte{0x01, 0x11, 0x21, 0x31, 0x51, 0x61, 0x71, 0x41}) // fill a 1-entry bank: eviction storm
 	f.Add([]byte{0x00, 0x40, 0x00, 0x30, 0x00, 0x80, 0x05, 0x90}) // through + cancel + force-evict
 	f.Add([]byte{0xff, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06}) // config byte stress
+	// 64 cores: cores 63 and 0 wait, CBOne wakes 0 then 63 and wraps the
+	// round-robin pointer back to 0, and a CBOne with no waiters fills all
+	// 64 F/E bits for core 32's read.
+	f.Add([]byte{0x87, 0x00, 63, 0x00, 63, 0x00, 0, 0x00, 0, 0x50, 0, 0x00, 0,
+		0x50, 0, 0x50, 0, 0x50, 0, 0x00, 32, 0x40, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			t.Skip()
 		}
 		// First byte configures the bank; the rest is the op stream.
 		cfg := data[0]
-		cores := 1 + int(cfg&0x07)      // 1..8 cores
+		cores := 1 + int(cfg&0x07) // 1..8 cores
+		wide := cfg&0x80 != 0
+		if wide {
+			cores += 56 // 57..64 cores: the top bits of the vectors
+		}
 		entries := 1 + int(cfg>>3&0x03) // 1..4 entries: small banks evict often
 		policy := WakePolicy(cfg >> 5 & 1)
 		evict := EvictPolicy(cfg >> 6 & 1)
@@ -235,10 +244,20 @@ func FuzzDirectory(f *testing.F) {
 			addrs[i] = memtypes.Addr(0x1000 + i*8) // distinct word-granular tags
 		}
 
-		for pc, b := range data[1:] {
+		ops := data[1:]
+		for pc := 0; pc < len(ops); pc++ {
+			b := ops[pc]
 			op := b >> 4
 			addr := addrs[b>>1&0x07]
 			core := int(b&0x0f) % cores
+			if wide {
+				// A second byte picks the core, so any two cores,
+				// the top ones included, can meet on one address.
+				if pc++; pc == len(ops) {
+					break
+				}
+				core = int(ops[pc]) % cores
+			}
 			label := fmt.Sprintf("op %d (byte %#02x)", pc, b)
 			switch {
 			case op < 0x3: // callback read
