@@ -352,11 +352,12 @@ func FlavorFor(invalidation, callback, cbOne bool) synclib.Flavor {
 	}
 }
 
-// ByName returns the named profile.
+// ByName returns the named profile. It scans the table in place, so a
+// lookup allocates nothing.
 func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
+	for i := range profiles {
+		if profiles[i].Name == name {
+			return profiles[i], nil
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)

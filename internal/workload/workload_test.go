@@ -49,6 +49,19 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// ByName scans the one profile table without copying it, and Profiles
+// hands out a copy a caller may change without touching the table.
+func TestByNameAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { ByName("swaptions") }); allocs != 0 {
+		t.Fatalf("ByName allocates %.0f times a call, want 0", allocs)
+	}
+	ps := Profiles()
+	ps[0].Phases = -1
+	if p, _ := ByName(ps[0].Name); p.Phases == -1 {
+		t.Fatal("changing the slice Profiles returned changed the profile table")
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	p, _ := ByName("barnes")
 	g1 := Generate(p, 4, StyleScalable, synclib.FlavorCBOne)
