@@ -3,7 +3,9 @@
 // that services only the data races used for spin-waiting.
 //
 // Each entry tracks one word-granular address with a Full/Empty (F/E) bit
-// and a callback (CB) bit per core, plus an All/One (A/O) bit. Entries are
+// and a callback (CB) bit per core, plus an All/One (A/O) bit. Each set of
+// per-core bits is one uint64, bit c for core c, so a directory serves at
+// most 64 cores. Entries are
 // created only by callback reads, initialized to all-full/no-callbacks,
 // and can be evicted at any time by answering every set callback with the
 // current value — the directory is self-contained and never backed by
@@ -16,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memtypes"
 )
@@ -73,62 +76,11 @@ type Stats struct {
 type entry struct {
 	valid bool
 	addr  memtypes.Addr // word-granular tag
-	fe    []bool        // Full/Empty per core (true = full)
-	cb    []bool        // callback pending per core
+	fe    uint64        // Full/Empty bit per core (set = full)
+	cb    uint64        // callback-pending bit per core
 	one   bool          // A/O bit: true = callback-one mode
 	wake  int           // rotating pointer for the round-robin policy
 	lru   uint64
-}
-
-func (e *entry) allFull() bool {
-	for _, f := range e.fe {
-		if !f {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *entry) setAllFE(v bool) {
-	for i := range e.fe {
-		e.fe[i] = v
-	}
-}
-
-func (e *entry) anyCB() bool {
-	for _, c := range e.cb {
-		if c {
-			return true
-		}
-	}
-	return false
-}
-
-// appendWaiters appends the cores with a pending callback to w.
-func (e *entry) appendWaiters(w []int) []int {
-	for i, c := range e.cb {
-		if c {
-			w = append(w, i)
-		}
-	}
-	return w
-}
-
-// reset initializes a (re)created entry: all F/E bits full, no callbacks,
-// All mode (Section 2.3 and 2.4.1).
-func (e *entry) reset(addr memtypes.Addr, cores int) {
-	e.valid = true
-	e.addr = addr
-	if len(e.fe) != cores {
-		e.fe = make([]bool, cores)
-		e.cb = make([]bool, cores)
-	}
-	e.setAllFE(true)
-	for i := range e.cb {
-		e.cb[i] = false
-	}
-	e.one = false
-	e.wake = 0
 }
 
 // EvictPolicy selects the replacement victim strategy (ablation knob;
@@ -161,24 +113,24 @@ type Directory struct {
 	lineGranular bool
 	tick         uint64
 	stats        Stats
-
-	// ev is the eviction report CallbackRead and ForceEvict hand out,
-	// reused so reporting an eviction does not allocate.
-	//cbvet:ephemeral report buffer the caller consumes before its next call
-	ev Eviction
 }
 
 // New builds a directory with the given entry count for a machine with
-// cores cores. entries <= 0 selects DefaultEntries.
+// cores cores, 1 to 64. entries <= 0 selects DefaultEntries.
 func New(entries, cores int) *Directory {
 	if entries <= 0 {
 		entries = DefaultEntries
 	}
-	if cores <= 0 {
-		panic("core: cores must be positive")
+	if cores <= 0 || cores > 64 {
+		panic(fmt.Sprintf("core: %d cores, want 1 to 64 (one bit per core)", cores))
 	}
 	return &Directory{entries: make([]entry, entries), cores: cores}
 }
+
+// all is the bit vector with every core's bit set.
+//
+//cbsim:hotpath
+func (d *Directory) all() uint64 { return ^uint64(0) >> (64 - d.cores) }
 
 // SetWakePolicy selects the write_CB1 victim policy (default round-robin).
 func (d *Directory) SetWakePolicy(p WakePolicy) { d.policy = p }
@@ -238,12 +190,11 @@ func (d *Directory) find(addr memtypes.Addr) *entry {
 }
 
 // Eviction describes a replaced entry whose waiting callbacks must be
-// answered with the current value (Section 2.3.1). The directory owns the
-// Eviction it returns and reuses it: it is valid until the directory's
-// next CallbackRead or ForceEvict.
+// answered with the current value (Section 2.3.1): Waiters has bit c set
+// for each waiting core c. A zero Waiters means there is no one to answer.
 type Eviction struct {
 	Addr    memtypes.Addr
-	Waiters []int
+	Waiters uint64
 }
 
 // victim selects the entry to replace: an invalid entry if any, else the
@@ -260,7 +211,7 @@ func (d *Directory) victim() *entry {
 		if lru == nil || e.lru < lru.lru {
 			lru = e
 		}
-		if !e.anyCB() && (lruNoCB == nil || e.lru < lruNoCB.lru) {
+		if e.cb == 0 && (lruNoCB == nil || e.lru < lruNoCB.lru) {
 			lruNoCB = e
 		}
 	}
@@ -270,68 +221,65 @@ func (d *Directory) victim() *entry {
 	return lru
 }
 
-// evict1 records e's eviction in the reusable report.
+// evict1 records e's eviction and reports its waiters.
 //
 //cbsim:hotpath
-func (d *Directory) evict1(e *entry) *Eviction {
+func (d *Directory) evict1(e *entry) Eviction {
 	d.stats.Evictions++
-	d.ev.Addr = e.addr
-	d.ev.Waiters = e.appendWaiters(d.ev.Waiters[:0])
-	d.stats.StaleWakes += uint64(len(d.ev.Waiters))
-	return &d.ev
+	d.stats.StaleWakes += uint64(bits.OnesCount64(e.cb))
+	return Eviction{Addr: e.addr, Waiters: e.cb}
 }
 
-// install allocates an entry for addr, returning the eviction (if a valid
-// entry was displaced) for the caller to answer.
-func (d *Directory) install(addr memtypes.Addr) (*entry, *Eviction) {
-	var ev *Eviction
+// install allocates an entry for addr, all F/E bits full, no callbacks,
+// All mode (Sections 2.3 and 2.4.1), returning the eviction of the valid
+// entry it displaced, if any, for the caller to answer.
+func (d *Directory) install(addr memtypes.Addr) (*entry, Eviction) {
+	var ev Eviction
 	e := d.victim()
 	if e.valid {
 		ev = d.evict1(e)
 	}
-	e.reset(d.tag(addr), d.cores)
 	d.tick++
-	e.lru = d.tick
+	*e = entry{valid: true, addr: d.tag(addr), fe: d.all(), lru: d.tick}
 	d.stats.Installs++
 	return e, ev
 }
 
 // CallbackRead processes a ld_cb (or the load half of a callback RMW) by
 // core on addr. Only callback reads install entries. The returned
-// eviction, if non-nil, lists waiters on a displaced entry that the
-// caller must answer with the current (stale) value.
+// eviction lists the waiters on a displaced entry that the caller must
+// answer with the current (stale) value.
 //
 //cbsim:hotpath
-func (d *Directory) CallbackRead(core int, addr memtypes.Addr) (ReadResult, *Eviction) {
+func (d *Directory) CallbackRead(core int, addr memtypes.Addr) (ReadResult, Eviction) {
 	d.checkCore(core)
 	d.stats.Reads++
 	e := d.find(addr)
-	var ev *Eviction
+	var ev Eviction
 	if e == nil {
 		e, ev = d.install(addr)
 	}
-	if e.cb[core] {
+	bit := uint64(1) << core
+	if e.cb&bit != 0 {
 		panic(fmt.Sprintf("core: core %d issued a second callback read on %s while one is pending", core, addr.Word()))
 	}
 	var satisfied bool
 	if e.one {
 		// Callback-one: the F/E bits act in unison; a full entry
 		// matches exactly one read.
-		if e.allFull() {
-			e.setAllFE(false)
+		if e.fe == d.all() {
+			e.fe = 0
 			satisfied = true
 		}
-	} else {
-		if e.fe[core] {
-			e.fe[core] = false
-			satisfied = true
-		}
+	} else if e.fe&bit != 0 {
+		e.fe &^= bit
+		satisfied = true
 	}
 	if satisfied {
 		d.stats.Satisfied++
 		return ReadSatisfied, ev
 	}
-	e.cb[core] = true
+	e.cb |= bit
 	d.stats.Blocked++
 	return ReadBlocked, ev
 }
@@ -349,21 +297,20 @@ func (d *Directory) ReadThrough(core int, addr memtypes.Addr) {
 		return
 	}
 	if e.one {
-		if e.allFull() {
-			e.setAllFE(false)
+		if e.fe == d.all() {
+			e.fe = 0
 			d.stats.ThroughHits++
 		}
-	} else if e.fe[core] {
-		e.fe[core] = false
+	} else if bit := uint64(1) << core; e.fe&bit != 0 {
+		e.fe &^= bit
 		d.stats.ThroughHits++
 	}
 }
 
 // Write processes a racy write on addr with the given callback-service
-// semantics, appends the cores to wake (their CB bits are cleared) to dst,
-// and returns the extended slice; a caller that reuses dst wakes without
-// allocating. Writes never install entries; a write with no matching
-// entry wakes nobody.
+// semantics and returns the cores to wake, bit c for core c (their CB
+// bits are cleared). Writes never install entries; a write with no
+// matching entry wakes nobody.
 //
 // Semantics per Section 2.3-2.5:
 //
@@ -378,46 +325,37 @@ func (d *Directory) ReadThrough(core int, addr memtypes.Addr) {
 //     optimization of Figure 6).
 //
 //cbsim:hotpath
-func (d *Directory) Write(dst []int, addr memtypes.Addr, mode memtypes.CBWrite) []int {
+func (d *Directory) Write(addr memtypes.Addr, mode memtypes.CBWrite) (woken uint64) {
 	e := d.find(addr)
 	if e == nil {
-		return dst
+		return 0
 	}
 	d.stats.Writes++
 	switch mode {
 	case memtypes.CBAll:
 		e.one = false
-		n := len(dst)
-		for i := range e.cb {
-			if e.cb[i] {
-				e.cb[i] = false
-				e.fe[i] = false // woken cores consume this write
-				dst = append(dst, i)
-			} else {
-				e.fe[i] = true
-			}
-		}
-		d.stats.Wakes += uint64(len(dst) - n)
-		return dst
+		woken, e.cb = e.cb, 0
+		e.fe = d.all() &^ woken // woken cores consume this write
+		d.stats.Wakes += uint64(bits.OnesCount64(woken))
+		return woken
 
 	case memtypes.CBOne:
-		if !e.one {
-			// Mode change: the F/E bits henceforth act in unison.
-			e.one = true
-		}
+		// The F/E bits henceforth act in unison.
+		e.one = true
 		victim := d.pickWake(e)
 		if victim < 0 {
 			// No waiters: the value is available to exactly one
 			// future read.
-			e.setAllFE(true)
-			return dst
+			e.fe = d.all()
+			return 0
 		}
-		e.cb[victim] = false
+		woken = uint64(1) << victim
+		e.cb &^= woken
 		// F/E bits stay undisturbed (empty): the write was consumed
 		// by the woken callback (Figure 4, step 9).
-		e.setAllFE(false)
+		e.fe = 0
 		d.stats.Wakes++
-		return append(dst, victim)
+		return woken
 
 	case memtypes.CBZero:
 		if !e.one {
@@ -425,9 +363,9 @@ func (d *Directory) Write(dst []int, addr memtypes.Addr, mode memtypes.CBWrite) 
 			// Unify to empty: a st_cb0 is the write of a successful
 			// lock acquire, so there is nothing for readers to
 			// consume until the release.
-			e.setAllFE(false)
+			e.fe = 0
 		}
-		return dst
+		return 0
 	}
 	panic(fmt.Sprintf("core: unknown CBWrite %d", mode))
 }
@@ -436,25 +374,22 @@ func (d *Directory) Write(dst []int, addr memtypes.Addr, mode memtypes.CBWrite) 
 //
 //cbsim:hotpath
 func (d *Directory) pickWake(e *entry) int {
+	if e.cb == 0 {
+		return -1
+	}
 	switch d.policy {
 	case WakeRoundRobin:
 		// Start from the rotating pointer, proceed towards higher IDs,
 		// wrap at the highest (Section 2.4).
-		for i := 0; i < d.cores; i++ {
-			c := (e.wake + i) % d.cores
-			if e.cb[c] {
-				e.wake = (c + 1) % d.cores
-				return c
-			}
+		from := e.cb &^ (uint64(1)<<e.wake - 1)
+		if from == 0 {
+			from = e.cb
 		}
-		return -1
+		c := bits.TrailingZeros64(from)
+		e.wake = (c + 1) % d.cores
+		return c
 	case WakeLowestID:
-		for c := 0; c < d.cores; c++ {
-			if e.cb[c] {
-				return c
-			}
-		}
-		return -1
+		return bits.TrailingZeros64(e.cb)
 	}
 	panic("core: unknown wake policy")
 }
@@ -464,10 +399,11 @@ func (d *Directory) pickWake(e *entry) int {
 func (d *Directory) CancelCallback(core int, addr memtypes.Addr) bool {
 	d.checkCore(core)
 	e := d.find(addr)
-	if e == nil || !e.cb[core] {
+	bit := uint64(1) << core
+	if e == nil || e.cb&bit == 0 {
 		return false
 	}
-	e.cb[core] = false
+	e.cb &^= bit
 	return true
 }
 
@@ -487,13 +423,13 @@ func (d *Directory) HasEntry(addr memtypes.Addr) bool { return d.find(addr) != n
 
 // ForceEvict evicts the pick-th valid entry (in slot order, modulo the
 // live count), returning the eviction for the caller to answer — exactly
-// as if capacity pressure had displaced it. Returns nil when the
-// directory is empty. Fault injection uses this to assert the paper's
+// as if capacity pressure had displaced it. Returns a zero Eviction when
+// the directory is empty. Fault injection uses this to assert the paper's
 // claim that evicting an entry — waiters included — is legal at any time.
-func (d *Directory) ForceEvict(pick int) *Eviction {
+func (d *Directory) ForceEvict(pick int) Eviction {
 	n := d.Live()
 	if n == 0 {
-		return nil
+		return Eviction{}
 	}
 	if pick < 0 {
 		pick = -pick
@@ -511,15 +447,15 @@ func (d *Directory) ForceEvict(pick int) *Eviction {
 		e.valid = false
 		return d.evict1(e)
 	}
-	return nil
+	return Eviction{}
 }
 
 // VisitEntries calls fn for every valid entry in slot order with the
-// entry's tag and live state. Unlike EntryState it does not touch the
-// LRU clock, so invariant checkers can observe the directory without
-// perturbing replacement decisions. fe and cb are the backing arrays:
-// fn must not retain or mutate them.
-func (d *Directory) VisitEntries(fn func(addr memtypes.Addr, fe, cb []bool, one bool)) {
+// entry's tag and live state: its F/E and CB bit vectors and A/O bit.
+// Unlike EntryState it does not touch the LRU clock, so invariant
+// checkers can observe the directory without perturbing replacement
+// decisions.
+func (d *Directory) VisitEntries(fn func(addr memtypes.Addr, fe, cb uint64, one bool)) {
 	for i := range d.entries {
 		e := &d.entries[i]
 		if e.valid {
@@ -528,15 +464,14 @@ func (d *Directory) VisitEntries(fn func(addr memtypes.Addr, fe, cb []bool, one 
 	}
 }
 
-// EntryState returns a snapshot of addr's entry for tests and tracing.
-func (d *Directory) EntryState(addr memtypes.Addr) (fe, cb []bool, one, ok bool) {
+// EntryState returns addr's F/E and CB bit vectors and A/O bit for tests
+// and tracing.
+func (d *Directory) EntryState(addr memtypes.Addr) (fe, cb uint64, one, ok bool) {
 	e := d.find(addr)
 	if e == nil {
-		return nil, nil, false, false
+		return 0, 0, false, false
 	}
-	fe = append([]bool(nil), e.fe...)
-	cb = append([]bool(nil), e.cb...)
-	return fe, cb, e.one, true
+	return e.fe, e.cb, e.one, true
 }
 
 func (d *Directory) checkCore(core int) {

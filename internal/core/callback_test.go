@@ -12,6 +12,45 @@ import (
 const addrA = memtypes.Addr(0x1000)
 const addrB = memtypes.Addr(0x2000)
 
+// The directory keeps each set of per-core bits as a uint64; the helpers
+// below spread them into the per-core lists the paper's figures are
+// written in, so every assertion compares the same literals.
+
+// entryState is EntryState with the F/E and CB vectors as one bool per
+// core.
+func entryState(d *Directory, addr memtypes.Addr) (fe, cb []bool, one, ok bool) {
+	fev, cbv, one, ok := d.EntryState(addr)
+	if !ok {
+		return nil, nil, false, false
+	}
+	return bools(fev, d.cores), bools(cbv, d.cores), one, true
+}
+
+// write is Write with the woken cores as a list, lowest first; nil when
+// nobody wakes.
+func write(d *Directory, addr memtypes.Addr, mode memtypes.CBWrite) []int {
+	return coreList(d.Write(addr, mode))
+}
+
+func bools(v uint64, cores int) []bool {
+	bs := make([]bool, cores)
+	for c := range bs {
+		bs[c] = v>>c&1 != 0
+	}
+	return bs
+}
+
+// coreList lists the cores whose bits v sets, lowest first; nil when none.
+func coreList(v uint64) []int {
+	var cs []int
+	for c := 0; c < 64; c++ {
+		if v>>c&1 != 0 {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
 // TestFigure3Steps walks the callback-all example of Figure 3 step by
 // step with four cores.
 func TestFigure3Steps(t *testing.T) {
@@ -21,11 +60,11 @@ func TestFigure3Steps(t *testing.T) {
 	// then reads the variable, consuming its own F/E bit.
 	for c := 0; c < 4; c++ {
 		res, ev := d.CallbackRead(c, addrA)
-		if res != ReadSatisfied || ev != nil {
+		if res != ReadSatisfied || ev != (Eviction{}) {
 			t.Fatalf("step 1 core %d: res=%v ev=%v, want satisfied/no eviction", c, res, ev)
 		}
 	}
-	fe, cb, one, ok := d.EntryState(addrA)
+	fe, cb, one, ok := entryState(d, addrA)
 	if !ok || one {
 		t.Fatal("step 1: entry missing or in One mode")
 	}
@@ -43,7 +82,7 @@ func TestFigure3Steps(t *testing.T) {
 			t.Fatalf("step 2 core %d: want blocked", c)
 		}
 	}
-	_, cb, _, _ = d.EntryState(addrA)
+	_, cb, _, _ = entryState(d, addrA)
 	if !reflect.DeepEqual(cb, []bool{true, false, true, false}) {
 		t.Fatalf("step 2: cb=%v, want callbacks on 0 and 2", cb)
 	}
@@ -51,11 +90,11 @@ func TestFigure3Steps(t *testing.T) {
 	// Step 3: core 3 writes; both callbacks are serviced, and the F/E
 	// bits of the cores that did NOT have a callback (1 and 3) are set
 	// to full.
-	wake := d.Write(nil, addrA, memtypes.CBAll)
+	wake := write(d, addrA, memtypes.CBAll)
 	if !reflect.DeepEqual(wake, []int{0, 2}) {
 		t.Fatalf("step 3: wake=%v, want [0 2]", wake)
 	}
-	fe, cb, _, _ = d.EntryState(addrA)
+	fe, cb, _, _ = entryState(d, addrA)
 	if !reflect.DeepEqual(fe, []bool{false, true, false, true}) {
 		t.Fatalf("step 3: fe=%v, want full for 1 and 3 only", fe)
 	}
@@ -69,7 +108,7 @@ func TestFigure3Steps(t *testing.T) {
 	if res != ReadSatisfied {
 		t.Fatal("step 4: core 1 should consume immediately")
 	}
-	fe, _, _, _ = d.EntryState(addrA)
+	fe, _, _, _ = entryState(d, addrA)
 	if fe[1] {
 		t.Fatal("step 4: core 1 F/E bit should be empty after consuming")
 	}
@@ -82,13 +121,13 @@ func TestFigure3Steps(t *testing.T) {
 	small.CallbackRead(0, addrA)
 	small.CallbackRead(0, addrA) // blocks: CB[0] set
 	_, ev := small.CallbackRead(1, addrB)
-	if ev == nil || ev.Addr != addrA.Word() || !reflect.DeepEqual(ev.Waiters, []int{0}) {
+	if ev.Addr != addrA.Word() || !reflect.DeepEqual(coreList(ev.Waiters), []int{0}) {
 		t.Fatalf("step 5: eviction = %+v, want waiter 0 on %s", ev, addrA)
 	}
 
 	// Step 6: the new entry starts with all F/E bits full and no
 	// callbacks, so the installing read was satisfied.
-	fe, cb, one, ok = small.EntryState(addrB)
+	fe, cb, one, ok = entryState(small, addrB)
 	if !ok || one {
 		t.Fatal("step 6: fresh entry missing or in One mode")
 	}
@@ -112,8 +151,8 @@ func TestFigure4LockHandoff(t *testing.T) {
 	if res, _ := d.CallbackRead(2, addrA); res != ReadSatisfied {
 		t.Fatal("setup: install should satisfy")
 	}
-	d.Write(nil, addrA, memtypes.CBOne) // no waiters: One mode, all full
-	fe, _, one, _ := d.EntryState(addrA)
+	write(d, addrA, memtypes.CBOne) // no waiters: One mode, all full
+	fe, _, one, _ := entryState(d, addrA)
 	if !one || !reflect.DeepEqual(fe, []bool{true, true, true, true}) {
 		t.Fatalf("step 1: fe=%v one=%v, want all full in One mode", fe, one)
 	}
@@ -122,7 +161,7 @@ func TestFigure4LockHandoff(t *testing.T) {
 	if res, _ := d.CallbackRead(2, addrA); res != ReadSatisfied {
 		t.Fatal("step 2: core 2 should get the lock value")
 	}
-	fe, _, _, _ = d.EntryState(addrA)
+	fe, _, _, _ = entryState(d, addrA)
 	if !reflect.DeepEqual(fe, []bool{false, false, false, false}) {
 		t.Fatalf("step 2: fe=%v, want all empty in unison", fe)
 	}
@@ -139,28 +178,28 @@ func TestFigure4LockHandoff(t *testing.T) {
 
 	// Step 6: core 2 releases with write_CB1: exactly one wake (core 3),
 	// F/E bits left undisturbed (empty).
-	wake := d.Write(nil, addrA, memtypes.CBOne)
+	wake := write(d, addrA, memtypes.CBOne)
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("step 6: wake=%v, want [3]", wake)
 	}
-	fe, _, _, _ = d.EntryState(addrA)
+	fe, _, _, _ = entryState(d, addrA)
 	if !reflect.DeepEqual(fe, []bool{false, false, false, false}) {
 		t.Fatalf("step 6: fe=%v, want undisturbed (all empty)", fe)
 	}
 
 	// Core 3 releases: round-robin proceeds to core 0, then core 1 —
 	// grant order 2,3,0,1 overall.
-	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := write(d, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("second release: wake=%v, want [0]", wake)
 	}
-	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
+	if wake := write(d, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
 		t.Fatalf("third release: wake=%v, want [1]", wake)
 	}
 	// Final release with no waiters returns the entry to all-full.
-	if wake := d.Write(nil, addrA, memtypes.CBOne); wake != nil {
+	if wake := write(d, addrA, memtypes.CBOne); wake != nil {
 		t.Fatalf("final release: wake=%v, want none", wake)
 	}
-	fe, _, _, _ = d.EntryState(addrA)
+	fe, _, _, _ = entryState(d, addrA)
 	if !reflect.DeepEqual(fe, []bool{true, true, true, true}) {
 		t.Fatalf("final release: fe=%v, want all full", fe)
 	}
@@ -173,11 +212,11 @@ func TestFigure5PrematureWake(t *testing.T) {
 
 	// Entry in One mode, all full (as in Figure 5 step 1).
 	d.CallbackRead(2, addrA)
-	d.Write(nil, addrA, memtypes.CBOne)
+	write(d, addrA, memtypes.CBOne)
 
 	// Core 2's RMW: the read consumes the value (all F/E empty).
 	d.ReadThrough(2, addrA)
-	fe, _, _, _ := d.EntryState(addrA)
+	fe, _, _, _ := entryState(d, addrA)
 	if !reflect.DeepEqual(fe, []bool{false, false, false, false}) {
 		t.Fatalf("RMW read: fe=%v, want all empty", fe)
 	}
@@ -189,7 +228,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	// Step 4: core 2's RMW write is a write_CB1 -> premature wake of
 	// core 3 (the pseudo-random pointer is at 3 in the example).
 	d.SetWakePointer(addrA, 3)
-	wake := d.Write(nil, addrA, memtypes.CBOne)
+	wake := write(d, addrA, memtypes.CBOne)
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("RMW write: wake=%v, want premature [3]", wake)
 	}
@@ -200,7 +239,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	}
 
 	// Steps 5-6: core 2's release wakes core 0 (round-robin moved on).
-	wake = d.Write(nil, addrA, memtypes.CBOne)
+	wake = write(d, addrA, memtypes.CBOne)
 	if !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("release: wake=%v, want [0]", wake)
 	}
@@ -208,7 +247,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	// Steps 7-8: core 0's RMW write prematurely wakes core 1... which in
 	// the figure had also blocked. Here core 3 is the only waiter left,
 	// so it is woken prematurely again, losing its turn.
-	wake = d.Write(nil, addrA, memtypes.CBOne)
+	wake = write(d, addrA, memtypes.CBOne)
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("second RMW write: wake=%v, want [3]", wake)
 	}
@@ -219,11 +258,11 @@ func TestFigure5PrematureWake(t *testing.T) {
 func TestFigure6WriteCB0(t *testing.T) {
 	d := New(4, 4)
 	d.CallbackRead(2, addrA)
-	d.Write(nil, addrA, memtypes.CBOne) // One mode, all full
+	write(d, addrA, memtypes.CBOne) // One mode, all full
 
 	// Core 2 acquires: read consumes; write is st_cb0 (no wakes).
 	d.ReadThrough(2, addrA)
-	if wake := d.Write(nil, addrA, memtypes.CBZero); wake != nil {
+	if wake := write(d, addrA, memtypes.CBZero); wake != nil {
 		t.Fatalf("st_cb0 woke %v, want nobody", wake)
 	}
 
@@ -234,20 +273,20 @@ func TestFigure6WriteCB0(t *testing.T) {
 
 	// Release wakes exactly one (core 3), whose RMW succeeds; its own
 	// st_cb0 wakes nobody.
-	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{3}) {
+	if wake := write(d, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatal("release should wake core 3")
 	}
 	d.ReadThrough(3, addrA) // woken RMW's read half re-executes at the LLC
-	if wake := d.Write(nil, addrA, memtypes.CBZero); wake != nil {
+	if wake := write(d, addrA, memtypes.CBZero); wake != nil {
 		t.Fatalf("woken RMW's st_cb0 woke %v, want nobody", wake)
 	}
 	// Core 0 still waits, untouched.
-	_, cb, _, _ := d.EntryState(addrA)
+	_, cb, _, _ := entryState(d, addrA)
 	if !reflect.DeepEqual(cb, []bool{true, false, false, false}) {
 		t.Fatalf("cb=%v, want only core 0 waiting", cb)
 	}
 	// Next release hands off to core 0.
-	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := write(d, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatal("second release should wake core 0")
 	}
 }
@@ -265,7 +304,7 @@ func TestReadThroughNeverInstalls(t *testing.T) {
 
 func TestWriteNeverInstalls(t *testing.T) {
 	d := New(4, 4)
-	if wake := d.Write(nil, addrA, memtypes.CBAll); wake != nil {
+	if wake := write(d, addrA, memtypes.CBAll); wake != nil {
 		t.Fatal("write on missing entry woke someone")
 	}
 	if d.HasEntry(addrA) {
@@ -278,7 +317,7 @@ func TestReadThroughConsumes(t *testing.T) {
 	d.CallbackRead(0, addrA) // install, consume own bit
 	// Core 1's F/E is full; a ld_through consumes it.
 	d.ReadThrough(1, addrA)
-	fe, _, _, _ := d.EntryState(addrA)
+	fe, _, _, _ := entryState(d, addrA)
 	if fe[1] {
 		t.Fatal("ld_through should consume core 1's full bit")
 	}
@@ -299,10 +338,10 @@ func TestWordGranularity(t *testing.T) {
 	if res, _ := d.CallbackRead(0, w1); res != ReadSatisfied {
 		t.Fatal("same-line different-word read should have its own entry")
 	}
-	if wake := d.Write(nil, w1, memtypes.CBAll); len(wake) != 0 {
+	if wake := write(d, w1, memtypes.CBAll); len(wake) != 0 {
 		t.Fatal("write to w1 must not wake w0's waiter")
 	}
-	if wake := d.Write(nil, w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := write(d, w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatal("write to w0 should wake its waiter")
 	}
 }
@@ -314,7 +353,7 @@ func TestEvictionPrefersEntriesWithoutWaiters(t *testing.T) {
 	d.CallbackRead(1, addrB) // B has no waiters, and is MRU
 	// A third address must evict B (no waiters) even though A is LRU.
 	_, ev := d.CallbackRead(2, 0x3000)
-	if ev == nil || ev.Addr != addrB.Word() {
+	if ev.Addr != addrB.Word() {
 		t.Fatalf("eviction=%+v, want B (no waiters)", ev)
 	}
 	if !d.HasEntry(addrA) {
@@ -331,7 +370,7 @@ func TestEvictionAnswersAllWaiters(t *testing.T) {
 	d.CallbackRead(1, addrA)
 	d.CallbackRead(3, addrA)
 	_, ev := d.CallbackRead(2, addrB)
-	if ev == nil || !reflect.DeepEqual(ev.Waiters, []int{0, 1, 3}) {
+	if !reflect.DeepEqual(coreList(ev.Waiters), []int{0, 1, 3}) {
 		t.Fatalf("eviction=%+v, want waiters [0 1 3]", ev)
 	}
 	if d.Stats().StaleWakes != 3 {
@@ -342,8 +381,8 @@ func TestEvictionAnswersAllWaiters(t *testing.T) {
 func TestCBOneNoWaitersMakesFull(t *testing.T) {
 	d := New(4, 4)
 	d.CallbackRead(0, addrA)
-	d.Write(nil, addrA, memtypes.CBOne)
-	fe, _, one, _ := d.EntryState(addrA)
+	write(d, addrA, memtypes.CBOne)
+	fe, _, one, _ := entryState(d, addrA)
 	if !one {
 		t.Fatal("st_cb1 should set One mode")
 	}
@@ -364,14 +403,14 @@ func TestCBOneNoWaitersMakesFull(t *testing.T) {
 func TestNormalWriteResetsOneMode(t *testing.T) {
 	d := New(4, 4)
 	d.CallbackRead(0, addrA)
-	d.Write(nil, addrA, memtypes.CBOne)
-	_, _, one, _ := d.EntryState(addrA)
+	write(d, addrA, memtypes.CBOne)
+	_, _, one, _ := entryState(d, addrA)
 	if !one {
 		t.Fatal("setup failed")
 	}
 	// "(Any normal write or read resets the A/O bit to All.)"
-	d.Write(nil, addrA, memtypes.CBAll)
-	_, _, one, _ = d.EntryState(addrA)
+	write(d, addrA, memtypes.CBAll)
+	_, _, one, _ = entryState(d, addrA)
 	if one {
 		t.Fatal("st_through should reset the entry to All mode")
 	}
@@ -381,11 +420,11 @@ func TestLowestIDPolicy(t *testing.T) {
 	d := New(4, 4)
 	d.SetWakePolicy(WakeLowestID)
 	d.CallbackRead(3, addrA)
-	d.Write(nil, addrA, memtypes.CBOne) // One mode, full
-	d.CallbackRead(3, addrA)            // consumes
-	d.CallbackRead(2, addrA)            // blocks
-	d.CallbackRead(1, addrA)            // blocks
-	if wake := d.Write(nil, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
+	write(d, addrA, memtypes.CBOne) // One mode, full
+	d.CallbackRead(3, addrA)        // consumes
+	d.CallbackRead(2, addrA)        // blocks
+	d.CallbackRead(1, addrA)        // blocks
+	if wake := write(d, addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
 		t.Fatalf("wake=%v, want lowest ID [1]", wake)
 	}
 }
@@ -413,7 +452,7 @@ func TestCancelCallback(t *testing.T) {
 		t.Fatal("second cancel should find nothing")
 	}
 	// After cancel the write wakes nobody.
-	if wake := d.Write(nil, addrA, memtypes.CBAll); len(wake) != 0 {
+	if wake := write(d, addrA, memtypes.CBAll); len(wake) != 0 {
 		t.Fatal("cancelled callback was woken")
 	}
 }
@@ -435,11 +474,11 @@ func TestPropertyCBAllWakeSet(t *testing.T) {
 				want = append(want, c)
 			}
 		}
-		wake := d.Write(nil, addrA, memtypes.CBAll)
+		wake := write(d, addrA, memtypes.CBAll)
 		if !reflect.DeepEqual(wake, want) {
 			return false
 		}
-		_, cb, _, _ := d.EntryState(addrA)
+		_, cb, _, _ := entryState(d, addrA)
 		for _, c := range cb {
 			if c {
 				return false
@@ -475,14 +514,14 @@ func TestPropertyCBOneSingleWake(t *testing.T) {
 					continue // core is blocked; cannot issue
 				}
 				res, ev := d.CallbackRead(c, addrA)
-				if ev != nil {
+				if ev != (Eviction{}) {
 					return false // single address: no evictions possible
 				}
 				if res == ReadBlocked {
 					pending[c] = true
 				}
 			case 1:
-				wake := d.Write(nil, addrA, memtypes.CBOne)
+				wake := write(d, addrA, memtypes.CBOne)
 				if len(wake) > 1 {
 					return false
 				}
@@ -493,7 +532,7 @@ func TestPropertyCBOneSingleWake(t *testing.T) {
 					pending[w] = false
 				}
 			case 2:
-				d.Write(nil, addrA, memtypes.CBZero)
+				write(d, addrA, memtypes.CBZero)
 			}
 		}
 		return true
@@ -524,23 +563,21 @@ func TestPropertyNoLostWaiters(t *testing.T) {
 					continue
 				}
 				res, ev := d.CallbackRead(c, a)
-				if ev != nil {
-					for _, w := range ev.Waiters {
-						delete(blocked, waiter{w, ev.Addr})
-					}
+				for _, w := range coreList(ev.Waiters) {
+					delete(blocked, waiter{w, ev.Addr})
 				}
 				if res == ReadBlocked {
 					blocked[waiter{c, a}] = true
 				}
 			case 1:
-				for _, w := range d.Write(nil, a, memtypes.CBAll) {
+				for _, w := range write(d, a, memtypes.CBAll) {
 					if !blocked[waiter{w, a}] {
 						return false
 					}
 					delete(blocked, waiter{w, a})
 				}
 			case 2:
-				for _, w := range d.Write(nil, a, memtypes.CBOne) {
+				for _, w := range write(d, a, memtypes.CBOne) {
 					if !blocked[waiter{w, a}] {
 						return false
 					}
@@ -551,7 +588,7 @@ func TestPropertyNoLostWaiters(t *testing.T) {
 		// Every still-blocked core must be recorded in some entry's CB
 		// bits.
 		for w := range blocked {
-			_, cb, _, ok := d.EntryState(w.addr)
+			_, cb, _, ok := entryState(d, w.addr)
 			if !ok || !cb[w.core] {
 				return false
 			}
@@ -577,7 +614,7 @@ func TestLineGranularTags(t *testing.T) {
 		t.Fatal("line-granular entry should have been consumed by w0's read")
 	}
 	// A write to the other word wakes it (false sharing of entries).
-	if wake := d.Write(nil, w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := write(d, w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("wake=%v, want [0]", wake)
 	}
 	if d.Stats().Installs != 1 {
@@ -593,10 +630,10 @@ func TestEvictLRUPolicy(t *testing.T) {
 	d.CallbackRead(1, addrB) // B newer, no waiters
 	// Plain LRU evicts A despite its waiter.
 	_, ev := d.CallbackRead(2, 0x3000)
-	if ev == nil || ev.Addr != addrA.Word() {
+	if ev.Addr != addrA.Word() {
 		t.Fatalf("eviction=%+v, want A under plain LRU", ev)
 	}
-	if !reflect.DeepEqual(ev.Waiters, []int{0}) {
-		t.Fatalf("waiters=%v, want [0]", ev.Waiters)
+	if !reflect.DeepEqual(coreList(ev.Waiters), []int{0}) {
+		t.Fatalf("waiters=%v, want [0]", coreList(ev.Waiters))
 	}
 }

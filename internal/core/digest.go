@@ -5,8 +5,8 @@ import (
 )
 
 // Digest folds the callback directory's mutable state: every valid
-// entry in slot order (tag, Full/Empty and callback bit vectors, A/O
-// bit, round-robin pointer, LRU stamp), the LRU clock, and the
+// entry in slot order (tag, Full/Empty and callback bit vectors one bool
+// per core, A/O bit, round-robin pointer, LRU stamp), the LRU clock, and the
 // counters. Policy knobs (wake/evict policy, granularity) are
 // configuration and excluded.
 func (d *Directory) Digest(h *digest.Hash) {
@@ -18,11 +18,11 @@ func (d *Directory) Digest(h *digest.Hash) {
 		}
 		h.Int(i)
 		h.U64(uint64(e.addr))
-		for _, f := range e.fe {
-			h.Bool(f)
+		for c := 0; c < d.cores; c++ {
+			h.Bool(e.fe>>c&1 != 0)
 		}
-		for _, c := range e.cb {
-			h.Bool(c)
+		for c := 0; c < d.cores; c++ {
+			h.Bool(e.cb>>c&1 != 0)
 		}
 		h.Bool(e.one)
 		h.Int(e.wake)

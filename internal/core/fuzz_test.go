@@ -17,10 +17,11 @@ type refEntry struct {
 }
 
 // refDirectory is an unbounded-capacity reference model of the callback
-// directory's per-address semantics (Sections 2.3-2.5). It never picks
-// eviction victims itself: the real directory's returned Eviction is the
-// oracle — the model checks the victim was live with exactly the claimed
-// waiters and then drops it. Everything else (satisfy vs. block, F/E
+// directory's per-address semantics (Sections 2.3-2.5). It keeps one bool
+// per core where the directory keeps bit vectors, so the two share no
+// representation. It never picks eviction victims itself: the real
+// directory's returned Eviction is the oracle — the model checks the
+// victim was live with exactly the claimed waiters and then drops it. Everything else (satisfy vs. block, F/E
 // unison in One mode, wake selection and pointer rotation) is mirrored
 // independently, so any divergence is a bug in one of the two.
 type refDirectory struct {
@@ -35,15 +36,14 @@ func newRef(cores int, policy WakePolicy) *refDirectory {
 
 // applyEviction validates an eviction reported by the real directory
 // against the model and removes the entry.
-func (r *refDirectory) applyEviction(t *testing.T, ev *Eviction) {
+func (r *refDirectory) applyEviction(t *testing.T, ev Eviction) {
 	t.Helper()
 	e := r.entries[ev.Addr]
 	if e == nil {
 		t.Fatalf("directory evicted %#x which the model never installed", uint64(ev.Addr))
 	}
-	want := waiterSet(e.cb)
-	if fmt.Sprint(ev.Waiters) != fmt.Sprint(want) {
-		t.Fatalf("eviction of %#x reported waiters %v, model has %v", uint64(ev.Addr), ev.Waiters, want)
+	if want := vector(e.cb); ev.Waiters != want {
+		t.Fatalf("eviction of %#x reported waiters %v, model has %v", uint64(ev.Addr), coreList(ev.Waiters), waiterSet(e.cb))
 	}
 	delete(r.entries, ev.Addr)
 }
@@ -164,6 +164,18 @@ func (r *refDirectory) cancel(core int, addr memtypes.Addr) bool {
 	return true
 }
 
+// vector packs the model's per-core bits into the directory's form, so a
+// stray bit above the machine's cores shows as a difference.
+func vector(bs []bool) uint64 {
+	var v uint64
+	for i, b := range bs {
+		if b {
+			v |= 1 << i
+		}
+	}
+	return v
+}
+
 func allTrue(bs []bool) bool {
 	for _, b := range bs {
 		if !b {
@@ -193,9 +205,9 @@ func checkEntry(t *testing.T, d *Directory, r *refDirectory, addr memtypes.Addr,
 	if !ok {
 		return
 	}
-	if fmt.Sprint(fe) != fmt.Sprint(e.fe) || fmt.Sprint(cb) != fmt.Sprint(e.cb) || one != e.one {
+	if fe != vector(e.fe) || cb != vector(e.cb) || one != e.one {
 		t.Fatalf("%s on %#x diverged:\n directory fe=%v cb=%v one=%v\n model     fe=%v cb=%v one=%v",
-			op, uint64(addr), fe, cb, one, e.fe, e.cb, e.one)
+			op, uint64(addr), coreList(fe), coreList(cb), one, waiterSet(e.fe), waiterSet(e.cb), e.one)
 	}
 }
 
@@ -264,9 +276,13 @@ func FuzzDirectory(f *testing.F) {
 				if e := r.entries[addr]; e != nil && e.cb[core] {
 					continue // a parked core never issues another ld_cb
 				}
+				installs := r.entries[addr] == nil
 				res, ev := d.CallbackRead(core, addr)
-				if ev != nil {
+				if installs && d.Live() == len(r.entries) {
+					// The install displaced an entry.
 					r.applyEviction(t, ev)
+				} else if ev != (Eviction{}) {
+					t.Fatalf("%s: CallbackRead reported eviction %+v but displaced nothing", label, ev)
 				}
 				want := r.read(core, addr)
 				if res != want {
@@ -277,7 +293,7 @@ func FuzzDirectory(f *testing.F) {
 				r.readThrough(core, addr)
 			case op < 0x7: // write (mode from the op nibble)
 				mode := memtypes.CBWrite(op - 0x4)
-				wake := d.Write(nil, addr, mode)
+				wake := coreList(d.Write(addr, mode))
 				want := r.write(addr, mode)
 				if fmt.Sprint(wake) != fmt.Sprint(want) {
 					t.Fatalf("%s: Write(%#x, %v) woke %v, model says %v", label, uint64(addr), mode, wake, want)
@@ -290,9 +306,9 @@ func FuzzDirectory(f *testing.F) {
 				}
 			default: // forced eviction (the chaos layer's storm primitive)
 				ev := d.ForceEvict(int(b & 0x0f))
-				if ev == nil {
-					if len(r.entries) != 0 {
-						t.Fatalf("%s: ForceEvict found nothing but model holds %d entries", label, len(r.entries))
+				if len(r.entries) == 0 {
+					if ev != (Eviction{}) {
+						t.Fatalf("%s: ForceEvict reported %+v but the model holds no entries", label, ev)
 					}
 					continue
 				}

@@ -152,15 +152,16 @@ type Machine struct {
 }
 
 // ValidateCores reports whether n is a legal simulated core count: a
-// positive perfect square no larger than 64 (the machine is a w x w mesh
-// and the MESI directory tracks sharers in a 64-bit vector). It is the
-// single validation shared by the CLIs, the service API, and New.
+// positive perfect square no larger than 64 (the machine is a w x w mesh,
+// and both the MESI directory's sharers and the callback directory's F/E
+// and CB bits are one 64-bit vector, bit c for core c). It is the single
+// validation shared by the CLIs, the service API, and New.
 func ValidateCores(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("machine: cores must be positive (got %d)", n)
 	}
 	if n > 64 {
-		return fmt.Errorf("machine: at most 64 cores (got %d): the directory tracks sharers in a 64-bit vector", n)
+		return fmt.Errorf("machine: at most 64 cores (got %d): the MESI and callback directories keep one bit per core in a 64-bit vector", n)
 	}
 	w := int(math.Sqrt(float64(n)))
 	if w*w != n {

@@ -2,6 +2,7 @@ package vips
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -57,14 +58,15 @@ type Bank struct {
 	busy   []memtypes.Addr
 	deferq memtypes.LineQueues
 
-	// parked holds callback reads (and RMWs) blocked in the callback
-	// directory, keyed by word address then core.
-	parked map[memtypes.Addr]map[memtypes.NodeID]*memtypes.Message
+	// cores sizes the callback directory and the parked slots.
+	cores int
 
-	// spareParked and spareWakes recycle drained per-word parked sets and
-	// delivered wake batches.
-	//cbvet:ephemeral recycled empty parked sets; they hold no operations
-	spareParked []map[memtypes.NodeID]*memtypes.Message
+	// parked holds, per core, the callback read (or RMW) the core has
+	// blocked in the callback directory, or nil; a core has at most one
+	// operation in flight. The slots are made at the bank's first park.
+	parked []*memtypes.Message
+
+	// spareWakes recycles delivered wake batches.
 	//cbvet:ephemeral recycled delivered wake batches; they hold no wakes
 	spareWakes []*wakeBatch
 
@@ -78,14 +80,14 @@ type Bank struct {
 }
 
 // NewBank builds the bank controller for node id. cores sizes the
-// callback directory's bit vectors; cfg selects back-off vs callback
-// mode.
+// callback directory's bit vectors and the parked slots; cfg selects
+// back-off vs callback mode.
 func NewBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, cores int, cfg Config) *Bank {
 	b := &Bank{
 		k: k, id: id, mesh: mesh, store: store,
 		mode:       cfg.Mode,
 		data:       mem.NewBank(),
-		parked:     make(map[memtypes.Addr]map[memtypes.NodeID]*memtypes.Message),
+		cores:      cores,
 		queueLocks: make(map[memtypes.Addr]*qlState),
 	}
 	if cfg.Mode == ModeCallback {
@@ -295,9 +297,7 @@ func (b *Bank) writeLine(msg *memtypes.Message) {
 			}
 			w := base + memtypes.Addr(i*memtypes.WordBytes)
 			if b.cbdir.HasEntry(w) {
-				wb := b.newWakes(w, msg.LineData[i])
-				wb.cores = b.cbdir.Write(wb.cores, w, memtypes.CBAll)
-				b.wakeAfter(0, wb)
+				b.wakeAfter(0, b.newWakes(b.cbdir.Write(w, memtypes.CBAll), w, msg.LineData[i]))
 			}
 		}
 	}
@@ -373,8 +373,7 @@ func (b *Bank) writeWord(msg *memtypes.Message) {
 	b.qlRelease(req.Addr)
 	if b.cbdir != nil {
 		b.stats.CBDirAccesses++
-		wb := b.newWakes(req.Addr, req.Value)
-		wb.cores = b.cbdir.Write(wb.cores, req.Addr, cbWriteMode(req.Kind))
+		wb := b.newWakes(b.cbdir.Write(req.Addr, cbWriteMode(req.Kind)), req.Addr, req.Value)
 		b.observeOcc(req.Addr)
 		b.wakeAfter(CBDirLatency, wb)
 	}
@@ -438,8 +437,7 @@ func (b *Bank) applyRMW(msg *memtypes.Message) {
 		b.store.StoreWord(req.Addr, newVal)
 		if b.cbdir != nil {
 			b.stats.CBDirAccesses++
-			wb := b.newWakes(req.Addr, newVal)
-			wb.cores = b.cbdir.Write(wb.cores, req.Addr, req.RMWSt)
+			wb := b.newWakes(b.cbdir.Write(req.Addr, req.RMWSt), req.Addr, newVal)
 			b.observeOcc(req.Addr)
 			b.wakeAfter(0, wb)
 		}
@@ -455,49 +453,43 @@ func (b *Bank) applyRMW(msg *memtypes.Message) {
 	b.release(line)
 }
 
-// park records a blocked callback read or RMW until a write (or an
-// eviction) services it, keyed by the directory tag.
+// park records a blocked callback read or RMW in its core's slot until a
+// write (or an eviction) services it.
 //
 //cbsim:hotpath
 func (b *Bank) park(msg *memtypes.Message) {
 	w := b.cbdir.Tag(msg.Req.Addr)
-	m := b.parked[w]
-	if m == nil {
-		if n := len(b.spareParked); n > 0 {
-			m = b.spareParked[n-1]
-			b.spareParked[n-1] = nil
-			b.spareParked = b.spareParked[:n-1]
-		} else {
-			//cbvet:alloc-ok pool growth; steady state reuses drained parked sets
-			m = make(map[memtypes.NodeID]*memtypes.Message)
-		}
-		b.parked[w] = m
+	if b.parked == nil {
+		//cbvet:alloc-ok one slot per core, made at the bank's first park
+		b.parked = make([]*memtypes.Message, b.cores)
 	}
-	if _, dup := m[msg.Core]; dup {
+	if b.parked[msg.Core] != nil {
 		panic(fmt.Sprintf("vips: bank %d core %d parked twice on %s", b.id, msg.Core, w))
 	}
-	m[msg.Core] = msg
+	b.parked[msg.Core] = msg
 	b.obs.Emit(trace.Event{Kind: trace.EvCBBlock, Core: msg.Core, Cycle: b.k.Now(), Addr: w})
 }
 
-// wake services callbacks: parked plain reads are answered directly with
-// the written value ("wakeup messages carry the newly created value");
-// parked RMWs re-enter execution at the LLC.
+// parkedOn reports whether core c has an operation parked on tag w.
+func (b *Bank) parkedOn(c int, w memtypes.Addr) bool {
+	return c < len(b.parked) && b.parked[c] != nil && b.cbdir.Tag(b.parked[c].Req.Addr) == w
+}
+
+// wake services callbacks, lowest core first: parked plain reads are
+// answered directly with the written value ("wakeup messages carry the
+// newly created value"); parked RMWs re-enter execution at the LLC.
+// cores has bit c set for each core c to wake.
 //
 //cbsim:hotpath
-func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
-	if len(cores) == 0 {
-		return
-	}
+func (b *Bank) wake(cores uint64, addr memtypes.Addr, value uint64, stale bool) {
 	w := b.cbdir.Tag(addr)
-	m := b.parked[w]
-	for _, c := range cores {
-		id := memtypes.NodeID(c)
-		parked := m[id]
-		if parked == nil {
+	for ; cores != 0; cores &= cores - 1 {
+		c := bits.TrailingZeros64(cores)
+		if !b.parkedOn(c, w) {
 			panic(fmt.Sprintf("vips: bank %d woke core %d on %s with no parked op", b.id, c, w))
 		}
-		delete(m, id)
+		parked := b.parked[c]
+		b.parked[c] = nil
 		kind := trace.EvCBWake
 		if stale {
 			b.stats.StaleWakes++
@@ -505,23 +497,19 @@ func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
 		} else {
 			b.stats.Wakes++
 		}
-		b.obs.Emit(trace.Event{Kind: kind, Core: id, Cycle: b.k.Now(), Addr: w})
+		b.obs.Emit(trace.Event{Kind: kind, Core: parked.Core, Cycle: b.k.Now(), Addr: w})
 		if parked.Req.Kind == memtypes.OpRMW {
 			b.withLine(parked)
 			continue
 		}
 		b.respond(parked, value, stale)
 	}
-	if len(m) == 0 {
-		delete(b.parked, w)
-		b.spareParked = append(b.spareParked, m)
-	}
 }
 
 // answerEviction services the waiters of an evicted directory entry with
 // the current value (Section 2.3.1).
-func (b *Bank) answerEviction(ev *core.Eviction) {
-	if ev == nil {
+func (b *Bank) answerEviction(ev core.Eviction) {
+	if ev.Waiters == 0 {
 		return
 	}
 	b.wake(ev.Waiters, ev.Addr, b.store.Load(ev.Addr), true)
@@ -559,9 +547,10 @@ func (b *Bank) ack(msg *memtypes.Message) {
 // callback directory (tests and deadlock diagnostics).
 func (b *Bank) Parked() int {
 	n := 0
-	//cbvet:unordered commutative sum over parked sets
 	for _, m := range b.parked {
-		n += len(m)
+		if m != nil {
+			n++
+		}
 	}
 	return n
 }

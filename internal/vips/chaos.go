@@ -2,6 +2,7 @@ package vips
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/chaos"
 	"repro/internal/memtypes"
@@ -36,36 +37,31 @@ func (b *Bank) injectChaos(addr memtypes.Addr) {
 // re-checks, and re-subscribes with a fresh ld_cb.
 func (b *Bank) spuriousWake(addr memtypes.Addr) {
 	_, cb, _, ok := b.cbdir.EntryState(addr)
-	if !ok {
+	if !ok || cb == 0 {
 		return
 	}
-	var waiters []int
-	for c, set := range cb {
-		if set {
-			waiters = append(waiters, c)
-		}
+	// The victim is the k-th waiter counting from the lowest core.
+	for k := b.chaos.Pick(bits.OnesCount64(cb)); k > 0; k-- {
+		cb &= cb - 1
 	}
-	if len(waiters) == 0 {
-		return
-	}
-	victim := waiters[b.chaos.Pick(len(waiters))]
+	victim := bits.TrailingZeros64(cb)
 	b.cbdir.CancelCallback(victim, addr)
-	b.wake([]int{victim}, addr, b.store.Load(addr), true)
+	b.wake(uint64(1)<<victim, addr, b.store.Load(addr), true)
 }
 
 // wakeBatch is the set of callback wakes one write services on one word,
-// carrying the written value to the woken cores.
+// bit c for core c, carrying the written value to the woken cores.
 type wakeBatch struct {
-	cores []int
+	cores uint64
 	addr  memtypes.Addr
 	value uint64
 }
 
-// newWakes returns an empty wake batch for a write of value to addr,
+// newWakes returns the wake batch of cores for a write of value to addr,
 // reusing a delivered one when available.
 //
 //cbsim:hotpath
-func (b *Bank) newWakes(addr memtypes.Addr, value uint64) *wakeBatch {
+func (b *Bank) newWakes(cores uint64, addr memtypes.Addr, value uint64) *wakeBatch {
 	var wb *wakeBatch
 	if n := len(b.spareWakes); n > 0 {
 		wb = b.spareWakes[n-1]
@@ -75,7 +71,7 @@ func (b *Bank) newWakes(addr memtypes.Addr, value uint64) *wakeBatch {
 		//cbvet:alloc-ok pool growth; steady state reuses delivered batches
 		wb = &wakeBatch{}
 	}
-	wb.addr, wb.value = addr, value
+	wb.cores, wb.addr, wb.value = cores, addr, value
 	return wb
 }
 
@@ -102,7 +98,6 @@ func (b *Bank) wakeAfter(delay uint64, wb *wakeBatch) {
 //cbsim:hotpath
 func (b *Bank) deliverWakes(wb *wakeBatch) {
 	b.wake(wb.cores, wb.addr, wb.value, false)
-	wb.cores = wb.cores[:0]
 	b.spareWakes = append(b.spareWakes, wb)
 }
 
@@ -132,17 +127,10 @@ func (b *Bank) CheckCallbackInvariants(final bool) error {
 	}
 	var err error
 	waiters := 0
-	b.cbdir.VisitEntries(func(addr memtypes.Addr, fe, cb []bool, one bool) {
-		for c, set := range cb {
-			if !set {
-				continue
-			}
-			waiters++
-			if err != nil {
-				continue
-			}
-			m := b.parked[addr]
-			if m == nil || m[memtypes.NodeID(c)] == nil {
+	b.cbdir.VisitEntries(func(addr memtypes.Addr, fe, cb uint64, one bool) {
+		waiters += bits.OnesCount64(cb)
+		for ; cb != 0 && err == nil; cb &= cb - 1 {
+			if c := bits.TrailingZeros64(cb); !b.parkedOn(c, addr) {
 				err = fmt.Errorf("vips: bank %d: callback bit set for core %d on %s with no parked operation (lost wakeup)", b.id, c, addr.Word())
 			}
 		}
@@ -161,16 +149,11 @@ func (b *Bank) CheckCallbackInvariants(final bool) error {
 	return nil
 }
 
-// ParkedOp reports the line a core is currently parked on at this bank,
-// if any. A core has at most one operation in flight, so at most one
-// entry across all banks can match; the map scan is therefore
-// order-independent.
+// ParkedOp reports the directory tag a core is currently parked on at
+// this bank, if any.
 func (b *Bank) ParkedOp(core memtypes.NodeID) (memtypes.Addr, bool) {
-	//cbvet:unordered at most one parked op per core can match
-	for addr, m := range b.parked {
-		if m[core] != nil {
-			return addr, true
-		}
+	if int(core) >= len(b.parked) || b.parked[core] == nil {
+		return 0, false
 	}
-	return 0, false
+	return b.cbdir.Tag(b.parked[core].Req.Addr), true
 }

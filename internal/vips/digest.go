@@ -87,23 +87,29 @@ func (b *Bank) Digest(h *digest.Hash) {
 
 	b.deferq.Digest(h)
 
-	parkAddrs := make([]memtypes.Addr, 0, len(b.parked))
-	for a := range b.parked { //cbvet:unordered — keys are sorted before hashing
-		parkAddrs = append(parkAddrs, a)
+	// Parked operations by ascending tag, then core: the cores are
+	// listed in ascending order, and the sort by tag is stable.
+	var parked []int
+	for c, m := range b.parked {
+		if m != nil {
+			parked = append(parked, c)
+		}
 	}
-	sort.Slice(parkAddrs, func(i, j int) bool { return parkAddrs[i] < parkAddrs[j] })
-	h.Int(len(parkAddrs))
-	for _, a := range parkAddrs {
-		h.U64(uint64(a))
-		cores := make([]memtypes.NodeID, 0, len(b.parked[a]))
-		for c := range b.parked[a] { //cbvet:unordered — keys are sorted before hashing
-			cores = append(cores, c)
+	tag := func(c int) memtypes.Addr { return b.cbdir.Tag(b.parked[c].Req.Addr) }
+	sort.SliceStable(parked, func(i, j int) bool { return tag(parked[i]) < tag(parked[j]) })
+	tags := 0
+	for i, c := range parked {
+		if i == 0 || tag(c) != tag(parked[i-1]) {
+			tags++
 		}
-		sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
-		for _, c := range cores {
-			h.Int(int(c))
-			b.parked[a][c].Digest(h)
+	}
+	h.Int(tags)
+	for i, c := range parked {
+		if i == 0 || tag(c) != tag(parked[i-1]) {
+			h.U64(uint64(tag(c)))
 		}
+		h.Int(c)
+		b.parked[c].Digest(h)
 	}
 
 	b.data.Digest(h)
