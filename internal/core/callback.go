@@ -5,11 +5,10 @@
 // Each entry tracks one word-granular address with a Full/Empty (F/E) bit
 // and a callback (CB) bit per core, plus an All/One (A/O) bit. Each set of
 // per-core bits is one uint64, bit c for core c, so a directory serves at
-// most 64 cores. Entries are
-// created only by callback reads, initialized to all-full/no-callbacks,
-// and can be evicted at any time by answering every set callback with the
-// current value — the directory is self-contained and never backed by
-// memory.
+// most 64 cores. Entries are created only by callback reads, initialized
+// to all-full/no-callbacks, and can be evicted at any time by answering
+// every set callback with the current value — the directory is
+// self-contained and never backed by memory.
 //
 // The package is a pure state machine: it decides what happens (satisfy,
 // block, wake which cores) and the protocol layer (internal/vips) applies

@@ -441,6 +441,18 @@ func TestDoubleCallbackPanics(t *testing.T) {
 	d.CallbackRead(0, addrA)
 }
 
+// A directory keeps one bit per core in a uint64, so it refuses a 65th
+// core.
+func TestNewRejectsMoreThan64Cores(t *testing.T) {
+	New(4, 64)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted 65 cores")
+		}
+	}()
+	New(4, 65)
+}
+
 func TestCancelCallback(t *testing.T) {
 	d := New(4, 4)
 	d.CallbackRead(0, addrA)

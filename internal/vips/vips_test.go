@@ -477,6 +477,29 @@ func TestCallbackStats(t *testing.T) {
 	_ = core.DefaultEntries
 }
 
+// A core's parked slot answers only a wake on the tag its operation
+// waits on: a wake for the same core on another word is a lost-wakeup
+// bug and panics.
+func TestWakeOnAnotherTagPanics(t *testing.T) {
+	r := newRig(t, 4, Config{Mode: ModeCallback})
+	const addr = memtypes.Addr(0xE00)
+	r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: addr})
+	r.start(1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: addr}, func(memtypes.Response) {})
+	if err := r.k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	bank := r.tiles[memtypes.NodeID(0xE00/64%4)].Bank
+	if tag, ok := bank.ParkedOp(1); !ok || tag != addr {
+		t.Fatalf("ParkedOp(1) = %s, %v; want core 1 parked on %s", tag, ok, addr)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a wake on another word took core 1's parked read")
+		}
+	}()
+	bank.wake(1<<1, addr+memtypes.WordBytes, 0, false)
+}
+
 func TestQueueLockBlocksFailingTAS(t *testing.T) {
 	cfg := Config{Mode: ModeQueueLock}
 	r := newRig(t, 4, cfg)
