@@ -21,9 +21,10 @@ type refEntry struct {
 // per core where the directory keeps bit vectors, so the two share no
 // representation. It never picks eviction victims itself: the real
 // directory's returned Eviction is the oracle — the model checks the
-// victim was live with exactly the claimed waiters and then drops it. Everything else (satisfy vs. block, F/E
-// unison in One mode, wake selection and pointer rotation) is mirrored
-// independently, so any divergence is a bug in one of the two.
+// victim was live with exactly the claimed waiters and then drops it.
+// Everything else (satisfy vs. block, F/E unison in One mode, wake
+// selection and pointer rotation) is mirrored independently, so any
+// divergence is a bug in one of the two.
 type refDirectory struct {
 	entries map[memtypes.Addr]*refEntry
 	cores   int
